@@ -36,6 +36,10 @@ class AugmentPolicy:
     flip_prob: float = 0.0
 
     def __post_init__(self):
+        numbers = (self.noise_std, self.rotation_range, *(self.scale_range or ()),
+                   *(self.crop_range or ()))
+        if not np.all(np.isfinite(numbers)):
+            raise ContractError("AugmentPolicy: every parameter must be finite")
         if self.noise_std < 0:
             raise ContractError("AugmentPolicy: noise_std must be non-negative")
         for p, what in ((self.mask_prob, "mask_prob"), (self.flip_prob, "flip_prob")):
@@ -80,56 +84,90 @@ def policy_by_name(name: str, custom: AugmentPolicy | None = None) -> AugmentPol
     raise ContractError(f"unknown augmentation policy {name!r}")
 
 
-def _crop_resize(img: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    h, w = img.shape
-    side = np.sqrt(fraction)
-    ch = max(1, int(round(h * side)))
-    cw = max(1, int(round(w * side)))
-    top = int(rng.integers(0, h - ch + 1))
-    left = int(rng.integers(0, w - cw + 1))
-    patch = img[top:top + ch, left:left + cw]
-    # nearest-neighbour resize back to the original grid
-    rows = np.minimum((np.arange(h) * ch) // h, ch - 1)
-    cols = np.minimum((np.arange(w) * cw) // w, cw - 1)
-    return patch[np.ix_(rows, cols)]
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    # the arithmetic of rng.uniform(lo, hi), without its per-call overhead
+    return lo + (hi - lo) * rng.random()
 
 
-def augment(sample: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator) -> np.ndarray:
-    """Draw one stochastic view of a sample under the given policy.
+def augment(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator) -> np.ndarray:
+    """Draw one stochastic view of every row of a block of samples.
 
-    Deterministic given the generator state; two calls on independent (or
-    sequential) streams give the two independent views of a query. The
-    identity policy returns a bitwise copy without consuming randomness.
+    ``samples`` is a ``[b, d]`` block of feature vectors or a ``[b, h, w]``
+    block of images. Random draws are made row by row, in the order a
+    separate call per row would make them, so the views do not depend on
+    how a batch is split into calls; the transforms then run once on the
+    whole block. Deterministic given the generator state; two calls on one
+    stream give two independent views of each row. The identity policy
+    returns a bitwise copy without consuming randomness.
     """
-    sample = np.asarray(sample, dtype=np.float64)
-    if not np.all(np.isfinite(sample)):
-        raise ContractError("augment: sample must be finite")
-    view = sample.copy()
+    views = np.array(samples, dtype=np.float64)
+    if views.ndim not in (2, 3):
+        raise ContractError(f"augment: samples must be a [b, d] or [b, h, w] block, "
+                            f"got shape {views.shape}")
+    if not np.all(np.isfinite(views)):
+        raise ContractError("augment: samples must be finite")
     if policy.is_identity:
-        return view
+        return views
 
-    is_image = view.ndim == 2
-    if is_image and policy.crop_range is not None:
-        lo, hi = policy.crop_range
-        view = _crop_resize(view, float(rng.uniform(lo, hi)), rng)
-    if is_image and policy.flip_prob > 0 and rng.random() < policy.flip_prob:
-        view = view[:, ::-1].copy()
-    if not is_image and policy.rotation_range > 0 and view.shape[0] >= 2:
-        d = view.shape[0]
-        i, j = rng.choice(d, size=2, replace=False)
-        theta = rng.uniform(-policy.rotation_range, policy.rotation_range)
-        c, s = np.cos(theta), np.sin(theta)
-        vi, vj = view[i], view[j]
-        view[i] = c * vi - s * vj
-        view[j] = s * vi + c * vj
+    b = views.shape[0]
+    is_image = views.ndim == 3
+    crop = is_image and policy.crop_range is not None
+    flip = is_image and policy.flip_prob > 0
+    rotate = not is_image and policy.rotation_range > 0 and views.shape[1] >= 2
+    if crop:
+        h, w = views.shape[1:]
+        crop_h, crop_w, top, left = (np.empty(b, dtype=np.intp) for _ in range(4))
+    if flip:
+        flipped = np.empty(b, dtype=bool)
+    if rotate:
+        axis_i, axis_j = np.empty(b, dtype=np.intp), np.empty(b, dtype=np.intp)
+        cos, sin = np.empty(b), np.empty(b)
     if policy.scale_range is not None:
-        lo, hi = policy.scale_range
-        view *= rng.uniform(lo, hi)
+        scales = np.empty(b)
     if policy.noise_std > 0:
-        view += rng.normal(0.0, policy.noise_std, size=view.shape)
+        noise = np.empty(views.shape)
     if policy.mask_prob > 0:
-        view[rng.random(view.shape) < policy.mask_prob] = 0.0
-    return view
+        mask_draws = np.empty(views.shape)
+
+    for r in range(b):
+        if crop:
+            side = np.sqrt(_uniform(rng, *policy.crop_range))
+            crop_h[r] = ch = max(1, int(round(h * side)))
+            crop_w[r] = cw = max(1, int(round(w * side)))
+            top[r] = rng.integers(0, h - ch + 1)
+            left[r] = rng.integers(0, w - cw + 1)
+        if flip:
+            flipped[r] = rng.random() < policy.flip_prob
+        if rotate:
+            axis_i[r], axis_j[r] = rng.choice(views.shape[1], size=2, replace=False)
+            theta = _uniform(rng, -policy.rotation_range, policy.rotation_range)
+            cos[r], sin[r] = np.cos(theta), np.sin(theta)
+        if policy.scale_range is not None:
+            scales[r] = _uniform(rng, *policy.scale_range)
+        if policy.noise_std > 0:
+            rng.standard_normal(out=noise[r])
+        if policy.mask_prob > 0:
+            rng.random(out=mask_draws[r])
+
+    rows = np.arange(b)
+    if crop:
+        # nearest-neighbour resize of each row's crop back to the full grid
+        src_y = top[:, None] + np.minimum((np.arange(h) * crop_h[:, None]) // h, crop_h[:, None] - 1)
+        src_x = left[:, None] + np.minimum((np.arange(w) * crop_w[:, None]) // w, crop_w[:, None] - 1)
+        views = views[rows[:, None, None], src_y[:, :, None], src_x[:, None, :]]
+    if flip:
+        views[flipped] = views[flipped, :, ::-1]
+    if rotate:
+        vi, vj = views[rows, axis_i], views[rows, axis_j]
+        views[rows, axis_i] = cos * vi - sin * vj
+        views[rows, axis_j] = sin * vi + cos * vj
+    if policy.scale_range is not None:
+        views *= scales.reshape((b,) + (1,) * (views.ndim - 1))
+    if policy.noise_std > 0:
+        views += 0.0 + policy.noise_std * noise     # the arithmetic of rng.normal(0.0, std)
+    if policy.mask_prob > 0:
+        views[mask_draws < policy.mask_prob] = 0.0
+    return views
 
 
 def mean_distortion(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator,
@@ -139,11 +177,9 @@ def mean_distortion(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.G
     Used to verify that the aggressive policy dominates the mild one on a
     fixed corpus before running the bias-removal distillation experiment.
     """
+    samples = np.asarray(samples, dtype=np.float64)
     total = 0.0
-    n = 0
     for _ in range(draws):
-        for x in samples:
-            view = augment(x, policy, rng)
-            total += float(np.linalg.norm((view - x).ravel()))
-            n += 1
-    return total / max(n, 1)
+        for diff in augment(samples, policy, rng) - samples:
+            total += float(np.linalg.norm(diff.ravel()))
+    return total / max(draws * len(samples), 1)

@@ -46,9 +46,8 @@ class AnchorBank:
             off = np.abs(norms - 1.0)
             if off.max() > 1e-6:
                 raise ContractError(f"enqueue: row norm off unit by {off.max():.3g} (> 1e-6)")
-        for row in rows:
-            self.storage[self.head] = row
-            self.head = (self.head + 1) % self.capacity
+        self.storage[(self.head + np.arange(b)) % self.capacity] = rows
+        self.head = (self.head + b) % self.capacity
         self.count = min(self.count + b, self.capacity)
 
     def snapshot(self) -> Tensor:

@@ -34,6 +34,8 @@ class EmbeddingTable:
             raise ContractError(f"embeddings must be a non-empty [N, d] matrix, got {self.embeddings.shape}")
         if len(self.labels) != len(self.embeddings):
             raise ContractError("one label per embedding row required")
+        if self.labels.min() < 0:
+            raise ContractError(f"labels must be non-negative, got {int(self.labels.min())}")
         norms = np.linalg.norm(self.embeddings, axis=1)
         if np.abs(norms - 1.0).max() > 1e-10:
             raise ContractError("embedding rows must be unit norm (off by more than 1e-10)")
@@ -76,16 +78,30 @@ def knn_eval(train: EmbeddingTable, test: EmbeddingTable, k: int = 5) -> float:
         raise ContractError(f"knn_eval: k={k} exceeds train size {len(train.labels)}")
     if train.embeddings.shape[1] != test.embeddings.shape[1]:
         raise ShapeError("knn_eval: embedding dims disagree")
+    # one product for the whole block: splitting it changes BLAS rounding
     sims = test.embeddings @ train.embeddings.T
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    neighbour_labels = train.labels[order]
-    correct = 0
-    for row, truth in zip(neighbour_labels, test.labels):
-        votes = np.bincount(row)
-        winners = np.flatnonzero(votes == votes.max())
-        pred = winners[0] if len(winners) == 1 else row[0]
-        correct += int(pred == truth)
-    return correct / len(test.labels)
+    n = sims.shape[1]
+    if k < n:
+        # every row strictly above the k-th similarity, then the lowest-index
+        # ties until there are k: the neighbours a stable sort would rank first.
+        # Copy the k-th column so the partitioned block is freed at once.
+        kth = np.partition(sims, n - k, axis=1)[:, n - k, None].copy()
+        chosen = sims > kth
+        ties = sims == kth
+        spare = k - chosen.sum(axis=1)
+        over = np.flatnonzero(ties.sum(axis=1) > spare)
+        ties[over] &= np.cumsum(ties[over], axis=1) <= spare[over, None]
+        chosen |= ties
+    else:
+        chosen = np.ones(sims.shape, dtype=bool)
+    classes, codes = np.unique(train.labels, return_inverse=True)
+    rows, cols = np.nonzero(chosen)
+    votes = np.bincount(rows * len(classes) + codes[cols],
+                        minlength=len(sims) * len(classes)).reshape(len(sims), len(classes))
+    pred = classes[votes.argmax(axis=1)]
+    split = (votes == votes.max(axis=1, keepdims=True)).sum(axis=1) > 1
+    pred[split] = train.labels[sims[split].argmax(axis=1)]
+    return int(np.count_nonzero(pred == test.labels)) / len(test.labels)
 
 
 def linear_probe(train: EmbeddingTable, test: EmbeddingTable, epochs: int = 200,

@@ -157,12 +157,13 @@ class Trainer:
     def needs_bank(self) -> bool:
         return self.config.objective.objective in ("isd", "moco")
 
+    def _view(self, batch: np.ndarray, policy: AugmentPolicy) -> np.ndarray:
+        """One view of every sample, flattened to [b, features]."""
+        return augment(batch, policy, self.rng_augment).reshape(len(batch), -1)
+
     def _views(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        qt = np.stack([augment(x, self.config.teacher_policy, self.rng_augment).ravel()
-                       for x in batch])
-        qs = np.stack([augment(x, self.config.student_policy, self.rng_augment).ravel()
-                       for x in batch])
-        return qt, qs
+        return (self._view(batch, self.config.teacher_policy),
+                self._view(batch, self.config.student_policy))
 
     def _teacher_embed(self, views: np.ndarray) -> np.ndarray:
         return mlp_forward(self.pair.teacher_encoder, Tensor(views)).data
@@ -185,8 +186,7 @@ class Trainer:
                 if done >= needed:
                     break
                 batch = ds.samples[order[start:start + self.config.batch_size]]
-                views = np.stack([augment(x, self.config.teacher_policy, self.rng_augment).ravel()
-                                  for x in batch])
+                views = self._view(batch, self.config.teacher_policy)
                 self.bank.enqueue(self._teacher_embed(views))
                 done += 1
         self._prefilled = True

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import augment_per_sample
 from simdistill.augment import (AGGRESSIVE, IDENTITY, MILD, AugmentPolicy, augment,
                                 mean_distortion, policy_by_name)
 from simdistill.errors import ContractError
@@ -12,28 +15,28 @@ class TestIdentityPolicy:
     def test_output_equals_input_bitwise(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(12)
-        view = augment(x, IDENTITY, rng)
+        view = augment(x[None], IDENTITY, rng)[0]
         assert np.array_equal(view, x)
 
     def test_returns_a_copy(self):
         rng = np.random.default_rng(1)
         x = np.zeros(4)
-        view = augment(x, IDENTITY, rng)
+        view = augment(x[None], IDENTITY, rng)[0]
         view[0] = 9.0
         assert x[0] == 0.0
 
     def test_consumes_no_randomness(self):
         rng = np.random.default_rng(2)
         state = rng.bit_generator.state
-        augment(np.ones(3), IDENTITY, rng)
+        augment(np.ones((1, 3)), IDENTITY, rng)
         assert rng.bit_generator.state == state
 
 
 class TestDeterminism:
     def test_same_seed_same_view(self):
         x = np.random.default_rng(3).standard_normal(10)
-        v1 = augment(x, AGGRESSIVE, np.random.default_rng(42))
-        v2 = augment(x, AGGRESSIVE, np.random.default_rng(42))
+        v1 = augment(x[None], AGGRESSIVE, np.random.default_rng(42))[0]
+        v2 = augment(x[None], AGGRESSIVE, np.random.default_rng(42))[0]
         assert np.array_equal(v1, v2)
 
     @pytest.mark.parametrize("policy", [MILD, AGGRESSIVE])
@@ -42,8 +45,8 @@ class TestDeterminism:
         x = np.random.default_rng(4).standard_normal(6)
         rng = np.random.default_rng(5)
         for _ in range(50):
-            v1 = augment(x, policy, rng)
-            v2 = augment(x, policy, rng)
+            v1 = augment(x[None], policy, rng)[0]
+            v2 = augment(x[None], policy, rng)[0]
             assert not np.array_equal(v1, v2)
 
 
@@ -53,7 +56,7 @@ class TestNoise:
         sigma = 0.37
         policy = AugmentPolicy("custom", noise_std=sigma)
         rng = np.random.default_rng(6)
-        draws = np.stack([augment(np.zeros(8), policy, rng) for _ in range(12500)])
+        draws = np.stack([augment(np.zeros((1, 8)), policy, rng)[0] for _ in range(12500)])
         assert draws.std() == pytest.approx(sigma, rel=0.02)
 
 
@@ -61,7 +64,7 @@ class TestFeatureTransforms:
     def test_masking_zeroes_expected_fraction(self):
         policy = AugmentPolicy("custom", mask_prob=0.25)
         rng = np.random.default_rng(7)
-        views = np.stack([augment(np.ones(16), policy, rng) for _ in range(4000)])
+        views = np.stack([augment(np.ones((1, 16)), policy, rng)[0] for _ in range(4000)])
         assert (views == 0).mean() == pytest.approx(0.25, abs=0.01)
 
     def test_scaling_stays_in_range(self):
@@ -69,7 +72,7 @@ class TestFeatureTransforms:
         rng = np.random.default_rng(8)
         x = np.ones(4)
         for _ in range(200):
-            s = augment(x, policy, rng)[0]
+            s = augment(x[None], policy, rng)[0, 0]
             assert 0.5 <= s <= 1.5
 
     def test_rotation_preserves_norm(self):
@@ -77,7 +80,7 @@ class TestFeatureTransforms:
         rng = np.random.default_rng(9)
         x = np.random.default_rng(10).standard_normal(8)
         for _ in range(50):
-            v = augment(x, policy, rng)
+            v = augment(x[None], policy, rng)[0]
             assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(x), abs=1e-12)
 
 
@@ -86,20 +89,43 @@ class TestImageTransforms:
         img = np.random.default_rng(11).random((9, 7))
         rng = np.random.default_rng(12)
         for _ in range(50):
-            v = augment(img, AGGRESSIVE, rng)
+            v = augment(img[None], AGGRESSIVE, rng)[0]
             assert v.shape == img.shape
 
     def test_flip_only(self):
         policy = AugmentPolicy("custom", flip_prob=1.0)
         img = np.arange(6.0).reshape(2, 3)
-        v = augment(img, policy, np.random.default_rng(13))
+        v = augment(img[None], policy, np.random.default_rng(13))[0]
         assert np.array_equal(v, img[:, ::-1])
 
     def test_full_crop_fraction_is_identity(self):
         policy = AugmentPolicy("custom", crop_range=(1.0, 1.0))
         img = np.random.default_rng(14).random((5, 5))
-        v = augment(img, policy, np.random.default_rng(15))
+        v = augment(img[None], policy, np.random.default_rng(15))[0]
         assert np.array_equal(v, img)
+
+
+ROTATE_CROP_FLIP = AugmentPolicy("custom", noise_std=0.1, mask_prob=0.1, scale_range=(0.8, 1.2),
+                                 rotation_range=0.7, crop_range=(0.3, 0.9), flip_prob=0.5)
+
+
+class TestBlockMatchesPerSampleOracle:
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 9),
+           shape=st.sampled_from([(1,), (2,), (32,), (1, 1), (3, 5), (6, 6), (8, 3)]),
+           policy=st.sampled_from([IDENTITY, MILD, AGGRESSIVE, ROTATE_CROP_FLIP]))
+    @settings(max_examples=300, deadline=None)
+    @example(seed=0, b=1, shape=(32,), policy=ROTATE_CROP_FLIP)
+    @example(seed=0, b=1, shape=(6, 6), policy=ROTATE_CROP_FLIP)
+    def test_bytes_and_generator_state(self, seed, b, shape, policy):
+        """One block call equals b per-sample calls on one stream, byte for byte,
+        and leaves the generator where they leave it."""
+        samples = np.random.default_rng([seed, 1]).standard_normal((b,) + shape)
+        block_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = augment(samples, policy, block_rng)
+        rows = np.stack([augment_per_sample.augment(x, policy, row_rng) for x in samples])
+        assert block.shape == rows.shape
+        assert block.tobytes() == rows.tobytes()
+        assert block_rng.bit_generator.state == row_rng.bit_generator.state
 
 
 class TestPolicyOrdering:
@@ -132,7 +158,19 @@ class TestValidation:
             AugmentPolicy("custom", scale_range=(2.0, 1.0))
         with pytest.raises(ContractError):
             AugmentPolicy("custom", crop_range=(0.5, 1.2))
+        with pytest.raises(ContractError):
+            AugmentPolicy("custom", scale_range=(1.0, np.inf))
+        with pytest.raises(ContractError):
+            AugmentPolicy("custom", rotation_range=np.nan)
+        with pytest.raises(ContractError):
+            AugmentPolicy("custom", noise_std=np.inf)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4, 5)])
+    def test_non_block_input_rejected(self, shape):
+        """A 1-D array is one sample, never a block of scalars; it must be passed as [1, d]."""
+        with pytest.raises(ContractError, match="block"):
+            augment(np.ones(shape), MILD, np.random.default_rng(19))
 
     def test_non_finite_sample_rejected(self):
         with pytest.raises(ContractError):
-            augment(np.array([1.0, np.nan]), MILD, np.random.default_rng(18))
+            augment(np.array([[1.0, np.nan]]), MILD, np.random.default_rng(18))

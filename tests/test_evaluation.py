@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import knn_loop
 from simdistill.data import gen_gaussian_mixture
 from simdistill.errors import ContractError
 from simdistill.evaluation import (EmbeddingTable, embed_dataset, knn_eval, linear_probe,
@@ -69,6 +72,21 @@ class TestKnnEval:
         train = random_table(25, 4, 3, seed=6)
         test = random_table(10, 4, 3, seed=7)
         assert knn_eval(train, test, 3) == knn_eval(train, test, 3)
+
+    @given(seed=st.integers(0, 2**32 - 1), n_train=st.integers(1, 30), n_test=st.integers(1, 12),
+           dim=st.integers(1, 3), levels=st.integers(1, 3), k_pick=st.sampled_from(["1", "n", "any"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracle_on_ties(self, seed, n_train, n_test, dim, levels, k_pick):
+        """Quantised embeddings repeat rows and similarities, and the labels have gaps:
+        the same accuracy as the per-row loop it replaced, for k = 1, k = n and any k."""
+        rng = np.random.default_rng(seed)
+        features = np.round(rng.uniform(-levels, levels, size=(n_train + n_test, dim)))
+        features[~features.any(axis=1), 0] = 1.0
+        labels = rng.choice([0, 3, 4, 9], size=n_train + n_test)
+        train = EmbeddingTable.from_features(features[:n_train], labels[:n_train])
+        test = EmbeddingTable.from_features(features[n_train:], labels[n_train:])
+        k = {"1": 1, "n": n_train, "any": int(rng.integers(1, n_train + 1))}[k_pick]
+        assert knn_eval(train, test, k) == knn_loop.knn_eval(train, test, k)
 
 
 class TestLinearProbe:
@@ -169,6 +187,10 @@ class TestEmbeddingTable:
     def test_unit_norm_contract(self):
         with pytest.raises(ContractError):
             EmbeddingTable(np.array([[1.0, 1.0]]), np.array([0]))
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ContractError, match="non-negative"):
+            EmbeddingTable(np.eye(2), np.array([0, -1]))
 
     def test_from_features_normalises(self):
         t = EmbeddingTable.from_features(np.array([[3.0, 4.0]]), np.array([0]))

@@ -383,8 +383,8 @@ class TestMocoReductionEndToEnd:
             return h1, h1r, h2, rownorm(h2)
 
         for step, batch in enumerate(batches):
-            qt = np.stack([augment(x, policy, aug_rng).ravel() for x in batch])
-            qs = np.stack([augment(x, policy, aug_rng).ravel() for x in batch])
+            qt = augment(batch, policy, aug_rng).reshape(len(batch), -1)
+            qs = augment(batch, policy, aug_rng).reshape(len(batch), -1)
 
             _, _, _, t_emb = encoder(qt, tW1, tb1, tW2, tb2)
             h1, h1r, h2, e = encoder(qs, W1, b1, W2, b2)
