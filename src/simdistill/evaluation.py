@@ -7,13 +7,13 @@ common positive rescaling of the features it was given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .data import LabeledDataset
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericDomainError, ShapeError
 from .nn import MlpParams, mlp_forward
 from .tensor import Tensor
 
@@ -104,6 +104,39 @@ def knn_eval(train: EmbeddingTable, test: EmbeddingTable, k: int = 5) -> float:
     return int(np.count_nonzero(pred == test.labels)) / len(test.labels)
 
 
+def _fit_probe(train: EmbeddingTable, epochs: int, lr: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights [d, c], bias [c] and sorted class ids of the probe fitted on ``train``.
+
+    Each epoch is one full-batch gradient step on the mean softmax cross
+    entropy, whose gradient is (P - Y)/n in closed form. The arrays are
+    class-major, [c, n], so the max and sum over classes run across c rows
+    of length n instead of along n rows of length c.
+    """
+    classes = np.unique(train.labels)
+    if len(classes) < 2:
+        raise ContractError("linear_probe: need at least 2 classes in the train table")
+    x = train.embeddings
+    n, d = x.shape
+    y = (classes[:, None] == train.labels[None, :]).astype(np.float64)
+    xt = np.ascontiguousarray(x.T)
+    wt = np.zeros((len(classes), d))
+    b = np.zeros(len(classes))
+    step = lr / n
+    for _ in range(epochs):
+        p = wt @ xt
+        p += b[:, None]
+        if not np.isfinite(p).all():
+            raise NumericDomainError("linear_probe: logits became non-finite; lr is too large")
+        p -= p.max(axis=0)
+        np.exp(p, out=p)
+        p /= p.sum(axis=0)
+        p -= y
+        wt -= step * (p @ x)
+        b -= step * p.sum(axis=1)
+    return wt.T, b, classes
+
+
 def linear_probe(train: EmbeddingTable, test: EmbeddingTable, epochs: int = 200,
                  lr: float = 1.0) -> float:
     """Accuracy of a single affine layer trained by full-batch gradient descent.
@@ -112,36 +145,31 @@ def linear_probe(train: EmbeddingTable, test: EmbeddingTable, epochs: int = 200,
     unit-norm embeddings, and prediction argmax breaks ties toward the
     lowest class id.
     """
-    classes = np.unique(train.labels)
-    if len(classes) < 2:
-        raise ContractError("linear_probe: need at least 2 classes in the train table")
-    col_of = {int(c): i for i, c in enumerate(classes)}
-    n, d = train.embeddings.shape
-    c = len(classes)
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), [col_of[int(y)] for y in train.labels]] = 1.0
-
-    w = Tensor.parameter(np.zeros((d, c)))
-    b = Tensor.parameter(np.zeros(c))
-    x = Tensor(train.embeddings)
-    target = Tensor(onehot)
-    for _ in range(epochs):
-        logits = T.add(T.matmul(x, w), b)
-        logp = T.log_softmax(logits)
-        loss = T.mul(T.neg(T.tensor_sum(T.mul(logp, target))), 1.0 / n)
-        w.zero_grad()
-        b.zero_grad()
-        T.backward(loss)
-        w.data -= lr * w.grad
-        b.data -= lr * b.grad
-
-    scores = test.embeddings @ w.data + b.data
+    if train.embeddings.shape[1] != test.embeddings.shape[1]:
+        raise ShapeError(f"linear_probe: embedding dims disagree: "
+                         f"{train.embeddings.shape[1]} vs {test.embeddings.shape[1]}")
+    if epochs < 0:
+        raise ContractError(f"linear_probe: epochs must be non-negative, got {epochs}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ContractError(f"linear_probe: lr must be finite and positive, got {lr}")
+    w, b, classes = _fit_probe(train, epochs, lr)
+    scores = test.embeddings @ w + b
+    if not np.isfinite(scores).all():
+        raise NumericDomainError("linear_probe: scores are non-finite; lr is too large")
     preds = classes[np.argmax(scores, axis=1)]
     return float(np.mean(preds == test.labels))
 
 
 def recall_at_k(table: EmbeddingTable, ks: list[int]) -> list[float]:
-    """R@k: fraction of rows with a same-class row among their k nearest non-self neighbours."""
+    """R@k: fraction of rows with a same-class row among their k nearest non-self neighbours.
+
+    Neighbours rank by descending similarity, equal similarities by row
+    index (a stable sort). A row's first same-class neighbour is the
+    lowest-index one at its best same-class similarity m, so its rank is
+    the count of rows above m plus the count of rows equal to m before it;
+    no sort is needed. Self ranks last, so a rank is at most n - 2, and any
+    k >= n - 1 recalls every row.
+    """
     labels = table.labels
     counts = np.bincount(labels)
     singles = np.flatnonzero(counts == 1)
@@ -152,10 +180,10 @@ def recall_at_k(table: EmbeddingTable, ks: list[int]) -> list[float]:
     n = len(labels)
     sims = table.embeddings @ table.embeddings.T
     np.fill_diagonal(sims, -np.inf)
-    order = np.argsort(-sims, axis=1, kind="stable")
-    recalls = []
-    for k in ks:
-        kk = min(k, n - 1)
-        hits = (labels[order[:, :kk]] == labels[:, None]).any(axis=1)
-        recalls.append(float(hits.mean()))
-    return recalls
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    best = np.where(same, sims, -np.inf).max(axis=1, keepdims=True)
+    at_best = sims == best
+    first = np.argmax(at_best & same, axis=1)
+    rank = (sims > best).sum(axis=1) + (at_best & (np.arange(n) < first[:, None])).sum(axis=1)
+    return [float(np.mean(rank < k)) for k in ks]

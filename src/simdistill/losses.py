@@ -144,16 +144,30 @@ def distribution_entropy(p: np.ndarray) -> np.ndarray:
 # Batch forms used by the training loop. Each matches the mean of the
 # per-sample loss over the rows of its inputs (asserted in tests).
 
-def anchor_distribution_batch(queries: np.ndarray, anchors: np.ndarray, tau: float) -> np.ndarray:
-    """Row-wise anchor distributions for a [b, d] block of constant queries."""
-    if tau <= 0:
-        raise ContractError(f"temperature must be positive, got {tau}")
+def _anchor_softmax(queries: np.ndarray, units: np.ndarray, tau: float) -> np.ndarray:
     qs = _unit_rows(np.asarray(queries, dtype=np.float64))
-    units = _unit_rows(np.asarray(anchors, dtype=np.float64))
     logits = qs @ units.T / tau
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def anchor_distribution_batch(queries: np.ndarray, anchors: np.ndarray, tau: float) -> np.ndarray:
+    """Row-wise anchor distributions for a [b, d] block of constant queries."""
+    if tau <= 0:
+        raise ContractError(f"temperature must be positive, got {tau}")
+    return _anchor_softmax(queries, _unit_rows(np.asarray(anchors, dtype=np.float64)), tau)
+
+
+def _anchor_cross_entropy(targets: np.ndarray, queries: Tensor, units: np.ndarray,
+                          tau: float) -> Tensor:
+    targets = np.asarray(targets, dtype=np.float64)
+    b = queries.data.shape[0]
+    if targets.shape != (b, units.shape[0]):
+        raise ShapeError(f"target block {targets.shape} does not match [{b}, {units.shape[0]}]")
+    qs = T.l2_normalize(queries)
+    logits = T.mul(T.matmul(qs, Tensor(units.T)), 1.0 / tau)
+    return T.soft_cross_entropy(logits, targets)
 
 
 def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: Tensor,
@@ -161,26 +175,27 @@ def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: Te
     """Mean over rows of -sum_i target_i log p_row(i)."""
     if tau <= 0:
         raise ContractError(f"temperature must be positive, got {tau}")
-    units = _unit_rows(anchors.data)
-    targets = np.asarray(targets, dtype=np.float64)
-    b = queries.data.shape[0]
-    if targets.shape != (b, units.shape[0]):
-        raise ShapeError(f"target block {targets.shape} does not match [{b}, {units.shape[0]}]")
-    qs = T.l2_normalize(queries)
-    logits = T.mul(T.matmul(qs, Tensor(units.T)), 1.0 / tau)
-    logp = T.log_softmax(logits)
-    return T.mul(T.neg(T.tensor_sum(T.mul(logp, Tensor(targets)))), 1.0 / b)
+    return _anchor_cross_entropy(targets, queries, _unit_rows(anchors.data), tau)
 
 
 def isd_loss_batch(q_t_emb: np.ndarray, q_s_pred: Tensor, anchors: Tensor,
                    tau: float) -> tuple[Tensor, np.ndarray]:
-    """Batch ISD loss plus the teacher distributions it was scored against."""
-    p_t = anchor_distribution_batch(q_t_emb, anchors.data, tau)
-    return anchor_cross_entropy_batch(p_t, q_s_pred, anchors, tau), p_t
+    """Batch ISD loss plus the teacher distributions it was scored against.
+
+    The anchors are normalised once; teacher and student logits share them.
+    """
+    if tau <= 0:
+        raise ContractError(f"temperature must be positive, got {tau}")
+    units = _unit_rows(anchors.data)
+    p_t = _anchor_softmax(q_t_emb, units, tau)
+    return _anchor_cross_entropy(p_t, q_s_pred, units, tau), p_t
 
 
 def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: Tensor, tau: float) -> Tensor:
-    """Batch InfoNCE: each row's positive is its own teacher embedding."""
+    """Batch InfoNCE: each row's positive is its own teacher embedding.
+
+    The same cross entropy as ISD, against a one-hot target at column 0.
+    """
     if tau <= 0:
         raise ContractError(f"temperature must be positive, got {tau}")
     units = _unit_rows(anchors.data)
@@ -190,10 +205,9 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: Tensor, tau: fl
     pos_logit = T.rowwise_dot(qs, pos_units)
     neg_logits = T.matmul(qs, Tensor(units.T))
     logits = T.mul(T.prepend_column(pos_logit, neg_logits), 1.0 / tau)
-    logp = T.log_softmax(logits)
     onehot = np.zeros((b, units.shape[0] + 1))
     onehot[:, 0] = 1.0
-    return T.mul(T.neg(T.tensor_sum(T.mul(logp, Tensor(onehot)))), 1.0 / b)
+    return T.soft_cross_entropy(logits, onehot)
 
 
 def byol_loss_batch(q_s_pred: Tensor, q_t_emb: np.ndarray) -> Tensor:

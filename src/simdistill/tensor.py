@@ -348,6 +348,33 @@ def log_softmax(a: Tensor) -> Tensor:
     return _record(out, "log_softmax", (a,), vjp)
 
 
+def soft_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean over rows of -sum_i targets_i * log_softmax(logits)_i, as one graph node.
+
+    ``targets`` is a constant [b, n] block. The backward is the closed form
+    (softmax - targets)/b generalised to rows that need not sum to one. Value
+    and gradient repeat the operation order of log_softmax, mul, sum, neg and
+    a 1/b scale, so they are bitwise equal to that chain of nodes.
+    """
+    ad = logits.data
+    _check_finite("soft_cross_entropy", ad)
+    targets = np.asarray(targets, dtype=np.float64)
+    if ad.ndim != 2 or targets.shape != ad.shape:
+        raise ShapeError(f"soft_cross_entropy: need matching [b, n] logits and targets, "
+                         f"got {ad.shape} and {targets.shape}")
+    scale = 1.0 / ad.shape[0]
+    z = ad - ad.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    logp = z - lse
+
+    def vjp(g):
+        gt = targets * float(-(g * scale))
+        return (gt - np.exp(logp) * gt.sum(axis=1, keepdims=True),)
+
+    return _record(np.asarray(-(logp * targets).sum()) * scale, "soft_cross_entropy",
+                   (logits,), vjp)
+
+
 def backward(loss: Tensor) -> None:
     """Populate grad buffers of every trainable leaf reachable from ``loss``.
 

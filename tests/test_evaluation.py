@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import knn_loop
+from oracles import knn_loop, probe_graph, recall_sort
 from simdistill.data import gen_gaussian_mixture
-from simdistill.errors import ContractError
-from simdistill.evaluation import (EmbeddingTable, embed_dataset, knn_eval, linear_probe,
-                                   recall_at_k)
+from simdistill.errors import ContractError, NumericDomainError, ShapeError
+from simdistill.evaluation import (EmbeddingTable, _fit_probe, embed_dataset, knn_eval,
+                                   linear_probe, recall_at_k)
 from simdistill.nn import MlpSpec, init_params
 
 
@@ -131,6 +131,82 @@ class TestLinearProbe:
         assert (linear_probe(train, test, epochs=50, lr=0.5)
                 == linear_probe(train, test, epochs=50, lr=0.5))
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), dim=st.integers(1, 6),
+           labels=st.sampled_from([(0, 1), (2, 7), (0, 3, 4, 9)]), epochs=st.integers(0, 60),
+           lr=st.sampled_from([0.1, 0.5, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_graph_oracle(self, seed, n, dim, labels, epochs, lr):
+        """Gapped labels and c = 2: the closed-form fit has the graph fit's weights
+        within 1e-10 relative, and the same prediction on every test row whose
+        top two scores are not tied to within rounding. At dim 1 rows are +-1,
+        and exact score ties, which rounding may break either way, are common.
+
+        The loss's curvature is at most 1 for unit rows plus a bias, so steps up
+        to lr 1, the default, are stable. Far beyond that, gradient descent
+        amplifies rounding and the two fits part: by 12% of the weights at lr 4."""
+        rng = np.random.default_rng(seed)
+        ys = rng.choice(labels, size=n)
+        ys[:2] = labels[:2]
+        train = EmbeddingTable.from_features(rng.standard_normal((n, dim)) + ys[:, None], ys)
+        test = random_table(15, dim, 10, seed=seed + 1)
+        w, b, classes = _fit_probe(train, epochs, lr)
+        w_ref, b_ref, classes_ref = probe_graph.fit(train, epochs, lr)
+        assert np.array_equal(classes, classes_ref) and w.shape == w_ref.shape
+        # a weight the graph fit sums to exactly zero carries rounding of size lr
+        scale = max(np.abs(w_ref).max(), np.abs(b_ref).max(), lr)
+        assert np.abs(w - w_ref).max() <= 1e-10 * scale
+        assert np.abs(b - b_ref).max() <= 1e-10 * scale
+
+        scores_ref = test.embeddings @ w_ref + b_ref
+        top2 = np.sort(scores_ref, axis=1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > 1e-9 * scale * (dim + 1)
+        pred = classes[np.argmax(test.embeddings @ w + b, axis=1)]
+        pred_ref = classes[np.argmax(scores_ref, axis=1)]
+        assert np.array_equal(pred[clear], pred_ref[clear])
+        assert linear_probe(train, test, epochs, lr) == float(np.mean(pred == test.labels))
+        if clear.all() or epochs == 0:
+            assert (linear_probe(train, test, epochs, lr)
+                    == probe_graph.linear_probe(train, test, epochs, lr))
+
+    def test_accuracy_equal_to_graph_oracle_at_eval_scale(self):
+        """The eval command's shape: 8 classes, 64 dims, 200 epochs at lr 1."""
+        for seed in range(3):
+            train = EmbeddingTable.from_features(*self._mixture(seed, 400))
+            test = EmbeddingTable.from_features(*self._mixture(seed + 100, 200))
+            assert linear_probe(train, test) == probe_graph.linear_probe(train, test)
+
+    @staticmethod
+    def _mixture(seed, n):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 8, size=n)
+        return rng.standard_normal((n, 64)) + 2.0 * np.eye(8, 64)[labels], labels
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            linear_probe(random_table(10, 4, 2, seed=17), random_table(5, 3, 2, seed=18))
+
+    def test_negative_epochs_rejected(self):
+        table = random_table(10, 4, 2, seed=19)
+        with pytest.raises(ContractError):
+            linear_probe(table, table, epochs=-1)
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_lr_rejected(self, lr):
+        table = random_table(10, 4, 2, seed=20)
+        with pytest.raises(ContractError):
+            linear_probe(table, table, epochs=5, lr=lr)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("epochs, where", [(1, "scores"), (2, "logits"), (5, "logits")])
+    def test_divergent_lr_raises_numeric_domain_error(self, epochs, where):
+        """Identical rows, 91 of 100 in one class: the first step at lr 1.5e308
+        sends that class's score past the float range. The fit stops at the
+        next epoch; after a single epoch, scoring the test table catches it."""
+        table = EmbeddingTable.from_features(
+            np.ones((100, 4)), np.concatenate([np.zeros(91, dtype=int), np.arange(1, 10)]))
+        with pytest.raises(NumericDomainError, match=where):
+            linear_probe(table, table, epochs=epochs, lr=1.5e308)
+
 
 class TestRecallAtK:
     def test_duplicated_points_give_perfect_recall_at_one(self):
@@ -174,6 +250,22 @@ class TestRecallAtK:
         rs = recall_at_k(table, [1, 2, 4, 8, 16, 39])
         assert all(a <= b + 1e-12 for a, b in zip(rs, rs[1:]))
         assert rs[-1] == 1.0
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 30), dim=st.integers(1, 3),
+           levels=st.integers(1, 3), extra=st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sort_oracle_on_ties(self, seed, n, dim, levels, extra):
+        """Quantised embeddings repeat rows and similarities, and the labels have gaps:
+        the same recalls as the stable argsort, for k from 1 up to beyond n - 1."""
+        rng = np.random.default_rng(seed)
+        features = np.round(rng.uniform(-levels, levels, size=(n, dim)))
+        features[~features.any(axis=1), 0] = 1.0
+        labels = rng.choice([0, 5, 6], size=n)
+        values, counts = np.unique(labels, return_counts=True)
+        labels[np.isin(labels, values[counts == 1])] = values[counts.argmax()]
+        table = EmbeddingTable.from_features(features, labels)
+        ks = [1, 2, int(rng.integers(1, n + 1)), n - 2, n - 1, n + extra]
+        assert recall_at_k(table, ks) == recall_sort.recall_at_k(table, ks)
 
     def test_singleton_class_named_in_error(self):
         table = EmbeddingTable.from_features(

@@ -3,8 +3,11 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simdistill.tensor as T
+from oracles import loss_chain
 from simdistill.errors import ContractError, DegenerateDistributionError, ShapeError
 from simdistill.losses import (LossConfig, anchor_cross_entropy, anchor_cross_entropy_batch,
                                anchor_distribution, anchor_distribution_batch, byol_loss,
@@ -318,6 +321,30 @@ class TestBatchForms:
         singles = [byol_loss(Tensor(q_values[i]), Tensor(t_values[i])).item()
                    for i in range(b)]
         assert batch.item() == pytest.approx(np.mean(singles), abs=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 5), n=st.integers(2, 12),
+           d=st.integers(1, 6), tau=st.sampled_from([0.02, 0.1, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_fused_batch_losses_bitwise_equal_node_chain(self, seed, b, n, d, tau):
+        """ISD and MoCo losses and gradients are byte for byte those of the unfused
+        chain, and ISD's teacher distributions those of anchor_distribution_batch."""
+        rng = np.random.default_rng(seed)
+        q_values = rng.standard_normal((b, d))
+        q_t = rng.standard_normal((b, d))
+        anchors = Tensor(rng.standard_normal((n, d)))
+        p_t = anchor_distribution_batch(q_t, anchors.data, tau)
+
+        def run(loss_of):
+            q = Tensor.parameter(q_values.copy())
+            loss = loss_of(q)
+            T.backward(loss)
+            return loss.data.tobytes(), q.grad.tobytes()
+
+        assert (run(lambda q: isd_loss_batch(q_t, q, anchors, tau)[0])
+                == run(lambda q: loss_chain.anchor_cross_entropy_batch(p_t, q, anchors, tau)))
+        assert isd_loss_batch(q_t, Tensor(q_values), anchors, tau)[1].tobytes() == p_t.tobytes()
+        assert (run(lambda q: moco_loss_batch(q, q_t, anchors, tau))
+                == run(lambda q: loss_chain.moco_loss_batch(q, q_t, anchors, tau)))
 
     def test_batch_target_shape_checked(self):
         with pytest.raises(ShapeError):

@@ -130,6 +130,57 @@ class TestSoftmax:
                            atol=1e-12)
 
 
+def _chain_cross_entropy(logits, targets):
+    """Mean soft cross entropy as the five nodes it took before the fused op."""
+    logp = T.log_softmax(logits)
+    return T.mul(T.neg(T.tensor_sum(T.mul(logp, Tensor(targets)))), 1.0 / logits.data.shape[0])
+
+
+class TestSoftCrossEntropy:
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 6), n=st.integers(2, 9),
+           spread=st.sampled_from([0.1, 3.0, 60.0]), one_hot=st.booleans(),
+           weight=st.sampled_from([1.0, 0.3, -2.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_node_chain(self, seed, b, n, spread, one_hot, weight):
+        """Value and gradient equal the log_softmax/mul/sum/neg/scale chain byte for
+        byte, for soft and one-hot targets, also under an upstream gradient other than 1."""
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((b, n)) * spread
+        if one_hot:
+            targets = np.zeros((b, n))
+            targets[np.arange(b), rng.integers(0, n, size=b)] = 1.0
+        else:
+            targets = rng.dirichlet(np.ones(n), size=b)
+        results = []
+        for loss_of in (T.soft_cross_entropy, _chain_cross_entropy):
+            x = Tensor.parameter(values.copy())
+            loss = T.mul(loss_of(x, targets), weight)
+            T.backward(loss)
+            results.append((loss.data.tobytes(), x.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_one_graph_node(self):
+        x = Tensor.parameter(rand((3, 5), 40))
+        loss = T.soft_cross_entropy(x, np.full((3, 5), 0.2))
+        assert loss.op == "soft_cross_entropy" and loss.parents == (x,)
+
+    def test_passes_grad_check(self):
+        rng = np.random.default_rng(41)
+        x = Tensor.parameter(rng.standard_normal((4, 7)) * 2.0)
+        targets = rng.dirichlet(np.ones(7), size=4)
+        assert T.grad_check(lambda: T.soft_cross_entropy(x, targets), [x], step=1e-5) < 1e-5
+
+    @pytest.mark.parametrize("logits, targets", [((2, 3), (2, 4)), ((2, 3), (3, 3)),
+                                                 ((3,), (3,)), ((2, 3), (6,))])
+    def test_shape_mismatch(self, logits, targets):
+        with pytest.raises(ShapeError):
+            T.soft_cross_entropy(Tensor(np.zeros(logits)), np.zeros(targets))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(NumericDomainError):
+            T.soft_cross_entropy(Tensor([[1.0, np.inf]]), np.array([[0.5, 0.5]]))
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor.parameter(rand((3, 4), 9))
