@@ -14,10 +14,10 @@ baseline = sd.knn_eval(sd.embed_dataset(baseline_enc, train_ds),
                        sd.embed_dataset(baseline_enc, eval_ds), 5)
 print(f"random-init encoder k-NN: {baseline:.3f}")
 
-cfg = sd.TrainConfig(objective=sd.LossConfig("isd", 0.1), momentum=0.97,
-                     bank_capacity=256, batch_size=64, epochs=120, lr=0.05,
-                     lr_schedule="cosine", teacher_policy=sd.AGGRESSIVE,
-                     student_policy=sd.AGGRESSIVE, eval_every=10)
+cfg = sd.RunConfig(objective="isd", temperature=0.1, momentum=0.97,
+                   bank_capacity=256, batch_size=64, epochs=120, lr=0.05,
+                   lr_schedule="cosine", teacher_policy="aggressive",
+                   student_policy="aggressive", eval_every=10)
 
 trainer = sd.Trainer(cfg, train_ds.feature_dim)
 print("epoch  teacher  student")

@@ -24,10 +24,10 @@ print("expected view distortion (L2):")
 print(f"  mild       {sd.mean_distortion(train_ds.samples[:64], sd.MILD, rng):.3f}")
 print(f"  aggressive {sd.mean_distortion(train_ds.samples[:64], sd.AGGRESSIVE, rng):.3f}")
 
-cfg = sd.TrainConfig(objective=sd.LossConfig("isd", 0.1), momentum=0.97,
-                     bank_capacity=256, batch_size=64, epochs=120, lr=0.05,
-                     lr_schedule="cosine", teacher_policy=sd.AGGRESSIVE,
-                     student_policy=sd.AGGRESSIVE, eval_every=1000)
+cfg = sd.RunConfig(objective="isd", temperature=0.1, momentum=0.97,
+                   bank_capacity=256, batch_size=64, epochs=120, lr=0.05,
+                   lr_schedule="cosine", teacher_policy="aggressive",
+                   student_policy="aggressive", eval_every=1000)
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "teacher.bin")

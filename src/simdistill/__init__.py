@@ -10,7 +10,7 @@ share the same machinery for matched comparisons.
 from .augment import AGGRESSIVE, IDENTITY, MILD, AugmentPolicy, augment, mean_distortion
 from .bank import AnchorBank
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import RunConfig, apply_overrides, load_config, parse_config, serialize_config, to_train_config
+from .config import RunConfig, apply_overrides, load_config, parse_config, serialize_config
 from .data import (LabeledDataset, gen_gaussian_mixture, load_dataset, load_idx,
                    make_unbalanced, save_dataset)
 from .evaluation import EmbeddingTable, embed_dataset, knn_eval, linear_probe, recall_at_k
@@ -19,7 +19,10 @@ from .losses import (LossConfig, anchor_cross_entropy, anchor_distribution, byol
 from .nn import (MlpParams, MlpSpec, ModelPair, SgdState, default_encoder_spec,
                  default_predictor_spec, ema_update, init_params, mlp_forward, sgd_step)
 from .tensor import Tensor, backward, grad_check, l2_normalize, log_softmax, matmul, softmax
-from .train import StepMetrics, TrainConfig, Trainer, distill, train
+from .train import StepMetrics, Trainer, distill, train
+
+# the name bench/workloads.py builds its config with
+TrainConfig = RunConfig
 
 __version__ = "0.1.0"
 
@@ -28,7 +31,6 @@ __all__ = [
     "AnchorBank",
     "Checkpoint", "load_checkpoint", "save_checkpoint",
     "RunConfig", "apply_overrides", "load_config", "parse_config", "serialize_config",
-    "to_train_config",
     "LabeledDataset", "gen_gaussian_mixture", "load_dataset", "load_idx",
     "make_unbalanced", "save_dataset",
     "EmbeddingTable", "embed_dataset", "knn_eval", "linear_probe", "recall_at_k",
@@ -37,5 +39,5 @@ __all__ = [
     "MlpParams", "MlpSpec", "ModelPair", "SgdState", "default_encoder_spec",
     "default_predictor_spec", "ema_update", "init_params", "mlp_forward", "sgd_step",
     "Tensor", "backward", "grad_check", "l2_normalize", "log_softmax", "matmul", "softmax",
-    "StepMetrics", "TrainConfig", "Trainer", "distill", "train",
+    "StepMetrics", "Trainer", "distill", "train",
 ]

@@ -80,6 +80,7 @@ def _resolve_config(args, base: RunConfig | None = None) -> RunConfig:
     if args.seed is not None:
         cfg = replace(cfg, seed_init=args.seed, seed_data=args.seed + 1,
                       seed_augment=args.seed + 2)
+    cfg.validate()
     return cfg
 
 
@@ -116,9 +117,14 @@ def _dispatch(args) -> int:
             k = f"@{row['k']}" if row["k"] != "" else ""
             print(f"{row['source']} {row['metric']}{k}: {row['value']:.4f}")
     elif args.command == "ablate-temperature":
-        taus = tuple(float(t) for t in args.taus.split(",") if t.strip())
+        try:
+            taus = tuple(float(t) for t in args.taus.split(",") if t.strip())
+        except ValueError:
+            raise ConfigError(f"temperature grid is not a list of numbers: {args.taus!r}")
         if not taus:
             raise ConfigError("empty temperature grid")
+        for tau in taus:
+            replace(cfg, temperature=tau).validate()
         rows = experiments.temperature_sweep(cfg, taus, args.out)
         for row in rows:
             print(f"tau={row['tau']}: teacher {row['teacher_knn']:.4f} "

@@ -1,19 +1,22 @@
 """Flat key=value run configuration: parse, validate, serialize.
 
-One text file maps every training, dataset and evaluation knob. Unknown
-keys are rejected, and ``parse_config(serialize_config(c)) == c`` holds
-exactly, so the config echo a run writes is sufficient to reproduce it.
+One dataclass holds every training, dataset and evaluation knob, and the
+trainer reads it directly. Unknown keys are rejected, and
+``parse_config(serialize_config(c)) == c`` holds exactly, so the config
+echo a run writes is sufficient to reproduce it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .augment import AugmentPolicy, policy_by_name
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .losses import LossConfig
 from .nn import MlpSpec
-from .train import TrainConfig
 
 
 @dataclass
@@ -35,8 +38,8 @@ class RunConfig:
     encoder_widths: tuple[int, ...] = () # empty: [dim, 256, 128, 64]
     predictor_hidden: int = 64
     # augmentation (policy names; "custom" reads the custom_* fields)
-    teacher_policy: str = "aggressive"
-    student_policy: str = "aggressive"
+    teacher_policy: str = "none"
+    student_policy: str = "none"
     custom_noise_std: float = 0.25
     custom_mask_prob: float = 0.2
     custom_scale_min: float = 0.5
@@ -67,6 +70,80 @@ class RunConfig:
     data_dim: int = 32
     data_sep: float = 6.0
     data_seed: int = 7
+
+    def __post_init__(self):
+        # bench/workloads.py passes objective=LossConfig("byol"): unpack it
+        if isinstance(self.objective, LossConfig):
+            self.temperature = self.objective.temperature
+            self.objective = self.objective.objective
+
+    def augment_policy(self, name: str) -> AugmentPolicy:
+        """The named view policy; "custom" is built from the custom_* fields."""
+        custom = AugmentPolicy(
+            name="custom",
+            noise_std=self.custom_noise_std,
+            mask_prob=self.custom_mask_prob,
+            scale_range=(self.custom_scale_min, self.custom_scale_max),
+            rotation_range=self.custom_rotation_range,
+            crop_range=(self.custom_crop_min, self.custom_crop_max),
+            flip_prob=self.custom_flip_prob,
+        )
+        return policy_by_name(name, custom=custom)
+
+    def validate(self) -> None:
+        """Raise ConfigError for any value no run could use."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith(("float", "tuple[float")) and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        try:
+            LossConfig(self.objective, self.temperature)
+            self.augment_policy(self.teacher_policy)
+            self.augment_policy(self.student_policy)
+            if self.encoder_widths:
+                MlpSpec(self.encoder_widths, final_normalize=True)
+        except ContractError as e:
+            raise ConfigError(str(e)) from e
+        for name in ("epochs", "lr", "probe_epochs", "seed_init", "seed_data", "seed_augment",
+                     "data_seed", "data_sep"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("batch_size", "predictor_hidden", "eval_every", "eval_k", "data_per_class",
+                     "data_eval_per_class"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 <= self.momentum <= 1.0:
+            raise ConfigError(f"momentum must lie in [0, 1], got {self.momentum}")
+        if self.distill_mode and self.momentum != 1.0:
+            raise ConfigError("distill_mode requires momentum = 1 (frozen teacher)")
+        if self.distill_source not in ("teacher", "student"):
+            raise ConfigError(f"distill_source must be teacher or student, "
+                              f"got {self.distill_source!r}")
+        if self.batch_size > self.bank_capacity:
+            raise ConfigError("batch_size cannot exceed bank_capacity")
+        if self.objective != "byol" and self.bank_capacity < 2:
+            raise ConfigError("bank_capacity must be at least 2 for isd/moco")
+        if self.lr_schedule not in ("step", "cosine"):
+            raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
+        if self.probe_lr <= 0:
+            raise ConfigError(f"probe_lr must be positive, got {self.probe_lr}")
+        if any(k < 1 for k in self.recall_ks):
+            raise ConfigError(f"every recall_ks entry must be positive, got {self.recall_ks}")
+        if bool(self.data_train) != bool(self.data_eval):
+            raise ConfigError("data_train and data_eval must be set together")
+        if self.data_classes < 2 or self.data_dim < 2:
+            raise ConfigError("data_classes and data_dim must be at least 2")
+
+    def lr_at(self, epoch: int) -> float:
+        if self.lr_schedule == "cosine":
+            if self.epochs <= 0:
+                return self.lr
+            return self.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / self.epochs))
+        lr = self.lr
+        for frac in self.lr_step_fracs:
+            if epoch >= int(frac * self.epochs):
+                lr *= self.lr_step_factor
+        return lr
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
@@ -135,8 +212,19 @@ def load_config(path: str) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
+    """One key=value line per field; raises ConfigError unless the text parses back to cfg."""
     lines = [f"{f.name}={_format_value(getattr(cfg, f.name))}" for f in fields(RunConfig)]
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    # resolved.cfg must reproduce the run: no '#' or line break in a string, no list
+    try:
+        echo = parse_config(text)
+    except ConfigError as e:
+        raise ConfigError(f"config would not survive serialization: {e}") from e
+    lost = [f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(RunConfig)
+            if getattr(echo, f.name) != getattr(cfg, f.name)]
+    if lost:
+        raise ConfigError(f"{', '.join(lost)} would not survive serialization")
+    return text
 
 
 def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
@@ -151,46 +239,3 @@ def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         updates[key] = _parse_value(key, raw.strip())
     return replace(cfg, **updates)
-
-
-def _policy(cfg: RunConfig, name: str) -> AugmentPolicy:
-    custom = AugmentPolicy(
-        name="custom",
-        noise_std=cfg.custom_noise_std,
-        mask_prob=cfg.custom_mask_prob,
-        scale_range=(cfg.custom_scale_min, cfg.custom_scale_max),
-        rotation_range=cfg.custom_rotation_range,
-        crop_range=(cfg.custom_crop_min, cfg.custom_crop_max),
-        flip_prob=cfg.custom_flip_prob,
-    )
-    return policy_by_name(name, custom=custom)
-
-
-def to_train_config(cfg: RunConfig) -> TrainConfig:
-    """Build the structured training config from the flat run config."""
-    encoder_spec = None
-    if cfg.encoder_widths:
-        encoder_spec = MlpSpec(cfg.encoder_widths, final_normalize=True)
-    return TrainConfig(
-        objective=LossConfig(cfg.objective, cfg.temperature),
-        momentum=cfg.momentum,
-        bank_capacity=cfg.bank_capacity,
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        lr=cfg.lr,
-        lr_schedule=cfg.lr_schedule,
-        lr_step_fracs=cfg.lr_step_fracs,
-        lr_step_factor=cfg.lr_step_factor,
-        sgd_momentum=cfg.sgd_momentum,
-        weight_decay=cfg.weight_decay,
-        encoder_spec=encoder_spec,
-        predictor_hidden=cfg.predictor_hidden,
-        teacher_policy=_policy(cfg, cfg.teacher_policy),
-        student_policy=_policy(cfg, cfg.student_policy),
-        seed_init=cfg.seed_init,
-        seed_data=cfg.seed_data,
-        seed_augment=cfg.seed_augment,
-        distill_mode=cfg.distill_mode,
-        eval_every=cfg.eval_every,
-        eval_k=cfg.eval_k,
-    )

@@ -14,11 +14,11 @@ from dataclasses import replace
 import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import RunConfig, serialize_config, to_train_config
+from .config import RunConfig, serialize_config
 from .data import LabeledDataset, gen_gaussian_mixture, load_dataset, make_unbalanced
 from .errors import ConfigError
 from .evaluation import embed_dataset, knn_eval, linear_probe, recall_at_k
-from .train import distill, train
+from .train import distill, knn_accuracies, train
 
 TEMPERATURE_GRID = (0.003, 0.007, 0.01, 0.02, 0.04, 0.06)
 
@@ -51,6 +51,7 @@ def ablation_base_config() -> RunConfig:
     return RunConfig(
         objective="isd", lr=0.05, momentum=0.97, lr_schedule="cosine",
         epochs=60, bank_capacity=512, batch_size=64,
+        teacher_policy="aggressive", student_policy="aggressive",
         data_classes=3, data_per_class=200, data_eval_per_class=50,
         data_dim=32, data_sep=2.0,
     )
@@ -59,11 +60,7 @@ def ablation_base_config() -> RunConfig:
 def build_datasets(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
     """Load container files when paths are set, else synthesize a mixture pair."""
     if cfg.data_train:
-        train_ds = load_dataset(cfg.data_train)
-        if not cfg.data_eval:
-            raise ConfigError("data_train is set but data_eval is not")
-        eval_ds = load_dataset(cfg.data_eval)
-        return train_ds, eval_ds
+        return load_dataset(cfg.data_train), load_dataset(cfg.data_eval)
     train_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_per_class, cfg.data_dim,
                                     cfg.data_sep, cfg.data_seed, split="train")
     eval_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_eval_per_class, cfg.data_dim,
@@ -72,10 +69,11 @@ def build_datasets(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
 
 
 def write_resolved_config(cfg: RunConfig, out_dir: str) -> str:
+    text = serialize_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "resolved.cfg")
     with open(path, "w") as f:
-        f.write(serialize_config(cfg))
+        f.write(text)
     return path
 
 
@@ -83,7 +81,7 @@ def run_training(cfg: RunConfig, out_dir: str) -> Checkpoint:
     """Train per the config; writes resolved.cfg, metrics.csv and checkpoint.bin."""
     write_resolved_config(cfg, out_dir)
     train_ds, eval_ds = build_datasets(cfg)
-    ckpt = train(to_train_config(cfg), train_ds, eval_ds,
+    ckpt = train(cfg, train_ds, eval_ds,
                  metrics_path=os.path.join(out_dir, "metrics.csv"))
     save_checkpoint(ckpt, os.path.join(out_dir, "checkpoint.bin"))
     return ckpt
@@ -93,9 +91,8 @@ def run_distill(cfg: RunConfig, teacher_path: str, out_dir: str) -> Checkpoint:
     """Frozen-teacher distillation from a stored checkpoint."""
     write_resolved_config(cfg, out_dir)
     train_ds, eval_ds = build_datasets(cfg)
-    ckpt = distill(to_train_config(cfg), teacher_path, train_ds, eval_ds,
-                   metrics_path=os.path.join(out_dir, "metrics.csv"),
-                   source=cfg.distill_source)
+    ckpt = distill(cfg, teacher_path, train_ds, eval_ds,
+                   metrics_path=os.path.join(out_dir, "metrics.csv"))
     save_checkpoint(ckpt, os.path.join(out_dir, "checkpoint.bin"))
     return ckpt
 
@@ -140,17 +137,9 @@ def temperature_sweep(cfg: RunConfig, taus: tuple[float, ...], out_dir: str) -> 
     train_ds, eval_ds = build_datasets(cfg)
     rows = []
     for tau in taus:
-        tcfg = to_train_config(replace(cfg, temperature=tau))
-        trainer_ckpt = train(tcfg, train_ds, eval_ds)
-        t_table = embed_dataset(trainer_ckpt.pair.teacher_encoder, train_ds)
-        s_table = embed_dataset(trainer_ckpt.pair.student_encoder, train_ds)
-        t_eval = embed_dataset(trainer_ckpt.pair.teacher_encoder, eval_ds)
-        s_eval = embed_dataset(trainer_ckpt.pair.student_encoder, eval_ds)
-        rows.append({
-            "tau": tau,
-            "teacher_knn": knn_eval(t_table, t_eval, cfg.eval_k),
-            "student_knn": knn_eval(s_table, s_eval, cfg.eval_k),
-        })
+        ckpt = train(replace(cfg, temperature=tau), train_ds)
+        teacher_knn, student_knn = knn_accuracies(ckpt.pair, train_ds, eval_ds, cfg.eval_k)
+        rows.append({"tau": tau, "teacher_knn": teacher_knn, "student_knn": student_knn})
     path = os.path.join(out_dir, "temperature.csv")
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -171,9 +160,9 @@ def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str,
     balanced evaluation split against the balanced training corpus. The
     evaluation side never sees the imbalance.
     """
-    write_resolved_config(cfg, out_dir)
     if reps < 1:
         raise ConfigError("reps must be at least 1")
+    write_resolved_config(cfg, out_dir)
     small_count = max(2, cfg.data_per_class // rare_ratio)
     rows = []
     for rep in range(reps):
@@ -193,7 +182,7 @@ def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str,
             rcfg = replace(cfg, objective=objective,
                            seed_init=rep_seed + 2, seed_data=rep_seed + 3,
                            seed_augment=rep_seed + 4)
-            ckpt = train(to_train_config(rcfg), unbalanced)
+            ckpt = train(rcfg, unbalanced)
             student = ckpt.pair.student_encoder
             neighbours = embed_dataset(student, balanced)
             queries = embed_dataset(student, eval_ds)

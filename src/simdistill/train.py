@@ -11,77 +11,22 @@ never scored against its own current view.
 from __future__ import annotations
 
 import csv
-import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .augment import AugmentPolicy, IDENTITY, MILD, augment
+from .augment import AugmentPolicy, augment
 from .bank import AnchorBank
 from .checkpoint import Checkpoint, load_checkpoint
+from .config import RunConfig
 from .data import LabeledDataset
 from .errors import CheckpointError, ColdStartError, ConfigError
 from .evaluation import embed_dataset, knn_eval
-from .losses import (LossConfig, byol_loss_batch, distribution_entropy,
-                     isd_loss_batch, moco_loss_batch)
+from .losses import byol_loss_batch, distribution_entropy, isd_loss_batch, moco_loss_batch
 from .nn import (MlpSpec, ModelPair, SgdState, default_encoder_spec,
                  default_predictor_spec, ema_update, mlp_forward, sgd_step)
 from .tensor import Tensor, backward
-
-
-@dataclass
-class TrainConfig:
-    """Everything a run needs besides the data itself."""
-
-    objective: LossConfig = field(default_factory=LossConfig)
-    momentum: float = 0.99
-    bank_capacity: int = 1024
-    batch_size: int = 64
-    epochs: int = 200
-    lr: float = 0.01
-    lr_schedule: str = "step"               # step | cosine
-    lr_step_fracs: tuple[float, ...] = (0.7, 0.9)
-    lr_step_factor: float = 0.2
-    sgd_momentum: float = 0.9
-    weight_decay: float = 1e-4
-    encoder_spec: MlpSpec | None = None      # None: default for the data dim
-    predictor_hidden: int = 64
-    teacher_policy: AugmentPolicy = field(default_factory=lambda: IDENTITY)
-    student_policy: AugmentPolicy = field(default_factory=lambda: IDENTITY)
-    seed_init: int = 0
-    seed_data: int = 1
-    seed_augment: int = 2
-    distill_mode: bool = False
-    eval_every: int = 10
-    eval_k: int = 5
-
-    def validate(self) -> None:
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1], got {self.momentum}")
-        if self.distill_mode and self.momentum != 1.0:
-            raise ConfigError("distill_mode requires momentum = 1 (frozen teacher)")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be non-negative")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
-        if self.batch_size > self.bank_capacity:
-            raise ConfigError("batch_size cannot exceed bank_capacity")
-        if self.objective.objective != "byol" and self.bank_capacity < 2:
-            raise ConfigError("bank_capacity must be at least 2 for isd/moco")
-        if self.lr_schedule not in ("step", "cosine"):
-            raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
-
-    def lr_at(self, epoch: int) -> float:
-        if self.lr_schedule == "cosine":
-            if self.epochs <= 0:
-                return self.lr
-            return self.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / self.epochs))
-        lr = self.lr
-        for frac in self.lr_step_fracs:
-            if epoch >= int(frac * self.epochs):
-                lr *= self.lr_step_factor
-        return lr
 
 
 @dataclass
@@ -124,14 +69,32 @@ class MetricsWriter:
             self._file = None
 
 
+def _encoder_spec(config: RunConfig, input_dim: int) -> MlpSpec:
+    if config.encoder_widths:
+        return MlpSpec(config.encoder_widths, final_normalize=True)
+    return default_encoder_spec(input_dim)
+
+
+def knn_accuracies(pair: ModelPair, train_ds: LabeledDataset, eval_ds: LabeledDataset,
+                   k: int) -> tuple[float, float]:
+    """k-NN accuracy of the teacher and the student encoder embeddings."""
+    t_train = embed_dataset(pair.teacher_encoder, train_ds)
+    t_eval = embed_dataset(pair.teacher_encoder, eval_ds)
+    s_train = embed_dataset(pair.student_encoder, train_ds)
+    s_eval = embed_dataset(pair.student_encoder, eval_ds)
+    return knn_eval(t_train, t_eval, k), knn_eval(s_train, s_eval, k)
+
+
 class Trainer:
     """Owns the model pair, optimizer, anchor bank and RNG streams for one run."""
 
-    def __init__(self, config: TrainConfig, input_dim: int, pair: ModelPair | None = None):
+    def __init__(self, config: RunConfig, input_dim: int, pair: ModelPair | None = None):
         config.validate()
         self.config = config
+        self.teacher_policy = config.augment_policy(config.teacher_policy)
+        self.student_policy = config.augment_policy(config.student_policy)
         if pair is None:
-            encoder_spec = config.encoder_spec or default_encoder_spec(input_dim)
+            encoder_spec = _encoder_spec(config, input_dim)
             predictor_spec = default_predictor_spec(encoder_spec.output_dim,
                                                     config.predictor_hidden)
             pair = ModelPair.create(encoder_spec, predictor_spec, config.momentum, config.seed_init)
@@ -155,15 +118,15 @@ class Trainer:
 
     @property
     def needs_bank(self) -> bool:
-        return self.config.objective.objective in ("isd", "moco")
+        return self.config.objective in ("isd", "moco")
 
     def _view(self, batch: np.ndarray, policy: AugmentPolicy) -> np.ndarray:
         """One view of every sample, flattened to [b, features]."""
         return augment(batch, policy, self.rng_augment).reshape(len(batch), -1)
 
     def _views(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (self._view(batch, self.config.teacher_policy),
-                self._view(batch, self.config.student_policy))
+        return (self._view(batch, self.teacher_policy),
+                self._view(batch, self.student_policy))
 
     def _teacher_embed(self, views: np.ndarray) -> np.ndarray:
         return mlp_forward(self.pair.teacher_encoder, Tensor(views)).data
@@ -186,7 +149,7 @@ class Trainer:
                 if done >= needed:
                     break
                 batch = ds.samples[order[start:start + self.config.batch_size]]
-                views = self._view(batch, self.config.teacher_policy)
+                views = self._view(batch, self.teacher_policy)
                 self.bank.enqueue(self._teacher_embed(views))
                 done += 1
         self._prefilled = True
@@ -194,8 +157,8 @@ class Trainer:
     def step(self, batch: np.ndarray) -> StepMetrics:
         """One training step over a raw sample batch (unaugmented)."""
         cfg = self.config
-        objective = cfg.objective.objective
-        tau = cfg.objective.temperature
+        objective = cfg.objective
+        tau = cfg.temperature
         if self.needs_bank and self.bank.count < 2:
             raise ColdStartError("anchor bank not pre-filled; call prefill() before stepping")
         if len(batch) == 0:
@@ -245,15 +208,6 @@ class Trainer:
             wall_ms=(time.perf_counter() - started) * 1e3,
         )
 
-    def evaluate(self, train_ds: LabeledDataset, eval_ds: LabeledDataset) -> tuple[float, float]:
-        """k-NN accuracy of the teacher and the student encoder embeddings."""
-        k = self.config.eval_k
-        t_train = embed_dataset(self.pair.teacher_encoder, train_ds)
-        t_eval = embed_dataset(self.pair.teacher_encoder, eval_ds)
-        s_train = embed_dataset(self.pair.student_encoder, train_ds)
-        s_eval = embed_dataset(self.pair.student_encoder, eval_ds)
-        return knn_eval(t_train, t_eval, k), knn_eval(s_train, s_eval, k)
-
     def checkpoint(self) -> Checkpoint:
         return Checkpoint(
             pair=self.pair,
@@ -284,7 +238,7 @@ class Trainer:
                     metrics.step_row(m)
             last = epoch == cfg.epochs - 1
             if eval_ds is not None and (epoch % cfg.eval_every == 0 or last):
-                t_acc, s_acc = self.evaluate(train_ds, eval_ds)
+                t_acc, s_acc = knn_accuracies(self.pair, train_ds, eval_ds, cfg.eval_k)
                 if metrics:
                     metrics.eval_row(epoch, self.global_step, t_acc, s_acc)
                 if on_eval:
@@ -292,42 +246,32 @@ class Trainer:
         return self.checkpoint()
 
 
-def train(config: TrainConfig, train_ds: LabeledDataset,
+def train(config: RunConfig, train_ds: LabeledDataset,
           eval_ds: LabeledDataset | None = None,
           metrics_path: str | None = None) -> Checkpoint:
     """Train from scratch on a dataset; fully deterministic given the seeds."""
-    trainer = Trainer(config, train_ds.feature_dim)
-    writer = MetricsWriter(metrics_path)
-    try:
-        return trainer.run(train_ds, eval_ds, writer)
-    finally:
-        writer.close()
+    return _run(Trainer(config, train_ds.feature_dim), train_ds, eval_ds, metrics_path)
 
 
-def distill(config: TrainConfig, teacher_checkpoint, train_ds: LabeledDataset,
+def distill(config: RunConfig, teacher_checkpoint, train_ds: LabeledDataset,
             eval_ds: LabeledDataset | None = None,
-            metrics_path: str | None = None,
-            source: str = "teacher") -> Checkpoint:
+            metrics_path: str | None = None) -> Checkpoint:
     """Frozen-teacher distillation: teacher loaded, momentum 1, mild views.
 
     The student starts from scratch; the output checkpoint's teacher
-    weights are bitwise those of the input. ``source`` selects which
-    network of the loaded checkpoint becomes the frozen teacher.
+    weights are bitwise those of the input. ``config.distill_source``
+    selects which network of the loaded checkpoint becomes the frozen
+    teacher.
     """
     if isinstance(teacher_checkpoint, str):
         teacher_checkpoint = load_checkpoint(teacher_checkpoint)
     config.validate()    # rejects distill_mode with momentum < 1
     cfg = replace(config, distill_mode=True, momentum=1.0,
-                  teacher_policy=MILD, student_policy=MILD)
-    cfg.validate()
+                  teacher_policy="mild", student_policy="mild")
 
-    if source == "teacher":
-        loaded = teacher_checkpoint.pair.teacher_encoder
-    elif source == "student":
-        loaded = teacher_checkpoint.pair.student_encoder
-    else:
-        raise ConfigError(f"distill source must be teacher or student, got {source!r}")
-    encoder_spec = cfg.encoder_spec or default_encoder_spec(train_ds.feature_dim)
+    source = teacher_checkpoint.pair
+    loaded = source.teacher_encoder if cfg.distill_source == "teacher" else source.student_encoder
+    encoder_spec = _encoder_spec(cfg, train_ds.feature_dim)
     if loaded.spec != encoder_spec:
         raise CheckpointError(
             f"checkpoint encoder {loaded.spec.layer_widths} does not match "
@@ -339,7 +283,11 @@ def distill(config: TrainConfig, teacher_checkpoint, train_ds: LabeledDataset,
                              momentum=1.0, seed=cfg.seed_init)
     pair = ModelPair(fresh.student_encoder, fresh.student_predictor,
                      loaded.copy(trainable=False), momentum=1.0)
-    trainer = Trainer(cfg, train_ds.feature_dim, pair=pair)
+    return _run(Trainer(cfg, train_ds.feature_dim, pair=pair), train_ds, eval_ds, metrics_path)
+
+
+def _run(trainer: Trainer, train_ds: LabeledDataset, eval_ds: LabeledDataset | None,
+         metrics_path: str | None) -> Checkpoint:
     writer = MetricsWriter(metrics_path)
     try:
         return trainer.run(train_ds, eval_ds, writer)

@@ -14,7 +14,7 @@ import pytest
 import simdistill.tensor as T
 from simdistill.bank import AnchorBank
 from simdistill.cli import main
-from simdistill.config import RunConfig, to_train_config
+from simdistill.config import RunConfig
 from simdistill.data import gen_gaussian_mixture
 from simdistill.evaluation import embed_dataset, knn_eval
 from simdistill.experiments import (TEMPERATURE_GRID, ablation_base_config,
@@ -24,9 +24,7 @@ from simdistill.losses import (anchor_cross_entropy, anchor_distribution_batch, 
                                distribution_entropy, isd_loss, moco_loss)
 from simdistill.nn import MlpSpec, ModelPair, default_predictor_spec, ema_update, init_params
 from simdistill.tensor import Tensor
-from simdistill.train import TrainConfig, train
-from simdistill.losses import LossConfig
-from simdistill.augment import AGGRESSIVE
+from simdistill.train import train
 
 
 def report(capsys, number, ok, detail):
@@ -223,10 +221,10 @@ class TestCriterion6TrainingSanity:
         started = time.perf_counter()
         tr = gen_gaussian_mixture(10, 200, 32, 3.0, seed=7, split="train")
         ev = gen_gaussian_mixture(10, 50, 32, 3.0, seed=7, split="eval")
-        cfg = TrainConfig(objective=LossConfig("isd", 0.1), momentum=0.97,
-                          bank_capacity=1024, batch_size=64, epochs=200, lr=0.05,
-                          lr_schedule="cosine", teacher_policy=AGGRESSIVE,
-                          student_policy=AGGRESSIVE, eval_every=1000)
+        cfg = RunConfig(objective="isd", temperature=0.1, momentum=0.97,
+                        bank_capacity=1024, batch_size=64, epochs=200, lr=0.05,
+                        lr_schedule="cosine", teacher_policy="aggressive",
+                        student_policy="aggressive", eval_every=1000)
 
         ceiling = nearest_centroid_accuracy(tr, ev)
         baseline_enc = init_params(MlpSpec((32, 256, 128, 64), final_normalize=True),
@@ -291,11 +289,11 @@ class TestCriterion9TeacherStudentTracking:
         tr = gen_gaussian_mixture(3, 120, 16, 2.0, seed=9, split="train")
         ev = gen_gaussian_mixture(3, 40, 16, 2.0, seed=9, split="eval")
         path = str(tmp_path / "metrics.csv")
-        cfg = TrainConfig(objective=LossConfig("isd", 0.04), momentum=0.97,
-                          bank_capacity=128, batch_size=32, epochs=30, lr=0.05,
-                          lr_schedule="step", lr_step_fracs=(0.7, 0.9),
-                          teacher_policy=AGGRESSIVE, student_policy=AGGRESSIVE,
-                          eval_every=5)
+        cfg = RunConfig(objective="isd", temperature=0.04, momentum=0.97,
+                        bank_capacity=128, batch_size=32, epochs=30, lr=0.05,
+                        lr_schedule="step", lr_step_fracs=(0.7, 0.9),
+                        teacher_policy="aggressive", student_policy="aggressive",
+                        eval_every=5)
         train(cfg, tr, ev, metrics_path=path)
         with open(path) as f:
             eval_rows = [r for r in csv.DictReader(f) if r["teacher_knn"] != ""]

@@ -54,6 +54,36 @@ class TestExitCodes:
                      "--set", "distill_mode=true", "--set", "momentum=1.0"])
         assert code == 5
 
+    @pytest.mark.parametrize("command,override", [
+        ("train", "objective=simclr"), ("train", "temperature=0"),
+        ("train", "teacher_policy=bogus"), ("train", "custom_noise_std=-1"),
+        ("train", "custom_scale_min=0"), ("train", "predictor_hidden=0"),
+        ("train", "lr=nan"), ("distill", "distill_source=both"),
+        ("eval", "eval_k=0"), ("eval", "probe_lr=0"), ("eval", "probe_epochs=-1"),
+        ("eval", "recall_ks=0"), ("unbalanced", "seed_init=-1"),
+        ("ablate-temperature", "eval_every=0"), ("train", "data_eval=eval.bin"),
+    ])
+    def test_bad_config_value_is_exit_3_before_any_output(self, tmp_path, capsys,
+                                                         command, override):
+        out = tmp_path / "out"
+        extra = {"distill": ["--teacher", str(tmp_path / "t.bin")],
+                 "eval": ["--checkpoint", str(tmp_path / "c.bin")]}.get(command, [])
+        code = main([command, "--out", str(out), *extra, *FAST, "--set", override])
+        assert code == 3
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,extra", [
+        ("ablate-temperature", ["--taus", "0.1,0"]),
+        ("ablate-temperature", ["--taus", "0.1,x"]),
+        ("unbalanced", ["--reps", "0"]),
+        ("train", ["--set", "data_train=runs#1/t.bin", "--set", "data_eval=e.bin"]),
+    ])
+    def test_bad_argument_is_exit_3_before_any_output(self, tmp_path, command, extra):
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), *extra, *FAST]) == 3
+        assert not out.exists()
+
     def test_unreadable_checkpoint_is_exit_5(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"not a checkpoint")

@@ -1,12 +1,32 @@
 """Tests for the flat key=value run configuration."""
 
-from dataclasses import fields, replace
+import string
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simdistill.config import (RunConfig, apply_overrides, load_config, parse_config,
-                               serialize_config, to_train_config)
+                               serialize_config)
 from simdistill.errors import ConfigError
+from simdistill.experiments import ablation_base_config, unbalanced_base_config
+from simdistill.train import Trainer
+
+# One strategy per field type. Strings exclude '#' and line breaks and carry no
+# surrounding blanks: those are the values the text format cannot hold.
+_FLOATS = st.floats(allow_nan=False, allow_infinity=True)
+_INTS = st.integers(-10**12, 10**12)
+_TEXT = st.text(string.ascii_letters + string.digits + "/._-=, ", max_size=12).map(str.strip)
+_BY_TYPE = {
+    "bool": st.booleans(),
+    "int": _INTS,
+    "float": _FLOATS,
+    "str": _TEXT,
+    "tuple[int, ...]": st.lists(_INTS, max_size=4).map(tuple),
+    "tuple[float, ...]": st.lists(_FLOATS, max_size=4).map(tuple),
+}
+any_config = st.builds(RunConfig, **{f.name: _BY_TYPE[f.type] for f in fields(RunConfig)})
 
 
 class TestRoundTrip:
@@ -29,6 +49,30 @@ class TestRoundTrip:
     def test_empty_tuple_round_trips(self):
         cfg = RunConfig(lr_step_fracs=(), encoder_widths=())
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_config)
+    def test_any_field_values_round_trip(self, cfg):
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_serialized_bytes_are_pinned(self):
+        """The echo format of the defaults: one line per field, in field order."""
+        text = serialize_config(RunConfig())
+        assert text.startswith("objective=isd\ntemperature=0.02\nmomentum=0.99\n")
+        assert "lr_step_fracs=0.7,0.9\nlr_step_factor=0.2\n" in text
+        assert "encoder_widths=\npredictor_hidden=64\nteacher_policy=none\n" in text
+        assert "recall_ks=1,2,4,8\n" in text and "distill_mode=false\n" in text
+        assert text.endswith("data_sep=6.0\ndata_seed=7\n")
+
+    @pytest.mark.parametrize("values", [
+        {"data_train": "runs#1/train.bin", "data_eval": "e.bin"},
+        {"data_train": "t.bin", "data_eval": "a\nb"},
+        {"data_train": " t.bin", "data_eval": "e.bin"},
+        {"encoder_widths": [6, 12, 4]},
+    ])
+    def test_value_the_echo_cannot_hold_rejected(self, values):
+        with pytest.raises(ConfigError, match="would not survive"):
+            serialize_config(RunConfig(**values))
 
 
 class TestParsing:
@@ -73,33 +117,60 @@ class TestOverrides:
             apply_overrides(RunConfig(), ["lr"])
 
 
-class TestToTrainConfig:
+class TestValidate:
+    def test_defaults_and_base_configs_are_valid(self):
+        for cfg in (RunConfig(), ablation_base_config(), unbalanced_base_config()):
+            cfg.validate()
+
+    def test_contradiction_surfaces_on_validate(self):
+        cfg = parse_config("distill_mode=true\nmomentum=0.9\n")   # parsing does not validate
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
+    @pytest.mark.parametrize("override", [
+        "objective=simclr", "temperature=0", "teacher_policy=bogus", "student_policy=",
+        "custom_noise_std=-1", "custom_scale_min=0", "custom_crop_max=1.5",
+        "predictor_hidden=0", "encoder_widths=6", "lr=nan", "lr=inf", "lr=-0.1",
+        "momentum=inf", "weight_decay=inf",
+        "lr_step_fracs=0.5,nan", "lr_schedule=linear", "batch_size=0", "epochs=-1",
+        "bank_capacity=1", "distill_source=both", "eval_k=0", "eval_every=0",
+        "probe_lr=0", "probe_epochs=-1", "recall_ks=1,0", "seed_augment=-1",
+        "data_classes=1", "data_dim=1", "data_sep=-1", "data_per_class=0",
+    ])
+    def test_bad_value_rejected(self, override):
+        cfg = apply_overrides(RunConfig(), [override])
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
+
+
+class TestTrainerReadsConfig:
     def test_basic_mapping(self):
         rc = RunConfig(objective="moco", temperature=0.09, momentum=0.95, epochs=3,
-                       encoder_widths=(6, 8, 4))
-        tc = to_train_config(rc)
-        assert tc.objective.objective == "moco"
-        assert tc.objective.temperature == 0.09
-        assert tc.momentum == 0.95
-        assert tc.encoder_spec.layer_widths == (6, 8, 4)
-        assert tc.encoder_spec.final_normalize
+                       encoder_widths=(6, 8, 4), predictor_hidden=5)
+        trainer = Trainer(rc, 6)
+        assert trainer.config is rc
+        assert trainer.pair.momentum == 0.95
+        assert trainer.pair.student_encoder.spec.layer_widths == (6, 8, 4)
+        assert trainer.pair.student_encoder.spec.final_normalize
+        assert trainer.pair.student_predictor.spec.layer_widths == (4, 5, 4)
 
     def test_named_policies(self):
-        tc = to_train_config(RunConfig(teacher_policy="mild", student_policy="none"))
-        assert tc.teacher_policy.name == "mild"
-        assert tc.student_policy.is_identity
+        trainer = Trainer(RunConfig(teacher_policy="mild", student_policy="none"), 6)
+        assert trainer.teacher_policy.name == "mild"
+        assert trainer.student_policy.is_identity
 
     def test_custom_policy_fields(self):
         rc = RunConfig(student_policy="custom", custom_noise_std=0.9,
                        custom_rotation_range=0.3)
-        tc = to_train_config(rc)
-        assert tc.student_policy.noise_std == 0.9
-        assert tc.student_policy.rotation_range == 0.3
+        trainer = Trainer(rc, 6)
+        assert trainer.student_policy.noise_std == 0.9
+        assert trainer.student_policy.rotation_range == 0.3
 
     def test_empty_widths_defer_to_data_dim(self):
-        assert to_train_config(RunConfig(encoder_widths=())).encoder_spec is None
+        trainer = Trainer(RunConfig(encoder_widths=()), 7)
+        assert trainer.pair.student_encoder.spec.layer_widths == (7, 256, 128, 64)
 
-    def test_contradiction_surfaces_on_validate(self):
-        tc = to_train_config(RunConfig(distill_mode=True, momentum=0.9))
-        with pytest.raises(ConfigError):
-            tc.validate()
+    def test_default_views_are_identity(self):
+        trainer = Trainer(RunConfig(), 6)
+        assert trainer.teacher_policy.is_identity and trainer.student_policy.is_identity

@@ -6,34 +6,37 @@ import os
 import numpy as np
 import pytest
 
-from simdistill.augment import AGGRESSIVE, IDENTITY, AugmentPolicy, augment
+from simdistill.augment import augment
 from simdistill.checkpoint import load_checkpoint, save_checkpoint
+from simdistill.config import RunConfig
 from simdistill.data import gen_gaussian_mixture
 from simdistill.errors import CheckpointError, ColdStartError, ConfigError
 from simdistill.evaluation import embed_dataset, knn_eval
-from simdistill.losses import LossConfig
 from simdistill.nn import (MlpParams, MlpSpec, ModelPair, default_predictor_spec,
                            init_params, mlp_forward)
 from simdistill.tensor import Tensor
-from simdistill.train import MetricsWriter, TrainConfig, Trainer, distill, train
+from simdistill.train import MetricsWriter, Trainer, distill, train
+
+SMALL_ENCODER = MlpSpec((6, 16, 4), final_normalize=True)
 
 
 def small_config(objective="isd", **kw):
     base = dict(
-        objective=LossConfig(objective, 0.1),
+        objective=objective,
+        temperature=0.1,
         momentum=0.97,
         bank_capacity=32,
         batch_size=8,
         epochs=2,
         lr=0.05,
-        encoder_spec=MlpSpec((6, 16, 4), final_normalize=True),
+        encoder_widths=SMALL_ENCODER.layer_widths,
         predictor_hidden=8,
-        teacher_policy=AGGRESSIVE,
-        student_policy=AGGRESSIVE,
+        teacher_policy="aggressive",
+        student_policy="aggressive",
         eval_every=1,
     )
     base.update(kw)
-    return TrainConfig(**base)
+    return RunConfig(**base)
 
 
 def small_dataset(split="train", per_class=20, seed=3):
@@ -41,6 +44,8 @@ def small_dataset(split="train", per_class=20, seed=3):
 
 
 class TestTrainConfig:
+    """The training checks and the learning-rate schedule of the run config."""
+
     def test_distill_mode_requires_frozen_teacher(self):
         with pytest.raises(ConfigError):
             small_config(distill_mode=True, momentum=0.9).validate()
@@ -85,10 +90,10 @@ class TestHandTracedStep:
         teacher = MlpParams(enc_spec, [Tensor.frozen([[0.4, 0.1]])],
                             [Tensor.frozen([0.0, 0.0])], trainable=False)
         pair = ModelPair(student_enc, predictor, teacher, momentum=0.9)
-        cfg = TrainConfig(objective=LossConfig("isd", 0.5), momentum=0.9,
-                          bank_capacity=2, batch_size=1, epochs=1, lr=0.1,
-                          lr_step_fracs=(), sgd_momentum=0.9, weight_decay=0.0,
-                          teacher_policy=IDENTITY, student_policy=IDENTITY)
+        cfg = RunConfig(objective="isd", temperature=0.5, momentum=0.9,
+                        bank_capacity=2, batch_size=1, epochs=1, lr=0.1,
+                        lr_step_fracs=(), sgd_momentum=0.9, weight_decay=0.0,
+                        teacher_policy="none", student_policy="none")
         trainer = Trainer(cfg, input_dim=1, pair=pair)
         trainer.bank.enqueue(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
@@ -199,7 +204,7 @@ class TestRun:
         ds = small_dataset()
         cfg = small_config(epochs=0)
         ckpt = train(cfg, ds)
-        fresh = ModelPair.create(cfg.encoder_spec,
+        fresh = ModelPair.create(SMALL_ENCODER,
                                  default_predictor_spec(4, cfg.predictor_hidden),
                                  cfg.momentum, cfg.seed_init)
         for got, want in zip(ckpt.pair.student_parameters(), fresh.student_parameters()):
@@ -248,11 +253,11 @@ class TestRun:
         frozen random-init encoder (measured gain about +17 points)."""
         tr = gen_gaussian_mixture(3, 200, 32, 2.0, seed=7, split="train")
         ev = gen_gaussian_mixture(3, 50, 32, 2.0, seed=7, split="eval")
-        cfg = TrainConfig(objective=LossConfig("isd", 0.1), momentum=0.97,
-                          bank_capacity=256, batch_size=64, epochs=60, lr=0.05,
-                          lr_schedule="cosine",
-                          teacher_policy=AGGRESSIVE, student_policy=AGGRESSIVE,
-                          eval_every=1000)
+        cfg = RunConfig(objective="isd", temperature=0.1, momentum=0.97,
+                        bank_capacity=256, batch_size=64, epochs=60, lr=0.05,
+                        lr_schedule="cosine",
+                        teacher_policy="aggressive", student_policy="aggressive",
+                        eval_every=1000)
         baseline_enc = init_params(MlpSpec((32, 256, 128, 64), final_normalize=True),
                                    [cfg.seed_init, 0])
         baseline = knn_eval(embed_dataset(baseline_enc, tr), embed_dataset(baseline_enc, ev), 5)
@@ -275,7 +280,7 @@ class TestDistill:
         path = self._teacher_checkpoint(ds, None, tmp_path)
         cfg = small_config(epochs=0, momentum=1.0, distill_mode=True)
         out = distill(cfg, path, ds)
-        fresh = ModelPair.create(cfg.encoder_spec,
+        fresh = ModelPair.create(SMALL_ENCODER,
                                  default_predictor_spec(4, cfg.predictor_hidden),
                                  1.0, cfg.seed_init)
         for got, want in zip(out.pair.student_parameters(), fresh.student_parameters()):
@@ -294,7 +299,7 @@ class TestDistill:
         ds = small_dataset()
         path = self._teacher_checkpoint(ds, None, tmp_path)
         loaded = load_checkpoint(path)
-        out = distill(small_config(epochs=0), path, ds, source="student")
+        out = distill(small_config(epochs=0, distill_source="student"), path, ds)
         for got, want in zip(out.pair.teacher_encoder.parameters(),
                              loaded.pair.student_encoder.parameters()):
             assert np.array_equal(got.data, want.data)
@@ -302,7 +307,7 @@ class TestDistill:
     def test_architecture_mismatch_rejected(self, tmp_path):
         ds = small_dataset()
         path = self._teacher_checkpoint(ds, None, tmp_path)
-        cfg = small_config(encoder_spec=MlpSpec((6, 8, 4), final_normalize=True))
+        cfg = small_config(encoder_widths=(6, 8, 4))
         with pytest.raises(CheckpointError):
             distill(cfg, path, ds)
 
@@ -318,10 +323,10 @@ class TestDistill:
         from dataclasses import replace
         tr = gen_gaussian_mixture(3, 200, 32, 2.0, seed=31, split="train")
         ev = gen_gaussian_mixture(3, 50, 32, 2.0, seed=31, split="eval")
-        cfg = TrainConfig(objective=LossConfig("isd", 0.1), momentum=0.97,
-                          bank_capacity=256, batch_size=64, epochs=120, lr=0.05,
-                          lr_schedule="cosine", teacher_policy=AGGRESSIVE,
-                          student_policy=AGGRESSIVE, eval_every=1000)
+        cfg = RunConfig(objective="isd", temperature=0.1, momentum=0.97,
+                        bank_capacity=256, batch_size=64, epochs=120, lr=0.05,
+                        lr_schedule="cosine", teacher_policy="aggressive",
+                        student_policy="aggressive", eval_every=1000)
         path = str(tmp_path / "teacher.bin")
         save_checkpoint(train(cfg, tr), path)
 
@@ -343,15 +348,16 @@ class TestMocoReductionEndToEnd:
         tau, lr, mom, wd, m_ema = 0.2, 0.05, 0.9, 1e-4, 0.95
         batches = [rng.standard_normal((4, d_in)) for _ in range(10)]
         seed_aug = 77
-        policy = AugmentPolicy("custom", noise_std=0.1)
 
-        cfg = TrainConfig(objective=LossConfig("moco", tau), momentum=m_ema,
-                          bank_capacity=8, batch_size=4, epochs=1, lr=lr,
-                          lr_step_fracs=(), sgd_momentum=mom, weight_decay=wd,
-                          encoder_spec=MlpSpec((d_in, hidden, embed), final_normalize=True),
-                          predictor_hidden=p_hidden, teacher_policy=policy,
-                          student_policy=policy, seed_augment=seed_aug)
+        cfg = RunConfig(objective="moco", temperature=tau, momentum=m_ema,
+                        bank_capacity=8, batch_size=4, epochs=1, lr=lr,
+                        lr_step_fracs=(), sgd_momentum=mom, weight_decay=wd,
+                        encoder_widths=(d_in, hidden, embed),
+                        predictor_hidden=p_hidden, teacher_policy="mild",
+                        student_policy="mild", seed_augment=seed_aug)
         trainer = Trainer(cfg, d_in)
+        policy = trainer.teacher_policy
+        assert trainer.student_policy == policy and policy.noise_std > 0
         seed_rows = rng.standard_normal((8, embed))
         seed_rows /= np.linalg.norm(seed_rows, axis=1, keepdims=True)
         trainer.bank.enqueue(seed_rows)
