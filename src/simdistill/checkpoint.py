@@ -15,12 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bank import AnchorBank
+from .data import json_header
 from .errors import CheckpointError, LengthError
 from .nn import MlpParams, MlpSpec, ModelPair, SgdState
 from .tensor import Tensor
 
 _MAGIC = b"SDCP"
 _VERSION = 1
+_HEADER_FIELDS = {"encoder": dict, "predictor": dict, "momentum": (int, float), "sgd": dict,
+                  "bank": dict, "epoch": int, "step": int, "rng_states": dict, "buffers": list}
 
 
 @dataclass
@@ -109,7 +112,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     blob_len = struct.unpack("<Q", raw[8:16])[0]
     if len(raw) < 16 + blob_len:
         raise LengthError(f"{path}: truncated checkpoint header")
-    header = json.loads(raw[16:16 + blob_len])
+    header = json_header(raw[16:16 + blob_len], _HEADER_FIELDS, CheckpointError, path)
 
     arrays: dict[str, np.ndarray] = {}
     offset = 16 + blob_len

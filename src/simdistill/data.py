@@ -172,6 +172,20 @@ def save_dataset(ds: LabeledDataset, path: str) -> None:
         f.write(ds.labels.astype("<i8").tobytes())
 
 
+def json_header(blob: bytes, fields: dict, error: type[Exception], path: str) -> dict:
+    """Decode a container's JSON header; each of ``fields`` must map to its type."""
+    try:
+        header = json.loads(blob)
+    except ValueError as e:     # JSONDecodeError, or bytes that are not UTF-8
+        raise error(f"{path}: header is not valid JSON: {e}") from e
+    if not isinstance(header, dict):
+        raise error(f"{path}: header is not a JSON object")
+    for key, kind in fields.items():
+        if not isinstance(header.get(key), kind):
+            raise error(f"{path}: header field {key!r} is missing or has the wrong type")
+    return header
+
+
 def load_dataset(path: str) -> LabeledDataset:
     with open(path, "rb") as f:
         raw = f.read()
@@ -183,7 +197,8 @@ def load_dataset(path: str) -> LabeledDataset:
     blob_len = struct.unpack("<Q", raw[8:16])[0]
     if len(raw) < 16 + blob_len:
         raise LengthError(f"{path}: truncated header")
-    header = json.loads(raw[16:16 + blob_len])
+    header = json_header(raw[16:16 + blob_len], {"n": int, "sample_shape": list, "split": str},
+                         FormatError, path)
     n = header["n"]
     shape = tuple(header["sample_shape"])
     sample_bytes = int(n * np.prod(shape)) * 8 if n else 0

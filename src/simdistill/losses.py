@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DegenerateDistributionError, ShapeError
+from .errors import ContractError, DegenerateDistributionError, NumericDomainError, ShapeError
 from .tensor import Tensor
 
 OBJECTIVES = ("isd", "moco", "byol")
@@ -43,51 +43,30 @@ def _unit_rows(a: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return a / np.maximum(norms, eps)
 
 
-def _check_anchors(query_dim: int, anchors: Tensor) -> np.ndarray:
-    rows = anchors.data
-    if rows.ndim != 2:
-        raise ShapeError(f"anchors must be a [n, d] matrix, got shape {rows.shape}")
-    if rows.shape[0] < 2:
-        raise DegenerateDistributionError(
-            f"need at least 2 anchors for a similarity distribution, got {rows.shape[0]}"
-        )
-    if rows.shape[1] != query_dim:
-        raise ShapeError(f"anchor width {rows.shape[1]} does not match query dim {query_dim}")
-    return _unit_rows(rows)
+def _row(v: Tensor) -> Tensor:
+    """A 1-D embedding as a [1, d] block, through one reshape node."""
+    if v.data.ndim != 1:
+        raise ShapeError(f"query must be a vector, got shape {v.data.shape}")
+    return T.reshape(v, (1, v.data.shape[0]))
 
 
 def anchor_distribution(query: Tensor, anchors: Tensor, tau: float) -> Tensor:
-    """Softmax over cosine(query, anchor_i) / tau; differentiable in the query.
+    """Softmax over cosine(query, anchor_i) / tau, as a constant.
 
-    Anchor rows are treated as constants and normalised internally, so the
-    result is invariant to positive rescaling of any input.
+    The one-row case of :func:`anchor_distribution_batch`. Anchor rows are
+    normalised internally, so the result is invariant to positive rescaling
+    of any input.
     """
-    if tau <= 0:
-        raise ContractError(f"temperature must be positive, got {tau}")
-    if query.data.ndim != 1:
-        raise ShapeError(f"query must be a vector, got shape {query.data.shape}")
-    units = _check_anchors(query.data.shape[0], anchors)
-    q = T.l2_normalize(query)
-    logits = T.mul(T.matmul(Tensor(units), q), 1.0 / tau)
-    return T.softmax(logits)
+    return Tensor(anchor_distribution_batch(_row(query).data, anchors.data, tau)[0])
 
 
 def anchor_cross_entropy(target: np.ndarray, query: Tensor, anchors: Tensor, tau: float) -> Tensor:
     """-sum_i target_i * log p_query(i) with target held constant.
 
-    The log-probabilities are computed via log-softmax directly, which
-    stays finite even at sharp temperatures where softmax entries underflow.
+    The one-row case of :func:`anchor_cross_entropy_batch`.
     """
-    if tau <= 0:
-        raise ContractError(f"temperature must be positive, got {tau}")
-    units = _check_anchors(query.data.shape[0], anchors)
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != (units.shape[0],):
-        raise ShapeError(f"target shape {target.shape} does not match anchor count {units.shape[0]}")
-    q = T.l2_normalize(query)
-    logits = T.mul(T.matmul(Tensor(units), q), 1.0 / tau)
-    logp = T.log_softmax(logits)
-    return T.neg(T.tensor_sum(T.mul(logp, Tensor(target))))
+    target = np.asarray(target, dtype=np.float64)[None]
+    return anchor_cross_entropy_batch(target, _row(query), anchors, tau)
 
 
 def isd_loss(q_t_emb: Tensor, q_s_pred: Tensor, anchors: Tensor, tau: float) -> Tensor:
@@ -95,43 +74,29 @@ def isd_loss(q_t_emb: Tensor, q_s_pred: Tensor, anchors: Tensor, tau: float) -> 
 
     Equals KL(p_t || p_s) + H(p_t); since p_t is constant with respect to
     the student, the gradients of the two formulations are identical.
-    Gradient flows only through ``q_s_pred``.
+    Gradient flows only through ``q_s_pred``. The one-row case of
+    :func:`isd_loss_batch`.
     """
-    if q_t_emb.data.shape != q_s_pred.data.shape:
-        raise ShapeError(
-            f"teacher and student embeddings disagree: {q_t_emb.data.shape} vs {q_s_pred.data.shape}"
-        )
-    p_t = anchor_distribution(q_t_emb.detach(), anchors.detach(), tau)
-    return anchor_cross_entropy(p_t.data, q_s_pred, anchors.detach(), tau)
+    return isd_loss_batch(_row(q_t_emb).data, _row(q_s_pred), anchors, tau)[0]
 
 
 def moco_loss(q_emb: Tensor, pos_emb: Tensor, anchors: Tensor, tau: float) -> Tensor:
     """InfoNCE: (n+1)-way cross entropy against one-hot at the positive key.
 
     The positive embedding is prepended to the anchor set; both are
-    detached, so only the query receives gradient.
+    constants, so only the query receives gradient. The one-row case of
+    :func:`moco_loss_batch`.
     """
-    if q_emb.data.shape != pos_emb.data.shape:
-        raise ShapeError(f"query and positive shapes disagree: {q_emb.data.shape} vs {pos_emb.data.shape}")
-    pos_unit = _unit_rows(pos_emb.data.reshape(1, -1))
-    units = _check_anchors(q_emb.data.shape[0], anchors)
-    extended = Tensor(np.concatenate([pos_unit, units], axis=0))
-    onehot = np.zeros(extended.data.shape[0])
-    onehot[0] = 1.0
-    return anchor_cross_entropy(onehot, q_emb, extended, tau)
+    return moco_loss_batch(_row(q_emb), _row(pos_emb).data, anchors, tau)
 
 
 def byol_loss(q_s_pred: Tensor, q_t_emb: Tensor) -> Tensor:
     """Normalized-MSE regression: 2 - 2*cos(student prediction, teacher embedding).
 
-    Non-symmetric (one direction per step); the teacher side is detached.
+    Non-symmetric (one direction per step); the teacher side is constant.
+    The one-row case of :func:`byol_loss_batch`.
     """
-    if q_s_pred.data.shape != q_t_emb.data.shape:
-        raise ShapeError(f"embedding shapes disagree: {q_s_pred.data.shape} vs {q_t_emb.data.shape}")
-    t_unit = Tensor(_unit_rows(q_t_emb.data.reshape(1, -1))[0])
-    q = T.l2_normalize(q_s_pred)
-    cos = T.tensor_sum(T.mul(q, t_unit))
-    return T.add(T.mul(cos, -2.0), Tensor(2.0))
+    return byol_loss_batch(_row(q_s_pred), _row(q_t_emb).data)
 
 
 def distribution_entropy(p: np.ndarray) -> np.ndarray:
@@ -141,11 +106,45 @@ def distribution_entropy(p: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1)
 
 
-# Batch forms used by the training loop. Each matches the mean of the
-# per-sample loss over the rows of its inputs (asserted in tests).
+# The batch forms are the one implementation; training calls them directly.
+# Each constant input is checked once per call, where it enters.
+
+def _finite(name: str, block) -> np.ndarray:
+    block = np.asarray(block, dtype=np.float64)
+    if not np.all(np.isfinite(block)):
+        raise NumericDomainError(f"{name} contain NaN or Inf")
+    return block
+
+
+def _teacher_block(name: str, block, student_shape: tuple[int, ...]) -> np.ndarray:
+    """A constant [b, d] block that must match the student's block and be finite."""
+    block = _finite(name, block)
+    if len(student_shape) != 2 or block.shape != student_shape:
+        raise ShapeError(f"{name} {block.shape} and student block {student_shape} "
+                         f"must be equal [b, d] shapes")
+    return block
+
+
+def _anchor_units(anchors: np.ndarray, query_shape: tuple[int, ...], tau: float) -> np.ndarray:
+    """Unit anchor rows for a [b, d] query block: at least 2 finite rows of width d."""
+    if not (tau > 0 and np.isfinite(1.0 / tau)):    # also rejects NaN, and 1/tau overflowing
+        raise ContractError(f"temperature must be positive with a finite inverse, got {tau}")
+    if len(query_shape) != 2:
+        raise ShapeError(f"queries must be a [b, d] block, got shape {query_shape}")
+    rows = _finite("anchors", anchors)
+    if rows.ndim != 2:
+        raise ShapeError(f"anchors must be a [n, d] matrix, got shape {rows.shape}")
+    if rows.shape[0] < 2:
+        raise DegenerateDistributionError(
+            f"need at least 2 anchors for a similarity distribution, got {rows.shape[0]}"
+        )
+    if rows.shape[1] != query_shape[1]:
+        raise ShapeError(f"anchor width {rows.shape[1]} does not match query dim {query_shape[1]}")
+    return _unit_rows(rows)
+
 
 def _anchor_softmax(queries: np.ndarray, units: np.ndarray, tau: float) -> np.ndarray:
-    qs = _unit_rows(np.asarray(queries, dtype=np.float64))
+    qs = _unit_rows(queries)
     logits = qs @ units.T / tau
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -154,14 +153,12 @@ def _anchor_softmax(queries: np.ndarray, units: np.ndarray, tau: float) -> np.nd
 
 def anchor_distribution_batch(queries: np.ndarray, anchors: np.ndarray, tau: float) -> np.ndarray:
     """Row-wise anchor distributions for a [b, d] block of constant queries."""
-    if tau <= 0:
-        raise ContractError(f"temperature must be positive, got {tau}")
-    return _anchor_softmax(queries, _unit_rows(np.asarray(anchors, dtype=np.float64)), tau)
+    queries = _finite("queries", queries)
+    return _anchor_softmax(queries, _anchor_units(anchors, queries.shape, tau), tau)
 
 
 def _anchor_cross_entropy(targets: np.ndarray, queries: Tensor, units: np.ndarray,
                           tau: float) -> Tensor:
-    targets = np.asarray(targets, dtype=np.float64)
     b = queries.data.shape[0]
     if targets.shape != (b, units.shape[0]):
         raise ShapeError(f"target block {targets.shape} does not match [{b}, {units.shape[0]}]")
@@ -173,9 +170,8 @@ def _anchor_cross_entropy(targets: np.ndarray, queries: Tensor, units: np.ndarra
 def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: Tensor,
                                tau: float) -> Tensor:
     """Mean over rows of -sum_i target_i log p_row(i)."""
-    if tau <= 0:
-        raise ContractError(f"temperature must be positive, got {tau}")
-    return _anchor_cross_entropy(targets, queries, _unit_rows(anchors.data), tau)
+    units = _anchor_units(anchors.data, queries.data.shape, tau)
+    return _anchor_cross_entropy(_finite("targets", targets), queries, units, tau)
 
 
 def isd_loss_batch(q_t_emb: np.ndarray, q_s_pred: Tensor, anchors: Tensor,
@@ -184,9 +180,8 @@ def isd_loss_batch(q_t_emb: np.ndarray, q_s_pred: Tensor, anchors: Tensor,
 
     The anchors are normalised once; teacher and student logits share them.
     """
-    if tau <= 0:
-        raise ContractError(f"temperature must be positive, got {tau}")
-    units = _unit_rows(anchors.data)
+    units = _anchor_units(anchors.data, q_s_pred.data.shape, tau)
+    q_t_emb = _teacher_block("teacher embeddings", q_t_emb, q_s_pred.data.shape)
     p_t = _anchor_softmax(q_t_emb, units, tau)
     return _anchor_cross_entropy(p_t, q_s_pred, units, tau), p_t
 
@@ -196,10 +191,8 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: Tensor, tau: fl
 
     The same cross entropy as ISD, against a one-hot target at column 0.
     """
-    if tau <= 0:
-        raise ContractError(f"temperature must be positive, got {tau}")
-    units = _unit_rows(anchors.data)
-    pos_units = Tensor(_unit_rows(np.asarray(pos_emb, dtype=np.float64)))
+    units = _anchor_units(anchors.data, q_emb.data.shape, tau)
+    pos_units = Tensor(_unit_rows(_teacher_block("positive keys", pos_emb, q_emb.data.shape)))
     b = q_emb.data.shape[0]
     qs = T.l2_normalize(q_emb)
     pos_logit = T.rowwise_dot(qs, pos_units)
@@ -212,7 +205,8 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: Tensor, tau: fl
 
 def byol_loss_batch(q_s_pred: Tensor, q_t_emb: np.ndarray) -> Tensor:
     """Mean over rows of 2 - 2*cos(student prediction, teacher embedding)."""
-    t_units = Tensor(_unit_rows(np.asarray(q_t_emb, dtype=np.float64)))
+    t_units = Tensor(_unit_rows(_teacher_block("teacher embeddings", q_t_emb,
+                                               q_s_pred.data.shape)))
     b = q_s_pred.data.shape[0]
     qs = T.l2_normalize(q_s_pred)
     cos_sum = T.tensor_sum(T.rowwise_dot(qs, t_units))

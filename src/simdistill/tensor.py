@@ -57,10 +57,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Constant view of this tensor's values, severed from any graph."""
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -78,12 +74,6 @@ class Tensor:
 
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
 
     def __mul__(self, other) -> "Tensor":
         return mul(self, other)
@@ -110,31 +100,19 @@ def _record(data: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product [r,k]x[k,c] -> [r,c], or matrix-vector [n,d]x[d] -> [n]."""
+    """Matrix product [r,k]x[k,c] -> [r,c]."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: inner dimensions disagree: {ad.shape} x {bd.shape}")
-        out = ad @ bd
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul: need two matrices, got {ad.shape} x {bd.shape}")
+    if ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions disagree: {ad.shape} x {bd.shape}")
 
-        def vjp(g):
-            ga = g @ bd.T if a.requires_grad else None
-            gb = ad.T @ g if b.requires_grad else None
-            return ga, gb
+    def vjp(g):
+        ga = g @ bd.T if a.requires_grad else None
+        gb = ad.T @ g if b.requires_grad else None
+        return ga, gb
 
-    elif ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: inner dimensions disagree: {ad.shape} x {bd.shape}")
-        out = ad @ bd
-
-        def vjp(g):
-            ga = np.outer(g, bd) if a.requires_grad else None
-            gb = ad.T @ g if b.requires_grad else None
-            return ga, gb
-
-    else:
-        raise ShapeError(f"matmul: unsupported operand ranks: {ad.shape} x {bd.shape}")
-    return _record(out, "matmul", (a, b), vjp)
+    return _record(ad @ bd, "matmul", (a, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -155,24 +133,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     else:
         raise ShapeError(f"add: incompatible shapes: {ad.shape} + {bd.shape}")
     return _record(ad + bd, "add", (a, b), vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.shape != bd.shape:
-        raise ShapeError(f"sub: incompatible shapes: {ad.shape} - {bd.shape}")
-
-    def vjp(g):
-        return (g if a.requires_grad else None, -g if b.requires_grad else None)
-
-    return _record(ad - bd, "sub", (a, b), vjp)
-
-
-def neg(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (-g,)
-
-    return _record(-a.data, "neg", (a,), vjp)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -205,17 +165,6 @@ def relu(a: Tensor) -> Tensor:
     return _record(np.where(mask, a.data, 0.0), "relu", (a,), vjp)
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise NumericDomainError("log: input has non-positive entries")
-    ad = a.data
-
-    def vjp(g):
-        return (g / ad,)
-
-    return _record(np.log(ad), "log", (a,), vjp)
-
-
 def tensor_sum(a: Tensor) -> Tensor:
     shape = a.data.shape
 
@@ -223,6 +172,15 @@ def tensor_sum(a: Tensor) -> Tensor:
         return (np.full(shape, float(g)),)
 
     return _record(np.asarray(a.data.sum()), "sum", (a,), vjp)
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same values in another shape, such as a 1-D query as a [1, d] row."""
+
+    def vjp(g):
+        return (g.reshape(a.shape),)
+
+    return _record(a.data.reshape(shape), "reshape", (a,), vjp)
 
 
 def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
@@ -255,97 +213,31 @@ def prepend_column(col: Tensor, m: Tensor) -> Tensor:
 
 
 def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale a vector (or each matrix row) to unit L2 norm.
+    """Scale each row of a [b, d] matrix to unit L2 norm.
 
-    The divisor is max(norm, eps), so inputs below eps pass through scaled
+    The divisor is max(norm, eps), so rows below eps pass through scaled
     by 1/eps instead of dividing by zero; there the map is exactly linear.
     """
     if eps <= 0:
         raise ContractError("l2_normalize: eps must be positive")
     ad = a.data
-    if ad.ndim == 1:
-        r = float(np.linalg.norm(ad))
-        denom = max(r, eps)
-        out = ad / denom
+    if ad.ndim != 2:
+        raise ShapeError(f"l2_normalize: need a [b, d] matrix, got shape {ad.shape}")
+    r = np.linalg.norm(ad, axis=1)
+    denom = np.maximum(r, eps)
+    out = ad / denom[:, None]
+    big = (r >= eps)[:, None]
 
-        def vjp(g):
-            if r < eps:
-                return (g / eps,)
-            return ((g - out * float(out @ g)) / denom,)
+    def vjp(g):
+        dots = (out * g).sum(axis=1, keepdims=True)
+        return (np.where(big, (g - out * dots) / denom[:, None], g / eps),)
 
-    elif ad.ndim == 2:
-        r = np.linalg.norm(ad, axis=1)
-        denom = np.maximum(r, eps)
-        out = ad / denom[:, None]
-        big = (r >= eps)[:, None]
-
-        def vjp(g):
-            dots = (out * g).sum(axis=1, keepdims=True)
-            return (np.where(big, (g - out * dots) / denom[:, None], g / eps),)
-
-    else:
-        raise ShapeError(f"l2_normalize: need a vector or matrix, got shape {ad.shape}")
     return _record(out, "l2_normalize", (a,), vjp)
 
 
 def _check_finite(name: str, ad: np.ndarray) -> None:
     if not np.all(np.isfinite(ad)):
         raise NumericDomainError(f"{name}: input contains NaN or Inf")
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over a vector, or over each row of a matrix.
-
-    Computed with max subtraction so large logits cannot overflow.
-    """
-    ad = a.data
-    _check_finite("softmax", ad)
-    if ad.ndim == 1:
-        z = ad - ad.max()
-        e = np.exp(z)
-        s = e / e.sum()
-
-        def vjp(g):
-            return (s * (g - float(g @ s)),)
-
-    elif ad.ndim == 2:
-        z = ad - ad.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        s = e / e.sum(axis=1, keepdims=True)
-
-        def vjp(g):
-            return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
-
-    else:
-        raise ShapeError(f"softmax: need a vector or matrix, got shape {ad.shape}")
-    return _record(s, "softmax", (a,), vjp)
-
-
-def log_softmax(a: Tensor) -> Tensor:
-    """Log of softmax, computed directly for numerical stability."""
-    ad = a.data
-    _check_finite("log_softmax", ad)
-    if ad.ndim == 1:
-        z = ad - ad.max()
-        lse = np.log(np.exp(z).sum())
-        out = z - lse
-        s = np.exp(out)
-
-        def vjp(g):
-            return (g - s * g.sum(),)
-
-    elif ad.ndim == 2:
-        z = ad - ad.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-        out = z - lse
-        s = np.exp(out)
-
-        def vjp(g):
-            return (g - s * g.sum(axis=1, keepdims=True),)
-
-    else:
-        raise ShapeError(f"log_softmax: need a vector or matrix, got shape {ad.shape}")
-    return _record(out, "log_softmax", (a,), vjp)
 
 
 def soft_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

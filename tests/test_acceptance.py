@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import simdistill.tensor as T
+from oracles import graph_ops as G
 from simdistill.bank import AnchorBank
 from simdistill.cli import main
 from simdistill.config import RunConfig
@@ -115,9 +116,9 @@ class TestCriterion3KlCrossEntropyEquivalence:
             T.backward(ce)
 
             q_kl = Tensor.parameter(q_values.copy())
-            logits = T.mul(T.matmul(Tensor(units), T.l2_normalize(q_kl)), 1.0 / tau)
-            p_s = T.softmax(logits)
-            kl = T.tensor_sum(T.mul(Tensor(p_t), T.sub(Tensor(np.log(p_t)), T.log(p_s))))
+            logits = T.mul(G.matmul(Tensor(units), G.l2_normalize(q_kl)), 1.0 / tau)
+            p_s = G.softmax(logits)
+            kl = T.tensor_sum(T.mul(Tensor(p_t), G.sub(Tensor(np.log(p_t)), G.log(p_s))))
             T.backward(kl)
 
             h_t = float(distribution_entropy(p_t))
@@ -197,6 +198,7 @@ def nearest_centroid_accuracy(train_ds, eval_ds) -> float:
 
 
 class TestCriterion6TrainingSanity:
+    @pytest.mark.slow
     def test_isd_beats_random_init_by_25_points(self, capsys):
         """Pinned corpus: 10-class mixture, d=32, sep=3.0, seed 7, 200/50 per
         class; ISD at tau=0.1, bank 1024, momentum 0.97, lr 0.05 cosine,
@@ -251,6 +253,7 @@ class TestCriterion6TrainingSanity:
 
 
 class TestCriterion7UnbalancedDirectional:
+    @pytest.mark.slow
     def test_rare_class_gain_over_ten_repetitions(self, capsys, tmp_path):
         """Mean rare-class (distillation - contrastive) k-NN gain is
         non-negative and exceeds the all-class gain in at least 6/10 reps."""
@@ -267,6 +270,7 @@ class TestCriterion7UnbalancedDirectional:
 
 
 class TestCriterion8TemperatureAblation:
+    @pytest.mark.slow
     def test_sweep_emits_a_non_flat_curve(self, capsys, tmp_path):
         rows = temperature_sweep(ablation_base_config(), TEMPERATURE_GRID,
                                  str(tmp_path / "ablate"))

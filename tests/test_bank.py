@@ -98,7 +98,7 @@ class TestSnapshot:
         bank.enqueue(unit_rows(4, 3, rng))
         snap = bank.snapshot()
         assert not snap.requires_grad
-        q = Tensor.parameter(rng.standard_normal(3))
+        q = Tensor.parameter(rng.standard_normal((3, 1)))
         loss = T.tensor_sum(T.matmul(snap, q))
         T.backward(loss)
         assert snap.grad is None

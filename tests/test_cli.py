@@ -1,11 +1,14 @@
 """Tests for the command-line interface and its exit-code contract."""
 
 import csv
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from simdistill.checkpoint import load_checkpoint, save_checkpoint
 from simdistill.cli import main
 from simdistill.config import RunConfig, load_config, serialize_config
 
@@ -15,6 +18,26 @@ FAST = [
     "--set", "data_classes=2", "--set", "data_per_class=12",
     "--set", "data_eval_per_class=6", "--set", "data_dim=6", "--set", "data_sep=2.0",
 ]
+
+
+def rewrite_header(path, edit):
+    """Replace the JSON header of a container file with ``edit(header)``."""
+    raw = path.read_bytes()
+    n = struct.unpack("<Q", raw[8:16])[0]
+    header = edit(raw[16:16 + n])
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(header)) + header + raw[16 + n:])
+
+
+def drop_key(key):
+    return lambda h: json.dumps({k: v for k, v in json.loads(h).items() if k != key}).encode()
+
+
+def set_key(key, value):
+    return lambda h: json.dumps({**json.loads(h), key: value}).encode()
+
+
+GARBLED = {"not-json": lambda h: b"{bad}", "not-utf8": lambda h: b'"\xff"',
+           "not-an-object": lambda h: b"[]"}
 
 
 def run_train(tmp_path, name="run", extra=()):
@@ -83,6 +106,49 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([command, "--out", str(out), *extra, *FAST]) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [*GARBLED.values(), drop_key("buffers"),
+                                      set_key("buffers", "x"), set_key("epoch", "0")],
+                             ids=[*GARBLED, "no-buffers", "buffers-str", "epoch-str"])
+    def test_garbled_checkpoint_header_is_exit_5(self, tmp_path, capsys, edit):
+        path = tmp_path / "run" / "checkpoint.bin"
+        run_train(tmp_path)
+        rewrite_header(path, edit)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e"), *FAST])
+        assert code == 5
+        assert "checkpoint error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [*GARBLED.values(), drop_key("n"),
+                                      set_key("sample_shape", 6), set_key("split", None)],
+                             ids=[*GARBLED, "no-n", "shape-int", "split-null"])
+    def test_garbled_dataset_header_is_exit_4(self, tmp_path, capsys, edit):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--classes", "2", "--per-class", "12", "--eval-per-class", "6",
+                     "--dim", "6", "--out", str(data)]) == 0
+        rewrite_header(data / "train.bin", edit)
+        capsys.readouterr()
+        code = main(["train", "--out", str(tmp_path / "run"), *FAST,
+                     "--set", f"data_train={data}/train.bin",
+                     "--set", f"data_eval={data}/eval.bin"])
+        assert code == 4
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("objective,culprit", [("isd", "anchors"), ("moco", "anchors"),
+                                                   ("byol", "teacher embeddings")])
+    def test_non_finite_teacher_is_exit_4(self, tmp_path, capsys, objective, culprit):
+        """One NaN in the teacher's last bias stops distillation with a typed error
+        instead of writing NaN losses and an all-NaN student."""
+        ckpt = load_checkpoint(os.path.join(run_train(tmp_path), "checkpoint.bin"))
+        ckpt.pair.teacher_encoder.biases[-1].data[0] = np.nan
+        teacher = str(tmp_path / "nan.bin")
+        save_checkpoint(ckpt, teacher)
+        capsys.readouterr()
+        code = main(["distill", "--teacher", teacher, "--out", str(tmp_path / "d"), *FAST,
+                     "--set", f"objective={objective}",
+                     "--set", "distill_mode=true", "--set", "momentum=1.0"])
+        assert code == 4
+        assert f"{culprit} contain NaN or Inf" in capsys.readouterr().err
 
     def test_unreadable_checkpoint_is_exit_5(self, tmp_path):
         bad = tmp_path / "bad.ckpt"

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simdistill.losses as library
 import simdistill.tensor as T
-from oracles import loss_chain
-from simdistill.errors import ContractError, DegenerateDistributionError, ShapeError
+from oracles import graph_ops, loss_chain, per_sample_losses
+from simdistill.errors import (ContractError, DegenerateDistributionError, NumericDomainError,
+                               ShapeError)
 from simdistill.losses import (LossConfig, anchor_cross_entropy, anchor_cross_entropy_batch,
                                anchor_distribution, anchor_distribution_batch, byol_loss,
                                byol_loss_batch, distribution_entropy, isd_loss,
@@ -78,6 +80,11 @@ class TestAnchorDistribution:
     def test_bad_temperature(self):
         with pytest.raises(ContractError):
             anchor_distribution(Tensor(np.ones(3)), Tensor(np.eye(3)), 0.0)
+
+    def test_is_a_constant(self):
+        """The teacher side of every loss: no graph, even from a trainable query."""
+        out = anchor_distribution(Tensor.parameter(np.ones(3)), Tensor(np.eye(3)), 0.1)
+        assert not out.requires_grad and out.parents == ()
 
 
 class TestIsdLoss:
@@ -205,8 +212,9 @@ class TestInvariants:
     def test_cross_entropy_minus_kl_equals_teacher_entropy(self):
         """H(p_t, p_s) - KL(p_t || p_s) = H(p_t), with matching student grads.
 
-        KL is recomputed through an independent op path (softmax then log),
-        so the gradient comparison exercises different derivative code.
+        KL is recomputed through the per-op graph of ``oracles.graph_ops``
+        (softmax then log), so the gradient comparison exercises different
+        derivative code.
         """
         rng = np.random.default_rng(8)
         for trial in range(10):
@@ -222,9 +230,10 @@ class TestInvariants:
             T.backward(ce)
 
             q_kl = Tensor.parameter(q_s_values.copy())
-            logits = T.mul(T.matmul(Tensor(units), T.l2_normalize(q_kl)), 1.0 / tau)
-            p_s = T.softmax(logits)
-            log_ratio = T.sub(Tensor(np.log(p_t)), T.log(p_s))
+            logits = T.mul(graph_ops.matmul(Tensor(units), graph_ops.l2_normalize(q_kl)),
+                           1.0 / tau)
+            p_s = graph_ops.softmax(logits)
+            log_ratio = graph_ops.sub(Tensor(np.log(p_t)), graph_ops.log(p_s))
             kl = T.tensor_sum(T.mul(Tensor(p_t), log_ratio))
             T.backward(kl)
 
@@ -346,11 +355,103 @@ class TestBatchForms:
         assert (run(lambda q: moco_loss_batch(q, q_t, anchors, tau))
                 == run(lambda q: loss_chain.moco_loss_batch(q, q_t, anchors, tau)))
 
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), n=st.integers(2, 40),
+           tau=st.sampled_from([0.02, 0.1, 0.5, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_one_row_forms_match_per_sample_oracle(self, seed, d, n, tau):
+        """The per-sample names, now 1-row batch calls, give the values and query
+        gradients of the per-op graph forms they replaced, to 1e-12 relative to
+        max(|oracle|, 1)."""
+        rng = np.random.default_rng(seed)
+        q_t, q_s, pos = (rng.standard_normal(d) for _ in range(3))
+        anchors = Tensor(rng.standard_normal((n, d)))
+        target = rng.dirichlet(np.ones(n))
+        calls = [
+            lambda m, q: m.anchor_cross_entropy(target, q, anchors, tau),
+            lambda m, q: m.isd_loss(Tensor(q_t), q, anchors, tau),
+            lambda m, q: m.moco_loss(q, Tensor(pos), anchors, tau),
+            lambda m, q: m.byol_loss(q, Tensor(q_t)),
+        ]
+
+        def close(a, b):
+            return np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+
+        for call in calls:
+            results = []
+            for module in (library, per_sample_losses):
+                q = Tensor.parameter(q_s.copy())
+                loss = call(module, q)
+                T.backward(loss)
+                results.append((loss.data, q.grad))
+            (value, grad), (want_value, want_grad) = results
+            assert close(value, want_value) and close(grad, want_grad)
+        dist = anchor_distribution(Tensor(q_t), anchors, tau).data
+        assert close(dist, per_sample_losses.anchor_distribution(Tensor(q_t), anchors, tau).data)
+
     def test_batch_target_shape_checked(self):
         with pytest.raises(ShapeError):
             anchor_cross_entropy_batch(np.ones((2, 3)), Tensor(np.ones((2, 4))),
                                        Tensor(np.ones((5, 4))), 0.1)
 
+    @pytest.mark.parametrize("name", ["anchor_distribution_batch", "anchor_cross_entropy_batch",
+                                      "isd_loss_batch", "moco_loss_batch"])
+    def test_anchor_forms_raise_typed_errors(self, name):
+        """Too few anchors, a wrong anchor width, a teacher-side block unlike the
+        student's and a non-finite block or anchor each raise their own error."""
+        call_anchor_form(name)
+        with pytest.raises(DegenerateDistributionError):
+            call_anchor_form(name, anchor_shape=(1, 3))
+        with pytest.raises(ShapeError):
+            call_anchor_form(name, anchor_shape=(4, 5))
+        for block_shape in [(3,), (3, 2)]:
+            with pytest.raises(ShapeError):
+                call_anchor_form(name, block_shape=block_shape)
+        for poison in ["block", "anchors"]:
+            with pytest.raises(NumericDomainError):
+                call_anchor_form(name, poison=poison)
+        for tau in [0.0, np.nan, 1e-310]:
+            with pytest.raises(ContractError):
+                call_anchor_form(name, tau=tau)
+
+    def test_byol_checks_the_teacher_block(self):
+        rng = np.random.default_rng(16)
+        q = Tensor.parameter(rng.standard_normal((2, 3)))
+        with pytest.raises(ShapeError):
+            byol_loss_batch(q, rng.standard_normal((2, 4)))
+        with pytest.raises(ShapeError):
+            byol_loss(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))))
+        t = rng.standard_normal((2, 3))
+        t[1, 2] = np.nan
+        with pytest.raises(NumericDomainError, match="teacher embeddings"):
+            byol_loss_batch(q, t)
+
     def test_entropy_helper(self):
         assert float(distribution_entropy(np.array([1.0, 0.0]))) == 0.0
         assert float(distribution_entropy(np.full(4, 0.25))) == pytest.approx(np.log(4.0))
+
+
+def call_anchor_form(name, block_shape=(2, 3), anchor_shape=(4, 3), poison=None, tau=0.1):
+    """One anchor batch form on a [2, 3] student block, a teacher-side block and anchors.
+
+    The teacher-side block is the query block of ``anchor_distribution_batch``,
+    the targets' row count of ``anchor_cross_entropy_batch``, the teacher
+    embeddings of ``isd_loss_batch`` and the positive keys of ``moco_loss_batch``.
+    """
+    rng = np.random.default_rng(15)
+    block = rng.standard_normal(block_shape)
+    anchors = rng.standard_normal(anchor_shape)
+    if poison == "block":
+        block.flat[-1] = np.nan
+    elif poison == "anchors":
+        anchors[-1, 0] = np.inf
+    student = Tensor.parameter(rng.standard_normal((2, 3)))
+    if name == "anchor_distribution_batch":
+        return anchor_distribution_batch(block, anchors, tau)
+    if name == "anchor_cross_entropy_batch":
+        targets = np.full((block_shape[0], anchor_shape[0]), 1.0 / anchor_shape[0])
+        if poison == "block":
+            targets[0, 0] = np.nan
+        return anchor_cross_entropy_batch(targets, student, Tensor(anchors), tau)
+    if name == "isd_loss_batch":
+        return isd_loss_batch(block, student, Tensor(anchors), tau)
+    return moco_loss_batch(student, block, Tensor(anchors), tau)

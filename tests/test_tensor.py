@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simdistill.tensor as T
+from oracles import graph_ops
 from simdistill.errors import ContractError, NumericDomainError, ShapeError
+from simdistill.losses import anchor_distribution_batch
 from simdistill.tensor import Tensor
 
 
@@ -42,26 +44,27 @@ class TestMatmul:
         out = T.matmul(Tensor(a), Tensor(b))
         assert np.array_equal(out.data, expected)
 
-    def test_matvec(self):
-        a, x = rand((5, 3), 3), rand(3, 4)
-        assert np.allclose(T.matmul(Tensor(a), Tensor(x)).data, a @ x)
-
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
+    def test_vector_operand_rejected(self):
+        """Only matrices multiply; a 1-D query is lifted to [1, d] by reshape first."""
+        with pytest.raises(ShapeError):
+            T.matmul(Tensor(rand((5, 3), 3)), Tensor(rand(3, 4)))
+
 
 class TestL2Normalize:
     def test_three_four_five(self):
-        out = T.l2_normalize(Tensor([3.0, 4.0]), eps=1e-12)
-        assert np.allclose(out.data, [0.6, 0.8], atol=1e-15)
+        out = T.l2_normalize(Tensor([[3.0, 4.0]]), eps=1e-12)
+        assert np.allclose(out.data, [[0.6, 0.8]], atol=1e-15)
 
     def test_zero_vector_passes_through(self):
-        out = T.l2_normalize(Tensor([0.0, 0.0]), eps=1e-12)
-        assert np.array_equal(out.data, [0.0, 0.0])
+        out = T.l2_normalize(Tensor([[0.0, 0.0]]), eps=1e-12)
+        assert np.array_equal(out.data, [[0.0, 0.0]])
 
     def test_unit_vector_idempotent(self):
-        v = rand(6, 5)
+        v = rand((1, 6), 5)
         v = v / np.linalg.norm(v)
         out = T.l2_normalize(Tensor(v))
         assert np.abs(out.data - v).max() < 1e-15
@@ -73,67 +76,98 @@ class TestL2Normalize:
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ContractError):
-            T.l2_normalize(Tensor([1.0, 2.0]), eps=0.0)
+            T.l2_normalize(Tensor([[1.0, 2.0]]), eps=0.0)
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_unit_norm_property(self, values):
         """Output norm is 1 within 1e-12 whenever the input norm clears eps."""
-        v = np.asarray(values)
+        v = np.asarray(values)[None, :]
         if np.linalg.norm(v) < 1e-12:
             return
         out = T.l2_normalize(Tensor(v), eps=1e-12)
         assert abs(np.linalg.norm(out.data) - 1.0) < 1e-12
 
 
+def softmax_via_anchors(values):
+    """``anchor_distribution_batch`` for one query whose logits are ``values``.
+
+    The query (1, 0) meets the anchor (c_i, sqrt(1 - c_i^2)) at cosine c_i, so
+    at tau = 1/max|v| and c = v * tau the logits are the values to rounding.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    tau = 1.0 / max(float(np.abs(v).max()), 1.0)
+    c = v * tau
+    anchors = np.stack([c, np.sqrt(np.maximum(1.0 - c * c, 0.0))], axis=1)
+    return anchor_distribution_batch(np.array([[1.0, 0.0]]), anchors, tau)[0]
+
+
+def cross_entropy_of_row(values, target):
+    """``soft_cross_entropy`` of one row of logits against one target row."""
+    return T.soft_cross_entropy(Tensor([values]), np.array([target], dtype=np.float64)).item()
+
+
 class TestSoftmax:
+    """The softmax inside the anchor distribution and the cross entropy."""
+
     def test_constant_input_is_uniform(self):
         for c in (0.0, -7.5, 123.0):
-            out = T.softmax(Tensor([c, c, c]))
-            assert np.allclose(out.data, 1.0 / 3.0, atol=1e-15)
+            out = softmax_via_anchors([c, c, c])
+            assert np.allclose(out, 1.0 / 3.0, atol=1e-15)
+            assert cross_entropy_of_row([c, c, c], [1.0, 0.0, 0.0]) == pytest.approx(
+                np.log(3.0), abs=1e-15)
 
     def test_max_subtraction_avoids_overflow(self):
-        out = T.softmax(Tensor([1000.0, 0.0]))
-        assert np.all(np.isfinite(out.data))
-        assert out.data[0] == pytest.approx(1.0, abs=1e-12)
-        assert out.data[1] < 1e-300
+        out = softmax_via_anchors([1000.0, 0.0])
+        assert np.all(np.isfinite(out))
+        assert out[0] == pytest.approx(1.0, abs=1e-12)
+        assert out[1] < 1e-300
+        assert cross_entropy_of_row([1000.0, 0.0], [1.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
+        assert cross_entropy_of_row([1000.0, 0.0], [0.0, 1.0]) == pytest.approx(1000.0, abs=1e-12)
 
     def test_against_extended_precision_oracle(self):
-        """softmax([1,2,3]) frozen from a 50-digit mpmath evaluation."""
+        """softmax([1,2,3]) and -log of it, frozen from a 50-digit mpmath evaluation."""
         expected = [0.090030573170380457998, 0.24472847105479765247, 0.66524095577482188953]
-        out = T.softmax(Tensor([1.0, 2.0, 3.0]))
-        assert np.abs(out.data - expected).max() < 1e-14
+        out = softmax_via_anchors([1.0, 2.0, 3.0])
+        assert np.abs(out - expected).max() < 1e-14
+        neg_log = [2.4076059644443803045, 1.4076059644443803045, 0.40760596444438030448]
+        for j, want in enumerate(neg_log):
+            assert abs(cross_entropy_of_row([1.0, 2.0, 3.0], np.eye(3)[j]) - want) < 1e-14
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(NumericDomainError):
-            T.softmax(Tensor([1.0, bad]))
+            anchor_distribution_batch(np.array([[1.0, bad]]), np.eye(2), 0.1)
         with pytest.raises(NumericDomainError):
-            T.log_softmax(Tensor([1.0, bad]))
+            T.soft_cross_entropy(Tensor([[1.0, bad]]), np.array([[0.5, 0.5]]))
 
-    @given(st.lists(st.floats(-350, 350), min_size=1, max_size=10))
+    @given(st.lists(st.floats(-350, 350), min_size=2, max_size=10))
     @settings(max_examples=200, deadline=None)
     def test_distribution_property(self, values):
         """Outputs are positive, at most 1, and sum to 1 within 1e-12.
 
         Positivity is only representable while the logit span stays inside
         exp's underflow range (about 745); beyond that entries round to 0.0,
-        as the [1000, 0] case above shows.
+        as the [1000, 0] case above shows. A distribution needs 2 anchors.
         """
-        out = T.softmax(Tensor(np.asarray(values))).data
+        out = softmax_via_anchors(values)
         assert abs(out.sum() - 1.0) < 1e-12
         assert np.all(out > 0) and np.all(out <= 1.0)
 
     def test_log_softmax_matches_log_of_softmax(self):
+        """The cross entropy's log-softmax against a one-hot is -log of the softmax."""
         z = rand(7, 8)
-        assert np.allclose(T.log_softmax(Tensor(z)).data, np.log(T.softmax(Tensor(z)).data),
-                           atol=1e-12)
+        p = softmax_via_anchors(z)
+        for j in range(7):
+            assert cross_entropy_of_row(z, np.eye(7)[j]) == pytest.approx(-np.log(p[j]),
+                                                                          abs=1e-12)
 
 
 def _chain_cross_entropy(logits, targets):
     """Mean soft cross entropy as the five nodes it took before the fused op."""
-    logp = T.log_softmax(logits)
-    return T.mul(T.neg(T.tensor_sum(T.mul(logp, Tensor(targets)))), 1.0 / logits.data.shape[0])
+    logp = graph_ops.log_softmax(logits)
+    return T.mul(graph_ops.neg(T.tensor_sum(T.mul(logp, Tensor(targets)))),
+                 1.0 / logits.data.shape[0])
 
 
 class TestSoftCrossEntropy:
@@ -200,12 +234,11 @@ class TestBackward:
         b1 = Tensor.parameter(rng.standard_normal(6))
         w2 = Tensor.parameter(rng.standard_normal((6, 3)))
         x = Tensor(rng.standard_normal((5, 4)))
-        target = Tensor(rng.dirichlet(np.ones(3), size=5))
+        target = rng.dirichlet(np.ones(3), size=5)
 
         def f():
             h = T.relu(T.add(T.matmul(x, w1), b1))
-            logp = T.log_softmax(T.matmul(h, w2))
-            return T.mul(T.neg(T.tensor_sum(T.mul(logp, target))), 0.2)
+            return T.soft_cross_entropy(T.matmul(h, w2), target)
 
         assert T.grad_check(f, [w1, b1, w2], step=1e-5) < 1e-5
 
@@ -284,24 +317,23 @@ class TestOps:
         with pytest.raises(ShapeError):
             T.mul(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
-    def test_log_rejects_non_positive(self):
-        with pytest.raises(NumericDomainError):
-            T.log(Tensor([1.0, 0.0]))
-
     def test_operators(self):
         a = Tensor([1.0, 2.0])
         b = Tensor([3.0, 5.0])
         assert np.array_equal((a + b).data, [4.0, 7.0])
-        assert np.array_equal((b - a).data, [2.0, 3.0])
-        assert np.array_equal((-a).data, [-1.0, -2.0])
         assert np.array_equal((a * 2.0).data, [2.0, 4.0])
         assert (a * b).data.sum() == pytest.approx(13.0)
         assert a.mean().item() == pytest.approx(1.5)
 
-    def test_detach_severs_graph(self):
-        x = Tensor.parameter(rand(3, 32))
-        y = T.mul(x, 2.0).detach()
-        assert not y.requires_grad and y.parents == ()
+    def test_reshape_gradient_is_reshaped_back(self):
+        """A vector lifted to one row gets its gradient back in its own shape."""
+        v = Tensor.parameter(rand(5, 32))
+        row = T.reshape(v, (1, 5))
+        assert row.shape == (1, 5) and row.op == "reshape"
+        weights = Tensor(rand((1, 5), 34))
+        assert T.grad_check(lambda: T.tensor_sum(T.mul(T.reshape(v, (1, 5)), weights)),
+                            [v], step=1e-6) < 1e-9
+        assert v.grad.shape == (5,)
 
     def test_rowwise_dot_and_prepend_column_grads(self):
         rng = np.random.default_rng(33)
