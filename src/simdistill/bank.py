@@ -64,7 +64,12 @@ class AnchorBank:
 
     @staticmethod
     def from_state(storage: np.ndarray, head: int, count: int) -> "AnchorBank":
+        """Rebuild a bank from :meth:`state`; head and count must fit the storage."""
         bank = AnchorBank(storage.shape[0], storage.shape[1])
+        if not 0 <= head < bank.capacity:
+            raise ContractError(f"from_state: head {head} outside [0, {bank.capacity})")
+        if not 0 <= count <= bank.capacity:
+            raise ContractError(f"from_state: count {count} outside [0, {bank.capacity}]")
         bank.storage[...] = storage
         bank.head = int(head)
         bank.count = int(count)

@@ -4,26 +4,36 @@ Layout: 4-byte magic, u32 version, u64 header length, JSON header, then
 all parameter / optimizer / bank buffers as little-endian float64 in the
 order the header declares. Every field is derived from deterministic
 state, so runs with equal seeds produce byte-identical files.
+
+The buffer table follows from the two MLP specs and the bank shape: each
+network's layers (w0, b0, w1, ...), one velocity record per student
+layer, then the bank storage. A loader accepts no other table.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bank import AnchorBank
-from .data import json_header
-from .errors import CheckpointError, LengthError
-from .nn import MlpParams, MlpSpec, ModelPair, SgdState
-from .tensor import Tensor
+from .data import atomic_write, check_fields, json_header
+from .errors import CheckpointError, ContractError, LengthError, ShapeError
+from .nn import MlpParams, MlpSpec, ModelPair, SgdState, split_buffer
 
 _MAGIC = b"SDCP"
 _VERSION = 1
 _HEADER_FIELDS = {"encoder": dict, "predictor": dict, "momentum": (int, float), "sgd": dict,
                   "bank": dict, "epoch": int, "step": int, "rng_states": dict, "buffers": list}
+_SPEC_FIELDS = {"widths": list, "normalize": bool}
+_NESTED_FIELDS = {"encoder": _SPEC_FIELDS, "predictor": _SPEC_FIELDS,
+                  "sgd": {"lr": (int, float), "momentum": (int, float),
+                          "weight_decay": (int, float)},
+                  "bank": {"capacity": int, "dim": int, "head": int, "count": int}}
+_NETWORKS = ("student_encoder", "student_predictor", "teacher_encoder")
 
 
 @dataclass
@@ -51,31 +61,36 @@ def _spec_dict(spec: MlpSpec) -> dict:
 
 
 def _spec_from(d: dict) -> MlpSpec:
+    if not all(type(w) is int for w in d["widths"]):
+        raise ContractError(f"layer widths must be integers, got {d['widths']}")
     return MlpSpec(tuple(d["widths"]), d["normalize"])
 
 
-def _mlp_buffers(prefix: str, mlp: MlpParams) -> list[tuple[str, np.ndarray]]:
-    out = []
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        out.append((f"{prefix}.w{i}", w.data))
-        out.append((f"{prefix}.b{i}", b.data))
-    return out
+def _layout(encoder: MlpSpec, predictor: MlpSpec,
+            bank_shape: tuple[int, int]) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every buffer record, in file order."""
+    records = []
+    for prefix, spec in zip(_NETWORKS, (encoder, predictor, encoder)):
+        records += [(f"{prefix}.{'wb'[i % 2]}{i // 2}", shape)
+                    for i, shape in enumerate(spec.parameter_shapes)]
+    student = encoder.parameter_shapes + predictor.parameter_shapes
+    records += [(f"velocity.{i}", shape) for i, shape in enumerate(student)]
+    return records + [("bank.storage", bank_shape)]
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
+    """Write the container through a temporary file, so a failed write keeps the old one."""
     storage, head, count = ckpt.bank.state()
-    buffers = (
-        _mlp_buffers("student_encoder", ckpt.pair.student_encoder)
-        + _mlp_buffers("student_predictor", ckpt.pair.student_predictor)
-        + _mlp_buffers("teacher_encoder", ckpt.pair.teacher_encoder)
-        + [(f"velocity.{i}", v) for i, v in enumerate(ckpt.sgd.velocities)]
-        + [("bank.storage", storage)]
-    )
+    pair = ckpt.pair
+    student = pair.student_encoder.spec.num_parameters + pair.student_predictor.spec.num_parameters
+    if sum(np.size(v) for v in ckpt.sgd.velocities) != student:
+        raise ShapeError("save_checkpoint: the velocities do not cover the student's parameters")
+    layout = _layout(ckpt.encoder_spec, ckpt.predictor_spec, storage.shape)
     header = {
         "version": _VERSION,
         "encoder": _spec_dict(ckpt.encoder_spec),
         "predictor": _spec_dict(ckpt.predictor_spec),
-        "momentum": ckpt.pair.momentum,
+        "momentum": pair.momentum,
         "sgd": {
             "lr": ckpt.sgd.lr,
             "momentum": ckpt.sgd.momentum,
@@ -86,16 +101,20 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         "epoch": ckpt.epoch,
         "step": ckpt.step,
         "rng_states": ckpt.rng_states,
-        "buffers": [{"name": name, "shape": list(arr.shape)} for name, arr in buffers],
+        "buffers": [{"name": name, "shape": list(shape)} for name, shape in layout],
     }
+    # Records are row-major and back to back, so each network's flat buffer
+    # and the velocities in any grouping write the bytes of the per-layer records.
+    blocks = [pair.student_encoder.flat.data, pair.student_predictor.flat.data,
+              pair.teacher_encoder.flat.data, *ckpt.sgd.velocities, storage]
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", _VERSION))
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        for _, arr in buffers:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for block in blocks:
+            f.write(np.ascontiguousarray(block, dtype="<f8").data)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -113,44 +132,55 @@ def load_checkpoint(path: str) -> Checkpoint:
     if len(raw) < 16 + blob_len:
         raise LengthError(f"{path}: truncated checkpoint header")
     header = json_header(raw[16:16 + blob_len], _HEADER_FIELDS, CheckpointError, path)
-
-    arrays: dict[str, np.ndarray] = {}
-    offset = 16 + blob_len
-    for entry in header["buffers"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        end = offset + size * 8
-        if end > len(raw):
-            raise LengthError(f"{path}: truncated buffer {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8", count=size,
-                                              offset=offset).reshape(shape).copy()
-        offset = end
-    if offset != len(raw):
-        raise LengthError(f"{path}: {len(raw) - offset} trailing bytes after buffers")
-
-    def build_mlp(prefix: str, spec: MlpSpec, trainable: bool) -> MlpParams:
-        make = Tensor.parameter if trainable else Tensor.frozen
-        n_layers = len(spec.layer_widths) - 1
-        try:
-            weights = [make(arrays[f"{prefix}.w{i}"]) for i in range(n_layers)]
-            biases = [make(arrays[f"{prefix}.b{i}"]) for i in range(n_layers)]
-        except KeyError as e:
-            raise CheckpointError(f"{path}: missing buffer {e}") from e
-        return MlpParams(spec, weights, biases, trainable)
-
-    encoder_spec = _spec_from(header["encoder"])
-    predictor_spec = _spec_from(header["predictor"])
-    pair = ModelPair(
-        build_mlp("student_encoder", encoder_spec, trainable=True),
-        build_mlp("student_predictor", predictor_spec, trainable=True),
-        build_mlp("teacher_encoder", encoder_spec, trainable=False),
-        header["momentum"],
-    )
-    sgd_h = header["sgd"]
-    sgd = SgdState(lr=sgd_h["lr"], momentum=sgd_h["momentum"], weight_decay=sgd_h["weight_decay"])
-    n_params = len(pair.student_parameters())
-    sgd.velocities = [arrays[f"velocity.{i}"] for i in range(n_params)]
+    for key, fields in _NESTED_FIELDS.items():
+        check_fields(header[key], fields, CheckpointError, f"{path}: header {key}")
     bank_h = header["bank"]
-    bank = AnchorBank.from_state(arrays["bank.storage"], bank_h["head"], bank_h["count"])
+    try:
+        encoder_spec = _spec_from(header["encoder"])
+        predictor_spec = _spec_from(header["predictor"])
+        if bank_h["capacity"] < 1 or bank_h["dim"] < 1:
+            raise ContractError(f"bank shape must be positive, got "
+                                f"{bank_h['capacity']} x {bank_h['dim']}")
+    except ContractError as e:
+        raise CheckpointError(f"{path}: {e}") from e
+
+    layout = _layout(encoder_spec, predictor_spec, (bank_h["capacity"], bank_h["dim"]))
+    want = [{"name": name, "shape": list(shape)} for name, shape in layout]
+    got = header["buffers"]
+    if got != want:
+        i = next(i for i in range(max(len(got), len(want)))
+                 if i >= min(len(got), len(want)) or got[i] != want[i])
+        raise CheckpointError(f"{path}: buffer record {i} is "
+                              f"{got[i] if i < len(got) else 'missing'}, expected "
+                              f"{want[i] if i < len(want) else 'none'}")
+    offset = 16 + blob_len
+    payload = 8 * sum(math.prod(shape) for _, shape in layout)
+    if len(raw) != offset + payload:
+        raise LengthError(f"{path}: buffers need {payload} bytes after the header, "
+                          f"found {len(raw) - offset}")
+
+    def take(count: int) -> np.ndarray:
+        nonlocal offset
+        block = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        offset += 8 * count
+        return block
+
+    n_encoder, n_predictor = encoder_spec.num_parameters, predictor_spec.num_parameters
+    sgd_h = header["sgd"]
+    try:
+        student_encoder = MlpParams(encoder_spec, take(n_encoder).copy())
+        student_predictor = MlpParams(predictor_spec, take(n_predictor).copy())
+        teacher_encoder = MlpParams(encoder_spec, take(n_encoder).copy(), trainable=False)
+        pair = ModelPair(student_encoder, student_predictor, teacher_encoder, header["momentum"])
+        sgd = SgdState(lr=sgd_h["lr"], momentum=sgd_h["momentum"],
+                       weight_decay=sgd_h["weight_decay"])
+        sgd.velocities = split_buffer(take(n_encoder + n_predictor).copy(),
+                                      encoder_spec.parameter_shapes
+                                      + predictor_spec.parameter_shapes)
+        storage = take(bank_h["capacity"] * bank_h["dim"]).reshape(bank_h["capacity"],
+                                                                   bank_h["dim"])
+        bank = AnchorBank.from_state(storage, bank_h["head"], bank_h["count"])
+    except (ContractError, ShapeError) as e:
+        raise CheckpointError(f"{path}: {e}") from e
     return Checkpoint(pair=pair, sgd=sgd, bank=bank, epoch=header["epoch"],
                       step=header["step"], rng_states=header["rng_states"])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -163,13 +165,39 @@ def save_dataset(ds: LabeledDataset, path: str) -> None:
         "split": ds.split,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(_DATASET_MAGIC)
         f.write(struct.pack("<I", _DATASET_VERSION))
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
         f.write(ds.samples.astype("<f8").tobytes())
         f.write(ds.labels.astype("<i8").tobytes())
+
+
+@contextlib.contextmanager
+def atomic_write(path: str):
+    """A binary file object whose bytes replace ``path`` only if the block completes.
+
+    Writes go to a temporary file in the same directory, which ``os.replace``
+    then moves over ``path``. If the block raises, the temporary file is
+    removed and ``path`` keeps its old bytes.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def check_fields(obj: dict, fields: dict, error: type[Exception], where: str) -> None:
+    """Raise ``error`` unless each key of ``fields`` maps to a value of its type."""
+    for key, kind in fields.items():
+        if not isinstance(obj.get(key), kind):
+            raise error(f"{where} field {key!r} is missing or has the wrong type")
 
 
 def json_header(blob: bytes, fields: dict, error: type[Exception], path: str) -> dict:
@@ -180,9 +208,7 @@ def json_header(blob: bytes, fields: dict, error: type[Exception], path: str) ->
         raise error(f"{path}: header is not valid JSON: {e}") from e
     if not isinstance(header, dict):
         raise error(f"{path}: header is not a JSON object")
-    for key, kind in fields.items():
-        if not isinstance(header.get(key), kind):
-            raise error(f"{path}: header field {key!r} is missing or has the wrong type")
+    check_fields(header, fields, error, f"{path}: header")
     return header
 
 

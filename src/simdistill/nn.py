@@ -4,6 +4,10 @@ The desk-scale encoder is an MLP ending in row-wise L2 normalization, so
 its outputs can feed cosine-similarity losses directly (no projection
 layer). The student additionally owns a small prediction head; the teacher
 is a non-trainable copy of the student encoder updated only by EMA.
+
+Each network keeps its parameters in one flat buffer, and its forward pass
+with a gradient is one graph node, so a training step's zeroing, SGD and
+EMA are a few whole-buffer operations.
 """
 
 from __future__ import annotations
@@ -47,36 +51,68 @@ class MlpSpec:
     def output_dim(self) -> int:
         return self.layer_widths[-1]
 
+    @property
+    def parameter_shapes(self) -> list[tuple[int, ...]]:
+        """Shapes of w0, b0, w1, b1, ...: the order of the flat parameter buffer."""
+        widths = self.layer_widths
+        return [shape for fan_in, fan_out in zip(widths[:-1], widths[1:])
+                for shape in ((fan_in, fan_out), (fan_out,))]
+
+    @property
+    def num_parameters(self) -> int:
+        return sum(math.prod(shape) for shape in self.parameter_shapes)
+
+
+def split_buffer(buffer: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive row-major views of a 1-D buffer, one per shape, covering all of it."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if buffer.ndim != 1 or sum(sizes) != buffer.shape[0]:
+        raise ShapeError(f"split_buffer: a buffer of shape {buffer.shape} does not hold "
+                         f"{sum(sizes)} values")
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(buffer[start:start + size].reshape(shape))
+        start += size
+    return views
+
 
 class MlpParams:
-    """Weights and biases of one MLP, each a leaf tensor."""
+    """Weights and biases of one MLP, all held in one flat float64 buffer.
 
-    def __init__(self, spec: MlpSpec, weights: list[Tensor], biases: list[Tensor],
-                 trainable: bool = True):
+    ``flat`` is the network's one graph leaf. Its data holds w0, b0, w1, b1,
+    ... back to back, each row-major, and its grad buffer has the same
+    layout. ``weights``, ``biases`` and :meth:`parameters` are per-layer
+    tensors whose data and grad are views into those two buffers, so a
+    write through either side shows on the other. Non-trainable networks
+    keep a permanent zero grad buffer.
+    """
+
+    def __init__(self, spec: MlpSpec, buffer: np.ndarray, trainable: bool = True):
+        buffer = np.asarray(buffer, dtype=np.float64)
+        if not buffer.flags.c_contiguous:
+            raise ShapeError("MlpParams: the parameter buffer must be contiguous")
         self.spec = spec
-        self.weights = weights
-        self.biases = biases
         self.trainable = trainable
+        self.flat = Tensor(buffer, requires_grad=trainable)
+        self.flat.grad = np.zeros(buffer.shape)   # calloc: a grad never written costs no RSS
+        shapes = spec.parameter_shapes
+        layers = [Tensor(view, requires_grad=trainable) for view in split_buffer(buffer, shapes)]
+        for layer, grad in zip(layers, split_buffer(self.flat.grad, shapes)):
+            layer.grad = grad
+        self.weights = layers[0::2]
+        self.biases = layers[1::2]
 
     def parameters(self) -> list[Tensor]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """Per-layer views in buffer order: w0, b0, w1, b1, ..."""
+        return [t for layer in zip(self.weights, self.biases) for t in layer]
 
     def copy(self, trainable: bool) -> "MlpParams":
-        """Deep copy; non-trainable copies keep permanent zero grad buffers."""
-        make = Tensor.parameter if trainable else Tensor.frozen
-        ws = [make(w.data) for w in self.weights]
-        bs = [make(b.data) for b in self.biases]
-        return MlpParams(self.spec, ws, bs, trainable)
+        """Deep copy into a buffer of its own."""
+        return MlpParams(self.spec, self.flat.data.copy(), trainable)
 
     def detached(self) -> "MlpParams":
-        """Lightweight view sharing buffers but building no graph."""
-        ws = [Tensor(w.data) for w in self.weights]
-        bs = [Tensor(b.data) for b in self.biases]
-        return MlpParams(self.spec, ws, bs, trainable=False)
+        """Non-trainable view sharing this network's buffer, so it builds no graph."""
+        return MlpParams(self.spec, self.flat.data, trainable=False)
 
 
 def init_params(spec: MlpSpec, seed, trainable: bool = True) -> MlpParams:
@@ -86,20 +122,25 @@ def init_params(spec: MlpSpec, seed, trainable: bool = True) -> MlpParams:
     of ints (a numpy SeedSequence entropy list).
     """
     rng = np.random.default_rng(seed)
-    make = Tensor.parameter if trainable else Tensor.frozen
-    weights, biases = [], []
-    for fan_in, fan_out in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
-        limit = 1.0 / math.sqrt(fan_in)
-        weights.append(make(rng.uniform(-limit, limit, size=(fan_in, fan_out))))
-        biases.append(make(np.zeros(fan_out)))
-    return MlpParams(spec, weights, biases, trainable)
+    params = MlpParams(spec, np.zeros(spec.num_parameters), trainable)
+    for w in params.weights:
+        limit = 1.0 / math.sqrt(w.data.shape[0])
+        w.data[...] = rng.uniform(-limit, limit, size=w.data.shape)
+    return params
 
 
 def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
     """Run a [b, d_in] batch through the MLP.
 
-    Builds a differentiation graph only when the parameters (or input)
-    are trainable, so teacher-side passes stay constant by construction.
+    When the parameters are trainable or the input needs a gradient, the
+    whole network is one graph node whose parents are the input and
+    ``params.flat``. Its backward walks the layers in closed form, in the
+    operation order of the matmul, bias-add, rectifier and l2_normalize
+    nodes it replaces, so values and gradients are bitwise theirs. The
+    whole-network gradient reaches ``params.flat`` through ``backward``'s
+    ``leaf.grad += g``, as each layer's did, so -0.0 still lands as +0.0.
+    Otherwise (teacher passes, evaluation) the output is a constant and no
+    activation or mask is kept.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"mlp_forward: need a [batch, features] input, got {x.data.shape}")
@@ -108,20 +149,53 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
             f"mlp_forward: input width {x.data.shape[1]} does not match "
             f"spec width {params.spec.input_dim}"
         )
-    h = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = T.add(T.matmul(h, w), b)
+    graph = params.trainable or x.requires_grad
+    weights = [w.data for w in params.weights]
+    last = len(weights) - 1
+    inputs = []     # each layer's input; a rectified one is > 0 exactly where its mask is
+    h = x.data
+    for i, (w, b) in enumerate(zip(weights, params.biases)):
+        if graph:
+            inputs.append(h)
+        h = h @ w
+        h += b.data
         if i != last:
-            h = T.relu(h)
+            # np.where(h > 0, h, 0.0) bit for bit, NaN and -0.0 included, without a copy
+            np.fmax(h, 0.0, out=h)
+            h += 0.0
     if params.spec.final_normalize:
-        h = T.l2_normalize(h)
-    return h
+        h, normalize_vjp = T.l2_rows(h)
+    if not graph:
+        return Tensor(h)
+
+    def vjp(g):
+        if params.spec.final_normalize:
+            g = normalize_vjp(g)
+        grad = layer_grads = gx = None
+        if params.trainable:
+            grad = np.empty_like(params.flat.data)
+            layer_grads = split_buffer(grad, params.spec.parameter_shapes)
+        for i in range(last, -1, -1):
+            if layer_grads:
+                layer_grads[2 * i + 1][...] = g.sum(axis=0)
+                layer_grads[2 * i][...] = inputs[i].T @ g
+            if i:
+                g = g @ weights[i].T
+                g *= inputs[i] > 0
+            elif x.requires_grad:
+                gx = g @ weights[0].T
+        return gx, grad
+
+    return T._record(h, "mlp", (x, params.flat), vjp)
 
 
 @dataclass
 class SgdState:
-    """SGD-with-momentum state: one velocity buffer per parameter."""
+    """SGD-with-momentum state: one velocity buffer per parameter array.
+
+    The trainer's arrays are whole networks (``MlpParams.flat``), so it keeps
+    one velocity buffer per network.
+    """
 
     lr: float
     momentum: float = 0.9
@@ -143,8 +217,11 @@ class SgdState:
 def sgd_step(params: list[Tensor], grads: list[np.ndarray] | None, state: SgdState) -> None:
     """In-place update: v <- momentum*v + (grad + wd*theta); theta <- theta - lr*v.
 
-    ``grads=None`` reads each parameter's own grad buffer. Teacher
-    (non-trainable) parameters are rejected.
+    The formula's operations run in place through one temporary per array.
+    They are elementwise, so the trainer's one leaf per network gets bitwise
+    the values that a loop over its layer views would. ``grads=None`` reads
+    each parameter's own grad buffer. Teacher (non-trainable) parameters are
+    rejected.
     """
     if grads is None:
         grads = [p.grad for p in params]
@@ -155,9 +232,12 @@ def sgd_step(params: list[Tensor], grads: list[np.ndarray] | None, state: SgdSta
             raise ContractError("sgd_step: refusing to update a non-trainable (teacher) parameter")
         if g is None or g.shape != p.data.shape or v.shape != p.data.shape:
             raise ShapeError(f"sgd_step: buffer shape mismatch for parameter {p.data.shape}")
+        step = p.data * state.weight_decay
+        step += g
         v *= state.momentum
-        v += g + state.weight_decay * p.data
-        p.data -= state.lr * v
+        v += step
+        np.multiply(v, state.lr, out=step)
+        p.data -= step
 
 
 class ModelPair:
@@ -192,23 +272,25 @@ class ModelPair:
         return ModelPair(encoder, predictor, teacher, momentum)
 
     def student_parameters(self) -> list[Tensor]:
+        """Per-layer views of the student encoder, then of the predictor."""
         return self.student_encoder.parameters() + self.student_predictor.parameters()
 
 
 def ema_update(pair: ModelPair) -> None:
     """theta_t <- m * theta_t + (1 - m) * theta_s, elementwise, in place.
 
-    m = 1 leaves the teacher bitwise untouched (frozen-teacher mode);
-    m = 0 copies the student bitwise.
+    One operation over each network's flat buffer. m = 1 leaves the teacher
+    bitwise untouched (frozen-teacher mode); m = 0 copies the student bitwise.
     """
     m = pair.momentum
     if m == 1.0:
         return
-    for t, s in zip(pair.teacher_encoder.parameters(), pair.student_encoder.parameters()):
-        if m == 0.0:
-            t.data[...] = s.data
-        else:
-            t.data[...] = m * t.data + (1.0 - m) * s.data
+    t, s = pair.teacher_encoder.flat.data, pair.student_encoder.flat.data
+    if m == 0.0:
+        t[...] = s
+    else:
+        t *= m
+        t += (1.0 - m) * s
 
 
 def default_encoder_spec(input_dim: int) -> MlpSpec:

@@ -4,7 +4,8 @@ The operation set is deliberately small: enough for MLP encoders and
 cosine-similarity softmax losses. Values live in numpy arrays; each
 differentiable op records its inputs and a vector-Jacobian closure so
 ``backward`` can sweep the graph once in reverse topological order.
-No broadcasting beyond row-wise bias addition is supported.
+No broadcasting is supported. Larger pieces with a closed-form backward
+(softmax cross entropy here, a whole MLP in ``nn``) are single nodes.
 """
 
 from __future__ import annotations
@@ -40,13 +41,6 @@ class Tensor:
     def parameter(data) -> "Tensor":
         """Create a trainable leaf with an allocated zero gradient buffer."""
         t = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-        t.grad = np.zeros_like(t.data)
-        return t
-
-    @staticmethod
-    def frozen(data) -> "Tensor":
-        """Create a non-trainable leaf whose grad buffer stays all-zero."""
-        t = Tensor(np.array(data, dtype=np.float64))
         t.grad = np.zeros_like(t.data)
         return t
 
@@ -116,22 +110,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also supports adding a row vector to every matrix row."""
+    """Elementwise sum of same-shape tensors."""
     ad, bd = a.data, b.data
-    if ad.shape == bd.shape:
-
-        def vjp(g):
-            return (g if a.requires_grad else None, g if b.requires_grad else None)
-
-    elif ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]:
-
-        def vjp(g):
-            ga = g if a.requires_grad else None
-            gb = g.sum(axis=0) if b.requires_grad else None
-            return ga, gb
-
-    else:
+    if ad.shape != bd.shape:
         raise ShapeError(f"add: incompatible shapes: {ad.shape} + {bd.shape}")
+
+    def vjp(g):
+        return (g if a.requires_grad else None, g if b.requires_grad else None)
+
     return _record(ad + bd, "add", (a, b), vjp)
 
 
@@ -154,15 +140,6 @@ def mul(a: Tensor, b) -> Tensor:
         return ga, gb
 
     return _record(ad * bd, "mul", (a, b), vjp)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def vjp(g):
-        return (g * mask,)
-
-    return _record(np.where(mask, a.data, 0.0), "relu", (a,), vjp)
 
 
 def tensor_sum(a: Tensor) -> Tensor:
@@ -220,9 +197,14 @@ def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
     """
     if eps <= 0:
         raise ContractError("l2_normalize: eps must be positive")
-    ad = a.data
-    if ad.ndim != 2:
-        raise ShapeError(f"l2_normalize: need a [b, d] matrix, got shape {ad.shape}")
+    if a.data.ndim != 2:
+        raise ShapeError(f"l2_normalize: need a [b, d] matrix, got shape {a.data.shape}")
+    out, vjp = l2_rows(a.data, eps)
+    return _record(out, "l2_normalize", (a,), lambda g: (vjp(g),))
+
+
+def l2_rows(ad: np.ndarray, eps: float = 1e-12):
+    """The rows of a [b, d] array scaled to unit norm, and the map's vjp on arrays."""
     r = np.linalg.norm(ad, axis=1)
     denom = np.maximum(r, eps)
     out = ad / denom[:, None]
@@ -230,9 +212,9 @@ def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
 
     def vjp(g):
         dots = (out * g).sum(axis=1, keepdims=True)
-        return (np.where(big, (g - out * dots) / denom[:, None], g / eps),)
+        return np.where(big, (g - out * dots) / denom[:, None], g / eps)
 
-    return _record(out, "l2_normalize", (a,), vjp)
+    return out, vjp
 
 
 def _check_finite(name: str, ad: np.ndarray) -> None:

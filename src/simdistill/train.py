@@ -106,7 +106,9 @@ class Trainer:
             )
         embed_dim = encoder_spec.output_dim
         self.pair = pair
-        self.sgd = SgdState.for_params(pair.student_parameters(), lr=config.lr,
+        # one leaf per student network: zeroing, SGD and EMA work on whole buffers
+        self.leaves = [pair.student_encoder.flat, pair.student_predictor.flat]
+        self.sgd = SgdState.for_params(self.leaves, lr=config.lr,
                                        momentum=config.sgd_momentum,
                                        weight_decay=config.weight_decay)
         self.bank = AnchorBank(config.bank_capacity, embed_dim)
@@ -183,20 +185,18 @@ class Trainer:
             loss = byol_loss_batch(s_pred, t_emb)
             h_pt = None
 
-        params = self.pair.student_parameters()
-        for p in params:
-            p.zero_grad()
+        for leaf in self.leaves:
+            leaf.zero_grad()
         backward(loss)
         self.sgd.lr = cfg.lr_at(self.epoch)
-        sgd_step(params, None, self.sgd)
+        sgd_step(self.leaves, None, self.sgd)
         ema_update(self.pair)
         if self.needs_bank:
             # strictly after the loss: a query never meets its own view
             self.bank.enqueue(t_emb)
 
         if __debug__:
-            for p in self.pair.teacher_encoder.parameters():
-                assert p.grad is None or not p.grad.any(), "teacher parameter received gradient"
+            assert not self.pair.teacher_encoder.flat.grad.any(), "teacher parameter received gradient"
 
         self.global_step += 1
         return StepMetrics(

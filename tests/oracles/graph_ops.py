@@ -3,10 +3,12 @@
 ``matmul`` and ``l2_normalize`` with their 1-D branches, ``softmax``,
 ``log_softmax``, ``sub``, ``neg`` and ``log``, kept verbatim as they were
 before the per-sample losses became 1-row calls of the batch forms.
-``detach`` was a ``Tensor`` method. Each op records into the library's
-graph, so ``simdistill.tensor.backward`` differentiates through it. Tests
-build independent derivative paths (KL through softmax and log, the
-unfused cross-entropy chain, the graph-fitted probe) from these.
+``detach`` was a ``Tensor`` method. ``add`` with its row-broadcast branch
+and ``relu`` are verbatim as they were before a whole MLP became one graph
+node. Each op records into the library's graph, so
+``simdistill.tensor.backward`` differentiates through it. Tests build
+independent derivative paths (KL through softmax and log, the unfused
+cross-entropy chain, the graph-fitted probe, the per-op MLP) from these.
 """
 
 import numpy as np
@@ -46,6 +48,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     else:
         raise ShapeError(f"matmul: unsupported operand ranks: {ad.shape} x {bd.shape}")
     return _record(out, "matmul", (a, b), vjp)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; also supports adding a row vector to every matrix row."""
+    ad, bd = a.data, b.data
+    if ad.shape == bd.shape:
+
+        def vjp(g):
+            return (g if a.requires_grad else None, g if b.requires_grad else None)
+
+    elif ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]:
+
+        def vjp(g):
+            ga = g if a.requires_grad else None
+            gb = g.sum(axis=0) if b.requires_grad else None
+            return ga, gb
+
+    else:
+        raise ShapeError(f"add: incompatible shapes: {ad.shape} + {bd.shape}")
+    return _record(ad + bd, "add", (a, b), vjp)
+
+
+def relu(a: Tensor) -> Tensor:
+    mask = a.data > 0
+
+    def vjp(g):
+        return (g * mask,)
+
+    return _record(np.where(mask, a.data, 0.0), "relu", (a,), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

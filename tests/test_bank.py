@@ -130,3 +130,8 @@ class TestAgainstListOracle:
         restored = AnchorBank.from_state(*bank.state())
         assert np.array_equal(restored.snapshot().data, bank.snapshot().data)
         assert restored.head == bank.head and restored.count == bank.count
+
+    @pytest.mark.parametrize("head,count", [(5, 4), (-1, 4), (0, 6), (0, -5)])
+    def test_state_out_of_range_rejected(self, head, count):
+        with pytest.raises(ContractError):
+            AnchorBank.from_state(np.zeros((5, 3)), head, count)

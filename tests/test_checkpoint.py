@@ -1,10 +1,14 @@
 """Tests for the binary checkpoint container."""
 
+import builtins
+
 import numpy as np
 import pytest
 
+import simdistill.data
 from simdistill.bank import AnchorBank
 from simdistill.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from simdistill.data import gen_gaussian_mixture, save_dataset
 from simdistill.errors import CheckpointError, LengthError
 from simdistill.nn import MlpSpec, ModelPair, SgdState, default_predictor_spec
 
@@ -93,3 +97,40 @@ class TestErrors:
         open(path, "wb").write(bytes(raw))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+class FailsAfterFirstWrite:
+    """A file that takes one write, then raises as a full disk would."""
+
+    def __init__(self, path, mode):
+        self.file = builtins.open(path, mode)
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("no space left on device")
+        return self.file.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("save,value", [
+        (save_checkpoint, make_checkpoint()),
+        (save_dataset, gen_gaussian_mixture(2, 5, 3, 1.0, seed=0)),
+    ], ids=["checkpoint", "dataset"])
+    def test_write_that_raises_partway_keeps_the_old_file(self, tmp_path, monkeypatch,
+                                                          save, value):
+        path = tmp_path / "target.bin"
+        save(value, str(path))
+        before = path.read_bytes()
+        monkeypatch.setattr(simdistill.data, "open", FailsAfterFirstWrite, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save(value, str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["target.bin"]

@@ -40,6 +40,29 @@ GARBLED = {"not-json": lambda h: b"{bad}", "not-utf8": lambda h: b'"\xff"',
            "not-an-object": lambda h: b"[]"}
 
 
+def change(mutate):
+    """A header edit that applies ``mutate`` to the decoded header in place."""
+    def edit(blob):
+        header = json.loads(blob)
+        mutate(header)
+        return json.dumps(header).encode()
+    return edit
+
+
+# Checkpoint headers that parse but do not describe a loadable model. FAST trains a
+# 2-layer encoder and predictor, so the last record before the bank is velocity.7.
+INCONSISTENT = {
+    "encoder-empty": lambda h: h.update(encoder={}),
+    "widths-not-int": lambda h: h["encoder"].update(widths=["6", "12", "4"]),
+    "sgd-no-momentum": lambda h: h["sgd"].pop("momentum"),
+    "velocity-renamed": lambda h: h["buffers"][-2].update(name="velocity.x"),
+    "velocity-missing": lambda h: h["buffers"].pop(-2),
+    "buffer-shape": lambda h: h["buffers"][0].update(shape=[12, 6]),
+    "bank-head": lambda h: h["bank"].update(head=999),
+    "bank-count": lambda h: h["bank"].update(count=-5),
+}
+
+
 def run_train(tmp_path, name="run", extra=()):
     out = str(tmp_path / name)
     code = main(["train", "--out", out, *FAST, *extra])
@@ -114,6 +137,16 @@ class TestExitCodes:
         path = tmp_path / "run" / "checkpoint.bin"
         run_train(tmp_path)
         rewrite_header(path, edit)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e"), *FAST])
+        assert code == 5
+        assert "checkpoint error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate", INCONSISTENT.values(), ids=INCONSISTENT)
+    def test_inconsistent_checkpoint_header_is_exit_5(self, tmp_path, capsys, mutate):
+        path = tmp_path / "run" / "checkpoint.bin"
+        run_train(tmp_path)
+        rewrite_header(path, change(mutate))
         capsys.readouterr()
         code = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e"), *FAST])
         assert code == 5

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simdistill.tensor as T
+from oracles import mlp_graph
 from simdistill.errors import ContractError, ShapeError
 from simdistill.nn import (MlpParams, MlpSpec, ModelPair, SgdState, default_encoder_spec,
                            default_predictor_spec, ema_update, init_params, mlp_forward,
@@ -92,6 +95,136 @@ class TestMlpForward:
         assert not out.requires_grad
 
 
+class TestFlatBuffer:
+    def test_layer_views_share_the_buffer_and_grad(self):
+        p = init_params(MlpSpec((3, 4, 2)), 0)
+        assert [t.data.shape for t in p.parameters()] == [(3, 4), (4,), (4, 2), (2,)]
+        assert p.flat.data.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+        p.biases[1].data[1] = 7.0
+        assert p.flat.data[-1] == 7.0
+        p.flat.grad[:12] = 1.0
+        assert np.all(p.weights[0].grad == 1.0) and not p.biases[0].grad.any()
+
+    def test_detached_shares_and_copy_owns(self):
+        p = init_params(MlpSpec((3, 4, 2)), 0)
+        view, copy = p.detached(), p.copy(trainable=True)
+        p.flat.data[0] += 1.0
+        assert view.flat.data is p.flat.data and not view.trainable
+        assert copy.flat.data[0] == p.flat.data[0] - 1.0
+
+    def test_wrong_buffer_size_rejected(self):
+        with pytest.raises(ShapeError):
+            MlpParams(MlpSpec((3, 4, 2)), np.zeros(5))
+
+
+def _layer_inputs(kinds, width, rng):
+    """Rows of a test batch: random, exactly zero, or below the l2 eps once mapped."""
+    x = rng.standard_normal((len(kinds), width))
+    for i, kind in enumerate(kinds):
+        if kind == "zero":
+            x[i] = 0.0
+        elif kind == "tiny":
+            x[i] *= 1e-14
+    return x
+
+
+# (encoder widths, encoder normalises, predictor widths or None, parameters trainable)
+FUSED_CASES = {
+    "one-layer": ((4, 3), True, None, True),
+    "no-normalize": ((4, 6, 5, 3), False, None, True),
+    "encoder": ((4, 6, 5, 3), True, None, True),
+    "predictor-on-encoder": ((4, 6, 3), True, (3, 5, 3), True),
+    "frozen": ((4, 6, 3), True, None, False),
+}
+
+
+class TestFusedNode:
+    @pytest.mark.parametrize("case", FUSED_CASES)
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(["random", "zero", "tiny"]), min_size=1, max_size=6),
+           weight=st.sampled_from([1.0, 0.3, -2.5]),
+           zero_biases=st.booleans(), input_grad=st.booleans())
+    def test_bytes_equal_the_per_op_graph(self, case, seed, kinds, weight, zero_biases,
+                                          input_grad):
+        """Forward value, input gradient and every parameter gradient are byte-equal
+        to the per-op graph, including zero rows (dead rectifiers, the eps branch of
+        the l2 backward) and signed zeros."""
+        widths, normalize, pred_widths, trainable = FUSED_CASES[case]
+        rng = np.random.default_rng(seed)
+        nets = [init_params(MlpSpec(widths, normalize), [seed, 0], trainable)]
+        if pred_widths:
+            nets.append(init_params(MlpSpec(pred_widths), [seed, 1]))
+        if not zero_biases:
+            for net in nets:
+                for b in net.biases:
+                    b.data[...] = rng.standard_normal(b.data.shape)
+        x = _layer_inputs(kinds, widths[0], rng)
+        upstream = Tensor(rng.standard_normal((len(kinds), nets[-1].spec.output_dim)))
+        input_grad = input_grad or not trainable
+
+        def run(forward, copies):
+            inp = Tensor.parameter(x) if input_grad else Tensor(x.copy())
+            out = inp
+            for net in copies:
+                out = forward(net, out)
+            T.backward(T.mul(T.tensor_sum(T.mul(out, upstream)), weight))
+            grads = [inp.grad] + [net.flat.grad for net in copies]
+            return [out.data] + [g for g in grads if g is not None]
+
+        fused = run(mlp_forward, [net.copy(net.trainable) for net in nets])
+        oracle = run(mlp_graph.mlp_forward, [net.copy(net.trainable) for net in nets])
+        assert len(fused) == len(oracle)
+        for got, want in zip(fused, oracle):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_one_node_over_the_input_and_the_flat_leaf(self):
+        p = init_params(MlpSpec((4, 6, 3), final_normalize=True), 0)
+        x = Tensor(np.ones((2, 4)))
+        out = mlp_forward(p, x)
+        assert out.parents == (x, p.flat)
+        assert not mlp_forward(p.detached(), x).requires_grad
+
+    def test_grad_check(self):
+        enc = init_params(MlpSpec((4, 7, 5, 3), final_normalize=True), 12)
+        pred = init_params(MlpSpec((3, 6, 3)), 13)
+        rng = np.random.default_rng(14)
+        for net in (enc, pred):
+            for b in net.biases:
+                b.data[...] = rng.standard_normal(b.data.shape) * 0.1
+        x = Tensor.parameter(rng.standard_normal((5, 4)))
+        upstream = Tensor(rng.standard_normal((5, 3)))
+
+        def f():
+            return T.tensor_sum(T.mul(mlp_forward(pred, mlp_forward(enc, x)), upstream))
+
+        assert T.grad_check(f, [enc.flat, pred.flat, x], step=1e-6) < 1e-5
+
+
+class TestWholeBufferUpdates:
+    def test_sgd_and_ema_match_the_per_layer_loops(self):
+        """One update per network buffer gives the bytes of one per layer view."""
+        flat, layered = make_pair(0.9, seed=3), make_pair(0.9, seed=3)
+        for pair in (flat, layered):
+            rng = np.random.default_rng(4)
+            for net in (pair.student_encoder, pair.student_predictor):
+                net.flat.grad[...] = rng.standard_normal(net.flat.grad.shape)
+        leaves = [flat.student_encoder.flat, flat.student_predictor.flat]
+        state_flat = SgdState.for_params(leaves, lr=0.05, weight_decay=1e-3)
+        state_layer = SgdState.for_params(layered.student_parameters(), lr=0.05,
+                                          weight_decay=1e-3)
+        for _ in range(3):
+            sgd_step(leaves, None, state_flat)
+            mlp_graph.sgd_step(layered.student_parameters(), None, state_layer)
+            ema_update(flat)
+            mlp_graph.ema_update(layered)
+        for a, b in zip(flat.student_parameters() + flat.teacher_encoder.parameters(),
+                        layered.student_parameters() + layered.teacher_encoder.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+        merged = np.concatenate([v.ravel() for v in state_layer.velocities])
+        assert np.concatenate(state_flat.velocities).tobytes() == merged.tobytes()
+
+
 class TestSgd:
     def _param(self, values):
         return Tensor.parameter(np.asarray(values, dtype=np.float64))
@@ -125,10 +258,10 @@ class TestSgd:
         assert p.data[0] == pytest.approx(2.0 - 0.1 * (0.01 * 2.0))
 
     def test_teacher_parameter_rejected(self):
-        frozen = Tensor.frozen([1.0, 2.0])
+        frozen = init_params(MlpSpec((1, 2)), 0, trainable=False).flat
         state = SgdState.for_params([frozen], lr=0.1)
         with pytest.raises(ContractError):
-            sgd_step([frozen], [np.zeros(2)], state)
+            sgd_step([frozen], [np.zeros(4)], state)
 
     def test_shape_mismatch(self):
         p = self._param([1.0, 2.0])

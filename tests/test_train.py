@@ -1,6 +1,7 @@
 """Tests for the iterative training loop, its contracts, and its oracles."""
 
 import csv
+import importlib
 import os
 
 import numpy as np
@@ -14,7 +15,6 @@ from simdistill.errors import CheckpointError, ColdStartError, ConfigError
 from simdistill.evaluation import embed_dataset, knn_eval
 from simdistill.nn import (MlpParams, MlpSpec, ModelPair, default_predictor_spec,
                            init_params, mlp_forward)
-from simdistill.tensor import Tensor
 from simdistill.train import MetricsWriter, Trainer, distill, train
 
 SMALL_ENCODER = MlpSpec((6, 16, 4), final_normalize=True)
@@ -82,13 +82,10 @@ class TestHandTracedStep:
         which rebuilds the step with sympy from first principles.
         """
         enc_spec = MlpSpec((1, 2), final_normalize=True)
-        student_enc = MlpParams(enc_spec, [Tensor.parameter([[0.3, -0.2]])],
-                                [Tensor.parameter([0.0, 0.0])])
-        predictor = MlpParams(MlpSpec((2, 2)),
-                              [Tensor.parameter([[1.0, 0.1], [-0.1, 1.0]])],
-                              [Tensor.parameter([0.0, 0.0])])
-        teacher = MlpParams(enc_spec, [Tensor.frozen([[0.4, 0.1]])],
-                            [Tensor.frozen([0.0, 0.0])], trainable=False)
+        # flat buffers hold w0 then b0, row-major
+        student_enc = MlpParams(enc_spec, np.array([0.3, -0.2, 0.0, 0.0]))
+        predictor = MlpParams(MlpSpec((2, 2)), np.array([1.0, 0.1, -0.1, 1.0, 0.0, 0.0]))
+        teacher = MlpParams(enc_spec, np.array([0.4, 0.1, 0.0, 0.0]), trainable=False)
         pair = ModelPair(student_enc, predictor, teacher, momentum=0.9)
         cfg = RunConfig(objective="isd", temperature=0.5, momentum=0.9,
                         bank_capacity=2, batch_size=1, epochs=1, lr=0.1,
@@ -456,3 +453,37 @@ class TestMocoReductionEndToEnd:
         for got, want in pairs:
             assert np.abs(got - want).max() < 1e-8
         assert np.abs(trainer.bank.snapshot().data - np.stack(queue)).max() < 1e-12
+
+
+class TestFusedPathMatchesOracle:
+    """Whole training runs through the CLI are byte-identical with the per-op MLP
+    graph and the per-parameter SGD and EMA loops patched in for the fused node
+    and the whole-buffer updates."""
+
+    ARGS = ["--set", "epochs=2", "--set", "bank_capacity=32", "--set", "batch_size=16",
+            "--set", "encoder_widths=8,24,12", "--set", "eval_every=1",
+            "--set", "data_classes=3", "--set", "data_per_class=24",
+            "--set", "data_eval_per_class=8", "--set", "data_dim=8", "--set", "data_sep=3.0",
+            "--set", "teacher_policy=aggressive", "--set", "student_policy=aggressive"]
+
+    @pytest.mark.parametrize("objective", ["isd", "moco", "byol"])
+    def test_artifacts_are_byte_identical(self, tmp_path, monkeypatch, objective):
+        from oracles import mlp_graph
+        from simdistill.cli import main
+        # the package re-exports a function named train, so fetch the modules by path
+        train_mod = importlib.import_module("simdistill.train")
+        evaluation_mod = importlib.import_module("simdistill.evaluation")
+
+        def run(tag):
+            out = tmp_path / tag
+            assert main(["train", "--out", str(out), *self.ARGS,
+                         "--set", f"objective={objective}"]) == 0
+            return [(out / name).read_bytes() for name in ("checkpoint.bin", "metrics.csv")]
+
+        fused = run("fused")
+        for module in (train_mod, evaluation_mod):
+            monkeypatch.setattr(module, "mlp_forward", mlp_graph.mlp_forward)
+        monkeypatch.setattr(train_mod, "sgd_step", mlp_graph.sgd_step)
+        monkeypatch.setattr(train_mod, "ema_update", mlp_graph.ema_update)
+        oracle = run("oracle")
+        assert fused == oracle
