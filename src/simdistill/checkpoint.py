@@ -1,27 +1,24 @@
-"""Versioned binary checkpoint container.
+"""Versioned binary checkpoint, in the framed container of ``container.py``.
 
-Layout: 4-byte magic, u32 version, u64 header length, JSON header, then
-all parameter / optimizer / bank buffers as little-endian float64 in the
-order the header declares. Every field is derived from deterministic
+The payload holds all parameter / optimizer / bank buffers as float64 in
+the order the header declares. Every field is derived from deterministic
 state, so runs with equal seeds produce byte-identical files.
 
 The buffer table follows from the two MLP specs and the bank shape: each
 network's layers (w0, b0, w1, ...), one velocity record per student
-layer, then the bank storage. A loader accepts no other table.
+layer, then the bank storage. A loader accepts no other table, and any
+fault in the file raises CheckpointError.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bank import AnchorBank
-from .data import atomic_write, check_fields, json_header
-from .errors import CheckpointError, ContractError, LengthError, ShapeError
+from .container import check_fields, read_container, write_container
+from .errors import CheckpointError, ContractError, ShapeError
 from .nn import MlpParams, MlpSpec, ModelPair, SgdState, split_buffer
 
 _MAGIC = b"SDCP"
@@ -87,15 +84,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         raise ShapeError("save_checkpoint: the velocities do not cover the student's parameters")
     layout = _layout(ckpt.encoder_spec, ckpt.predictor_spec, storage.shape)
     header = {
-        "version": _VERSION,
         "encoder": _spec_dict(ckpt.encoder_spec),
         "predictor": _spec_dict(ckpt.predictor_spec),
         "momentum": pair.momentum,
-        "sgd": {
-            "lr": ckpt.sgd.lr,
-            "momentum": ckpt.sgd.momentum,
-            "weight_decay": ckpt.sgd.weight_decay,
-        },
+        "sgd": {"lr": ckpt.sgd.lr, "momentum": ckpt.sgd.momentum,
+                "weight_decay": ckpt.sgd.weight_decay},
         "bank": {"capacity": ckpt.bank.capacity, "dim": ckpt.bank.dim,
                  "head": head, "count": count},
         "epoch": ckpt.epoch,
@@ -107,31 +100,17 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     # and the velocities in any grouping write the bytes of the per-layer records.
     blocks = [pair.student_encoder.flat.data, pair.student_predictor.flat.data,
               pair.teacher_encoder.flat.data, *ckpt.sgd.velocities, storage]
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with atomic_write(path) as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for block in blocks:
-            f.write(np.ascontiguousarray(block, dtype="<f8").data)
+    write_container(path, _MAGIC, _VERSION, header,
+                    [np.asarray(block, dtype=np.float64) for block in blocks])
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint; any fault in the file, truncation included, raises CheckpointError."""
     try:
-        with open(path, "rb") as f:
-            raw = f.read()
+        container = read_container(path, _MAGIC, _VERSION, _HEADER_FIELDS, CheckpointError)
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    if len(raw) < 16 or raw[:4] != _MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version = struct.unpack("<I", raw[4:8])[0]
-    if version != _VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    blob_len = struct.unpack("<Q", raw[8:16])[0]
-    if len(raw) < 16 + blob_len:
-        raise LengthError(f"{path}: truncated checkpoint header")
-    header = json_header(raw[16:16 + blob_len], _HEADER_FIELDS, CheckpointError, path)
+    header = container.header
     for key, fields in _NESTED_FIELDS.items():
         check_fields(header[key], fields, CheckpointError, f"{path}: header {key}")
     bank_h = header["bank"]
@@ -144,8 +123,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     except ContractError as e:
         raise CheckpointError(f"{path}: {e}") from e
 
-    layout = _layout(encoder_spec, predictor_spec, (bank_h["capacity"], bank_h["dim"]))
-    want = [{"name": name, "shape": list(shape)} for name, shape in layout]
+    bank_shape = (bank_h["capacity"], bank_h["dim"])
+    want = [{"name": name, "shape": list(shape)}
+            for name, shape in _layout(encoder_spec, predictor_spec, bank_shape)]
     got = header["buffers"]
     if got != want:
         i = next(i for i in range(max(len(got), len(want)))
@@ -153,33 +133,21 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"{path}: buffer record {i} is "
                               f"{got[i] if i < len(got) else 'missing'}, expected "
                               f"{want[i] if i < len(want) else 'none'}")
-    offset = 16 + blob_len
-    payload = 8 * sum(math.prod(shape) for _, shape in layout)
-    if len(raw) != offset + payload:
-        raise LengthError(f"{path}: buffers need {payload} bytes after the header, "
-                          f"found {len(raw) - offset}")
-
-    def take(count: int) -> np.ndarray:
-        nonlocal offset
-        block = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        offset += 8 * count
-        return block
-
     n_encoder, n_predictor = encoder_spec.num_parameters, predictor_spec.num_parameters
+    encoder, predictor, teacher, velocities, storage = container.blocks(
+        *[("<f8", n) for n in (n_encoder, n_predictor, n_encoder, n_encoder + n_predictor,
+                               bank_shape[0] * bank_shape[1])])
     sgd_h = header["sgd"]
     try:
-        student_encoder = MlpParams(encoder_spec, take(n_encoder).copy())
-        student_predictor = MlpParams(predictor_spec, take(n_predictor).copy())
-        teacher_encoder = MlpParams(encoder_spec, take(n_encoder).copy(), trainable=False)
-        pair = ModelPair(student_encoder, student_predictor, teacher_encoder, header["momentum"])
+        pair = ModelPair(MlpParams(encoder_spec, encoder.copy()),
+                         MlpParams(predictor_spec, predictor.copy()),
+                         MlpParams(encoder_spec, teacher.copy(), trainable=False),
+                         header["momentum"])
         sgd = SgdState(lr=sgd_h["lr"], momentum=sgd_h["momentum"],
                        weight_decay=sgd_h["weight_decay"])
-        sgd.velocities = split_buffer(take(n_encoder + n_predictor).copy(),
-                                      encoder_spec.parameter_shapes
+        sgd.velocities = split_buffer(velocities.copy(), encoder_spec.parameter_shapes
                                       + predictor_spec.parameter_shapes)
-        storage = take(bank_h["capacity"] * bank_h["dim"]).reshape(bank_h["capacity"],
-                                                                   bank_h["dim"])
-        bank = AnchorBank.from_state(storage, bank_h["head"], bank_h["count"])
+        bank = AnchorBank.from_state(storage.reshape(bank_shape), bank_h["head"], bank_h["count"])
     except (ContractError, ShapeError) as e:
         raise CheckpointError(f"{path}: {e}") from e
     return Checkpoint(pair=pair, sgd=sgd, bank=bank, epoch=header["epoch"],

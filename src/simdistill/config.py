@@ -208,6 +208,8 @@ def load_config(path: str) -> RunConfig:
             text = f.read()
     except OSError:
         raise ConfigError(f"config not found: {path}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"cannot decode config {path}: {e}") from e
     return parse_config(text)
 
 

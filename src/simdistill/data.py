@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .container import read_container, write_container
 from .errors import ContractError, FormatError, LengthError
+from .tensor import unit_rows
 
 _IDX_UBYTE = 0x08
 _DATASET_MAGIC = b"SDDS"
 _DATASET_VERSION = 1
+_DATASET_FIELDS = {"n": int, "sample_shape": list, "split": str}
 
 
 @dataclass
@@ -68,9 +69,7 @@ def gen_gaussian_mixture(classes: int, per_class: int, dim: int, sep: float,
     if sep < 0:
         raise ContractError("sep must be non-negative")
     mean_rng = np.random.default_rng([seed, 0])
-    directions = mean_rng.standard_normal((classes, dim))
-    directions /= np.maximum(np.linalg.norm(directions, axis=1, keepdims=True), 1e-12)
-    means = directions * sep
+    means = unit_rows(mean_rng.standard_normal((classes, dim))) * sep
 
     noise_rng = np.random.default_rng([seed, 1 if split == "train" else 2])
     samples = np.empty((classes * per_class, dim))
@@ -157,81 +156,18 @@ def make_unbalanced(ds: LabeledDataset, large_classes: list[int], small_count: i
 
 
 def save_dataset(ds: LabeledDataset, path: str) -> None:
-    """Write the simple binary container: magic, JSON header, float64 + int64 payload."""
-    header = {
-        "version": _DATASET_VERSION,
-        "n": len(ds),
-        "sample_shape": list(ds.samples.shape[1:]),
-        "split": ds.split,
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with atomic_write(path) as f:
-        f.write(_DATASET_MAGIC)
-        f.write(struct.pack("<I", _DATASET_VERSION))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        f.write(ds.samples.astype("<f8").tobytes())
-        f.write(ds.labels.astype("<i8").tobytes())
-
-
-@contextlib.contextmanager
-def atomic_write(path: str):
-    """A binary file object whose bytes replace ``path`` only if the block completes.
-
-    Writes go to a temporary file in the same directory, which ``os.replace``
-    then moves over ``path``. If the block raises, the temporary file is
-    removed and ``path`` keeps its old bytes.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
-def check_fields(obj: dict, fields: dict, error: type[Exception], where: str) -> None:
-    """Raise ``error`` unless each key of ``fields`` maps to a value of its type."""
-    for key, kind in fields.items():
-        if not isinstance(obj.get(key), kind):
-            raise error(f"{where} field {key!r} is missing or has the wrong type")
-
-
-def json_header(blob: bytes, fields: dict, error: type[Exception], path: str) -> dict:
-    """Decode a container's JSON header; each of ``fields`` must map to its type."""
-    try:
-        header = json.loads(blob)
-    except ValueError as e:     # JSONDecodeError, or bytes that are not UTF-8
-        raise error(f"{path}: header is not valid JSON: {e}") from e
-    if not isinstance(header, dict):
-        raise error(f"{path}: header is not a JSON object")
-    check_fields(header, fields, error, f"{path}: header")
-    return header
+    """Write the dataset container: float64 samples, then int64 labels."""
+    header = {"n": len(ds), "sample_shape": list(ds.samples.shape[1:]), "split": ds.split}
+    write_container(path, _DATASET_MAGIC, _DATASET_VERSION, header, [ds.samples, ds.labels])
 
 
 def load_dataset(path: str) -> LabeledDataset:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16 or raw[:4] != _DATASET_MAGIC:
-        raise FormatError(f"{path}: bad magic at offset 0, not a dataset container")
-    version = struct.unpack("<I", raw[4:8])[0]
-    if version != _DATASET_VERSION:
-        raise FormatError(f"{path}: unsupported container version {version}")
-    blob_len = struct.unpack("<Q", raw[8:16])[0]
-    if len(raw) < 16 + blob_len:
-        raise LengthError(f"{path}: truncated header")
-    header = json_header(raw[16:16 + blob_len], {"n": int, "sample_shape": list, "split": str},
-                         FormatError, path)
-    n = header["n"]
-    shape = tuple(header["sample_shape"])
-    sample_bytes = int(n * np.prod(shape)) * 8 if n else 0
-    offset = 16 + blob_len
-    if len(raw) != offset + sample_bytes + n * 8:
-        raise LengthError(f"{path}: payload length does not match header")
-    samples = np.frombuffer(raw, dtype="<f8", count=n * int(np.prod(shape)),
-                            offset=offset).reshape((n,) + shape)
-    labels = np.frombuffer(raw, dtype="<i8", count=n, offset=offset + sample_bytes)
-    return LabeledDataset(samples.copy(), labels.copy(), split=header["split"])
+    container = read_container(path, _DATASET_MAGIC, _DATASET_VERSION, _DATASET_FIELDS,
+                               FormatError, LengthError)
+    header = container.header
+    dims = [header["n"], *header["sample_shape"]]
+    if len(dims) not in (2, 3) or not all(type(d) is int and d >= 0 for d in dims):
+        raise FormatError(f"{path}: n and the 1 or 2 sample_shape entries must be "
+                          f"non-negative integers, got {dims[0]!r} and {dims[1:]!r}")
+    samples, labels = container.blocks(("<f8", math.prod(dims)), ("<i8", dims[0]))
+    return LabeledDataset(samples.reshape(dims).copy(), labels.copy(), split=header["split"])

@@ -15,7 +15,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ContractError, NumericDomainError, ShapeError
 from .nn import MlpParams, mlp_forward
-from .tensor import Tensor
+from .tensor import Tensor, unit_rows
 
 
 @dataclass
@@ -45,8 +45,7 @@ class EmbeddingTable:
                       epoch: int = -1) -> "EmbeddingTable":
         """Build a table from raw features, normalising rows first."""
         features = np.asarray(features, dtype=np.float64).reshape(len(labels), -1)
-        norms = np.linalg.norm(features, axis=1, keepdims=True)
-        return EmbeddingTable(features / np.maximum(norms, 1e-12), labels, source, epoch)
+        return EmbeddingTable(unit_rows(features), labels, source, epoch)
 
 
 def embed_dataset(encoder: MlpParams, ds: LabeledDataset, source: str = "",
@@ -60,8 +59,7 @@ def embed_dataset(encoder: MlpParams, ds: LabeledDataset, source: str = "",
         chunks.append(out.data)
     features = np.concatenate(chunks, axis=0)
     if not encoder.spec.final_normalize:
-        norms = np.linalg.norm(features, axis=1, keepdims=True)
-        features = features / np.maximum(norms, 1e-12)
+        features = unit_rows(features)
     return EmbeddingTable(features, ds.labels, source=source, epoch=epoch)
 
 

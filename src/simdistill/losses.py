@@ -38,11 +38,6 @@ class LossConfig:
             raise ContractError("LossConfig: temperature must be positive")
 
 
-def _unit_rows(a: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
-    return a / np.maximum(norms, eps)
-
-
 def _row(v: Tensor) -> Tensor:
     """A 1-D embedding as a [1, d] block, through one reshape node."""
     if v.data.ndim != 1:
@@ -140,11 +135,11 @@ def _anchor_units(anchors: np.ndarray, query_shape: tuple[int, ...], tau: float)
         )
     if rows.shape[1] != query_shape[1]:
         raise ShapeError(f"anchor width {rows.shape[1]} does not match query dim {query_shape[1]}")
-    return _unit_rows(rows)
+    return T.unit_rows(rows)
 
 
 def _anchor_softmax(queries: np.ndarray, units: np.ndarray, tau: float) -> np.ndarray:
-    qs = _unit_rows(queries)
+    qs = T.unit_rows(queries)
     logits = qs @ units.T / tau
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -192,7 +187,7 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: Tensor, tau: fl
     The same cross entropy as ISD, against a one-hot target at column 0.
     """
     units = _anchor_units(anchors.data, q_emb.data.shape, tau)
-    pos_units = Tensor(_unit_rows(_teacher_block("positive keys", pos_emb, q_emb.data.shape)))
+    pos_units = Tensor(T.unit_rows(_teacher_block("positive keys", pos_emb, q_emb.data.shape)))
     b = q_emb.data.shape[0]
     qs = T.l2_normalize(q_emb)
     pos_logit = T.rowwise_dot(qs, pos_units)
@@ -205,7 +200,7 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: Tensor, tau: fl
 
 def byol_loss_batch(q_s_pred: Tensor, q_t_emb: np.ndarray) -> Tensor:
     """Mean over rows of 2 - 2*cos(student prediction, teacher embedding)."""
-    t_units = Tensor(_unit_rows(_teacher_block("teacher embeddings", q_t_emb,
+    t_units = Tensor(T.unit_rows(_teacher_block("teacher embeddings", q_t_emb,
                                                q_s_pred.data.shape)))
     b = q_s_pred.data.shape[0]
     qs = T.l2_normalize(q_s_pred)

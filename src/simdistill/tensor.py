@@ -217,6 +217,11 @@ def l2_rows(ad: np.ndarray, eps: float = 1e-12):
     return out, vjp
 
 
+def unit_rows(ad: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """The rows of a [b, d] array divided by max(norm, eps), with no graph node."""
+    return ad / np.maximum(np.linalg.norm(ad, axis=1, keepdims=True), eps)
+
+
 def _check_finite(name: str, ad: np.ndarray) -> None:
     if not np.all(np.isfinite(ad)):
         raise NumericDomainError(f"{name}: input contains NaN or Inf")
@@ -285,11 +290,10 @@ def backward(loss: Tensor) -> None:
             for parent, pg in zip(node.parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:
                     continue
+                # The first gradient is kept as it is and later ones are added out
+                # of place: one array can reach several parents (add's vjp).
                 acc = grads.get(id(parent))
-                if acc is None:
-                    grads[id(parent)] = np.array(pg)
-                else:
-                    acc += pg
+                grads[id(parent)] = pg if acc is None else acc + pg
         else:
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)

@@ -10,8 +10,7 @@ import numpy as np
 from oracles import graph_ops as G
 from simdistill import tensor as T
 from simdistill.errors import ContractError, ShapeError
-from simdistill.losses import _unit_rows
-from simdistill.tensor import Tensor
+from simdistill.tensor import Tensor, unit_rows
 
 
 def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: Tensor,
@@ -19,7 +18,7 @@ def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: Te
     """Mean over rows of -sum_i target_i log p_row(i)."""
     if tau <= 0:
         raise ContractError(f"temperature must be positive, got {tau}")
-    units = _unit_rows(anchors.data)
+    units = unit_rows(anchors.data)
     targets = np.asarray(targets, dtype=np.float64)
     b = queries.data.shape[0]
     if targets.shape != (b, units.shape[0]):
@@ -34,8 +33,8 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: Tensor, tau: fl
     """Batch InfoNCE: each row's positive is its own teacher embedding."""
     if tau <= 0:
         raise ContractError(f"temperature must be positive, got {tau}")
-    units = _unit_rows(anchors.data)
-    pos_units = Tensor(_unit_rows(np.asarray(pos_emb, dtype=np.float64)))
+    units = unit_rows(anchors.data)
+    pos_units = Tensor(unit_rows(np.asarray(pos_emb, dtype=np.float64)))
     b = q_emb.data.shape[0]
     qs = T.l2_normalize(q_emb)
     pos_logit = T.rowwise_dot(qs, pos_units)

@@ -13,8 +13,7 @@ import numpy as np
 from oracles import graph_ops as G
 from simdistill import tensor as T
 from simdistill.errors import ContractError, DegenerateDistributionError, ShapeError
-from simdistill.losses import _unit_rows
-from simdistill.tensor import Tensor
+from simdistill.tensor import Tensor, unit_rows
 
 
 def _check_anchors(query_dim: int, anchors: Tensor) -> np.ndarray:
@@ -27,7 +26,7 @@ def _check_anchors(query_dim: int, anchors: Tensor) -> np.ndarray:
         )
     if rows.shape[1] != query_dim:
         raise ShapeError(f"anchor width {rows.shape[1]} does not match query dim {query_dim}")
-    return _unit_rows(rows)
+    return unit_rows(rows)
 
 
 def anchor_distribution(query: Tensor, anchors: Tensor, tau: float) -> Tensor:
@@ -87,7 +86,7 @@ def moco_loss(q_emb: Tensor, pos_emb: Tensor, anchors: Tensor, tau: float) -> Te
     """
     if q_emb.data.shape != pos_emb.data.shape:
         raise ShapeError(f"query and positive shapes disagree: {q_emb.data.shape} vs {pos_emb.data.shape}")
-    pos_unit = _unit_rows(pos_emb.data.reshape(1, -1))
+    pos_unit = unit_rows(pos_emb.data.reshape(1, -1))
     units = _check_anchors(q_emb.data.shape[0], anchors)
     extended = Tensor(np.concatenate([pos_unit, units], axis=0))
     onehot = np.zeros(extended.data.shape[0])
@@ -102,7 +101,7 @@ def byol_loss(q_s_pred: Tensor, q_t_emb: Tensor) -> Tensor:
     """
     if q_s_pred.data.shape != q_t_emb.data.shape:
         raise ShapeError(f"embedding shapes disagree: {q_s_pred.data.shape} vs {q_t_emb.data.shape}")
-    t_unit = Tensor(_unit_rows(q_t_emb.data.reshape(1, -1))[0])
+    t_unit = Tensor(unit_rows(q_t_emb.data.reshape(1, -1))[0])
     q = G.l2_normalize(q_s_pred)
     cos = T.tensor_sum(T.mul(q, t_unit))
     return T.add(T.mul(cos, -2.0), Tensor(2.0))

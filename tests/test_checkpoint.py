@@ -1,15 +1,18 @@
 """Tests for the binary checkpoint container."""
 
 import builtins
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-import simdistill.data
+import simdistill.container
 from simdistill.bank import AnchorBank
 from simdistill.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from simdistill.data import gen_gaussian_mixture, save_dataset
-from simdistill.errors import CheckpointError, LengthError
+from simdistill.data import gen_gaussian_mixture, load_dataset, save_dataset
+from simdistill.errors import CheckpointError, FormatError
 from simdistill.nn import MlpSpec, ModelPair, SgdState, default_predictor_spec
 
 
@@ -86,7 +89,7 @@ class TestErrors:
         save_checkpoint(make_checkpoint(), path)
         raw = open(path, "rb").read()
         open(path, "wb").write(raw[:-16])
-        with pytest.raises(LengthError):
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path):
@@ -97,6 +100,43 @@ class TestErrors:
         open(path, "wb").write(bytes(raw))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+# Each file kind: how to write a tiny instance, how to load it, and its one error.
+MALFORMED = {
+    "checkpoint": (save_checkpoint, make_checkpoint, load_checkpoint, CheckpointError),
+    "dataset": (save_dataset, lambda: gen_gaussian_mixture(2, 3, 3, 1.0, seed=0),
+                load_dataset, FormatError),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("kind", MALFORMED)
+    @given(data=st.data(), flip=st.booleans())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_truncation_or_framing_bit_flip_raises_the_kinds_error(self, tmp_path, kind,
+                                                                   data, flip):
+        """Every truncation raises the file kind's error; a bit flip in the prefix or the
+        header loads or raises that same error. (A payload flip changes a value and
+        loads: the format has no checksum.)"""
+        save, make, load, error = MALFORMED[kind]
+        path = tmp_path / "f.bin"
+        save(make(), str(path))
+        raw = path.read_bytes()
+        if flip:
+            framed = 16 + struct.unpack("<Q", raw[8:16])[0]
+            bit = data.draw(st.integers(0, 8 * framed - 1), label="bit")
+            bad = bytearray(raw)
+            bad[bit // 8] ^= 1 << bit % 8
+        else:
+            bad = raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")]
+        path.write_bytes(bytes(bad))
+        try:
+            load(str(path))
+        except error:
+            return
+        assert flip, "a truncated file loaded"
 
 
 class FailsAfterFirstWrite:
@@ -129,7 +169,7 @@ class TestAtomicWrites:
         path = tmp_path / "target.bin"
         save(value, str(path))
         before = path.read_bytes()
-        monkeypatch.setattr(simdistill.data, "open", FailsAfterFirstWrite, raising=False)
+        monkeypatch.setattr(simdistill.container, "open", FailsAfterFirstWrite, raising=False)
         with pytest.raises(OSError, match="no space"):
             save(value, str(path))
         assert path.read_bytes() == before

@@ -76,6 +76,14 @@ class TestExitCodes:
         assert code == 3
         assert "config not found" in capsys.readouterr().err
 
+    def test_config_not_utf8_is_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"objective=isd\n# caf\xe9 \xff\n")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "cannot decode config" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 2
 
@@ -153,8 +161,13 @@ class TestExitCodes:
         assert "checkpoint error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [*GARBLED.values(), drop_key("n"),
-                                      set_key("sample_shape", 6), set_key("split", None)],
-                             ids=[*GARBLED, "no-n", "shape-int", "split-null"])
+                                      set_key("sample_shape", 6), set_key("split", None),
+                                      set_key("sample_shape", [6.0]),
+                                      set_key("sample_shape", ["x"]),
+                                      set_key("sample_shape", [[2, 3]]),
+                                      set_key("sample_shape", [-6])],
+                             ids=[*GARBLED, "no-n", "shape-int", "split-null", "dim-float",
+                                  "dim-str", "dim-list", "dim-negative"])
     def test_garbled_dataset_header_is_exit_4(self, tmp_path, capsys, edit):
         data = tmp_path / "data"
         assert main(["gen-data", "--classes", "2", "--per-class", "12", "--eval-per-class", "6",

@@ -78,6 +78,11 @@ class TestL2Normalize:
         with pytest.raises(ContractError):
             T.l2_normalize(Tensor([[1.0, 2.0]]), eps=0.0)
 
+    def test_unit_rows_equals_the_graph_forward(self):
+        m = rand((5, 3), 7)
+        m[2] = 1e-14
+        assert np.array_equal(T.unit_rows(m), T.l2_normalize(Tensor(m)).data)
+
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_unit_norm_property(self, values):
@@ -253,6 +258,15 @@ class TestBackward:
         loss = T.tensor_sum(T.add(y, y))
         T.backward(loss)
         assert x.grad == pytest.approx(6.0)
+
+    def test_shared_gradient_array_is_not_accumulated_into(self):
+        """add's vjp hands one array to both parents; y1 then takes a second
+        gradient, which must not be added into the array y2 also holds."""
+        a = Tensor.parameter(np.array([1.0]))
+        b = Tensor.parameter(np.array([1.0]))
+        y1, y2 = T.mul(a, 2.0), T.mul(b, 3.0)
+        T.backward(T.tensor_sum(T.add(T.add(y1, y2), y1)))
+        assert a.grad[0] == 4.0 and b.grad[0] == 3.0
 
     def test_non_trainable_leaf_keeps_zero_grad(self):
         """Teacher-flagged tensors receive zero gradient and stay off the graph."""
