@@ -7,7 +7,9 @@ balanced data. The distillation objective tends to give up less accuracy
 on the rare classes, because the contrastive loss treats the abundant
 same-class bank entries as negatives.
 
-Run: python demos/04_unbalanced_rare_classes.py   (about 1 minute)
+Run: OPENBLAS_NUM_THREADS=1 python demos/04_unbalanced_rare_classes.py
+(about 15 seconds on 2 CPUs: the ISD and MoCo runs share them, one BLAS
+thread each)
 """
 
 import tempfile

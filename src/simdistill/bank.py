@@ -56,7 +56,7 @@ class AnchorBank:
             raise EmptyBankError("snapshot: bank is empty; pre-fill it with teacher embeddings first")
         start = (self.head - self.count) % self.capacity
         idx = (start + np.arange(self.count)) % self.capacity
-        return Tensor(self.storage[idx].copy())
+        return Tensor(self.storage[idx])    # fancy indexing already copies
 
     def state(self) -> tuple[np.ndarray, int, int]:
         """Raw (storage copy, head, count) for checkpointing."""

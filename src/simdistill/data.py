@@ -170,4 +170,8 @@ def load_dataset(path: str) -> LabeledDataset:
         raise FormatError(f"{path}: n and the 1 or 2 sample_shape entries must be "
                           f"non-negative integers, got {dims[0]!r} and {dims[1:]!r}")
     samples, labels = container.blocks(("<f8", math.prod(dims)), ("<i8", dims[0]))
+    if len(labels) and labels.min() < 0:
+        raise FormatError(f"{path}: label {int(labels.min())} is negative")
+    if not np.isfinite(samples).all():
+        raise FormatError(f"{path}: samples contain NaN or Inf")
     return LabeledDataset(samples.reshape(dims).copy(), labels.copy(), split=header["split"])

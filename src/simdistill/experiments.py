@@ -16,13 +16,72 @@ import numpy as np
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig, serialize_config
 from .data import LabeledDataset, gen_gaussian_mixture, load_dataset, make_unbalanced
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .evaluation import embed_dataset, knn_eval, linear_probe, recall_at_k
 from .train import distill, knn_accuracies, train
 
 TEMPERATURE_GRID = (0.003, 0.007, 0.01, 0.02, 0.04, 0.06)
 
 UNBALANCED_COLUMNS = ("isd_all", "moco_all", "isd_rare", "moco_rare", "diff_all", "diff_rare")
+
+
+def fan_out(fn, tasks: list) -> list:
+    """``[fn(t) for t in tasks]``, run across the CPUs this process may use.
+
+    With ``n = min(len(tasks), CPUs in the affinity mask)``, the caller runs
+    ``tasks[0::n]`` and ``n - 1`` forked workers run the other stripes, each
+    sending its results, or its exception, back through a pipe. The tasks
+    must be independent, and their results and exceptions picklable. With
+    ``n < 2``, or where the platform cannot fork, the tasks run inline.
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
+    n = min(len(tasks), len(cpus))
+    if n < 2:
+        return [fn(task) for task in tasks]
+    import multiprocessing    # here, not at import: only fan-out callers pay for it
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:
+        return [fn(task) for task in tasks]
+    workers = []
+    try:
+        for i in range(1, n):
+            receiver, sender = ctx.Pipe(duplex=False)
+            worker = ctx.Process(target=_run_stripe, args=(fn, tasks[i::n], sender), daemon=True)
+            worker.start()
+            sender.close()
+            workers.append((worker, receiver))
+        stripes = [[fn(task) for task in tasks[0::n]]]
+        for worker, receiver in workers:
+            try:
+                ok, payload = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise ContractError(f"fan_out: worker {worker.pid} exited with status "
+                                    f"{worker.exitcode} before sending its results") from None
+            if not ok:
+                raise payload
+            stripes.append(payload)
+    finally:
+        for worker, receiver in workers:
+            receiver.close()
+            if worker.is_alive():
+                worker.terminate()
+            worker.join()
+    results = [None] * len(tasks)
+    for i, stripe in enumerate(stripes):
+        results[i::n] = stripe
+    return results
+
+
+def _run_stripe(fn, tasks: list, sender) -> None:
+    """Worker body of :func:`fan_out`: ``(True, results)`` or ``(False, exception)``."""
+    try:
+        message = (True, [fn(task) for task in tasks])
+    except Exception as exc:
+        message = (False, exc)
+    sender.send(message)
+    sender.close()
 
 
 def unbalanced_base_config() -> RunConfig:
@@ -135,11 +194,8 @@ def temperature_sweep(cfg: RunConfig, taus: tuple[float, ...], out_dir: str) -> 
     """Train one model per temperature on the same corpus; one CSV row per tau."""
     write_resolved_config(cfg, out_dir)
     train_ds, eval_ds = build_datasets(cfg)
-    rows = []
-    for tau in taus:
-        ckpt = train(replace(cfg, temperature=tau), train_ds)
-        teacher_knn, student_knn = knn_accuracies(ckpt.pair, train_ds, eval_ds, cfg.eval_k)
-        rows.append({"tau": tau, "teacher_knn": teacher_knn, "student_knn": student_knn})
+    rows = fan_out(_sweep_point, [(replace(cfg, temperature=tau), train_ds, eval_ds)
+                                  for tau in taus])
     path = os.path.join(out_dir, "temperature.csv")
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -147,6 +203,13 @@ def temperature_sweep(cfg: RunConfig, taus: tuple[float, ...], out_dir: str) -> 
         for row in rows:
             writer.writerow([repr(row["tau"]), repr(row["teacher_knn"]), repr(row["student_knn"])])
     return rows
+
+
+def _sweep_point(task) -> dict:
+    cfg, train_ds, eval_ds = task
+    ckpt = train(cfg, train_ds)
+    teacher_knn, student_knn = knn_accuracies(ckpt.pair, train_ds, eval_ds, cfg.eval_k)
+    return {"tau": cfg.temperature, "teacher_knn": teacher_knn, "student_knn": student_knn}
 
 
 def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str,
@@ -164,7 +227,7 @@ def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str,
         raise ConfigError("reps must be at least 1")
     write_resolved_config(cfg, out_dir)
     small_count = max(2, cfg.data_per_class // rare_ratio)
-    rows = []
+    tasks = []
     for rep in range(reps):
         rep_seed = seed * 10007 + rep
         balanced = gen_gaussian_mixture(cfg.data_classes, cfg.data_per_class, cfg.data_dim,
@@ -176,31 +239,25 @@ def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str,
                                                    replace=False))
         rare = [c for c in range(cfg.data_classes) if c not in large]
         unbalanced = make_unbalanced(balanced, large, small_count, seed=rep_seed + 1)
-
-        accs = {}
+        rare_mask = np.isin(eval_ds.labels, rare)
+        rare_eval = LabeledDataset(eval_ds.samples[rare_mask], eval_ds.labels[rare_mask],
+                                   split="eval")
         for objective in ("isd", "moco"):
             rcfg = replace(cfg, objective=objective,
                            seed_init=rep_seed + 2, seed_data=rep_seed + 3,
                            seed_augment=rep_seed + 4)
-            ckpt = train(rcfg, unbalanced)
-            student = ckpt.pair.student_encoder
-            neighbours = embed_dataset(student, balanced)
-            queries = embed_dataset(student, eval_ds)
-            accs[f"{objective}_all"] = knn_eval(neighbours, queries, cfg.eval_k)
-            rare_mask = np.isin(eval_ds.labels, rare)
-            rare_queries = embed_dataset(
-                student,
-                LabeledDataset(eval_ds.samples[rare_mask], eval_ds.labels[rare_mask],
-                               split="eval"),
-            )
-            accs[f"{objective}_rare"] = knn_eval(neighbours, rare_queries, cfg.eval_k)
+            tasks.append((rcfg, unbalanced, balanced, eval_ds, rare_eval))
+    # One fork for the whole protocol: ISD and MoCo alternate in task order.
+    accs = fan_out(_train_and_score, tasks)
+    rows = []
+    for (isd_all, isd_rare), (moco_all, moco_rare) in zip(accs[0::2], accs[1::2]):
         rows.append({
-            "isd_all": accs["isd_all"],
-            "moco_all": accs["moco_all"],
-            "isd_rare": accs["isd_rare"],
-            "moco_rare": accs["moco_rare"],
-            "diff_all": accs["isd_all"] - accs["moco_all"],
-            "diff_rare": accs["isd_rare"] - accs["moco_rare"],
+            "isd_all": isd_all,
+            "moco_all": moco_all,
+            "isd_rare": isd_rare,
+            "moco_rare": moco_rare,
+            "diff_all": isd_all - moco_all,
+            "diff_rare": isd_rare - moco_rare,
         })
     path = os.path.join(out_dir, "unbalanced.csv")
     with open(path, "w", newline="") as f:
@@ -209,3 +266,12 @@ def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str,
         for row in rows:
             writer.writerow([repr(row[c]) for c in UNBALANCED_COLUMNS])
     return rows
+
+
+def _train_and_score(task) -> tuple[float, float]:
+    """Train one objective of one repetition; k-NN on all and on rare-class queries."""
+    cfg, unbalanced, balanced, eval_ds, rare_eval = task
+    student = train(cfg, unbalanced).pair.student_encoder
+    neighbours = embed_dataset(student, balanced)
+    return (knn_eval(neighbours, embed_dataset(student, eval_ds), cfg.eval_k),
+            knn_eval(neighbours, embed_dataset(student, rare_eval), cfg.eval_k))

@@ -36,6 +36,24 @@ def set_key(key, value):
     return lambda h: json.dumps({**json.loads(h), key: value}).encode()
 
 
+def header_edit(edit):
+    """A file edit that replaces the container's header with ``edit(header)``."""
+    return lambda path: rewrite_header(path, edit)
+
+
+def negative_last_label(path):
+    """Set a dataset container's last label, its last 8 bytes, to -1."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8] + struct.pack("<q", -1))
+
+
+def nan_first_sample(path):
+    """Set the first feature of a dataset container's first sample to NaN."""
+    raw = path.read_bytes()
+    start = 16 + struct.unpack("<Q", raw[8:16])[0]
+    path.write_bytes(raw[:start] + struct.pack("<d", float("nan")) + raw[start + 8:])
+
+
 GARBLED = {"not-json": lambda h: b"{bad}", "not-utf8": lambda h: b'"\xff"',
            "not-an-object": lambda h: b"[]"}
 
@@ -160,25 +178,33 @@ class TestExitCodes:
         assert code == 5
         assert "checkpoint error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", [*GARBLED.values(), drop_key("n"),
-                                      set_key("sample_shape", 6), set_key("split", None),
-                                      set_key("sample_shape", [6.0]),
-                                      set_key("sample_shape", ["x"]),
-                                      set_key("sample_shape", [[2, 3]]),
-                                      set_key("sample_shape", [-6])],
+    @pytest.mark.parametrize("edit", [*map(header_edit, [
+                                          *GARBLED.values(), drop_key("n"),
+                                          set_key("sample_shape", 6), set_key("split", None),
+                                          set_key("sample_shape", [6.0]),
+                                          set_key("sample_shape", ["x"]),
+                                          set_key("sample_shape", [[2, 3]]),
+                                          set_key("sample_shape", [-6])]),
+                                      negative_last_label, nan_first_sample],
                              ids=[*GARBLED, "no-n", "shape-int", "split-null", "dim-float",
-                                  "dim-str", "dim-list", "dim-negative"])
+                                  "dim-str", "dim-list", "dim-negative",
+                                  "label-negative", "sample-nan"])
     def test_garbled_dataset_header_is_exit_4(self, tmp_path, capsys, edit):
+        """A malformed header or payload is a data error that names the file,
+        raised before training writes anything."""
         data = tmp_path / "data"
         assert main(["gen-data", "--classes", "2", "--per-class", "12", "--eval-per-class", "6",
                      "--dim", "6", "--out", str(data)]) == 0
-        rewrite_header(data / "train.bin", edit)
+        edit(data / "train.bin")
         capsys.readouterr()
         code = main(["train", "--out", str(tmp_path / "run"), *FAST,
                      "--set", f"data_train={data}/train.bin",
                      "--set", f"data_eval={data}/eval.bin"])
         assert code == 4
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert f"{data}/train.bin" in err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
 
     @pytest.mark.parametrize("objective,culprit", [("isd", "anchors"), ("moco", "anchors"),
                                                    ("byol", "teacher embeddings")])
