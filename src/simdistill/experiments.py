@@ -8,6 +8,7 @@ its output directory.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from dataclasses import replace
 
@@ -33,6 +34,9 @@ def fan_out(fn, tasks: list) -> list:
     sending its results, or its exception, back through a pipe. The tasks
     must be independent, and their results and exceptions picklable. With
     ``n < 2``, or where the platform cannot fork, the tasks run inline.
+    While the n processes run, numpy's OpenBLAS runs one thread in each
+    (see :func:`_one_blas_thread`), so they do not oversubscribe the CPUs;
+    the caller's thread count is restored on return.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
     n = min(len(tasks), len(cpus))
@@ -43,6 +47,7 @@ def fan_out(fn, tasks: list) -> list:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         return [fn(task) for task in tasks]
+    restore_blas_threads = _one_blas_thread()
     workers = []
     try:
         for i in range(1, n):
@@ -68,6 +73,7 @@ def fan_out(fn, tasks: list) -> list:
             if worker.is_alive():
                 worker.terminate()
             worker.join()
+        restore_blas_threads()
     results = [None] * len(tasks)
     for i, stripe in enumerate(stripes):
         results[i::n] = stripe
@@ -82,6 +88,42 @@ def _run_stripe(fn, tasks: list, sender) -> None:
         message = (False, exc)
     sender.send(message)
     sender.close()
+
+
+def _one_blas_thread():
+    """Set numpy's OpenBLAS to one thread; return the call that restores the count.
+
+    Processes forked afterwards inherit the setting. Does nothing, and its
+    restore does nothing, when the user has set ``OPENBLAS_NUM_THREADS`` or
+    when numpy links a BLAS without scipy-openblas's thread calls.
+    """
+    blas = _openblas_threads()
+    if blas is None or "OPENBLAS_NUM_THREADS" in os.environ:
+        return lambda: None
+    get_threads, set_threads = blas
+    previous = get_threads()
+    set_threads(1)
+    return lambda: set_threads(previous)
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS bundled in numpy's
+    wheel (``numpy.libs/libscipy_openblas*.so``), or None where there is none."""
+    import ctypes
+    import glob
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
 
 
 def unbalanced_base_config() -> RunConfig:
@@ -119,7 +161,11 @@ def ablation_base_config() -> RunConfig:
 def build_datasets(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
     """Load container files when paths are set, else synthesize a mixture pair."""
     if cfg.data_train:
-        return load_dataset(cfg.data_train), load_dataset(cfg.data_eval)
+        train_ds, eval_ds = load_dataset(cfg.data_train), load_dataset(cfg.data_eval)
+        if train_ds.feature_dim != eval_ds.feature_dim:
+            raise ConfigError(f"{cfg.data_train} has {train_ds.feature_dim} features per sample, "
+                              f"{cfg.data_eval} has {eval_ds.feature_dim}")
+        return train_ds, eval_ds
     train_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_per_class, cfg.data_dim,
                                     cfg.data_sep, cfg.data_seed, split="train")
     eval_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_eval_per_class, cfg.data_dim,
@@ -157,7 +203,11 @@ def run_distill(cfg: RunConfig, teacher_path: str, out_dir: str) -> Checkpoint:
 
 
 def evaluate_checkpoint(cfg: RunConfig, ckpt_path: str, out_dir: str) -> list[dict]:
-    """All three metrics for both networks of a checkpoint; one CSV row each."""
+    """All three metrics for both networks of a checkpoint; one CSV row each.
+
+    The two networks are scored in parallel (:func:`fan_out`): the caller
+    scores the teacher and a worker the student, so the teacher's rows come first.
+    """
     write_resolved_config(cfg, out_dir)
     ckpt = load_checkpoint(ckpt_path)
     train_ds, eval_ds = build_datasets(cfg)
@@ -166,20 +216,11 @@ def evaluate_checkpoint(cfg: RunConfig, ckpt_path: str, out_dir: str) -> list[di
             f"checkpoint expects {ckpt.encoder_spec.input_dim} input features, "
             f"dataset has {train_ds.feature_dim}"
         )
-    rows = []
-    for source, encoder in (("teacher", ckpt.pair.teacher_encoder),
-                            ("student", ckpt.pair.student_encoder)):
-        table_train = embed_dataset(encoder, train_ds, source=source, epoch=ckpt.epoch)
-        table_eval = embed_dataset(encoder, eval_ds, source=source, epoch=ckpt.epoch)
-        rows.append({"metric": "knn", "k": cfg.eval_k,
-                     "value": knn_eval(table_train, table_eval, cfg.eval_k),
-                     "source": source, "epoch": ckpt.epoch})
-        rows.append({"metric": "linear", "k": "",
-                     "value": linear_probe(table_train, table_eval, cfg.probe_epochs, cfg.probe_lr),
-                     "source": source, "epoch": ckpt.epoch})
-        for k, r in zip(cfg.recall_ks, recall_at_k(table_eval, list(cfg.recall_ks))):
-            rows.append({"metric": "recall", "k": k, "value": r,
-                         "source": source, "epoch": ckpt.epoch})
+    halves = fan_out(_score_encoder, [
+        (cfg, source, encoder, ckpt.epoch, train_ds, eval_ds)
+        for source, encoder in (("teacher", ckpt.pair.teacher_encoder),
+                                ("student", ckpt.pair.student_encoder))])
+    rows = [row for half in halves for row in half]
     path = os.path.join(out_dir, "eval.csv")
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -187,6 +228,22 @@ def evaluate_checkpoint(cfg: RunConfig, ckpt_path: str, out_dir: str) -> list[di
         for row in rows:
             writer.writerow([row["metric"], row["k"], repr(float(row["value"])),
                              row["source"], row["epoch"]])
+    return rows
+
+
+def _score_encoder(task) -> list[dict]:
+    """The eval.csv rows of one encoder: k-NN, linear probe, then recall@k."""
+    cfg, source, encoder, epoch, train_ds, eval_ds = task
+    table_train = embed_dataset(encoder, train_ds, source=source, epoch=epoch)
+    table_eval = embed_dataset(encoder, eval_ds, source=source, epoch=epoch)
+    rows = [{"metric": "knn", "k": cfg.eval_k,
+             "value": knn_eval(table_train, table_eval, cfg.eval_k),
+             "source": source, "epoch": epoch},
+            {"metric": "linear", "k": "",
+             "value": linear_probe(table_train, table_eval, cfg.probe_epochs, cfg.probe_lr),
+             "source": source, "epoch": epoch}]
+    for k, r in zip(cfg.recall_ks, recall_at_k(table_eval, list(cfg.recall_ks))):
+        rows.append({"metric": "recall", "k": k, "value": r, "source": source, "epoch": epoch})
     return rows
 
 

@@ -118,6 +118,26 @@ class TestExitCodes:
                      "--set", f"data_train={bad}", "--set", f"data_eval={bad}"])
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_datasets_of_different_widths_are_exit_3(self, tmp_path, capsys, command):
+        """Caught when the files are loaded, not at the first evaluation epoch."""
+        for dim in (6, 8):
+            assert main(["gen-data", "--classes", "2", "--per-class", "12",
+                         "--eval-per-class", "6", "--dim", str(dim),
+                         "--out", str(tmp_path / f"d{dim}")]) == 0
+        extra = ["--checkpoint", os.path.join(run_train(tmp_path), "checkpoint.bin")] \
+            if command == "eval" else []
+        capsys.readouterr()
+        out = tmp_path / "x"
+        code = main([command, "--out", str(out), *extra, *FAST, "--set", "eval_every=100",
+                     "--set", f"data_train={tmp_path}/d6/train.bin",
+                     "--set", f"data_eval={tmp_path}/d8/eval.bin"])
+        assert code == 3
+        assert capsys.readouterr().err == (f"config error: {tmp_path}/d6/train.bin has 6 "
+                                           f"features per sample, {tmp_path}/d8/eval.bin has 8\n")
+        assert not (out / "metrics.csv").exists()
+        assert not (out / "eval.csv").exists()
+
     def test_checkpoint_mismatch_is_exit_5(self, tmp_path):
         out = run_train(tmp_path)
         code = main(["distill", "--teacher", os.path.join(out, "checkpoint.bin"),

@@ -1,4 +1,4 @@
-"""Tests for the fan-out of independent trainings in ``simdistill.experiments``.
+"""Tests for the fan-out of independent runs in ``simdistill.experiments``.
 
 ``fan_out`` sizes itself from ``os.sched_getaffinity``, so each test pins
 the mask it needs: ``{0}`` for the inline path, ``{0, 1}`` (or more) for
@@ -9,16 +9,19 @@ import functools
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
 from simdistill import experiments
 from simdistill.cli import main
-from simdistill.config import apply_overrides
+from simdistill.config import RunConfig, apply_overrides
 from simdistill.errors import (ContractError, FormatError, LengthError, NumericDomainError,
                                SimDistillError)
-from simdistill.experiments import fan_out, temperature_sweep, unbalanced_protocol
+from simdistill.experiments import (evaluate_checkpoint, fan_out, run_training,
+                                    temperature_sweep, unbalanced_protocol)
 
 # One-epoch runs on a 4-class corpus, as config overrides.
 TINY = ["epochs=1", "bank_capacity=16", "batch_size=8", "encoder_widths=6,12,4",
@@ -60,6 +63,10 @@ def die_outside(caller, x):
     if os.getpid() != caller:
         os._exit(3)
     return x
+
+
+def blas_threads(x):
+    return experiments._openblas_threads()[0]()
 
 
 def slow_outside(caller, x):
@@ -142,12 +149,112 @@ class TestForkedRunsMatchInline:
                              lambda out: unbalanced_protocol(cfg, 2, 1, out))
         assert len(text.decode().splitlines()) == 3
 
+    def test_eval_csv(self, cpus, tmp_path, trained):
+        """The caller scores the teacher and the worker the student."""
+        cfg = apply_overrides(RunConfig(), TINY)
+        text = self.run_both(cpus, tmp_path, "eval.csv",
+                             lambda out: evaluate_checkpoint(cfg, trained, out))
+        values = {}
+        for line in text.decode().splitlines()[1:]:
+            metric, k, value, source, _ = line.split(",")
+            values.setdefault(source, []).append((metric, k, value))
+        assert list(values) == ["teacher", "student"]
+        assert [row[:2] for row in values["teacher"]] == [row[:2] for row in values["student"]]
+        assert values["teacher"] != values["student"]
+
     def test_temperature_csv(self, cpus, tmp_path):
         cfg = apply_overrides(experiments.ablation_base_config(), TINY)
         text = self.run_both(cpus, tmp_path, "temperature.csv",
                              lambda out: temperature_sweep(cfg, (0.02, 0.05, 0.1), out))
         assert [line.split(",")[0] for line in text.decode().splitlines()] == \
             ["tau", "0.02", "0.05", "0.1"]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Checkpoint of a 4-epoch run, trained long enough that teacher and student differ."""
+    out = str(tmp_path_factory.mktemp("trained"))
+    run_training(apply_overrides(RunConfig(), [*TINY, "epochs=4"]), out)
+    return os.path.join(out, "checkpoint.bin")
+
+
+class TestEvalCommandErrors:
+    @pytest.mark.parametrize("failing", ["teacher", "student"])
+    def test_error_in_one_half_is_exit_4(self, cpus, monkeypatch, capsys, tmp_path, deadline,
+                                         trained, failing):
+        """The teacher half runs in the caller, the student half in the worker."""
+        cpus(2)
+        real_probe = experiments.linear_probe
+
+        def linear_probe(train, *args):
+            if train.source == failing:
+                raise NumericDomainError(f"{failing} probe diverged")
+            return real_probe(train, *args)
+        monkeypatch.setattr(experiments, "linear_probe", linear_probe)
+        code = main(["eval", "--checkpoint", trained, "--out", str(tmp_path / "e"),
+                     *(arg for kv in TINY for arg in ("--set", kv))])
+        assert code == 4
+        assert f"error: {failing} probe diverged" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "eval.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_divergent_probe_is_exit_4(self, cpus, capsys, tmp_path, deadline, trained):
+        cpus(2)
+        code = main(["eval", "--checkpoint", trained, "--out", str(tmp_path / "e"),
+                     *(arg for kv in [*TINY, "probe_lr=1.5e308"] for arg in ("--set", kv))])
+        assert code == 4
+        assert "linear_probe: logits became non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "eval.csv").exists()
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(experiments._openblas_threads() is None,
+                    reason="numpy's BLAS is not scipy-openblas")
+class TestBlasThreads:
+    """``fan_out`` runs one OpenBLAS thread per process and restores the caller's count."""
+
+    @pytest.fixture
+    def two_threads(self, monkeypatch):
+        """Two BLAS threads in this process, as if no thread count had been set."""
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        get_threads, set_threads = experiments._openblas_threads()
+        previous = get_threads()
+        set_threads(2)
+        yield get_threads
+        set_threads(previous)
+
+    def test_one_thread_per_process_while_forked(self, cpus, two_threads):
+        cpus(2)
+        assert fan_out(blas_threads, [0, 1, 2]) == [1, 1, 1]
+        assert two_threads() == 2
+
+    def test_inline_run_keeps_the_count(self, cpus, two_threads):
+        cpus(1)
+        assert fan_out(blas_threads, [0, 1]) == [2, 2]
+
+    @pytest.mark.parametrize("fn", [functools.partial(fail_at, 1, ContractError),
+                                    functools.partial(slow_outside, os.getpid())],
+                             ids=["worker", "caller"])
+    def test_count_restored_after_a_raise(self, cpus, two_threads, deadline, fn):
+        cpus(2)
+        with pytest.raises(SimDistillError):
+            fan_out(fn, [0, 1])
+        assert two_threads() == 2
+
+    def test_user_setting_wins(self):
+        """With ``OPENBLAS_NUM_THREADS`` set at start-up, ``fan_out`` leaves the count alone."""
+        script = ("import os\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "from simdistill import experiments\n"
+                  "get_threads, set_threads = experiments._openblas_threads()\n"
+                  "set_threads(2)\n"
+                  "print(experiments.fan_out(lambda x: get_threads(), [0, 1]), get_threads())\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        assert out.split() == ["[2,", "2]", "2"]
 
 
 class TestUnbalancedCommandErrors:
