@@ -18,7 +18,7 @@ from .losses import (LossConfig, anchor_cross_entropy, anchor_distribution, byol
                      distribution_entropy, isd_loss, moco_loss)
 from .nn import (MlpParams, MlpSpec, ModelPair, SgdState, default_encoder_spec,
                  default_predictor_spec, ema_update, init_params, mlp_forward, sgd_step)
-from .tensor import Tensor, backward, grad_check, l2_normalize, matmul
+from .tensor import Tensor, backward, grad_check
 from .train import StepMetrics, Trainer, distill, train
 
 # the name bench/workloads.py builds its config with
@@ -38,6 +38,6 @@ __all__ = [
     "distribution_entropy", "isd_loss", "moco_loss",
     "MlpParams", "MlpSpec", "ModelPair", "SgdState", "default_encoder_spec",
     "default_predictor_spec", "ema_update", "init_params", "mlp_forward", "sgd_step",
-    "Tensor", "backward", "grad_check", "l2_normalize", "matmul",
+    "Tensor", "backward", "grad_check",
     "StepMetrics", "Trainer", "distill", "train",
 ]

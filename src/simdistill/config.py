@@ -133,6 +133,11 @@ class RunConfig:
             raise ConfigError("data_train and data_eval must be set together")
         if self.data_classes < 2 or self.data_dim < 2:
             raise ConfigError("data_classes and data_dim must be at least 2")
+        # the synthetic training corpus is the k-NN train set of every command
+        corpus = self.data_classes * self.data_per_class
+        if not self.data_train and self.eval_k > corpus:
+            raise ConfigError(f"eval_k={self.eval_k} exceeds the {corpus} samples of the "
+                              f"training corpus (data_classes * data_per_class)")
 
     def lr_at(self, epoch: int) -> float:
         if self.lr_schedule == "cosine":

@@ -165,6 +165,9 @@ def build_datasets(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
         if train_ds.feature_dim != eval_ds.feature_dim:
             raise ConfigError(f"{cfg.data_train} has {train_ds.feature_dim} features per sample, "
                               f"{cfg.data_eval} has {eval_ds.feature_dim}")
+        if cfg.eval_k > len(train_ds):
+            raise ConfigError(f"eval_k={cfg.eval_k} exceeds the {len(train_ds)} samples "
+                              f"of {cfg.data_train}")
         return train_ds, eval_ds
     train_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_per_class, cfg.data_dim,
                                     cfg.data_sep, cfg.data_seed, split="train")

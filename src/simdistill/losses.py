@@ -152,14 +152,42 @@ def anchor_distribution_batch(queries: np.ndarray, anchors: np.ndarray, tau: flo
     return _anchor_softmax(queries, _anchor_units(anchors, queries.shape, tau), tau)
 
 
+def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray):
+    """Mean over rows of -sum_i targets_i * log_softmax(logits)_i, and its vjp on arrays.
+
+    The vjp is the closed form (softmax - targets)/b generalised to rows that
+    need not sum to one. Value and gradient repeat the operation order of
+    log_softmax, mul, sum, neg and a 1/b scale, so they are bitwise those of
+    that chain of graph nodes.
+    """
+    T._check_finite("soft_cross_entropy", logits)
+    scale = 1.0 / logits.shape[0]
+    z = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    logp = z - lse
+
+    def vjp(g):
+        gt = targets * float(-(g * scale))
+        return gt - np.exp(logp) * gt.sum(axis=1, keepdims=True)
+
+    return np.asarray(-(logp * targets).sum()) * scale, vjp
+
+
+# Each objective below is one graph node whose only parent is the student
+# block. Its vjp runs the operations of the per-op chain it replaced
+# (tests/oracles/loss_chain.py) in that chain's order, so loss and gradient
+# are bitwise the chain's.
+
 def _anchor_cross_entropy(targets: np.ndarray, queries: Tensor, units: np.ndarray,
                           tau: float) -> Tensor:
     b = queries.data.shape[0]
     if targets.shape != (b, units.shape[0]):
         raise ShapeError(f"target block {targets.shape} does not match [{b}, {units.shape[0]}]")
-    qs = T.l2_normalize(queries)
-    logits = T.mul(T.matmul(qs, Tensor(units.T)), 1.0 / tau)
-    return T.soft_cross_entropy(logits, targets)
+    c = 1.0 / tau
+    qs, normalize_vjp = T.l2_rows(queries.data)
+    value, ce_vjp = _soft_cross_entropy((qs @ units.T) * c, targets)
+    return T._record(value, "anchor_cross_entropy", (queries,),
+                     lambda g: (normalize_vjp((ce_vjp(g) * c) @ units),))
 
 
 def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: Tensor,
@@ -187,22 +215,28 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: Tensor, tau: fl
     The same cross entropy as ISD, against a one-hot target at column 0.
     """
     units = _anchor_units(anchors.data, q_emb.data.shape, tau)
-    pos_units = Tensor(T.unit_rows(_teacher_block("positive keys", pos_emb, q_emb.data.shape)))
+    pos_units = T.unit_rows(_teacher_block("positive keys", pos_emb, q_emb.data.shape))
     b = q_emb.data.shape[0]
-    qs = T.l2_normalize(q_emb)
-    pos_logit = T.rowwise_dot(qs, pos_units)
-    neg_logits = T.matmul(qs, Tensor(units.T))
-    logits = T.mul(T.prepend_column(pos_logit, neg_logits), 1.0 / tau)
+    c = 1.0 / tau
+    qs, normalize_vjp = T.l2_rows(q_emb.data)
+    logits = np.concatenate([(qs * pos_units).sum(axis=1)[:, None], qs @ units.T], axis=1) * c
     onehot = np.zeros((b, units.shape[0] + 1))
     onehot[:, 0] = 1.0
-    return T.soft_cross_entropy(logits, onehot)
+    value, ce_vjp = _soft_cross_entropy(logits, onehot)
+
+    def vjp(g):
+        g = ce_vjp(g) * c
+        return (normalize_vjp(g[:, 0][:, None] * pos_units + g[:, 1:] @ units),)
+
+    return T._record(value, "moco_loss", (q_emb,), vjp)
 
 
 def byol_loss_batch(q_s_pred: Tensor, q_t_emb: np.ndarray) -> Tensor:
     """Mean over rows of 2 - 2*cos(student prediction, teacher embedding)."""
-    t_units = Tensor(T.unit_rows(_teacher_block("teacher embeddings", q_t_emb,
-                                               q_s_pred.data.shape)))
+    t_units = T.unit_rows(_teacher_block("teacher embeddings", q_t_emb, q_s_pred.data.shape))
     b = q_s_pred.data.shape[0]
-    qs = T.l2_normalize(q_s_pred)
-    cos_sum = T.tensor_sum(T.rowwise_dot(qs, t_units))
-    return T.add(T.mul(cos_sum, -2.0 / b), Tensor(2.0))
+    c = -2.0 / b
+    qs, normalize_vjp = T.l2_rows(q_s_pred.data)
+    value = np.asarray((qs * t_units).sum(axis=1).sum()) * c + np.asarray(2.0)
+    return T._record(value, "byol_loss", (q_s_pred,),
+                     lambda g: (normalize_vjp(np.full((b,), float(g * c))[:, None] * t_units),))

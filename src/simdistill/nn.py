@@ -214,22 +214,20 @@ class SgdState:
         return state
 
 
-def sgd_step(params: list[Tensor], grads: list[np.ndarray] | None, state: SgdState) -> None:
+def sgd_step(params: list[Tensor], state: SgdState) -> None:
     """In-place update: v <- momentum*v + (grad + wd*theta); theta <- theta - lr*v.
 
-    The formula's operations run in place through one temporary per array.
-    They are elementwise, so the trainer's one leaf per network gets bitwise
-    the values that a loop over its layer views would. ``grads=None`` reads
-    each parameter's own grad buffer. Teacher (non-trainable) parameters are
-    rejected.
+    ``grad`` is each parameter's own grad buffer. The formula's operations run
+    in place through one temporary per array. They are elementwise, so the
+    trainer's one leaf per network gets bitwise the values that a loop over its
+    layer views would. Teacher (non-trainable) parameters are rejected.
     """
-    if grads is None:
-        grads = [p.grad for p in params]
-    if len(grads) != len(params) or len(state.velocities) != len(params):
-        raise ShapeError("sgd_step: params, grads and velocities must align")
-    for p, g, v in zip(params, grads, state.velocities):
+    if len(state.velocities) != len(params):
+        raise ShapeError("sgd_step: params and velocities must align")
+    for p, v in zip(params, state.velocities):
         if not p.requires_grad:
             raise ContractError("sgd_step: refusing to update a non-trainable (teacher) parameter")
+        g = p.grad
         if g is None or g.shape != p.data.shape or v.shape != p.data.shape:
             raise ShapeError(f"sgd_step: buffer shape mismatch for parameter {p.data.shape}")
         step = p.data * state.weight_decay

@@ -1,11 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-The operation set is deliberately small: enough for MLP encoders and
-cosine-similarity softmax losses. Values live in numpy arrays; each
-differentiable op records its inputs and a vector-Jacobian closure so
-``backward`` can sweep the graph once in reverse topological order.
-No broadcasting is supported. Larger pieces with a closed-form backward
-(softmax cross entropy here, a whole MLP in ``nn``) are single nodes.
+Values live in numpy arrays; each differentiable op records its inputs
+and a vector-Jacobian closure so ``backward`` can sweep the graph once in
+reverse topological order. The pieces training runs have a closed-form
+backward and are single nodes: a whole MLP in ``nn`` and each objective in
+``losses``, built on the array helpers ``l2_rows`` and ``unit_rows`` here.
+The generic ops left are the elementwise product, the sum and the reshape
+that the per-sample losses compose; none broadcasts.
 """
 
 from __future__ import annotations
@@ -66,17 +67,11 @@ class Tensor:
     def mean(self) -> "Tensor":
         return mul(tensor_sum(self), 1.0 / self.data.size)
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
     def __mul__(self, other) -> "Tensor":
         return mul(self, other)
 
     def __rmul__(self, other) -> "Tensor":
         return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         tag = f" op={self.op}" if self.op else ""
@@ -91,34 +86,6 @@ def _record(data: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
         out.parents = parents
         out._vjp = vjp
     return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product [r,k]x[k,c] -> [r,c]."""
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2:
-        raise ShapeError(f"matmul: need two matrices, got {ad.shape} x {bd.shape}")
-    if ad.shape[1] != bd.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree: {ad.shape} x {bd.shape}")
-
-    def vjp(g):
-        ga = g @ bd.T if a.requires_grad else None
-        gb = ad.T @ g if b.requires_grad else None
-        return ga, gb
-
-    return _record(ad @ bd, "matmul", (a, b), vjp)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of same-shape tensors."""
-    ad, bd = a.data, b.data
-    if ad.shape != bd.shape:
-        raise ShapeError(f"add: incompatible shapes: {ad.shape} + {bd.shape}")
-
-    def vjp(g):
-        return (g if a.requires_grad else None, g if b.requires_grad else None)
-
-    return _record(ad + bd, "add", (a, b), vjp)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -160,51 +127,12 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record(a.data.reshape(shape), "reshape", (a,), vjp)
 
 
-def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
-    """Per-row dot product of two [b,d] matrices, giving a length-b vector."""
-    ad, bd = a.data, b.data
-    if ad.shape != bd.shape or ad.ndim != 2:
-        raise ShapeError(f"rowwise_dot: need matching 2-D shapes: {ad.shape} vs {bd.shape}")
-
-    def vjp(g):
-        col = g[:, None]
-        ga = col * bd if a.requires_grad else None
-        gb = col * ad if b.requires_grad else None
-        return ga, gb
-
-    return _record((ad * bd).sum(axis=1), "rowwise_dot", (a, b), vjp)
-
-
-def prepend_column(col: Tensor, m: Tensor) -> Tensor:
-    """Concatenate a length-b vector as the first column of a [b,n] matrix."""
-    cd, md = col.data, m.data
-    if cd.ndim != 1 or md.ndim != 2 or cd.shape[0] != md.shape[0]:
-        raise ShapeError(f"prepend_column: incompatible shapes: {cd.shape} and {md.shape}")
-
-    def vjp(g):
-        gc = g[:, 0] if col.requires_grad else None
-        gm = g[:, 1:] if m.requires_grad else None
-        return gc, gm
-
-    return _record(np.concatenate([cd[:, None], md], axis=1), "prepend_column", (col, m), vjp)
-
-
-def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale each row of a [b, d] matrix to unit L2 norm.
-
-    The divisor is max(norm, eps), so rows below eps pass through scaled
-    by 1/eps instead of dividing by zero; there the map is exactly linear.
-    """
-    if eps <= 0:
-        raise ContractError("l2_normalize: eps must be positive")
-    if a.data.ndim != 2:
-        raise ShapeError(f"l2_normalize: need a [b, d] matrix, got shape {a.data.shape}")
-    out, vjp = l2_rows(a.data, eps)
-    return _record(out, "l2_normalize", (a,), lambda g: (vjp(g),))
-
-
 def l2_rows(ad: np.ndarray, eps: float = 1e-12):
-    """The rows of a [b, d] array scaled to unit norm, and the map's vjp on arrays."""
+    """The rows of a [b, d] array scaled to unit norm, and the map's vjp on arrays.
+
+    The divisor is max(norm, eps), so rows below eps pass through scaled by
+    1/eps instead of dividing by zero; there the map is exactly linear.
+    """
     r = np.linalg.norm(ad, axis=1)
     denom = np.maximum(r, eps)
     out = ad / denom[:, None]
@@ -225,33 +153,6 @@ def unit_rows(ad: np.ndarray, eps: float = 1e-12) -> np.ndarray:
 def _check_finite(name: str, ad: np.ndarray) -> None:
     if not np.all(np.isfinite(ad)):
         raise NumericDomainError(f"{name}: input contains NaN or Inf")
-
-
-def soft_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean over rows of -sum_i targets_i * log_softmax(logits)_i, as one graph node.
-
-    ``targets`` is a constant [b, n] block. The backward is the closed form
-    (softmax - targets)/b generalised to rows that need not sum to one. Value
-    and gradient repeat the operation order of log_softmax, mul, sum, neg and
-    a 1/b scale, so they are bitwise equal to that chain of nodes.
-    """
-    ad = logits.data
-    _check_finite("soft_cross_entropy", ad)
-    targets = np.asarray(targets, dtype=np.float64)
-    if ad.ndim != 2 or targets.shape != ad.shape:
-        raise ShapeError(f"soft_cross_entropy: need matching [b, n] logits and targets, "
-                         f"got {ad.shape} and {targets.shape}")
-    scale = 1.0 / ad.shape[0]
-    z = ad - ad.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - lse
-
-    def vjp(g):
-        gt = targets * float(-(g * scale))
-        return (gt - np.exp(logp) * gt.sum(axis=1, keepdims=True),)
-
-    return _record(np.asarray(-(logp * targets).sum()) * scale, "soft_cross_entropy",
-                   (logits,), vjp)
 
 
 def backward(loss: Tensor) -> None:
@@ -291,7 +192,7 @@ def backward(loss: Tensor) -> None:
                 if pg is None or not parent.requires_grad:
                     continue
                 # The first gradient is kept as it is and later ones are added out
-                # of place: one array can reach several parents (add's vjp).
+                # of place: a vjp may hand one array to several parents.
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
         else:

@@ -189,7 +189,7 @@ class Trainer:
             leaf.zero_grad()
         backward(loss)
         self.sgd.lr = cfg.lr_at(self.epoch)
-        sgd_step(self.leaves, None, self.sgd)
+        sgd_step(self.leaves, self.sgd)
         ema_update(self.pair)
         if self.needs_bank:
             # strictly after the loss: a query never meets its own view

@@ -5,7 +5,10 @@
 before the per-sample losses became 1-row calls of the batch forms.
 ``detach`` was a ``Tensor`` method. ``add`` with its row-broadcast branch
 and ``relu`` are verbatim as they were before a whole MLP became one graph
-node. Each op records into the library's graph, so
+node. ``matmul`` and ``l2_normalize`` in their 2-D branches, and ``add``
+in its same-shape branch, are also the library's ops of those names from
+before each training objective became one graph node; ``rowwise_dot`` and
+``prepend_column`` are verbatim from then. Each op records into the library's graph, so
 ``simdistill.tensor.backward`` differentiates through it. Tests build
 independent derivative paths (KL through softmax and log, the unfused
 cross-entropy chain, the graph-fitted probe, the per-op MLP) from these.
@@ -68,6 +71,35 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     else:
         raise ShapeError(f"add: incompatible shapes: {ad.shape} + {bd.shape}")
     return _record(ad + bd, "add", (a, b), vjp)
+
+
+def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
+    """Per-row dot product of two [b,d] matrices, giving a length-b vector."""
+    ad, bd = a.data, b.data
+    if ad.shape != bd.shape or ad.ndim != 2:
+        raise ShapeError(f"rowwise_dot: need matching 2-D shapes: {ad.shape} vs {bd.shape}")
+
+    def vjp(g):
+        col = g[:, None]
+        ga = col * bd if a.requires_grad else None
+        gb = col * ad if b.requires_grad else None
+        return ga, gb
+
+    return _record((ad * bd).sum(axis=1), "rowwise_dot", (a, b), vjp)
+
+
+def prepend_column(col: Tensor, m: Tensor) -> Tensor:
+    """Concatenate a length-b vector as the first column of a [b,n] matrix."""
+    cd, md = col.data, m.data
+    if cd.ndim != 1 or md.ndim != 2 or cd.shape[0] != md.shape[0]:
+        raise ShapeError(f"prepend_column: incompatible shapes: {cd.shape} and {md.shape}")
+
+    def vjp(g):
+        gc = g[:, 0] if col.requires_grad else None
+        gm = g[:, 1:] if m.requires_grad else None
+        return gc, gm
+
+    return _record(np.concatenate([cd[:, None], md], axis=1), "prepend_column", (col, m), vjp)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -1,8 +1,10 @@
-"""Reference for the batch losses before ``soft_cross_entropy`` fused them.
+"""Reference for the batch losses before each became one graph node.
 
-``anchor_cross_entropy_batch`` and ``moco_loss_batch`` as they were, kept
-verbatim: log_softmax, mul, sum, neg and a 1/b scale as five graph nodes.
-The fused node must give bitwise the same value and gradient.
+``anchor_cross_entropy_batch`` and ``moco_loss_batch`` as they were before
+``soft_cross_entropy`` fused their last five nodes (log_softmax, mul, sum,
+neg and a 1/b scale), and ``byol_loss_batch`` as it was before the fused
+objectives, kept verbatim except that the ops come from ``graph_ops``.
+Each fused objective must give bitwise the same value and gradient.
 """
 
 import numpy as np
@@ -23,8 +25,8 @@ def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: Te
     b = queries.data.shape[0]
     if targets.shape != (b, units.shape[0]):
         raise ShapeError(f"target block {targets.shape} does not match [{b}, {units.shape[0]}]")
-    qs = T.l2_normalize(queries)
-    logits = T.mul(T.matmul(qs, Tensor(units.T)), 1.0 / tau)
+    qs = G.l2_normalize(queries)
+    logits = T.mul(G.matmul(qs, Tensor(units.T)), 1.0 / tau)
     logp = G.log_softmax(logits)
     return T.mul(G.neg(T.tensor_sum(T.mul(logp, Tensor(targets)))), 1.0 / b)
 
@@ -36,11 +38,20 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: Tensor, tau: fl
     units = unit_rows(anchors.data)
     pos_units = Tensor(unit_rows(np.asarray(pos_emb, dtype=np.float64)))
     b = q_emb.data.shape[0]
-    qs = T.l2_normalize(q_emb)
-    pos_logit = T.rowwise_dot(qs, pos_units)
-    neg_logits = T.matmul(qs, Tensor(units.T))
-    logits = T.mul(T.prepend_column(pos_logit, neg_logits), 1.0 / tau)
+    qs = G.l2_normalize(q_emb)
+    pos_logit = G.rowwise_dot(qs, pos_units)
+    neg_logits = G.matmul(qs, Tensor(units.T))
+    logits = T.mul(G.prepend_column(pos_logit, neg_logits), 1.0 / tau)
     logp = G.log_softmax(logits)
     onehot = np.zeros((b, units.shape[0] + 1))
     onehot[:, 0] = 1.0
     return T.mul(G.neg(T.tensor_sum(T.mul(logp, Tensor(onehot)))), 1.0 / b)
+
+
+def byol_loss_batch(q_s_pred: Tensor, q_t_emb: np.ndarray) -> Tensor:
+    """Mean over rows of 2 - 2*cos(student prediction, teacher embedding)."""
+    t_units = Tensor(unit_rows(np.asarray(q_t_emb, dtype=np.float64)))
+    b = q_s_pred.data.shape[0]
+    qs = G.l2_normalize(q_s_pred)
+    cos_sum = T.tensor_sum(G.rowwise_dot(qs, t_units))
+    return G.add(T.mul(cos_sum, -2.0 / b), Tensor(2.0))

@@ -4,7 +4,8 @@
 layer and an l2_normalize node, with each layer view a separate leaf.
 ``sgd_step`` and ``ema_update`` are the loops the trainer ran over the ten
 layer views, with a temporary array per operation. All three are verbatim,
-except that ``add`` and ``relu`` now come from ``graph_ops``. The layer
+except that the graph ops now come from ``graph_ops`` and ``sgd_step``
+reads each parameter's grad buffer, as the library's does. The layer
 views' grad buffers are views into the network's flat grad buffer, so
 ``backward`` through this graph fills the same buffer that the fused node
 does, and the trainer runs unchanged with these patched in.
@@ -35,22 +36,21 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
     h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = G.add(T.matmul(h, w), b)
+        h = G.add(G.matmul(h, w), b)
         if i != last:
             h = G.relu(h)
     if params.spec.final_normalize:
-        h = T.l2_normalize(h)
+        h = G.l2_normalize(h)
     return h
 
 
-def sgd_step(params: list[Tensor], grads: list[np.ndarray] | None, state: SgdState) -> None:
+def sgd_step(params: list[Tensor], state: SgdState) -> None:
     """In-place update: v <- momentum*v + (grad + wd*theta); theta <- theta - lr*v.
 
-    ``grads=None`` reads each parameter's own grad buffer. Teacher
-    (non-trainable) parameters are rejected.
+    ``grad`` is each parameter's own grad buffer. Teacher (non-trainable)
+    parameters are rejected.
     """
-    if grads is None:
-        grads = [p.grad for p in params]
+    grads = [p.grad for p in params]
     if len(grads) != len(params) or len(state.velocities) != len(params):
         raise ShapeError("sgd_step: params, grads and velocities must align")
     for p, g, v in zip(params, grads, state.velocities):

@@ -104,4 +104,4 @@ def byol_loss(q_s_pred: Tensor, q_t_emb: Tensor) -> Tensor:
     t_unit = Tensor(unit_rows(q_t_emb.data.reshape(1, -1))[0])
     q = G.l2_normalize(q_s_pred)
     cos = T.tensor_sum(T.mul(q, t_unit))
-    return T.add(T.mul(cos, -2.0), Tensor(2.0))
+    return G.add(T.mul(cos, -2.0), Tensor(2.0))

@@ -31,7 +31,7 @@ def fit(train: EmbeddingTable, epochs: int, lr: float):
     x = Tensor(train.embeddings)
     target = Tensor(onehot)
     for _ in range(epochs):
-        logits = G.add(T.matmul(x, w), b)
+        logits = G.add(G.matmul(x, w), b)
         logp = G.log_softmax(logits)
         loss = T.mul(G.neg(T.tensor_sum(T.mul(logp, target))), 1.0 / n)
         w.zero_grad()

@@ -138,6 +138,39 @@ class TestExitCodes:
         assert not (out / "metrics.csv").exists()
         assert not (out / "eval.csv").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "unbalanced"])
+    def test_eval_k_above_the_synthetic_corpus_is_exit_3_before_any_output(
+            self, tmp_path, capsys, command):
+        """k-NN needs eval_k training samples; the synthetic corpus holds
+        data_classes * data_per_class of them (24 here)."""
+        extra = {"eval": ["--checkpoint", str(tmp_path / "c.bin")],
+                 "unbalanced": ["--reps", "1"]}.get(command, [])
+        out = tmp_path / "out"
+        code = main([command, "--out", str(out), *extra, *FAST, "--set", "eval_k=25"])
+        assert code == 3
+        assert capsys.readouterr().err == ("config error: eval_k=25 exceeds the 24 samples of "
+                                           "the training corpus (data_classes * data_per_class)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_eval_k_above_a_loaded_corpus_is_exit_3_before_training(self, tmp_path, capsys,
+                                                                    command):
+        assert main(["gen-data", "--classes", "2", "--per-class", "10", "--dim", "6",
+                     "--out", str(tmp_path / "d")]) == 0
+        extra = ["--checkpoint", os.path.join(run_train(tmp_path), "checkpoint.bin")] \
+            if command == "eval" else []
+        capsys.readouterr()
+        out = tmp_path / "x"
+        code = main([command, "--out", str(out), *extra, *FAST, "--set", "eval_k=21",
+                     "--set", f"data_train={tmp_path}/d/train.bin",
+                     "--set", f"data_eval={tmp_path}/d/eval.bin"])
+        assert code == 3
+        assert capsys.readouterr().err == (f"config error: eval_k=21 exceeds the 20 samples "
+                                           f"of {tmp_path}/d/train.bin\n")
+        assert not (out / "metrics.csv").exists()
+        assert not (out / "checkpoint.bin").exists()
+        assert not (out / "eval.csv").exists()
+
     def test_checkpoint_mismatch_is_exit_5(self, tmp_path):
         out = run_train(tmp_path)
         code = main(["distill", "--teacher", os.path.join(out, "checkpoint.bin"),

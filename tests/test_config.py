@@ -135,12 +135,18 @@ class TestValidate:
         "lr_step_fracs=0.5,nan", "lr_schedule=linear", "batch_size=0", "epochs=-1",
         "bank_capacity=1", "distill_source=both", "eval_k=0", "eval_every=0",
         "probe_lr=0", "probe_epochs=-1", "recall_ks=1,0", "seed_augment=-1",
-        "data_classes=1", "data_dim=1", "data_sep=-1", "data_per_class=0",
+        "data_classes=1", "data_dim=1", "data_sep=-1", "data_per_class=0", "eval_k=601",
     ])
     def test_bad_value_rejected(self, override):
         cfg = apply_overrides(RunConfig(), [override])
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    def test_eval_k_may_reach_the_synthetic_corpus(self):
+        """k-NN may use all 3 * 200 synthetic samples; a loaded corpus is
+        checked when it is loaded, not here."""
+        RunConfig(eval_k=600).validate()
+        RunConfig(eval_k=601, data_train="t.bin", data_eval="e.bin").validate()
 
 
 

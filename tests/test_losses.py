@@ -332,28 +332,29 @@ class TestBatchForms:
         assert batch.item() == pytest.approx(np.mean(singles), abs=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 5), n=st.integers(2, 12),
-           d=st.integers(1, 6), tau=st.sampled_from([0.02, 0.1, 1.0]))
+           d=st.integers(1, 6), tau=st.sampled_from([0.02, 0.1, 1.0]),
+           zero_rows=st.integers(0, 2))
     @settings(max_examples=100, deadline=None)
-    def test_fused_batch_losses_bitwise_equal_node_chain(self, seed, b, n, d, tau):
-        """ISD and MoCo losses and gradients are byte for byte those of the unfused
-        chain, and ISD's teacher distributions those of anchor_distribution_batch."""
+    def test_fused_batch_losses_bitwise_equal_node_chain(self, seed, b, n, d, tau, zero_rows):
+        """ISD, MoCo and BYOL losses and gradients are byte for byte those of the
+        per-op chain, also for all-zero student rows (the eps branch of the row
+        normalisation), and ISD's teacher distributions those of
+        anchor_distribution_batch."""
         rng = np.random.default_rng(seed)
         q_values = rng.standard_normal((b, d))
-        q_t = rng.standard_normal((b, d))
-        anchors = Tensor(rng.standard_normal((n, d)))
-        p_t = anchor_distribution_batch(q_t, anchors.data, tau)
+        q_values[rng.permutation(b)[:zero_rows]] = 0.0
+        assert_fused_equal_chain(q_values, rng.standard_normal((b, d)),
+                                 rng.standard_normal((n, d)), tau)
 
-        def run(loss_of):
-            q = Tensor.parameter(q_values.copy())
-            loss = loss_of(q)
-            T.backward(loss)
-            return loss.data.tobytes(), q.grad.tobytes()
-
-        assert (run(lambda q: isd_loss_batch(q_t, q, anchors, tau)[0])
-                == run(lambda q: loss_chain.anchor_cross_entropy_batch(p_t, q, anchors, tau)))
-        assert isd_loss_batch(q_t, Tensor(q_values), anchors, tau)[1].tobytes() == p_t.tobytes()
-        assert (run(lambda q: moco_loss_batch(q, q_t, anchors, tau))
-                == run(lambda q: loss_chain.moco_loss_batch(q, q_t, anchors, tau)))
+    @pytest.mark.parametrize("n", [1024, 984])
+    def test_fused_batch_losses_bitwise_at_reference_shape(self, n):
+        """The bitwise check at batch 64 and width 64 against a full bank of 1024
+        anchors, and against the 984 a default prefill leaves."""
+        rng = np.random.default_rng(n)
+        q_values = rng.standard_normal((64, 64))
+        q_values[5] = 0.0
+        assert_fused_equal_chain(q_values, rng.standard_normal((64, 64)),
+                                 rng.standard_normal((n, 64)), 0.02)
 
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), n=st.integers(2, 40),
            tau=st.sampled_from([0.02, 0.1, 0.5, 1.0]))
@@ -455,3 +456,24 @@ def call_anchor_form(name, block_shape=(2, 3), anchor_shape=(4, 3), poison=None,
     if name == "isd_loss_batch":
         return isd_loss_batch(block, student, Tensor(anchors), tau)
     return moco_loss_batch(student, block, Tensor(anchors), tau)
+
+
+def assert_fused_equal_chain(q_values, q_t, anchor_rows, tau):
+    """Each objective node and its per-op chain in ``oracles.loss_chain`` give the
+    same loss and student-gradient bytes on one student block."""
+    anchors = Tensor(anchor_rows)
+    p_t = anchor_distribution_batch(q_t, anchors.data, tau)
+
+    def run(loss_of):
+        q = Tensor.parameter(q_values.copy())
+        loss = loss_of(q)
+        T.backward(loss)
+        return loss.data.tobytes(), q.grad.tobytes()
+
+    assert (run(lambda q: isd_loss_batch(q_t, q, anchors, tau)[0])
+            == run(lambda q: loss_chain.anchor_cross_entropy_batch(p_t, q, anchors, tau)))
+    assert isd_loss_batch(q_t, Tensor(q_values), anchors, tau)[1].tobytes() == p_t.tobytes()
+    assert (run(lambda q: moco_loss_batch(q, q_t, anchors, tau))
+            == run(lambda q: loss_chain.moco_loss_batch(q, q_t, anchors, tau)))
+    assert (run(lambda q: byol_loss_batch(q, q_t))
+            == run(lambda q: loss_chain.byol_loss_batch(q, q_t)))

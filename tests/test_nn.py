@@ -214,8 +214,8 @@ class TestWholeBufferUpdates:
         state_layer = SgdState.for_params(layered.student_parameters(), lr=0.05,
                                           weight_decay=1e-3)
         for _ in range(3):
-            sgd_step(leaves, None, state_flat)
-            mlp_graph.sgd_step(layered.student_parameters(), None, state_layer)
+            sgd_step(leaves, state_flat)
+            mlp_graph.sgd_step(layered.student_parameters(), state_layer)
             ema_update(flat)
             mlp_graph.ema_update(layered)
         for a, b in zip(flat.student_parameters() + flat.teacher_encoder.parameters(),
@@ -226,48 +226,58 @@ class TestWholeBufferUpdates:
 
 
 class TestSgd:
-    def _param(self, values):
-        return Tensor.parameter(np.asarray(values, dtype=np.float64))
+    def _param(self, values, grad):
+        p = Tensor.parameter(np.asarray(values, dtype=np.float64))
+        p.grad = np.asarray(grad, dtype=np.float64)
+        return p
 
     def test_zero_grad_leaves_params_unchanged(self):
-        p = self._param([1.0, -2.0])
+        p = self._param([1.0, -2.0], np.zeros(2))
         state = SgdState.for_params([p], lr=0.1, weight_decay=0.0)
-        sgd_step([p], [np.zeros(2)], state)
+        sgd_step([p], state)
         assert np.array_equal(p.data, [1.0, -2.0])
 
     def test_first_step_closed_form(self):
-        p = self._param([1.0, 2.0])
         g = np.array([0.5, -0.25])
+        p = self._param([1.0, 2.0], g)
         state = SgdState.for_params([p], lr=0.1, weight_decay=0.0)
-        sgd_step([p], [g], state)
+        sgd_step([p], state)
         assert np.allclose(p.data, [1.0, 2.0] - 0.1 * g, atol=1e-15)
 
     def test_two_steps_unrolled_by_hand(self):
         """Constant gradient g for two steps gives theta - lr*g*(1 + 1.9)."""
-        p = self._param([3.0])
-        g = np.array([2.0])
+        p = self._param([3.0], [2.0])
         state = SgdState.for_params([p], lr=0.1, weight_decay=0.0)
-        sgd_step([p], [g], state)
-        sgd_step([p], [g], state)
+        sgd_step([p], state)
+        sgd_step([p], state)
         assert p.data[0] == pytest.approx(3.0 - 0.1 * 2.0 * (1.0 + 1.9), abs=1e-15)
 
     def test_weight_decay_enters_velocity(self):
-        p = self._param([2.0])
+        p = self._param([2.0], np.zeros(1))
         state = SgdState.for_params([p], lr=0.1, momentum=0.9, weight_decay=0.01)
-        sgd_step([p], [np.zeros(1)], state)
+        sgd_step([p], state)
         assert p.data[0] == pytest.approx(2.0 - 0.1 * (0.01 * 2.0))
 
     def test_teacher_parameter_rejected(self):
         frozen = init_params(MlpSpec((1, 2)), 0, trainable=False).flat
+        frozen.grad = np.zeros(4)
         state = SgdState.for_params([frozen], lr=0.1)
         with pytest.raises(ContractError):
-            sgd_step([frozen], [np.zeros(4)], state)
+            sgd_step([frozen], state)
 
     def test_shape_mismatch(self):
-        p = self._param([1.0, 2.0])
+        """A grad buffer or a velocity unlike its parameter, or a velocity
+        list that does not align with the parameters, is rejected."""
+        p = self._param([1.0, 2.0], np.zeros(3))
         state = SgdState.for_params([p], lr=0.1)
         with pytest.raises(ShapeError):
-            sgd_step([p], [np.zeros(3)], state)
+            sgd_step([p], state)
+        p.grad = np.zeros(2)
+        state.velocities[0] = np.zeros(3)
+        with pytest.raises(ShapeError):
+            sgd_step([p], state)
+        with pytest.raises(ShapeError):
+            sgd_step([p, self._param([1.0], [0.0])], SgdState.for_params([p], lr=0.1))
 
 
 def make_pair(momentum, seed=0):

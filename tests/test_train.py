@@ -7,12 +7,14 @@ import os
 import numpy as np
 import pytest
 
+from oracles import loss_chain
 from simdistill.augment import augment
 from simdistill.checkpoint import load_checkpoint, save_checkpoint
 from simdistill.config import RunConfig
 from simdistill.data import gen_gaussian_mixture
 from simdistill.errors import CheckpointError, ColdStartError, ConfigError
 from simdistill.evaluation import embed_dataset, knn_eval
+from simdistill.losses import anchor_distribution_batch
 from simdistill.nn import (MlpParams, MlpSpec, ModelPair, default_predictor_spec,
                            init_params, mlp_forward)
 from simdistill.train import MetricsWriter, Trainer, distill, train
@@ -184,6 +186,38 @@ class TestStepContracts:
         trainer = Trainer(small_config("moco"), ds.feature_dim)
         trainer.prefill(ds)
         assert trainer.step(ds.samples[:8]).teacher_entropy == 0.0
+
+    def test_one_graph_node_per_objective(self, monkeypatch):
+        """A step records three graph nodes for every objective: the student
+        encoder, the predictor and the objective itself, whose only parent is
+        the predictor's output block."""
+        train_mod = importlib.import_module("simdistill.train")
+        ds = small_dataset()
+        for objective in ("isd", "moco", "byol"):
+            trainer = Trainer(small_config(objective), ds.feature_dim)
+            trainer.prefill(ds)
+            outputs, losses = [], []
+
+            def forward(params, x):
+                outputs.append(mlp_forward(params, x))
+                return outputs[-1]
+
+            monkeypatch.setattr(train_mod, "mlp_forward", forward)
+            monkeypatch.setattr(train_mod, "backward", losses.append)
+            trainer.step(ds.samples[:8])
+            (loss,) = losses
+            s_pred = outputs[-1]
+            assert loss.parents == (s_pred,)
+            ops, seen, stack = [], {id(loss)}, [loss]
+            while stack:
+                node = stack.pop()
+                if node.op is not None:
+                    ops.append(node.op)
+                for p in node.parents:
+                    if id(p) not in seen:
+                        seen.add(id(p))
+                        stack.append(p)
+            assert len(ops) == 3, (objective, ops)
 
     def test_metrics_stay_finite_with_bounded_entropy(self):
         """Loss is finite every step and H(p_t) never exceeds ln(bank count)."""
@@ -457,8 +491,8 @@ class TestMocoReductionEndToEnd:
 
 class TestFusedPathMatchesOracle:
     """Whole training runs through the CLI are byte-identical with the per-op MLP
-    graph and the per-parameter SGD and EMA loops patched in for the fused node
-    and the whole-buffer updates."""
+    graph, the per-op objective chains and the per-parameter SGD and EMA loops
+    patched in for the fused nodes and the whole-buffer updates."""
 
     ARGS = ["--set", "epochs=2", "--set", "bank_capacity=32", "--set", "batch_size=16",
             "--set", "encoder_widths=8,24,12", "--set", "eval_every=1",
@@ -484,6 +518,15 @@ class TestFusedPathMatchesOracle:
         for module in (train_mod, evaluation_mod):
             monkeypatch.setattr(module, "mlp_forward", mlp_graph.mlp_forward)
         monkeypatch.setattr(train_mod, "sgd_step", mlp_graph.sgd_step)
+        monkeypatch.setattr(train_mod, "isd_loss_batch", chain_isd_loss_batch)
+        monkeypatch.setattr(train_mod, "moco_loss_batch", loss_chain.moco_loss_batch)
+        monkeypatch.setattr(train_mod, "byol_loss_batch", loss_chain.byol_loss_batch)
         monkeypatch.setattr(train_mod, "ema_update", mlp_graph.ema_update)
         oracle = run("oracle")
         assert fused == oracle
+
+
+def chain_isd_loss_batch(q_t_emb, q_s_pred, anchors, tau):
+    """``isd_loss_batch`` with the loss built by the per-op chain."""
+    p_t = anchor_distribution_batch(q_t_emb, anchors.data, tau)
+    return loss_chain.anchor_cross_entropy_batch(p_t, q_s_pred, anchors, tau), p_t
