@@ -3,20 +3,19 @@
 Subcommands: train, distill, eval, ablate-temperature, unbalanced,
 gen-data. Every run resolves its configuration (config file, then --set
 overrides, then --seed) and echoes it into the output directory before
-computing anything. Exit codes: 0 ok, 2 usage, 3 config, 4 data/format,
-5 checkpoint.
+computing anything; beyond that config, a command reads only its input
+files and its --taus or --reps grid. Exit codes: 0 ok, 2 usage, 3 config,
+4 data/format, 5 checkpoint.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
 from . import experiments
 from .config import RunConfig, apply_overrides, load_config
-from .data import gen_gaussian_mixture, save_dataset
 from .errors import (CheckpointError, ConfigError, ContractError, FormatError,
                      SimDistillError)
 
@@ -27,12 +26,14 @@ EXIT_DATA = 4
 EXIT_CHECKPOINT = 5
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, out: str = "run", seed: bool = True) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override one config field")
-    parser.add_argument("--out", default="run", help="output directory")
-    parser.add_argument("--seed", type=int, help="base seed (sets init/data/augment seeds)")
+    parser.add_argument("--out", default=out, help="output directory")
+    if seed:
+        parser.add_argument("--seed", type=int,
+                            help="base seed (sets init/data/augment seeds)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,14 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--reps", type=int, default=10)
 
-    p = sub.add_parser("gen-data", help="write synthetic dataset container files")
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--per-class", type=int, default=200)
-    p.add_argument("--eval-per-class", type=int, default=50)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--sep", type=float, default=6.0)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", default="data")
+    p = sub.add_parser("gen-data", help="write the synthetic corpus of the data_* fields")
+    _add_common(p, out="data", seed=False)
     return parser
 
 
@@ -77,33 +72,30 @@ def _resolve_config(args, base: RunConfig | None = None) -> RunConfig:
     else:
         cfg = base if base is not None else RunConfig()
     cfg = apply_overrides(cfg, args.overrides)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed_init=args.seed, seed_data=args.seed + 1,
                       seed_augment=args.seed + 2)
     cfg.validate()
+    # without container files, every command's k-NN train set is the synthetic corpus
+    corpus = cfg.data_classes * cfg.data_per_class
+    if not cfg.data_train and cfg.eval_k > corpus:
+        raise ConfigError(f"eval_k={cfg.eval_k} exceeds the {corpus} samples of the "
+                          f"training corpus (data_classes * data_per_class)")
     return cfg
 
 
 def _dispatch(args) -> int:
-    if args.command == "gen-data":
-        os.makedirs(args.out, exist_ok=True)
-        train_ds = gen_gaussian_mixture(args.classes, args.per_class, args.dim,
-                                        args.sep, args.seed, split="train")
-        eval_ds = gen_gaussian_mixture(args.classes, args.eval_per_class, args.dim,
-                                       args.sep, args.seed, split="eval")
-        save_dataset(train_ds, os.path.join(args.out, "train.bin"))
-        save_dataset(eval_ds, os.path.join(args.out, "eval.bin"))
-        print(f"wrote {args.out}/train.bin ({len(train_ds)} samples) and "
-              f"{args.out}/eval.bin ({len(eval_ds)} samples)")
-        return EXIT_OK
-
     base = None
     if args.command == "ablate-temperature":
         base = experiments.ablation_base_config()
     elif args.command == "unbalanced":
         base = experiments.unbalanced_base_config()
     cfg = _resolve_config(args, base)
-    if args.command == "train":
+    if args.command == "gen-data":
+        train_ds, eval_ds = experiments.write_synthetic_datasets(cfg, args.out)
+        print(f"wrote {args.out}/train.bin ({len(train_ds)} samples) and "
+              f"{args.out}/eval.bin ({len(eval_ds)} samples)")
+    elif args.command == "train":
         ckpt = experiments.run_training(cfg, args.out)
         print(f"trained {cfg.objective} for {cfg.epochs} epochs; "
               f"checkpoint at {args.out}/checkpoint.bin (step {ckpt.step})")
@@ -130,8 +122,7 @@ def _dispatch(args) -> int:
             print(f"tau={row['tau']}: teacher {row['teacher_knn']:.4f} "
                   f"student {row['student_knn']:.4f}")
     elif args.command == "unbalanced":
-        seed = args.seed if args.seed is not None else 1
-        rows = experiments.unbalanced_protocol(cfg, args.reps, seed, args.out)
+        rows = experiments.unbalanced_protocol(cfg, args.reps, cfg.seed_init, args.out)
         for i, row in enumerate(rows):
             print(f"rep {i}: diff_all={row['diff_all']:+.4f} diff_rare={row['diff_rare']:+.4f}")
     else:  # pragma: no cover - argparse enforces the choices

@@ -16,7 +16,8 @@ import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig, serialize_config
-from .data import LabeledDataset, gen_gaussian_mixture, load_dataset, make_unbalanced
+from .data import (LabeledDataset, gen_gaussian_mixture, load_dataset, make_unbalanced,
+                   save_dataset)
 from .errors import ConfigError, ContractError
 from .evaluation import embed_dataset, knn_eval, linear_probe, recall_at_k
 from .train import distill, knn_accuracies, train
@@ -133,10 +134,12 @@ def unbalanced_base_config() -> RunConfig:
     negatives for the contrastive objective, a cosine schedule with long
     training lets the consensus dynamic mature, and the sharper
     temperature keeps the teacher's mass on same-class anchors. Explicit
-    config keys override any of this.
+    config keys override any of this. ``seed_init`` is the protocol seed
+    the command line passes to :func:`unbalanced_protocol`; each run's own
+    seeds derive from it.
     """
     return RunConfig(
-        objective="isd", temperature=0.07, lr=0.05, momentum=0.97,
+        objective="isd", temperature=0.07, lr=0.05, momentum=0.97, seed_init=1,
         lr_schedule="cosine", epochs=200, bank_capacity=512, batch_size=64,
         teacher_policy="custom", student_policy="custom",
         custom_noise_std=1.0, custom_mask_prob=0.2,
@@ -158,6 +161,15 @@ def ablation_base_config() -> RunConfig:
     )
 
 
+def synthetic_datasets(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
+    """The train and eval splits of the Gaussian mixture the data_* fields describe."""
+    train_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_per_class, cfg.data_dim,
+                                    cfg.data_sep, cfg.data_seed, split="train")
+    eval_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_eval_per_class, cfg.data_dim,
+                                   cfg.data_sep, cfg.data_seed, split="eval")
+    return train_ds, eval_ds
+
+
 def build_datasets(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
     """Load container files when paths are set, else synthesize a mixture pair."""
     if cfg.data_train:
@@ -169,11 +181,7 @@ def build_datasets(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
             raise ConfigError(f"eval_k={cfg.eval_k} exceeds the {len(train_ds)} samples "
                               f"of {cfg.data_train}")
         return train_ds, eval_ds
-    train_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_per_class, cfg.data_dim,
-                                    cfg.data_sep, cfg.data_seed, split="train")
-    eval_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_eval_per_class, cfg.data_dim,
-                                   cfg.data_sep, cfg.data_seed, split="eval")
-    return train_ds, eval_ds
+    return synthetic_datasets(cfg)
 
 
 def write_resolved_config(cfg: RunConfig, out_dir: str) -> str:
@@ -183,6 +191,18 @@ def write_resolved_config(cfg: RunConfig, out_dir: str) -> str:
     with open(path, "w") as f:
         f.write(text)
     return path
+
+
+def write_synthetic_datasets(cfg: RunConfig, out_dir: str) -> tuple[LabeledDataset, LabeledDataset]:
+    """Write resolved.cfg, then the synthetic corpus as train.bin and eval.bin."""
+    if cfg.data_train:
+        raise ConfigError("data_train is set: gen-data writes the synthetic corpus of the "
+                          "data_* fields, not a copy of a loaded one")
+    write_resolved_config(cfg, out_dir)
+    train_ds, eval_ds = synthetic_datasets(cfg)
+    save_dataset(train_ds, os.path.join(out_dir, "train.bin"))
+    save_dataset(eval_ds, os.path.join(out_dir, "eval.bin"))
+    return train_ds, eval_ds
 
 
 def run_training(cfg: RunConfig, out_dir: str) -> Checkpoint:
@@ -290,10 +310,7 @@ def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str,
     tasks = []
     for rep in range(reps):
         rep_seed = seed * 10007 + rep
-        balanced = gen_gaussian_mixture(cfg.data_classes, cfg.data_per_class, cfg.data_dim,
-                                        cfg.data_sep, rep_seed, split="train")
-        eval_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_eval_per_class, cfg.data_dim,
-                                       cfg.data_sep, rep_seed, split="eval")
+        balanced, eval_ds = synthetic_datasets(replace(cfg, data_seed=rep_seed))
         pick = np.random.default_rng([seed, rep, 99])
         large = sorted(int(c) for c in pick.choice(cfg.data_classes, size=large_count,
                                                    replace=False))

@@ -120,6 +120,11 @@ def _teacher_block(name: str, block, student_shape: tuple[int, ...]) -> np.ndarr
     return block
 
 
+def _student_rows(block: Tensor):
+    """``l2_rows`` of a finite student block: its unit rows and the map's vjp."""
+    return T.l2_rows(_finite("student rows", block.data))
+
+
 def _anchor_units(anchors: np.ndarray, query_shape: tuple[int, ...], tau: float) -> np.ndarray:
     """Unit anchor rows for a [b, d] query block: at least 2 finite rows of width d."""
     if not (tau > 0 and np.isfinite(1.0 / tau)):    # also rejects NaN, and 1/tau overflowing
@@ -184,7 +189,7 @@ def _anchor_cross_entropy(targets: np.ndarray, queries: Tensor, units: np.ndarra
     if targets.shape != (b, units.shape[0]):
         raise ShapeError(f"target block {targets.shape} does not match [{b}, {units.shape[0]}]")
     c = 1.0 / tau
-    qs, normalize_vjp = T.l2_rows(queries.data)
+    qs, normalize_vjp = _student_rows(queries)
     value, ce_vjp = _soft_cross_entropy((qs @ units.T) * c, targets)
     return T._record(value, "anchor_cross_entropy", (queries,),
                      lambda g: (normalize_vjp((ce_vjp(g) * c) @ units),))
@@ -218,7 +223,7 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: Tensor, tau: fl
     pos_units = T.unit_rows(_teacher_block("positive keys", pos_emb, q_emb.data.shape))
     b = q_emb.data.shape[0]
     c = 1.0 / tau
-    qs, normalize_vjp = T.l2_rows(q_emb.data)
+    qs, normalize_vjp = _student_rows(q_emb)
     logits = np.concatenate([(qs * pos_units).sum(axis=1)[:, None], qs @ units.T], axis=1) * c
     onehot = np.zeros((b, units.shape[0] + 1))
     onehot[:, 0] = 1.0
@@ -236,7 +241,7 @@ def byol_loss_batch(q_s_pred: Tensor, q_t_emb: np.ndarray) -> Tensor:
     t_units = T.unit_rows(_teacher_block("teacher embeddings", q_t_emb, q_s_pred.data.shape))
     b = q_s_pred.data.shape[0]
     c = -2.0 / b
-    qs, normalize_vjp = T.l2_rows(q_s_pred.data)
+    qs, normalize_vjp = _student_rows(q_s_pred)
     value = np.asarray((qs * t_units).sum(axis=1).sum()) * c + np.asarray(2.0)
     return T._record(value, "byol_loss", (q_s_pred,),
                      lambda g: (normalize_vjp(np.full((b,), float(g * c))[:, None] * t_units),))

@@ -46,27 +46,20 @@ class MetricsWriter:
 
     COLUMNS = ("epoch", "step", "loss", "h_pt", "lr", "teacher_knn", "student_knn")
 
-    def __init__(self, path: str | None):
-        self._file = open(path, "w", newline="") if path else None
-        if self._file:
-            self._writer = csv.writer(self._file)
-            self._writer.writerow(self.COLUMNS)
+    def __init__(self, path: str):
+        self._file = open(path, "w", newline="")
+        self._writer = csv.writer(self._file)
+        self._writer.writerow(self.COLUMNS)
 
     def step_row(self, m: StepMetrics) -> None:
-        if not self._file:
-            return
         h = repr(m.teacher_entropy) if m.teacher_entropy is not None else ""
         self._writer.writerow([m.epoch, m.step, repr(m.loss), h, repr(m.lr), "", ""])
 
     def eval_row(self, epoch: int, step: int, teacher_knn: float, student_knn: float) -> None:
-        if not self._file:
-            return
         self._writer.writerow([epoch, step, "", "", "", repr(teacher_knn), repr(student_knn)])
 
     def close(self) -> None:
-        if self._file:
-            self._file.close()
-            self._file = None
+        self._file.close()
 
 
 def _encoder_spec(config: RunConfig, input_dim: int) -> MlpSpec:
@@ -222,27 +215,39 @@ class Trainer:
         )
 
     def run(self, train_ds: LabeledDataset, eval_ds: LabeledDataset | None = None,
-            metrics: MetricsWriter | None = None,
-            on_eval=None) -> Checkpoint:
-        """Run the configured number of epochs and return the final checkpoint."""
+            metrics_path: str | None = None, on_eval=None) -> Checkpoint:
+        """Run the configured number of epochs and return the final checkpoint.
+
+        With ``metrics_path`` set, the run writes its metrics CSV there. With
+        ``eval_ds`` set, k-NN against ``train_ds`` scores both networks every
+        ``eval_every`` epochs and after the last.
+        """
         cfg = self.config
-        if cfg.epochs > 0:
-            self.prefill(train_ds)
-        for epoch in range(cfg.epochs):
-            self.epoch = epoch
-            order = self.rng_data.permutation(len(train_ds))
-            for start in range(0, len(order), cfg.batch_size):
-                batch = train_ds.samples[order[start:start + cfg.batch_size]]
-                m = self.step(batch)
-                if metrics:
-                    metrics.step_row(m)
-            last = epoch == cfg.epochs - 1
-            if eval_ds is not None and (epoch % cfg.eval_every == 0 or last):
-                t_acc, s_acc = knn_accuracies(self.pair, train_ds, eval_ds, cfg.eval_k)
-                if metrics:
-                    metrics.eval_row(epoch, self.global_step, t_acc, s_acc)
-                if on_eval:
-                    on_eval(epoch, t_acc, s_acc)
+        if eval_ds is not None and cfg.eval_k > len(train_ds):
+            raise ConfigError(f"eval_k={cfg.eval_k} exceeds the {len(train_ds)} samples "
+                              f"of the k-NN train set")
+        metrics = MetricsWriter(metrics_path) if metrics_path else None
+        try:
+            if cfg.epochs > 0:
+                self.prefill(train_ds)
+            for epoch in range(cfg.epochs):
+                self.epoch = epoch
+                order = self.rng_data.permutation(len(train_ds))
+                for start in range(0, len(order), cfg.batch_size):
+                    batch = train_ds.samples[order[start:start + cfg.batch_size]]
+                    m = self.step(batch)
+                    if metrics:
+                        metrics.step_row(m)
+                last = epoch == cfg.epochs - 1
+                if eval_ds is not None and (epoch % cfg.eval_every == 0 or last):
+                    t_acc, s_acc = knn_accuracies(self.pair, train_ds, eval_ds, cfg.eval_k)
+                    if metrics:
+                        metrics.eval_row(epoch, self.global_step, t_acc, s_acc)
+                    if on_eval:
+                        on_eval(epoch, t_acc, s_acc)
+        finally:
+            if metrics:
+                metrics.close()
         return self.checkpoint()
 
 
@@ -250,7 +255,7 @@ def train(config: RunConfig, train_ds: LabeledDataset,
           eval_ds: LabeledDataset | None = None,
           metrics_path: str | None = None) -> Checkpoint:
     """Train from scratch on a dataset; fully deterministic given the seeds."""
-    return _run(Trainer(config, train_ds.feature_dim), train_ds, eval_ds, metrics_path)
+    return Trainer(config, train_ds.feature_dim).run(train_ds, eval_ds, metrics_path)
 
 
 def distill(config: RunConfig, teacher_checkpoint, train_ds: LabeledDataset,
@@ -265,9 +270,8 @@ def distill(config: RunConfig, teacher_checkpoint, train_ds: LabeledDataset,
     """
     if isinstance(teacher_checkpoint, str):
         teacher_checkpoint = load_checkpoint(teacher_checkpoint)
-    config.validate()    # rejects distill_mode with momentum < 1
-    cfg = replace(config, distill_mode=True, momentum=1.0,
-                  teacher_policy="mild", student_policy="mild")
+    config.validate()    # a bad value stays an error where distillation overrides it
+    cfg = replace(config, momentum=1.0, teacher_policy="mild", student_policy="mild")
 
     source = teacher_checkpoint.pair
     loaded = source.teacher_encoder if cfg.distill_source == "teacher" else source.student_encoder
@@ -283,13 +287,4 @@ def distill(config: RunConfig, teacher_checkpoint, train_ds: LabeledDataset,
                              momentum=1.0, seed=cfg.seed_init)
     pair = ModelPair(fresh.student_encoder, fresh.student_predictor,
                      loaded.copy(trainable=False), momentum=1.0)
-    return _run(Trainer(cfg, train_ds.feature_dim, pair=pair), train_ds, eval_ds, metrics_path)
-
-
-def _run(trainer: Trainer, train_ds: LabeledDataset, eval_ds: LabeledDataset | None,
-         metrics_path: str | None) -> Checkpoint:
-    writer = MetricsWriter(metrics_path)
-    try:
-        return trainer.run(train_ds, eval_ds, writer)
-    finally:
-        writer.close()
+    return Trainer(cfg, train_ds.feature_dim, pair=pair).run(train_ds, eval_ds, metrics_path)

@@ -20,6 +20,19 @@ FAST = [
 ]
 
 
+# The protocol keeps 2 classes whole and cuts the others: it needs more than 2.
+UNBALANCED_FAST = [
+    "--set", "epochs=2", "--set", "bank_capacity=16", "--set", "batch_size=8",
+    "--set", "encoder_widths=6,12,4", "--set", "data_classes=4", "--set", "data_per_class=26",
+    "--set", "data_eval_per_class=5", "--set", "data_dim=6",
+]
+
+
+def read(directory, name):
+    with open(os.path.join(directory, name), "rb") as f:
+        return f.read()
+
+
 def rewrite_header(path, edit):
     """Replace the JSON header of a container file with ``edit(header)``."""
     raw = path.read_bytes()
@@ -81,6 +94,12 @@ INCONSISTENT = {
 }
 
 
+def gen_data_args(classes, per_class, eval_per_class, dim):
+    """The --set arguments of a gen-data corpus."""
+    return ["--set", f"data_classes={classes}", "--set", f"data_per_class={per_class}",
+            "--set", f"data_eval_per_class={eval_per_class}", "--set", f"data_dim={dim}"]
+
+
 def run_train(tmp_path, name="run", extra=()):
     out = str(tmp_path / name)
     code = main(["train", "--out", out, *FAST, *extra])
@@ -122,8 +141,7 @@ class TestExitCodes:
     def test_datasets_of_different_widths_are_exit_3(self, tmp_path, capsys, command):
         """Caught when the files are loaded, not at the first evaluation epoch."""
         for dim in (6, 8):
-            assert main(["gen-data", "--classes", "2", "--per-class", "12",
-                         "--eval-per-class", "6", "--dim", str(dim),
+            assert main(["gen-data", *gen_data_args(2, 12, 6, dim),
                          "--out", str(tmp_path / f"d{dim}")]) == 0
         extra = ["--checkpoint", os.path.join(run_train(tmp_path), "checkpoint.bin")] \
             if command == "eval" else []
@@ -138,12 +156,14 @@ class TestExitCodes:
         assert not (out / "metrics.csv").exists()
         assert not (out / "eval.csv").exists()
 
-    @pytest.mark.parametrize("command", ["train", "eval", "unbalanced"])
+    @pytest.mark.parametrize("command", ["train", "eval", "unbalanced", "distill",
+                                         "ablate-temperature", "gen-data"])
     def test_eval_k_above_the_synthetic_corpus_is_exit_3_before_any_output(
             self, tmp_path, capsys, command):
         """k-NN needs eval_k training samples; the synthetic corpus holds
         data_classes * data_per_class of them (24 here)."""
         extra = {"eval": ["--checkpoint", str(tmp_path / "c.bin")],
+                 "distill": ["--teacher", str(tmp_path / "t.bin")],
                  "unbalanced": ["--reps", "1"]}.get(command, [])
         out = tmp_path / "out"
         code = main([command, "--out", str(out), *extra, *FAST, "--set", "eval_k=25"])
@@ -155,8 +175,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_eval_k_above_a_loaded_corpus_is_exit_3_before_training(self, tmp_path, capsys,
                                                                     command):
-        assert main(["gen-data", "--classes", "2", "--per-class", "10", "--dim", "6",
-                     "--out", str(tmp_path / "d")]) == 0
+        assert main(["gen-data", *gen_data_args(2, 10, 50, 6), "--out", str(tmp_path / "d")]) == 0
         extra = ["--checkpoint", os.path.join(run_train(tmp_path), "checkpoint.bin")] \
             if command == "eval" else []
         capsys.readouterr()
@@ -176,7 +195,7 @@ class TestExitCodes:
         code = main(["distill", "--teacher", os.path.join(out, "checkpoint.bin"),
                      "--out", str(tmp_path / "d"), *FAST,
                      "--set", "encoder_widths=6,10,4",
-                     "--set", "distill_mode=true", "--set", "momentum=1.0"])
+                     "--set", "momentum=1.0"])
         assert code == 5
 
     @pytest.mark.parametrize("command,override", [
@@ -203,6 +222,7 @@ class TestExitCodes:
         ("ablate-temperature", ["--taus", "0.1,x"]),
         ("unbalanced", ["--reps", "0"]),
         ("train", ["--set", "data_train=runs#1/t.bin", "--set", "data_eval=e.bin"]),
+        ("gen-data", ["--set", "data_train=t.bin", "--set", "data_eval=e.bin"]),
     ])
     def test_bad_argument_is_exit_3_before_any_output(self, tmp_path, command, extra):
         out = tmp_path / "out"
@@ -246,8 +266,7 @@ class TestExitCodes:
         """A malformed header or payload is a data error that names the file,
         raised before training writes anything."""
         data = tmp_path / "data"
-        assert main(["gen-data", "--classes", "2", "--per-class", "12", "--eval-per-class", "6",
-                     "--dim", "6", "--out", str(data)]) == 0
+        assert main(["gen-data", *gen_data_args(2, 12, 6, 6), "--out", str(data)]) == 0
         edit(data / "train.bin")
         capsys.readouterr()
         code = main(["train", "--out", str(tmp_path / "run"), *FAST,
@@ -271,7 +290,7 @@ class TestExitCodes:
         capsys.readouterr()
         code = main(["distill", "--teacher", teacher, "--out", str(tmp_path / "d"), *FAST,
                      "--set", f"objective={objective}",
-                     "--set", "distill_mode=true", "--set", "momentum=1.0"])
+                     "--set", "momentum=1.0"])
         assert code == 4
         assert f"{culprit} contain NaN or Inf" in capsys.readouterr().err
 
@@ -285,8 +304,7 @@ class TestExitCodes:
 class TestGenData:
     def test_deterministic_outputs(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        args = ["gen-data", "--classes", "3", "--per-class", "9", "--eval-per-class", "4",
-                "--dim", "5", "--seed", "7"]
+        args = ["gen-data", *gen_data_args(3, 9, 4, 5), "--set", "data_seed=7"]
         assert main(args + ["--out", a]) == 0
         assert main(args + ["--out", b]) == 0
         for name in ("train.bin", "eval.bin"):
@@ -295,8 +313,7 @@ class TestGenData:
 
     def test_generated_files_feed_training(self, tmp_path):
         data = str(tmp_path / "data")
-        assert main(["gen-data", "--classes", "2", "--per-class", "12",
-                     "--eval-per-class", "6", "--dim", "6", "--seed", "3",
+        assert main(["gen-data", *gen_data_args(2, 12, 6, 6), "--set", "data_seed=3",
                      "--out", data]) == 0
         out = str(tmp_path / "run")
         code = main(["train", "--out", out, *FAST,
@@ -304,6 +321,27 @@ class TestGenData:
                      "--set", f"data_eval={data}/eval.bin"])
         assert code == 0
         assert os.path.exists(os.path.join(out, "checkpoint.bin"))
+
+    def test_training_on_the_files_equals_the_synthetic_run(self, tmp_path):
+        """gen-data writes the corpus a run of the same config synthesizes."""
+        data = str(tmp_path / "data")
+        assert main(["gen-data", "--out", data, *FAST]) == 0
+        synthetic = run_train(tmp_path, "synthetic")
+        assert read(data, "resolved.cfg") == read(synthetic, "resolved.cfg")
+        loaded = run_train(tmp_path, "loaded", extra=["--set", f"data_train={data}/train.bin",
+                                                      "--set", f"data_eval={data}/eval.bin"])
+        for name in ("checkpoint.bin", "metrics.csv"):
+            assert read(loaded, name) == read(synthetic, name)
+
+    @pytest.mark.parametrize("flag,value", [("--classes", "3"), ("--per-class", "9"),
+                                            ("--eval-per-class", "4"), ("--dim", "5"),
+                                            ("--sep", "2.0"), ("--seed", "7")])
+    def test_corpus_flags_are_usage_errors(self, tmp_path, flag, value):
+        """The corpus is set through data_* fields only; no flag can silently
+        write another one."""
+        out = tmp_path / "data"
+        assert main(["gen-data", flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestTrainCommand:
@@ -314,13 +352,19 @@ class TestTrainCommand:
         assert os.path.exists(os.path.join(out, "checkpoint.bin"))
 
     def test_resolved_config_reproduces_the_run(self, tmp_path):
-        out1 = run_train(tmp_path, "one")
-        out2 = str(tmp_path / "two")
-        assert main(["train", "--config", os.path.join(out1, "resolved.cfg"),
-                     "--out", out2]) == 0
-        for name in ("checkpoint.bin", "metrics.csv", "resolved.cfg"):
-            assert (open(os.path.join(out1, name), "rb").read()
-                    == open(os.path.join(out2, name), "rb").read())
+        """Replaying a run's resolved.cfg, with nothing else but the command's
+        own arguments, writes the same bytes."""
+        runs = [("train", [*FAST], [], ("checkpoint.bin", "metrics.csv")),
+                ("unbalanced", [*UNBALANCED_FAST, "--seed", "5"], ["--reps", "1"],
+                 ("unbalanced.csv",)),
+                ("gen-data", [*FAST], [], ("train.bin", "eval.bin"))]
+        for command, settings, args, artifacts in runs:
+            out1, out2 = str(tmp_path / command / "one"), str(tmp_path / command / "two")
+            assert main([command, "--out", out1, *args, *settings]) == 0
+            assert main([command, "--config", os.path.join(out1, "resolved.cfg"),
+                         "--out", out2, *args]) == 0
+            for name in (*artifacts, "resolved.cfg"):
+                assert read(out1, name) == read(out2, name), (command, name)
 
     def test_seed_flag_sets_all_three_seeds(self, tmp_path):
         out = run_train(tmp_path, extra=["--seed", "41"])
@@ -353,7 +397,7 @@ class TestDistillCommand:
         dist_out = str(tmp_path / "dist")
         code = main(["distill", "--teacher", os.path.join(out, "checkpoint.bin"),
                      "--out", dist_out, *FAST,
-                     "--set", "distill_mode=true", "--set", "momentum=1.0"])
+                     "--set", "momentum=1.0"])
         assert code == 0
         assert os.path.exists(os.path.join(dist_out, "checkpoint.bin"))
 
@@ -379,10 +423,7 @@ class TestUnbalancedCommand:
         """Two repetitions emit two rows whose diff columns recompute exactly."""
         out = str(tmp_path / "unb")
         code = main(["unbalanced", "--reps", "2", "--seed", "1", "--out", out,
-                     "--set", "epochs=2", "--set", "bank_capacity=16",
-                     "--set", "batch_size=8", "--set", "encoder_widths=6,12,4",
-                     "--set", "data_classes=4", "--set", "data_per_class=26",
-                     "--set", "data_eval_per_class=5", "--set", "data_dim=6"])
+                     *UNBALANCED_FAST])
         assert code == 0
         with open(os.path.join(out, "unbalanced.csv")) as f:
             rows = list(csv.DictReader(f))

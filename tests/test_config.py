@@ -1,5 +1,7 @@
 """Tests for the flat key=value run configuration."""
 
+import ast
+import os
 import string
 from dataclasses import fields
 
@@ -19,7 +21,6 @@ _FLOATS = st.floats(allow_nan=False, allow_infinity=True)
 _INTS = st.integers(-10**12, 10**12)
 _TEXT = st.text(string.ascii_letters + string.digits + "/._-=, ", max_size=12).map(str.strip)
 _BY_TYPE = {
-    "bool": st.booleans(),
     "int": _INTS,
     "float": _FLOATS,
     "str": _TEXT,
@@ -37,7 +38,7 @@ class TestRoundTrip:
     def test_modified_config_round_trips(self):
         cfg = RunConfig(objective="byol", temperature=0.07, lr=0.0625,
                         lr_step_fracs=(0.5,), encoder_widths=(8, 16, 4),
-                        distill_mode=True, momentum=1.0, data_train="path/t.bin",
+                        momentum=1.0, data_train="path/t.bin",
                         recall_ks=(1, 3))
         assert parse_config(serialize_config(cfg)) == cfg
 
@@ -61,7 +62,8 @@ class TestRoundTrip:
         assert text.startswith("objective=isd\ntemperature=0.02\nmomentum=0.99\n")
         assert "lr_step_fracs=0.7,0.9\nlr_step_factor=0.2\n" in text
         assert "encoder_widths=\npredictor_hidden=64\nteacher_policy=none\n" in text
-        assert "recall_ks=1,2,4,8\n" in text and "distill_mode=false\n" in text
+        assert "recall_ks=1,2,4,8\n" in text
+        assert "seed_augment=2\ndistill_source=teacher\neval_every=10\n" in text
         assert text.endswith("data_sep=6.0\ndata_seed=7\n")
 
     @pytest.mark.parametrize("values", [
@@ -92,12 +94,6 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("epochs=ten\n")
 
-    def test_booleans(self):
-        assert parse_config("distill_mode=true\nmomentum=1.0\n").distill_mode is True
-        assert parse_config("distill_mode=0\n").distill_mode is False
-        with pytest.raises(ConfigError):
-            parse_config("distill_mode=maybe\n")
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="config not found"):
             load_config(str(tmp_path / "absent.cfg"))
@@ -123,7 +119,7 @@ class TestValidate:
             cfg.validate()
 
     def test_contradiction_surfaces_on_validate(self):
-        cfg = parse_config("distill_mode=true\nmomentum=0.9\n")   # parsing does not validate
+        cfg = parse_config("batch_size=128\nbank_capacity=64\n")   # parsing does not validate
         with pytest.raises(ConfigError):
             cfg.validate()
 
@@ -135,7 +131,7 @@ class TestValidate:
         "lr_step_fracs=0.5,nan", "lr_schedule=linear", "batch_size=0", "epochs=-1",
         "bank_capacity=1", "distill_source=both", "eval_k=0", "eval_every=0",
         "probe_lr=0", "probe_epochs=-1", "recall_ks=1,0", "seed_augment=-1",
-        "data_classes=1", "data_dim=1", "data_sep=-1", "data_per_class=0", "eval_k=601",
+        "data_classes=1", "data_dim=1", "data_sep=-1", "data_per_class=0",
     ])
     def test_bad_value_rejected(self, override):
         cfg = apply_overrides(RunConfig(), [override])
@@ -143,11 +139,37 @@ class TestValidate:
             cfg.validate()
 
     def test_eval_k_may_reach_the_synthetic_corpus(self):
-        """k-NN may use all 3 * 200 synthetic samples; a loaded corpus is
-        checked when it is loaded, not here."""
+        """k-NN may use all 3 * 200 synthetic samples. validate() judges no
+        eval_k against a corpus: the command line checks the synthetic one,
+        a loaded corpus is checked when it is loaded, and Trainer.run checks
+        the train set it is handed."""
         RunConfig(eval_k=600).validate()
+        RunConfig(eval_k=601).validate()
         RunConfig(eval_k=601, data_train="t.bin", data_eval="e.bin").validate()
 
+
+def _attributes_read(tree: ast.AST, skip: str) -> set[str]:
+    """Names read as ``x.name`` in a module, outside functions called ``skip``."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_field_is_read_outside_validate():
+    """A field nothing reads but validate() is a knob that changes no run."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "simdistill")
+    read = set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as f:
+                read |= _attributes_read(ast.parse(f.read()), skip="validate")
+    assert sorted(f.name for f in fields(RunConfig) if f.name not in read) == []
 
 
 class TestTrainerReadsConfig:

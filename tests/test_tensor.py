@@ -19,7 +19,7 @@ import simdistill.tensor as T
 from oracles import graph_ops, loss_chain
 from simdistill.errors import ContractError, NumericDomainError, ShapeError
 from simdistill.losses import (anchor_cross_entropy_batch, anchor_distribution_batch,
-                               moco_loss_batch)
+                               byol_loss_batch, moco_loss_batch)
 from simdistill.tensor import Tensor
 
 
@@ -160,11 +160,12 @@ class TestSoftmax:
         for j, want in enumerate(neg_log):
             assert abs(cross_entropy_of_row([1.0, 2.0, 3.0], np.eye(3)[j]) - want) < 1e-14
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(NumericDomainError):
             anchor_distribution_batch(np.array([[1.0, bad]]), np.eye(2), 0.1)
-        with pytest.raises(NumericDomainError), np.errstate(invalid="ignore"):
+        with pytest.raises(NumericDomainError):
             anchor_cross_entropy_batch(np.array([[0.5, 0.5]]), Tensor([[1.0, bad]]),
                                        Tensor(np.eye(2)), 0.1)
 
@@ -251,13 +252,18 @@ class TestSoftCrossEntropy:
         with pytest.raises(ShapeError):
             anchor_cross_entropy_batch(np.zeros(targets), queries, anchors, 0.1)
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_rejected(self):
-        """A non-finite student block stops both cross entropies with a typed error."""
-        q = Tensor.parameter([[1.0, np.nan]])
-        with pytest.raises(NumericDomainError, match="soft_cross_entropy"):
-            anchor_cross_entropy_batch(np.array([[0.5, 0.5]]), q, Tensor(np.eye(2)), 0.1)
-        with pytest.raises(NumericDomainError, match="soft_cross_entropy"):
-            moco_loss_batch(q, np.ones((1, 2)), Tensor(np.eye(2)), 0.1)
+        """A non-finite student block stops all three objectives with a typed error,
+        before its rows are normalised (no numpy warning)."""
+        for bad in (np.nan, np.inf):
+            q = Tensor.parameter([[1.0, bad]])
+            with pytest.raises(NumericDomainError, match="student rows"):
+                anchor_cross_entropy_batch(np.array([[0.5, 0.5]]), q, Tensor(np.eye(2)), 0.1)
+            with pytest.raises(NumericDomainError, match="student rows"):
+                moco_loss_batch(q, np.ones((1, 2)), Tensor(np.eye(2)), 0.1)
+            with pytest.raises(NumericDomainError, match="student rows"):
+                byol_loss_batch(q, np.ones((1, 2)))
 
 
 class TestBackward:

@@ -48,10 +48,6 @@ def small_dataset(split="train", per_class=20, seed=3):
 class TestTrainConfig:
     """The training checks and the learning-rate schedule of the run config."""
 
-    def test_distill_mode_requires_frozen_teacher(self):
-        with pytest.raises(ConfigError):
-            small_config(distill_mode=True, momentum=0.9).validate()
-
     def test_momentum_range(self):
         with pytest.raises(ConfigError):
             small_config(momentum=1.2).validate()
@@ -279,6 +275,25 @@ class TestRun:
         for r in eval_rows:
             assert np.isfinite(float(r[5])) and np.isfinite(float(r[6]))
 
+    def test_eval_k_is_judged_against_the_train_set_it_is_handed(self):
+        """eval_k may exceed data_classes * data_per_class (600 here) when the
+        train set handed to the run is larger."""
+        ds = gen_gaussian_mixture(3, 201, 6, 2.0, seed=3, split="train")
+        ev = small_dataset("eval", per_class=10)
+        ckpt = train(small_config(epochs=1, eval_k=601), ds, ev)
+        assert ckpt.step == 76      # ceil(603 / 8) steps
+
+    def test_eval_k_above_the_train_set_fails_before_prefill(self, tmp_path):
+        """The train set is smaller than eval_k: no metrics file, no prefill, no step."""
+        trainer = Trainer(small_config(eval_k=61), 6)
+        path = tmp_path / "metrics.csv"
+        with pytest.raises(ConfigError, match="eval_k=61 exceeds the 60 samples of the "
+                                              "k-NN train set"):
+            trainer.run(small_dataset(), small_dataset("eval", per_class=10), str(path))
+        assert not path.exists()
+        assert trainer.bank.count == 0 and trainer.global_step == 0
+        trainer.run(small_dataset())    # no evaluation set: eval_k is not used
+
     def test_training_lifts_accuracy_over_random_init(self):
         """On a corpus with headroom the trained student clearly beats the
         frozen random-init encoder (measured gain about +17 points)."""
@@ -309,7 +324,7 @@ class TestDistill:
     def test_zero_epochs_leaves_student_at_fresh_init(self, tmp_path):
         ds = small_dataset()
         path = self._teacher_checkpoint(ds, None, tmp_path)
-        cfg = small_config(epochs=0, momentum=1.0, distill_mode=True)
+        cfg = small_config(epochs=0, momentum=1.0)
         out = distill(cfg, path, ds)
         fresh = ModelPair.create(SMALL_ENCODER,
                                  default_predictor_spec(4, cfg.predictor_hidden),
@@ -343,10 +358,11 @@ class TestDistill:
             distill(cfg, path, ds)
 
     def test_contradictory_config_rejected(self, tmp_path):
+        """The caller's config is validated before distillation forces momentum 1."""
         ds = small_dataset()
         path = self._teacher_checkpoint(ds, None, tmp_path)
-        with pytest.raises(ConfigError):
-            distill(small_config(distill_mode=True, momentum=0.9), path, ds)
+        with pytest.raises(ConfigError, match="momentum"):
+            distill(small_config(momentum=1.2), path, ds)
 
     def test_mild_views_distill_close_to_the_teacher(self, tmp_path):
         """Frozen-teacher distillation on mild views lands within two k-NN
