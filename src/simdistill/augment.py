@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import ContractError
 
-POLICY_NAMES = ("none", "mild", "aggressive", "custom")
-
 
 @dataclass(frozen=True)
 class AugmentPolicy:

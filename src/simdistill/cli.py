@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands: train, distill, eval, ablate-temperature, unbalanced,
-gen-data. Every run resolves its configuration (config file, then --set
-overrides, then --seed) and echoes it into the output directory before
-computing anything; beyond that config, a command reads only its input
-files and its --taus or --reps grid. Exit codes: 0 ok, 2 usage, 3 config,
-4 data/format, 5 checkpoint.
+gen-data. Every run resolves its configuration (the command's base, then
+the --config file, then --set overrides, then --seed) and echoes it into
+the output directory before computing anything; beyond that config, a
+command reads only its input files and its --taus or --reps grid. Exit
+codes: 0 ok, 2 usage, 3 config, 4 data/format, 5 checkpoint.
 """
 
 from __future__ import annotations
@@ -66,31 +66,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args, base: RunConfig | None = None) -> RunConfig:
+_BASES = {"ablate-temperature": experiments.ablation_base_config,
+          "unbalanced": experiments.unbalanced_base_config}
+
+
+def _resolve_config(args) -> RunConfig:
+    """The command's base (RunConfig() unless _BASES names one), then the --config
+    file, then --set, then --seed; validated."""
+    cfg = _BASES.get(args.command, RunConfig)()
     if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = base if base is not None else RunConfig()
+        cfg = load_config(args.config, cfg)
     cfg = apply_overrides(cfg, args.overrides)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed_init=args.seed, seed_data=args.seed + 1,
                       seed_augment=args.seed + 2)
     cfg.validate()
-    # without container files, every command's k-NN train set is the synthetic corpus
-    corpus = cfg.data_classes * cfg.data_per_class
-    if not cfg.data_train and cfg.eval_k > corpus:
-        raise ConfigError(f"eval_k={cfg.eval_k} exceeds the {corpus} samples of the "
-                          f"training corpus (data_classes * data_per_class)")
+    # without container files, every command trains and scores on the synthetic corpus
+    if not cfg.data_train:
+        corpus = cfg.data_classes * cfg.data_per_class
+        if cfg.eval_k > corpus:
+            raise ConfigError(f"eval_k={cfg.eval_k} exceeds the {corpus} samples of the "
+                              f"training corpus (data_classes * data_per_class)")
+        if cfg.encoder_widths and cfg.encoder_widths[0] != cfg.data_dim:
+            raise ConfigError(f"encoder input width {cfg.encoder_widths[0]} does not match "
+                              f"data_dim {cfg.data_dim} of the synthetic corpus")
     return cfg
 
 
 def _dispatch(args) -> int:
-    base = None
-    if args.command == "ablate-temperature":
-        base = experiments.ablation_base_config()
-    elif args.command == "unbalanced":
-        base = experiments.unbalanced_base_config()
-    cfg = _resolve_config(args, base)
+    cfg = _resolve_config(args)
     if args.command == "gen-data":
         train_ds, eval_ds = experiments.write_synthetic_datasets(cfg, args.out)
         print(f"wrote {args.out}/train.bin ({len(train_ds)} samples) and "

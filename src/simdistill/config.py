@@ -4,10 +4,13 @@ One dataclass holds every training, dataset and evaluation knob, and it
 is the only configuration every command reads: the trainer reads it
 directly, ``gen-data`` writes the synthetic corpus its ``data_*`` fields
 describe, and ``unbalanced`` takes its protocol seed from ``seed_init``.
+A config file's lines and ``--set`` pairs are the same key=value entries,
+and one parser applies both, in order, on a base config: ``RunConfig()``
+unless the caller passes another, as the CLI passes each command's base.
 Unknown keys are rejected, and ``parse_config(serialize_config(c)) == c``
 holds exactly, so the config echo a run writes is sufficient to reproduce
-it. ``validate()`` judges each value on its own; whether ``eval_k`` fits
-the k-NN train set is checked where that set is known.
+it. ``validate()`` judges each value on its own; whether ``eval_k`` and
+the encoder fit the corpus is checked where the corpus is known.
 """
 
 from __future__ import annotations
@@ -150,51 +153,50 @@ class RunConfig:
 _FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
+_PARSERS = {"int": int, "float": float, "str": str}
+
+
 def _parse_value(name: str, text: str):
-    f = _FIELDS[name]
-    base = f.type
+    kind = _FIELDS[name].type    # one of the _PARSERS names, or a tuple of one
     try:
-        if base == "int":
-            return int(text)
-        if base == "float":
-            return float(text)
-        if base == "str":
-            return text
-        if base.startswith("tuple[int"):
-            return tuple(int(p) for p in text.split(",") if p.strip() != "")
-        if base.startswith("tuple[float"):
-            return tuple(float(p) for p in text.split(",") if p.strip() != "")
+        if kind.startswith("tuple["):
+            item = _PARSERS[kind[len("tuple["):kind.index(",")]]
+            return tuple(item(p) for p in text.split(",") if p.strip() != "")
+        return _PARSERS[kind](text)
     except ValueError as e:
         raise ConfigError(f"config key {name}: {e}") from e
-    raise ConfigError(f"config key {name}: unhandled field type {base}")
 
 
 def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse key=value lines ('#' starts a comment); unknown keys are rejected."""
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, _, raw = stripped.partition("=")
+def _apply_entries(cfg: RunConfig, entries) -> RunConfig:
+    """``cfg`` with each ``(where, "key=value")`` entry applied in order; errors name ``where``."""
+    updates = {}
+    for where, entry in entries:
+        if "=" not in entry:
+            raise ConfigError(f"{where}: expected key=value, got {entry!r}")
+        key, _, raw = entry.partition("=")
         key = key.strip()
         if key not in _FIELDS:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, raw.strip())
-    return RunConfig(**values)
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        updates[key] = _parse_value(key, raw.strip())
+    return replace(cfg, **updates)
 
 
-def load_config(path: str) -> RunConfig:
+def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
+    """Layer key=value lines ('#' starts a comment) on ``base`` (default ``RunConfig()``)."""
+    entries = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        entry = line.split("#", 1)[0].strip()
+        if entry:
+            entries.append((f"config line {lineno}", entry))
+    return _apply_entries(RunConfig() if base is None else base, entries)
+
+
+def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
+    """Layer the key=value file at ``path`` on ``base`` (default ``RunConfig()``)."""
     try:
         with open(path) as f:
             text = f.read()
@@ -202,7 +204,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config not found: {path}")
     except UnicodeDecodeError as e:
         raise ConfigError(f"cannot decode config {path}: {e}") from e
-    return parse_config(text)
+    return parse_config(text, base)
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -222,14 +224,5 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
-    """Apply --set key=value overrides on top of a parsed config."""
-    updates = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override must look like key=value, got {pair!r}")
-        key, _, raw = pair.partition("=")
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        updates[key] = _parse_value(key, raw.strip())
-    return replace(cfg, **updates)
+    """Apply --set key=value overrides on top of a config."""
+    return _apply_entries(cfg, [("override", pair) for pair in pairs])

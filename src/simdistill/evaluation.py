@@ -49,13 +49,13 @@ class EmbeddingTable:
 
 
 def embed_dataset(encoder: MlpParams, ds: LabeledDataset, source: str = "",
-                  epoch: int = -1, batch_size: int = 512) -> EmbeddingTable:
-    """Encode a dataset without building any differentiation graph."""
+                  epoch: int = -1) -> EmbeddingTable:
+    """Encode a dataset, 512 rows at a time, without building any differentiation graph."""
     params = encoder.detached()
     x = ds.as_matrix()
     chunks = []
-    for start in range(0, len(x), batch_size):
-        out = mlp_forward(params, Tensor(x[start:start + batch_size]))
+    for start in range(0, len(x), 512):
+        out = mlp_forward(params, Tensor(x[start:start + 512]))
         chunks.append(out.data)
     features = np.concatenate(chunks, axis=0)
     if not encoder.spec.final_normalize:

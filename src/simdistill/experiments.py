@@ -20,11 +20,13 @@ from .data import (LabeledDataset, gen_gaussian_mixture, load_dataset, make_unba
                    save_dataset)
 from .errors import ConfigError, ContractError
 from .evaluation import embed_dataset, knn_eval, linear_probe, recall_at_k
-from .train import distill, knn_accuracies, train
+from .train import distill, distill_config, knn_accuracies, train
 
 TEMPERATURE_GRID = (0.003, 0.007, 0.01, 0.02, 0.04, 0.06)
 
 UNBALANCED_COLUMNS = ("isd_all", "moco_all", "isd_rare", "moco_rare", "diff_all", "diff_rare")
+UNBALANCED_LARGE_CLASSES = 2
+UNBALANCED_RARE_RATIO = 13
 
 
 def fan_out(fn, tasks: list) -> list:
@@ -184,13 +186,19 @@ def build_datasets(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
     return synthetic_datasets(cfg)
 
 
-def write_resolved_config(cfg: RunConfig, out_dir: str) -> str:
-    text = serialize_config(cfg)
+def _write_table(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
+    """A CSV of ``rows`` under ``columns``; csv writes each float as its repr."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
+
+
+def write_resolved_config(cfg: RunConfig, out_dir: str) -> None:
+    text = serialize_config(cfg)    # raises before the directory exists
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "resolved.cfg")
-    with open(path, "w") as f:
+    with open(os.path.join(out_dir, "resolved.cfg"), "w") as f:
         f.write(text)
-    return path
 
 
 def write_synthetic_datasets(cfg: RunConfig, out_dir: str) -> tuple[LabeledDataset, LabeledDataset]:
@@ -216,7 +224,9 @@ def run_training(cfg: RunConfig, out_dir: str) -> Checkpoint:
 
 
 def run_distill(cfg: RunConfig, teacher_path: str, out_dir: str) -> Checkpoint:
-    """Frozen-teacher distillation from a stored checkpoint."""
+    """Frozen-teacher distillation from a stored checkpoint; resolved.cfg holds
+    the settings distillation forces (:func:`distill_config`)."""
+    cfg = distill_config(cfg)
     write_resolved_config(cfg, out_dir)
     train_ds, eval_ds = build_datasets(cfg)
     ckpt = distill(cfg, teacher_path, train_ds, eval_ds,
@@ -244,13 +254,8 @@ def evaluate_checkpoint(cfg: RunConfig, ckpt_path: str, out_dir: str) -> list[di
         for source, encoder in (("teacher", ckpt.pair.teacher_encoder),
                                 ("student", ckpt.pair.student_encoder))])
     rows = [row for half in halves for row in half]
-    path = os.path.join(out_dir, "eval.csv")
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["metric", "k", "value", "source", "epoch"])
-        for row in rows:
-            writer.writerow([row["metric"], row["k"], repr(float(row["value"])),
-                             row["source"], row["epoch"]])
+    _write_table(os.path.join(out_dir, "eval.csv"),
+                 ("metric", "k", "value", "source", "epoch"), rows)
     return rows
 
 
@@ -276,12 +281,8 @@ def temperature_sweep(cfg: RunConfig, taus: tuple[float, ...], out_dir: str) -> 
     train_ds, eval_ds = build_datasets(cfg)
     rows = fan_out(_sweep_point, [(replace(cfg, temperature=tau), train_ds, eval_ds)
                                   for tau in taus])
-    path = os.path.join(out_dir, "temperature.csv")
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["tau", "teacher_knn", "student_knn"])
-        for row in rows:
-            writer.writerow([repr(row["tau"]), repr(row["teacher_knn"]), repr(row["student_knn"])])
+    _write_table(os.path.join(out_dir, "temperature.csv"),
+                 ("tau", "teacher_knn", "student_knn"), rows)
     return rows
 
 
@@ -292,28 +293,30 @@ def _sweep_point(task) -> dict:
     return {"tau": cfg.temperature, "teacher_knn": teacher_knn, "student_knn": student_knn}
 
 
-def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str,
-                        large_count: int = 2, rare_ratio: int = 13) -> list[dict]:
+def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str) -> list[dict]:
     """Matched-budget comparison of the distillation and contrastive objectives
     on corpora where a few classes dominate.
 
-    Per repetition: draw a balanced mixture, keep ``large_count`` random
-    classes whole and cut the rest to per_class / rare_ratio samples, train
-    both objectives with identical seeds and budgets, then score k-NN on a
-    balanced evaluation split against the balanced training corpus. The
-    evaluation side never sees the imbalance.
+    Per repetition: draw a balanced mixture, keep UNBALANCED_LARGE_CLASSES
+    random classes whole and cut the rest to per_class / UNBALANCED_RARE_RATIO
+    samples, train both objectives with identical seeds and budgets, then
+    score k-NN on a balanced evaluation split against the balanced training
+    corpus. The evaluation side never sees the imbalance.
     """
     if reps < 1:
         raise ConfigError("reps must be at least 1")
+    if cfg.data_classes <= UNBALANCED_LARGE_CLASSES:
+        raise ConfigError(f"data_classes={cfg.data_classes} leaves no rare class: the protocol "
+                          f"keeps {UNBALANCED_LARGE_CLASSES} classes whole")
     write_resolved_config(cfg, out_dir)
-    small_count = max(2, cfg.data_per_class // rare_ratio)
+    small_count = max(2, cfg.data_per_class // UNBALANCED_RARE_RATIO)
     tasks = []
     for rep in range(reps):
         rep_seed = seed * 10007 + rep
         balanced, eval_ds = synthetic_datasets(replace(cfg, data_seed=rep_seed))
         pick = np.random.default_rng([seed, rep, 99])
-        large = sorted(int(c) for c in pick.choice(cfg.data_classes, size=large_count,
-                                                   replace=False))
+        large = sorted(int(c) for c in pick.choice(
+            cfg.data_classes, size=UNBALANCED_LARGE_CLASSES, replace=False))
         rare = [c for c in range(cfg.data_classes) if c not in large]
         unbalanced = make_unbalanced(balanced, large, small_count, seed=rep_seed + 1)
         rare_mask = np.isin(eval_ds.labels, rare)
@@ -336,12 +339,7 @@ def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str,
             "diff_all": isd_all - moco_all,
             "diff_rare": isd_rare - moco_rare,
         })
-    path = os.path.join(out_dir, "unbalanced.csv")
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(UNBALANCED_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(row[c]) for c in UNBALANCED_COLUMNS])
+    _write_table(os.path.join(out_dir, "unbalanced.csv"), UNBALANCED_COLUMNS, rows)
     return rows
 
 

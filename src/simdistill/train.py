@@ -258,10 +258,17 @@ def train(config: RunConfig, train_ds: LabeledDataset,
     return Trainer(config, train_ds.feature_dim).run(train_ds, eval_ds, metrics_path)
 
 
+def distill_config(config: RunConfig) -> RunConfig:
+    """The config a distillation runs: the caller's, validated, with the settings
+    distillation forces whatever it says, momentum 1 and mild views on both sides."""
+    config.validate()    # a bad value stays an error where distillation overrides it
+    return replace(config, momentum=1.0, teacher_policy="mild", student_policy="mild")
+
+
 def distill(config: RunConfig, teacher_checkpoint, train_ds: LabeledDataset,
             eval_ds: LabeledDataset | None = None,
             metrics_path: str | None = None) -> Checkpoint:
-    """Frozen-teacher distillation: teacher loaded, momentum 1, mild views.
+    """Frozen-teacher distillation: teacher loaded, run with :func:`distill_config`.
 
     The student starts from scratch; the output checkpoint's teacher
     weights are bitwise those of the input. ``config.distill_source``
@@ -270,8 +277,7 @@ def distill(config: RunConfig, teacher_checkpoint, train_ds: LabeledDataset,
     """
     if isinstance(teacher_checkpoint, str):
         teacher_checkpoint = load_checkpoint(teacher_checkpoint)
-    config.validate()    # a bad value stays an error where distillation overrides it
-    cfg = replace(config, momentum=1.0, teacher_policy="mild", student_policy="mild")
+    cfg = distill_config(config)
 
     source = teacher_checkpoint.pair
     loaded = source.teacher_encoder if cfg.distill_source == "teacher" else source.student_encoder
@@ -284,7 +290,7 @@ def distill(config: RunConfig, teacher_checkpoint, train_ds: LabeledDataset,
 
     fresh = ModelPair.create(encoder_spec,
                              default_predictor_spec(encoder_spec.output_dim, cfg.predictor_hidden),
-                             momentum=1.0, seed=cfg.seed_init)
+                             momentum=cfg.momentum, seed=cfg.seed_init)
     pair = ModelPair(fresh.student_encoder, fresh.student_predictor,
-                     loaded.copy(trainable=False), momentum=1.0)
+                     loaded.copy(trainable=False), momentum=cfg.momentum)
     return Trainer(cfg, train_ds.feature_dim, pair=pair).run(train_ds, eval_ds, metrics_path)

@@ -11,6 +11,7 @@ import pytest
 from simdistill.checkpoint import load_checkpoint, save_checkpoint
 from simdistill.cli import main
 from simdistill.config import RunConfig, load_config, serialize_config
+from simdistill.train import Trainer
 
 FAST = [
     "--set", "epochs=2", "--set", "bank_capacity=16", "--set", "batch_size=8",
@@ -100,6 +101,12 @@ def gen_data_args(classes, per_class, eval_per_class, dim):
             "--set", f"data_eval_per_class={eval_per_class}", "--set", f"data_dim={dim}"]
 
 
+def drop_setting(args, key):
+    """Flag-value pairs ``args`` without the ``--set key=...`` pair."""
+    return [a for flag, value in zip(args[::2], args[1::2])
+            if not value.startswith(f"{key}=") for a in (flag, value)]
+
+
 def run_train(tmp_path, name="run", extra=()):
     out = str(tmp_path / name)
     code = main(["train", "--out", out, *FAST, *extra])
@@ -172,6 +179,35 @@ class TestExitCodes:
                                            "the training corpus (data_classes * data_per_class)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "unbalanced", "distill",
+                                         "ablate-temperature", "gen-data"])
+    def test_encoder_that_cannot_read_the_synthetic_corpus_is_exit_3_before_any_output(
+            self, tmp_path, capsys, command):
+        """A set encoder_widths must start at data_dim (6 here) unless data_train is set."""
+        extra = {"eval": ["--checkpoint", str(tmp_path / "c.bin")],
+                 "distill": ["--teacher", str(tmp_path / "t.bin")],
+                 "unbalanced": ["--reps", "1"]}.get(command, [])
+        out = tmp_path / "out"
+        code = main([command, "--out", str(out), *extra, *FAST, "--set", "encoder_widths=8,12,4"])
+        assert code == 3
+        assert capsys.readouterr().err == ("config error: encoder input width 8 does not match "
+                                           "data_dim 6 of the synthetic corpus\n")
+        assert not out.exists()
+
+    def test_encoder_that_cannot_read_a_loaded_corpus_is_exit_3_before_training(self, tmp_path,
+                                                                                 capsys):
+        """With data_train set, the width is checked once the file is loaded."""
+        assert main(["gen-data", *gen_data_args(2, 10, 5, 6), "--out", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "x"
+        code = main(["train", "--out", str(out), *FAST, "--set", "encoder_widths=8,12,4",
+                     "--set", f"data_train={tmp_path}/d/train.bin",
+                     "--set", f"data_eval={tmp_path}/d/eval.bin"])
+        assert code == 3
+        assert capsys.readouterr().err == ("config error: encoder input width 8 does not match "
+                                           "data dim 6\n")
+        assert not (out / "metrics.csv").exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_eval_k_above_a_loaded_corpus_is_exit_3_before_training(self, tmp_path, capsys,
                                                                     command):
@@ -223,6 +259,7 @@ class TestExitCodes:
         ("unbalanced", ["--reps", "0"]),
         ("train", ["--set", "data_train=runs#1/t.bin", "--set", "data_eval=e.bin"]),
         ("gen-data", ["--set", "data_train=t.bin", "--set", "data_eval=e.bin"]),
+        ("unbalanced", ["--reps", "1"]),    # FAST's 2 classes leave no rare class
     ])
     def test_bad_argument_is_exit_3_before_any_output(self, tmp_path, command, extra):
         out = tmp_path / "out"
@@ -354,7 +391,11 @@ class TestTrainCommand:
     def test_resolved_config_reproduces_the_run(self, tmp_path):
         """Replaying a run's resolved.cfg, with nothing else but the command's
         own arguments, writes the same bytes."""
+        teacher = ["--teacher", os.path.join(run_train(tmp_path, "teacher"), "checkpoint.bin")]
         runs = [("train", [*FAST], [], ("checkpoint.bin", "metrics.csv")),
+                ("distill", [*FAST], teacher, ("checkpoint.bin", "metrics.csv")),
+                ("ablate-temperature", [*FAST, "--seed", "3"], ["--taus", "0.1"],
+                 ("temperature.csv",)),
                 ("unbalanced", [*UNBALANCED_FAST, "--seed", "5"], ["--reps", "1"],
                  ("unbalanced.csv",)),
                 ("gen-data", [*FAST], [], ("train.bin", "eval.bin"))]
@@ -365,6 +406,46 @@ class TestTrainCommand:
                          "--out", out2, *args]) == 0
             for name in (*artifacts, "resolved.cfg"):
                 assert read(out1, name) == read(out2, name), (command, name)
+
+    @pytest.mark.parametrize("command,args,table", [
+        ("unbalanced", ["--reps", "1", *UNBALANCED_FAST], "unbalanced.csv"),
+        ("ablate-temperature", ["--taus", "0.1", *FAST], "temperature.csv"),
+        ("train", FAST, "metrics.csv"),
+    ], ids=["unbalanced", "ablate-temperature", "train"])
+    def test_config_file_layers_on_the_command_base_like_set(self, tmp_path, command, args,
+                                                             table):
+        """A one-line --config file changes that one field of the command's
+        base config, exactly as --set of the same line does."""
+        args = drop_setting(args, "epochs")
+        one_line = tmp_path / "f.cfg"
+        one_line.write_text("epochs=1\n")
+        by_file, by_set = str(tmp_path / "file"), str(tmp_path / "set")
+        assert main([command, "--out", by_file, "--config", str(one_line), *args]) == 0
+        assert main([command, "--out", by_set, "--set", "epochs=1", *args]) == 0
+        for name in ("resolved.cfg", table):
+            assert read(by_file, name) == read(by_set, name), name
+        assert load_config(os.path.join(by_file, "resolved.cfg")).epochs == 1
+
+    def test_trainer_runs_the_echoed_config(self, tmp_path, monkeypatch):
+        """The RunConfig each Trainer receives equals the run's resolved.cfg,
+        including the settings distill forces."""
+        received = []
+        original = Trainer.__init__
+
+        def record(self, config, *args, **kwargs):
+            received.append(config)
+            original(self, config, *args, **kwargs)
+
+        monkeypatch.setattr(Trainer, "__init__", record)
+        teacher = run_train(tmp_path, "teacher")
+        out = str(tmp_path / "dist")
+        assert main(["distill", "--teacher", os.path.join(teacher, "checkpoint.bin"),
+                     "--out", out, *FAST]) == 0
+        assert len(received) == 2
+        assert received[0] == load_config(os.path.join(teacher, "resolved.cfg"))
+        echo = load_config(os.path.join(out, "resolved.cfg"))
+        assert received[1] == echo
+        assert (echo.momentum, echo.teacher_policy, echo.student_policy) == (1.0, "mild", "mild")
 
     def test_seed_flag_sets_all_three_seeds(self, tmp_path):
         out = run_train(tmp_path, extra=["--seed", "41"])

@@ -3,7 +3,7 @@
 import ast
 import os
 import string
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +93,24 @@ class TestParsing:
     def test_bad_value_type(self):
         with pytest.raises(ConfigError):
             parse_config("epochs=ten\n")
+
+    def test_file_layers_on_a_base(self, tmp_path):
+        """A file changes only the fields it names; the base defaults to RunConfig()."""
+        path = tmp_path / "f.cfg"
+        path.write_text("epochs=1\n")
+        base = unbalanced_base_config()
+        assert load_config(str(path), base) == replace(base, epochs=1)
+        assert load_config(str(path)) == RunConfig(epochs=1)
+        assert parse_config("", base) == base
+
+    @pytest.mark.parametrize("entry,error", [("lr", "expected key=value, got 'lr'"),
+                                             ("nope=1", "unknown key 'nope'")])
+    def test_file_line_and_override_fail_alike(self, entry, error):
+        """One entry parser: the same entry fails the same way, named by where it came from."""
+        with pytest.raises(ConfigError, match=f"^config line 2: {error}$"):
+            parse_config(f"lr=0.5\n{entry}  # comment\n")
+        with pytest.raises(ConfigError, match=f"^override: {error}$"):
+            apply_overrides(RunConfig(), [entry])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="config not found"):

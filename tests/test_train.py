@@ -17,7 +17,7 @@ from simdistill.evaluation import embed_dataset, knn_eval
 from simdistill.losses import anchor_distribution_batch
 from simdistill.nn import (MlpParams, MlpSpec, ModelPair, default_predictor_spec,
                            init_params, mlp_forward)
-from simdistill.train import MetricsWriter, Trainer, distill, train
+from simdistill.train import MetricsWriter, Trainer, distill, distill_config, train
 
 SMALL_ENCODER = MlpSpec((6, 16, 4), final_normalize=True)
 
@@ -363,6 +363,15 @@ class TestDistill:
         path = self._teacher_checkpoint(ds, None, tmp_path)
         with pytest.raises(ConfigError, match="momentum"):
             distill(small_config(momentum=1.2), path, ds)
+
+    def test_distill_config_forces_frozen_teacher_and_mild_views(self):
+        """The settings distill runs with, whatever the caller's config says;
+        forcing twice changes nothing, so a replayed resolved.cfg runs alike."""
+        cfg = distill_config(small_config(momentum=0.5))
+        assert cfg == small_config(momentum=1.0, teacher_policy="mild", student_policy="mild")
+        assert distill_config(cfg) == cfg
+        with pytest.raises(ConfigError, match="momentum"):
+            distill_config(small_config(momentum=1.2))
 
     def test_mild_views_distill_close_to_the_teacher(self, tmp_path):
         """Frozen-teacher distillation on mild views lands within two k-NN
