@@ -156,7 +156,7 @@ _FIELDS = {f.name: f for f in fields(RunConfig)}
 _PARSERS = {"int": int, "float": float, "str": str}
 
 
-def _parse_value(name: str, text: str):
+def _parse_value(where: str, name: str, text: str):
     kind = _FIELDS[name].type    # one of the _PARSERS names, or a tuple of one
     try:
         if kind.startswith("tuple["):
@@ -164,7 +164,7 @@ def _parse_value(name: str, text: str):
             return tuple(item(p) for p in text.split(",") if p.strip() != "")
         return _PARSERS[kind](text)
     except ValueError as e:
-        raise ConfigError(f"config key {name}: {e}") from e
+        raise ConfigError(f"{where}: bad value for {name!r}: {e}") from e
 
 
 def _format_value(value) -> str:
@@ -181,7 +181,7 @@ def _apply_entries(cfg: RunConfig, entries) -> RunConfig:
         key = key.strip()
         if key not in _FIELDS:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        updates[key] = _parse_value(key, raw.strip())
+        updates[key] = _parse_value(where, key, raw.strip())
     return replace(cfg, **updates)
 
 

@@ -39,7 +39,9 @@ def fan_out(fn, tasks: list) -> list:
     ``n < 2``, or where the platform cannot fork, the tasks run inline.
     While the n processes run, numpy's OpenBLAS runs one thread in each
     (see :func:`_one_blas_thread`), so they do not oversubscribe the CPUs;
-    the caller's thread count is restored on return.
+    the caller's thread count is restored on return. Workers inherit the
+    glibc malloc thresholds a ``Trainer`` set in the caller, or set them at
+    their own first ``Trainer`` (see :func:`train._keep_step_buffers_on_heap`).
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
     n = min(len(tasks), len(cpus))
@@ -308,8 +310,11 @@ def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str) -> l
     if cfg.data_classes <= UNBALANCED_LARGE_CLASSES:
         raise ConfigError(f"data_classes={cfg.data_classes} leaves no rare class: the protocol "
                           f"keeps {UNBALANCED_LARGE_CLASSES} classes whole")
-    write_resolved_config(cfg, out_dir)
     small_count = max(2, cfg.data_per_class // UNBALANCED_RARE_RATIO)
+    if cfg.data_per_class < small_count:
+        raise ConfigError(f"data_per_class={cfg.data_per_class} is too few: the protocol keeps "
+                          f"{small_count} samples of each rare class")
+    write_resolved_config(cfg, out_dir)
     tasks = []
     for rep in range(reps):
         rep_seed = seed * 10007 + rep

@@ -11,6 +11,9 @@ never scored against its own current view.
 from __future__ import annotations
 
 import csv
+import functools
+import os
+import platform
 import time
 from dataclasses import dataclass, replace
 
@@ -78,11 +81,35 @@ def knn_accuracies(pair: ModelPair, train_ds: LabeledDataset, eval_ds: LabeledDa
     return knn_eval(t_train, t_eval, k), knn_eval(s_train, s_eval, k)
 
 
+@functools.cache
+def _keep_step_buffers_on_heap() -> None:
+    """Raise glibc's mmap and trim thresholds to 1 MiB and 8 MiB, once per process.
+
+    A step's temporaries of 128 KiB or more (first-layer activations, the
+    flat gradient, the [b, K] logit blocks) would otherwise be mapped and
+    unmapped, or trimmed off the heap, and page-faulted back in every step.
+    Processes forked afterwards inherit the setting; it cannot be undone,
+    since glibc has no getter and ``mallopt`` ends its adaptive threshold.
+    Does nothing when the user has set a ``MALLOC_*`` variable or
+    ``GLIBC_TUNABLES``, or when the C library is not glibc.
+    """
+    if (platform.libc_ver()[0] != "glibc" or "GLIBC_TUNABLES" in os.environ
+            or any(name.startswith("MALLOC_") for name in os.environ)):
+        return
+    import ctypes
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_trim_threshold, 8 << 20)      # returns 0 on failure: the defaults stay
+    mallopt(m_mmap_threshold, 1 << 20)
+
+
 class Trainer:
     """Owns the model pair, optimizer, anchor bank and RNG streams for one run."""
 
     def __init__(self, config: RunConfig, input_dim: int, pair: ModelPair | None = None):
         config.validate()
+        _keep_step_buffers_on_heap()
         self.config = config
         self.teacher_policy = config.augment_policy(config.teacher_policy)
         self.student_policy = config.augment_policy(config.student_policy)

@@ -111,19 +111,27 @@ MALFORMED = {
 
 
 class TestMalformedFiles:
+    @pytest.fixture(scope="class")
+    def pristine(self, tmp_path_factory):
+        """Each kind's file bytes, saved once for all examples."""
+        raw = {}
+        for kind, (save, make, _, _) in MALFORMED.items():
+            path = tmp_path_factory.mktemp(kind) / "f.bin"
+            save(make(), str(path))
+            raw[kind] = path.read_bytes()
+        return raw
+
     @pytest.mark.parametrize("kind", MALFORMED)
     @given(data=st.data(), flip=st.booleans())
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_truncation_or_framing_bit_flip_raises_the_kinds_error(self, tmp_path, kind,
-                                                                   data, flip):
+    def test_truncation_or_framing_bit_flip_raises_the_kinds_error(self, tmp_path, pristine,
+                                                                   kind, data, flip):
         """Every truncation raises the file kind's error; a bit flip in the prefix or the
         header loads or raises that same error. (A payload flip changes a value and
         loads: the format has no checksum.)"""
-        save, make, load, error = MALFORMED[kind]
-        path = tmp_path / "f.bin"
-        save(make(), str(path))
-        raw = path.read_bytes()
+        _, _, load, error = MALFORMED[kind]
+        raw = pristine[kind]
         if flip:
             framed = 16 + struct.unpack("<Q", raw[8:16])[0]
             bit = data.draw(st.integers(0, 8 * framed - 1), label="bit")
@@ -131,6 +139,9 @@ class TestMalformedFiles:
             bad[bit // 8] ^= 1 << bit % 8
         else:
             bad = raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")]
+        path = tmp_path / "f.bin"
+        # a new file each example: writing over an old one costs ext4 a flush (40-70 ms)
+        path.unlink(missing_ok=True)
         path.write_bytes(bytes(bad))
         try:
             load(str(path))

@@ -266,6 +266,16 @@ class TestExitCodes:
         assert main([command, "--out", str(out), *extra, *FAST]) == 3
         assert not out.exists()
 
+    def test_unbalanced_with_too_few_samples_per_class_is_exit_3_before_any_output(
+            self, tmp_path, capsys):
+        """The protocol keeps at least 2 samples of each rare class."""
+        out = tmp_path / "out"
+        code = main(["unbalanced", "--reps", "1", "--out", str(out), *UNBALANCED_FAST,
+                     "--set", "data_per_class=1", "--set", "eval_k=1"])
+        assert code == 3
+        assert "config error: data_per_class=1 is too few" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [*GARBLED.values(), drop_key("buffers"),
                                       set_key("buffers", "x"), set_key("epoch", "0")],
                              ids=[*GARBLED, "no-buffers", "buffers-str", "epoch-str"])

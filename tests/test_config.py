@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import string
 from dataclasses import fields, replace
 
@@ -103,13 +104,17 @@ class TestParsing:
         assert load_config(str(path)) == RunConfig(epochs=1)
         assert parse_config("", base) == base
 
-    @pytest.mark.parametrize("entry,error", [("lr", "expected key=value, got 'lr'"),
-                                             ("nope=1", "unknown key 'nope'")])
+    @pytest.mark.parametrize("entry,error", [
+        ("lr", "expected key=value, got 'lr'"),
+        ("nope=1", "unknown key 'nope'"),
+        ("epochs=ten", "bad value for 'epochs': invalid literal for int() with base 10: 'ten'"),
+        ("recall_ks=1,x", "bad value for 'recall_ks': invalid literal for int() with base 10: 'x'"),
+    ])
     def test_file_line_and_override_fail_alike(self, entry, error):
         """One entry parser: the same entry fails the same way, named by where it came from."""
-        with pytest.raises(ConfigError, match=f"^config line 2: {error}$"):
+        with pytest.raises(ConfigError, match=f"^config line 2: {re.escape(error)}$"):
             parse_config(f"lr=0.5\n{entry}  # comment\n")
-        with pytest.raises(ConfigError, match=f"^override: {error}$"):
+        with pytest.raises(ConfigError, match=f"^override: {re.escape(error)}$"):
             apply_overrides(RunConfig(), [entry])
 
     def test_missing_file(self, tmp_path):

@@ -3,6 +3,9 @@
 import csv
 import importlib
 import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -311,6 +314,58 @@ class TestRun:
         trained = knn_eval(embed_dataset(ckpt.pair.student_encoder, tr),
                            embed_dataset(ckpt.pair.student_encoder, ev), 5)
         assert trained >= baseline + 0.10
+
+
+def _run_cold(script: str, **env) -> str:
+    """Run ``script`` in a fresh interpreter, so that its heap history starts cold;
+    the child sees no ``MALLOC_*`` or ``GLIBC_TUNABLES`` setting but those in ``env``."""
+    base = {k: v for k, v in os.environ.items()
+            if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    child_env = dict(base, PYTHONPATH=os.pathsep.join(sys.path), **env)
+    return subprocess.run([sys.executable, "-c", script], env=child_env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+class TestStepBuffersStayOnTheHeap:
+    """A Trainer raises glibc's mmap and trim thresholds, so that a step's large
+    temporaries are not unmapped and page-faulted back in every step."""
+
+    def test_a_warm_byol_epoch_takes_almost_no_page_faults(self):
+        """byol-plain's shape: 8 x 260 samples of 32 dims, batch 64, 33 steps an
+        epoch. Without the thresholds a warm step takes about 350 faults."""
+        script = ("import resource\n"
+                  "from simdistill.config import RunConfig\n"
+                  "from simdistill.data import gen_gaussian_mixture\n"
+                  "from simdistill.train import Trainer\n"
+                  "ds = gen_gaussian_mixture(8, 260, 32, 2.5, seed=5, split='train')\n"
+                  "trainer = Trainer(RunConfig(objective='byol', epochs=1), ds.feature_dim)\n"
+                  "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                  "trainer.run(ds)\n"
+                  "warm, before = trainer.global_step, faults()\n"
+                  "trainer.run(ds)\n"
+                  "print((faults() - before) / (trainer.global_step - warm))\n")
+        assert float(_run_cold(script)) < 5
+
+    @pytest.mark.parametrize("env, expected", [
+        ({}, "[(-1, 8388608), (-3, 1048576)]"),
+        ({"MALLOC_TRIM_THRESHOLD_": "131072"}, "[]"),
+        ({"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072"}, "[]"),
+    ], ids=["unset", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"])
+    def test_a_user_malloc_setting_wins(self, env, expected):
+        """``mallopt`` is called once per process, and not at all under a user's setting."""
+        script = ("import ctypes\n"
+                  "calls = []\n"
+                  "class Libc:\n"
+                  "    def __init__(self, name):\n"
+                  "        self.mallopt = lambda *args: calls.append(args) or 1\n"
+                  "ctypes.CDLL = Libc\n"
+                  "from simdistill.train import Trainer\n"
+                  "from simdistill.config import RunConfig\n"
+                  "Trainer(RunConfig(), 32)\n"
+                  "Trainer(RunConfig(), 32)\n"
+                  "print(calls)\n")
+        assert _run_cold(script, **env).strip() == expected
 
 
 class TestDistill:
