@@ -11,8 +11,7 @@ from .augment import AGGRESSIVE, IDENTITY, MILD, AugmentPolicy, augment, mean_di
 from .bank import AnchorBank
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_overrides, load_config, parse_config, serialize_config
-from .data import (LabeledDataset, gen_gaussian_mixture, load_dataset, load_idx,
-                   make_unbalanced, save_dataset)
+from .data import LabeledDataset, gen_gaussian_mixture, load_dataset, make_unbalanced, save_dataset
 from .evaluation import EmbeddingTable, embed_dataset, knn_eval, linear_probe, recall_at_k
 from .losses import (LossConfig, anchor_cross_entropy, anchor_distribution, byol_loss,
                      distribution_entropy, isd_loss, moco_loss)
@@ -31,8 +30,7 @@ __all__ = [
     "AnchorBank",
     "Checkpoint", "load_checkpoint", "save_checkpoint",
     "RunConfig", "apply_overrides", "load_config", "parse_config", "serialize_config",
-    "LabeledDataset", "gen_gaussian_mixture", "load_dataset", "load_idx",
-    "make_unbalanced", "save_dataset",
+    "LabeledDataset", "gen_gaussian_mixture", "load_dataset", "make_unbalanced", "save_dataset",
     "EmbeddingTable", "embed_dataset", "knn_eval", "linear_probe", "recall_at_k",
     "LossConfig", "anchor_cross_entropy", "anchor_distribution", "byol_loss",
     "distribution_entropy", "isd_loss", "moco_loss",

@@ -38,8 +38,9 @@ class AugmentPolicy:
                    *(self.crop_range or ()))
         if not np.all(np.isfinite(numbers)):
             raise ContractError("AugmentPolicy: every parameter must be finite")
-        if self.noise_std < 0:
-            raise ContractError("AugmentPolicy: noise_std must be non-negative")
+        for value, what in ((self.noise_std, "noise_std"), (self.rotation_range, "rotation_range")):
+            if value < 0:
+                raise ContractError(f"AugmentPolicy: {what} must be non-negative")
         for p, what in ((self.mask_prob, "mask_prob"), (self.flip_prob, "flip_prob")):
             if not 0.0 <= p <= 1.0:
                 raise ContractError(f"AugmentPolicy: {what} must lie in [0, 1]")

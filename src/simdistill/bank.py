@@ -25,9 +25,6 @@ class AnchorBank:
         self.head = 0      # next write position
         self.count = 0     # valid rows, <= capacity
 
-    def __len__(self) -> int:
-        return self.count
-
     def enqueue(self, batch) -> None:
         """Append rows FIFO, overwriting the oldest once full.
 

@@ -111,15 +111,16 @@ class RunConfig:
         except ContractError as e:
             raise ConfigError(str(e)) from e
         for name in ("epochs", "lr", "probe_epochs", "seed_init", "seed_data", "seed_augment",
-                     "data_seed", "data_sep"):
+                     "data_seed", "data_sep", "weight_decay", "lr_step_factor"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         for name in ("batch_size", "predictor_hidden", "eval_every", "eval_k", "data_per_class",
                      "data_eval_per_class"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1], got {self.momentum}")
+        for name in ("momentum", "sgd_momentum"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if self.distill_source not in ("teacher", "student"):
             raise ConfigError(f"distill_source must be teacher or student, "
                               f"got {self.distill_source!r}")

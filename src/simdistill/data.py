@@ -1,9 +1,8 @@
-"""Dataset generation, IDX image loading, and unbalanced subsampling."""
+"""Dataset generation, the dataset container, and unbalanced subsampling."""
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +11,6 @@ from .container import read_container, write_container
 from .errors import ContractError, FormatError, LengthError
 from .tensor import unit_rows
 
-_IDX_UBYTE = 0x08
 _DATASET_MAGIC = b"SDDS"
 _DATASET_VERSION = 1
 _DATASET_FIELDS = {"n": int, "sample_shape": list, "split": str}
@@ -79,51 +77,6 @@ def gen_gaussian_mixture(classes: int, per_class: int, dim: int, sep: float,
         samples[block] = means[c] + noise_rng.standard_normal((per_class, dim))
         labels[block] = c
     return LabeledDataset(samples, labels, split=split)
-
-
-def _read_idx_array(path: str, expect_ndim: int | None = None) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 4:
-        raise FormatError(f"{path}: bad magic at offset 0 (file shorter than 4 bytes)")
-    if raw[0] != 0 or raw[1] != 0:
-        raise FormatError(f"{path}: bad magic at offset 0: {raw[0]:#04x} {raw[1]:#04x}")
-    if raw[2] != _IDX_UBYTE:
-        raise FormatError(f"{path}: unsupported type byte {raw[2]:#04x} at offset 2 (only unsigned byte)")
-    ndim = raw[3]
-    if expect_ndim is not None and ndim != expect_ndim:
-        raise FormatError(f"{path}: expected {expect_ndim} dimensions, header says {ndim}")
-    header_len = 4 + 4 * ndim
-    if len(raw) < header_len:
-        raise LengthError(f"{path}: truncated header, need {header_len} bytes, have {len(raw)}")
-    dims = struct.unpack(f">{ndim}I", raw[4:header_len])
-    payload = raw[header_len:]
-    expected = int(np.prod(dims)) if ndim else 0
-    if len(payload) != expected:
-        raise LengthError(
-            f"{path}: payload of {len(payload)} bytes does not match dimension product {expected}"
-        )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
-
-
-def load_idx(images_path: str, labels_path: str | None = None,
-             split: str = "train") -> LabeledDataset:
-    """Load an IDX image file and its paired label file.
-
-    Pixel values are scaled to [0, 1]. When ``labels_path`` is omitted it
-    is derived by the usual naming convention (images -> labels, idx3 -> idx1).
-    """
-    if labels_path is None:
-        labels_path = images_path.replace("images", "labels").replace("idx3", "idx1")
-        if labels_path == images_path:
-            raise FormatError(f"{images_path}: cannot derive a paired label file name")
-    images = _read_idx_array(images_path, expect_ndim=3)
-    labels = _read_idx_array(labels_path, expect_ndim=1)
-    if len(labels) != len(images):
-        raise LengthError(
-            f"{labels_path}: {len(labels)} labels for {len(images)} images"
-        )
-    return LabeledDataset(images.astype(np.float64) / 255.0, labels.astype(np.int64), split=split)
 
 
 def make_unbalanced(ds: LabeledDataset, large_classes: list[int], small_count: int,

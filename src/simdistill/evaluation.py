@@ -40,13 +40,6 @@ class EmbeddingTable:
         if np.abs(norms - 1.0).max() > 1e-10:
             raise ContractError("embedding rows must be unit norm (off by more than 1e-10)")
 
-    @staticmethod
-    def from_features(features: np.ndarray, labels: np.ndarray, source: str = "",
-                      epoch: int = -1) -> "EmbeddingTable":
-        """Build a table from raw features, normalising rows first."""
-        features = np.asarray(features, dtype=np.float64).reshape(len(labels), -1)
-        return EmbeddingTable(unit_rows(features), labels, source, epoch)
-
 
 def embed_dataset(encoder: MlpParams, ds: LabeledDataset, source: str = "",
                   epoch: int = -1) -> EmbeddingTable:

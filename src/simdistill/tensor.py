@@ -61,18 +61,6 @@ class Tensor:
     def backward(self) -> None:
         backward(self)
 
-    def sum(self) -> "Tensor":
-        return tensor_sum(self)
-
-    def mean(self) -> "Tensor":
-        return mul(tensor_sum(self), 1.0 / self.data.size)
-
-    def __mul__(self, other) -> "Tensor":
-        return mul(self, other)
-
-    def __rmul__(self, other) -> "Tensor":
-        return mul(self, other)
-
     def __repr__(self) -> str:
         tag = f" op={self.op}" if self.op else ""
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"

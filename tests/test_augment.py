@@ -162,6 +162,8 @@ class TestValidation:
             AugmentPolicy("custom", scale_range=(1.0, np.inf))
         with pytest.raises(ContractError):
             AugmentPolicy("custom", rotation_range=np.nan)
+        with pytest.raises(ContractError, match="rotation_range must be non-negative"):
+            AugmentPolicy("custom", rotation_range=-1.0)
         with pytest.raises(ContractError):
             AugmentPolicy("custom", noise_std=np.inf)
 

@@ -242,6 +242,7 @@ class TestExitCodes:
         ("eval", "eval_k=0"), ("eval", "probe_lr=0"), ("eval", "probe_epochs=-1"),
         ("eval", "recall_ks=0"), ("unbalanced", "seed_init=-1"),
         ("ablate-temperature", "eval_every=0"), ("train", "data_eval=eval.bin"),
+        ("train", "lr_step_factor=-1"), ("train", "sgd_momentum=5"),
     ])
     def test_bad_config_value_is_exit_3_before_any_output(self, tmp_path, capsys,
                                                          command, override):

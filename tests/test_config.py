@@ -150,7 +150,8 @@ class TestValidate:
         "objective=simclr", "temperature=0", "teacher_policy=bogus", "student_policy=",
         "custom_noise_std=-1", "custom_scale_min=0", "custom_crop_max=1.5",
         "predictor_hidden=0", "encoder_widths=6", "lr=nan", "lr=inf", "lr=-0.1",
-        "momentum=inf", "weight_decay=inf",
+        "momentum=inf", "weight_decay=inf", "weight_decay=-1", "sgd_momentum=5",
+        "sgd_momentum=-0.1", "lr_step_factor=-1", "custom_rotation_range=-1",
         "lr_step_fracs=0.5,nan", "lr_schedule=linear", "batch_size=0", "epochs=-1",
         "bank_capacity=1", "distill_source=both", "eval_k=0", "eval_every=0",
         "probe_lr=0", "probe_epochs=-1", "recall_ks=1,0", "seed_augment=-1",

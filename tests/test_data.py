@@ -1,30 +1,13 @@
-"""Tests for dataset generation, IDX parsing, and unbalanced subsampling."""
-
-import struct
+"""Tests for dataset generation, the dataset container, and unbalanced subsampling."""
 
 import numpy as np
 import pytest
 
-from simdistill.data import (LabeledDataset, gen_gaussian_mixture, load_dataset, load_idx,
-                             make_unbalanced, save_dataset)
+from simdistill.data import (LabeledDataset, gen_gaussian_mixture, load_dataset, make_unbalanced,
+                             save_dataset)
 from simdistill.errors import ContractError, FormatError, LengthError
 from simdistill.evaluation import EmbeddingTable, knn_eval
-
-
-def write_idx_images(path, images):
-    """Fixture byte-writer: IDX3 unsigned-byte image file, built by hand."""
-    n, h, w = images.shape
-    with open(path, "wb") as f:
-        f.write(bytes([0x00, 0x00, 0x08, 0x03]))
-        f.write(struct.pack(">III", n, h, w))
-        f.write(images.astype(np.uint8).tobytes())
-
-
-def write_idx_labels(path, labels):
-    with open(path, "wb") as f:
-        f.write(bytes([0x00, 0x00, 0x08, 0x01]))
-        f.write(struct.pack(">I", len(labels)))
-        f.write(bytes(int(v) for v in labels))
+from simdistill.tensor import unit_rows
 
 
 class TestGaussianMixture:
@@ -38,16 +21,16 @@ class TestGaussianMixture:
         """C=2, sep=100, d=2: raw-feature k-NN is perfect on a held-out split."""
         train = gen_gaussian_mixture(2, 100, 2, 100.0, seed=6, split="train")
         test = gen_gaussian_mixture(2, 50, 2, 100.0, seed=6, split="eval")
-        acc = knn_eval(EmbeddingTable.from_features(train.samples, train.labels),
-                       EmbeddingTable.from_features(test.samples, test.labels), 5)
+        acc = knn_eval(EmbeddingTable(unit_rows(train.samples), train.labels),
+                       EmbeddingTable(unit_rows(test.samples), test.labels), 5)
         assert acc == 1.0
 
     def test_zero_separation_is_chance_level(self):
         """sep=0 makes class-conditionals identical; k-NN sits at 1/C."""
         train = gen_gaussian_mixture(2, 400, 8, 0.0, seed=7, split="train")
         test = gen_gaussian_mixture(2, 200, 8, 0.0, seed=7, split="eval")
-        acc = knn_eval(EmbeddingTable.from_features(train.samples, train.labels),
-                       EmbeddingTable.from_features(test.samples, test.labels), 5)
+        acc = knn_eval(EmbeddingTable(unit_rows(train.samples), train.labels),
+                       EmbeddingTable(unit_rows(test.samples), test.labels), 5)
         assert abs(acc - 0.5) <= 0.05
 
     def test_splits_share_means_but_not_noise(self):
@@ -69,62 +52,6 @@ class TestGaussianMixture:
             gen_gaussian_mixture(1, 10, 4, 1.0, seed=0)
         with pytest.raises(ContractError):
             gen_gaussian_mixture(3, 10, 4, -1.0, seed=0)
-
-
-class TestLoadIdx:
-    def test_hand_built_fixture_round_trips(self, tmp_path):
-        """Two 2x2 images written byte-by-byte come back exactly, scaled to [0,1]."""
-        images = np.array([[[0, 255], [128, 64]],
-                           [[1, 2], [3, 4]]], dtype=np.uint8)
-        labels = np.array([7, 2])
-        img_path = str(tmp_path / "t-images-idx3-ubyte")
-        lbl_path = str(tmp_path / "t-labels-idx1-ubyte")
-        write_idx_images(img_path, images)
-        write_idx_labels(lbl_path, labels)
-        ds = load_idx(img_path, lbl_path)
-        assert np.array_equal(ds.samples, images / 255.0)
-        assert np.array_equal(ds.labels, [7, 2])
-
-    def test_label_path_derived_from_convention(self, tmp_path):
-        images = np.zeros((1, 2, 2), dtype=np.uint8)
-        img_path = str(tmp_path / "train-images-idx3-ubyte")
-        write_idx_images(img_path, images)
-        write_idx_labels(str(tmp_path / "train-labels-idx1-ubyte"), [3])
-        ds = load_idx(img_path)
-        assert ds.labels.tolist() == [3]
-
-    def test_empty_file_is_a_format_error(self, tmp_path):
-        p = tmp_path / "empty"
-        p.write_bytes(b"")
-        with pytest.raises(FormatError):
-            load_idx(str(p), str(p))
-
-    def test_bad_magic_reports_offset(self, tmp_path):
-        p = tmp_path / "bad"
-        p.write_bytes(bytes([0x01, 0x00, 0x08, 0x03]) + b"\x00" * 12)
-        with pytest.raises(FormatError, match="offset 0"):
-            load_idx(str(p), str(p))
-
-    def test_wrong_type_byte(self, tmp_path):
-        p = tmp_path / "float_typed"
-        p.write_bytes(bytes([0x00, 0x00, 0x0D, 0x03]) + b"\x00" * 12)
-        with pytest.raises(FormatError, match="offset 2"):
-            load_idx(str(p), str(p))
-
-    def test_payload_length_mismatch(self, tmp_path):
-        p = tmp_path / "short"
-        header = bytes([0x00, 0x00, 0x08, 0x03]) + struct.pack(">III", 2, 2, 2)
-        p.write_bytes(header + b"\x00" * 7)    # needs 8 payload bytes
-        with pytest.raises(LengthError):
-            load_idx(str(p), str(p))
-
-    def test_label_count_mismatch(self, tmp_path):
-        img_path = str(tmp_path / "a-images-idx3-ubyte")
-        lbl_path = str(tmp_path / "a-labels-idx1-ubyte")
-        write_idx_images(img_path, np.zeros((2, 2, 2), dtype=np.uint8))
-        write_idx_labels(lbl_path, [1, 2, 3])
-        with pytest.raises(LengthError):
-            load_idx(img_path, lbl_path)
 
 
 class TestMakeUnbalanced:

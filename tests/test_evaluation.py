@@ -11,12 +11,18 @@ from simdistill.errors import ContractError, NumericDomainError, ShapeError
 from simdistill.evaluation import (EmbeddingTable, _fit_probe, embed_dataset, knn_eval,
                                    linear_probe, recall_at_k)
 from simdistill.nn import MlpSpec, init_params
+from simdistill.tensor import unit_rows
+
+
+def unit_table(features, labels):
+    """A table of raw feature rows scaled to unit norm."""
+    return EmbeddingTable(unit_rows(features), labels)
 
 
 def random_table(n, d, classes, seed, source=""):
     rng = np.random.default_rng(seed)
-    return EmbeddingTable.from_features(rng.standard_normal((n, d)),
-                                        rng.integers(0, classes, size=n), source=source)
+    return EmbeddingTable(unit_rows(rng.standard_normal((n, d))),
+                          rng.integers(0, classes, size=n), source)
 
 
 def knn_oracle(train, test, k):
@@ -63,8 +69,8 @@ class TestKnnEval:
         rng = np.random.default_rng(4)
         features = rng.standard_normal((30, 6))
         labels = rng.integers(0, 3, size=30)
-        base = EmbeddingTable.from_features(features, labels)
-        scaled = EmbeddingTable.from_features(features * 7.0, labels)
+        base = unit_table(features, labels)
+        scaled = unit_table(features * 7.0, labels)
         queries = random_table(10, 6, 3, seed=5)
         assert knn_eval(base, queries, 5) == knn_eval(scaled, queries, 5)
 
@@ -83,8 +89,8 @@ class TestKnnEval:
         features = np.round(rng.uniform(-levels, levels, size=(n_train + n_test, dim)))
         features[~features.any(axis=1), 0] = 1.0
         labels = rng.choice([0, 3, 4, 9], size=n_train + n_test)
-        train = EmbeddingTable.from_features(features[:n_train], labels[:n_train])
-        test = EmbeddingTable.from_features(features[n_train:], labels[n_train:])
+        train = unit_table(features[:n_train], labels[:n_train])
+        test = unit_table(features[n_train:], labels[n_train:])
         k = {"1": 1, "n": n_train, "any": int(rng.integers(1, n_train + 1))}[k_pick]
         assert knn_eval(train, test, k) == knn_loop.knn_eval(train, test, k)
 
@@ -106,9 +112,9 @@ class TestLinearProbe:
         n = 400
         emb = rng.standard_normal((n, 8))
         labels = np.repeat(np.arange(4), n // 4)
-        train = EmbeddingTable.from_features(emb, rng.permutation(labels))
+        train = unit_table(emb, rng.permutation(labels))
         test_emb = rng.standard_normal((n, 8))
-        test = EmbeddingTable.from_features(test_emb, np.repeat(np.arange(4), n // 4))
+        test = unit_table(test_emb, np.repeat(np.arange(4), n // 4))
         acc = linear_probe(train, test, epochs=100, lr=1.0)
         assert abs(acc - 0.25) <= 0.05
 
@@ -147,7 +153,7 @@ class TestLinearProbe:
         rng = np.random.default_rng(seed)
         ys = rng.choice(labels, size=n)
         ys[:2] = labels[:2]
-        train = EmbeddingTable.from_features(rng.standard_normal((n, dim)) + ys[:, None], ys)
+        train = unit_table(rng.standard_normal((n, dim)) + ys[:, None], ys)
         test = random_table(15, dim, 10, seed=seed + 1)
         w, b, classes = _fit_probe(train, epochs, lr)
         w_ref, b_ref, classes_ref = probe_graph.fit(train, epochs, lr)
@@ -171,8 +177,8 @@ class TestLinearProbe:
     def test_accuracy_equal_to_graph_oracle_at_eval_scale(self):
         """The eval command's shape: 8 classes, 64 dims, 200 epochs at lr 1."""
         for seed in range(3):
-            train = EmbeddingTable.from_features(*self._mixture(seed, 400))
-            test = EmbeddingTable.from_features(*self._mixture(seed + 100, 200))
+            train = unit_table(*self._mixture(seed, 400))
+            test = unit_table(*self._mixture(seed + 100, 200))
             assert linear_probe(train, test) == probe_graph.linear_probe(train, test)
 
     @staticmethod
@@ -202,7 +208,7 @@ class TestLinearProbe:
         """Identical rows, 91 of 100 in one class: the first step at lr 1.5e308
         sends that class's score past the float range. The fit stops at the
         next epoch; after a single epoch, scoring the test table catches it."""
-        table = EmbeddingTable.from_features(
+        table = unit_table(
             np.ones((100, 4)), np.concatenate([np.zeros(91, dtype=int), np.arange(1, 10)]))
         with pytest.raises(NumericDomainError, match=where):
             linear_probe(table, table, epochs=epochs, lr=1.5e308)
@@ -214,12 +220,12 @@ class TestRecallAtK:
         base = rng.standard_normal((4, 5))
         emb = np.repeat(base, 2, axis=0)
         labels = np.repeat(np.arange(4), 2)
-        table = EmbeddingTable.from_features(emb, labels)
+        table = unit_table(emb, labels)
         assert recall_at_k(table, [1]) == [1.0]
 
     def test_full_neighbourhood_is_always_recalled(self):
         """R@(N-1) is 1.0 whenever every class has at least two members."""
-        table = EmbeddingTable.from_features(
+        table = unit_table(
             np.random.default_rng(13).standard_normal((12, 4)),
             np.repeat(np.arange(3), 4))
         assert recall_at_k(table, [11]) == [1.0]
@@ -229,7 +235,7 @@ class TestRecallAtK:
         rng = np.random.default_rng(14)
         emb = rng.standard_normal((30, 5))
         labels = np.repeat(np.arange(5), 6)
-        table = EmbeddingTable.from_features(emb, labels)
+        table = unit_table(emb, labels)
         ks = [1, 2, 4, 8]
         got = recall_at_k(table, ks)
 
@@ -244,7 +250,7 @@ class TestRecallAtK:
             assert r == hits / 30
 
     def test_monotone_in_k(self):
-        table = EmbeddingTable.from_features(
+        table = unit_table(
             np.random.default_rng(15).standard_normal((40, 6)),
             np.repeat(np.arange(4), 10))
         rs = recall_at_k(table, [1, 2, 4, 8, 16, 39])
@@ -263,12 +269,12 @@ class TestRecallAtK:
         labels = rng.choice([0, 5, 6], size=n)
         values, counts = np.unique(labels, return_counts=True)
         labels[np.isin(labels, values[counts == 1])] = values[counts.argmax()]
-        table = EmbeddingTable.from_features(features, labels)
+        table = unit_table(features, labels)
         ks = [1, 2, int(rng.integers(1, n + 1)), n - 2, n - 1, n + extra]
         assert recall_at_k(table, ks) == recall_sort.recall_at_k(table, ks)
 
     def test_singleton_class_named_in_error(self):
-        table = EmbeddingTable.from_features(
+        table = unit_table(
             np.random.default_rng(16).standard_normal((5, 3)),
             np.array([0, 0, 1, 1, 2]))
         with pytest.raises(ContractError, match="class 2"):
@@ -285,7 +291,7 @@ class TestEmbeddingTable:
             EmbeddingTable(np.eye(2), np.array([0, -1]))
 
     def test_from_features_normalises(self):
-        t = EmbeddingTable.from_features(np.array([[3.0, 4.0]]), np.array([0]))
+        t = unit_table(np.array([[3.0, 4.0]]), np.array([0]))
         assert np.allclose(t.embeddings, [[0.6, 0.8]])
 
     def test_embed_dataset_rows_unit(self):
