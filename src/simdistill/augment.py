@@ -95,9 +95,13 @@ def augment(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator
     block of images. Random draws are made row by row, in the order a
     separate call per row would make them, so the views do not depend on
     how a batch is split into calls; the transforms then run once on the
-    whole block. Deterministic given the generator state; two calls on one
-    stream give two independent views of each row. The identity policy
-    returns a bitwise copy without consuming randomness.
+    whole block. Each row draws [crop][flip][rotation][scale][noise][mask];
+    with noise and a scale or mask but no crop, flip or rotation, row r's
+    mask draws and row r + 1's scale come from one generator call, which
+    leaves the stream as it is. Deterministic given the generator state;
+    two calls on one stream give two independent views of each row. The
+    identity policy and an empty block return a bitwise copy without
+    consuming randomness.
     """
     views = np.array(samples, dtype=np.float64)
     if views.ndim not in (2, 3):
@@ -105,14 +109,16 @@ def augment(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator
                             f"got shape {views.shape}")
     if not np.all(np.isfinite(views)):
         raise ContractError("augment: samples must be finite")
-    if policy.is_identity:
+    b = views.shape[0]
+    if policy.is_identity or b == 0:
         return views
 
-    b = views.shape[0]
     is_image = views.ndim == 3
     crop = is_image and policy.crop_range is not None
     flip = is_image and policy.flip_prob > 0
     rotate = not is_image and policy.rotation_range > 0 and views.shape[1] >= 2
+    scaled, noisy, masked = (policy.scale_range is not None, policy.noise_std > 0,
+                             policy.mask_prob > 0)
     if crop:
         h, w = views.shape[1:]
         crop_h, crop_w, top, left = (np.empty(b, dtype=np.intp) for _ in range(4))
@@ -121,32 +127,45 @@ def augment(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator
     if rotate:
         axis_i, axis_j = np.empty(b, dtype=np.intp), np.empty(b, dtype=np.intp)
         cos, sin = np.empty(b), np.empty(b)
-    if policy.scale_range is not None:
-        scales = np.empty(b)
-    if policy.noise_std > 0:
-        noise = np.empty(views.shape)
-    if policy.mask_prob > 0:
-        mask_draws = np.empty(views.shape)
+    n = views[0].size
+    noise = np.empty((b, n)) if noisy else None
+    # row r's uniforms: its scale, then its n mask draws. One slot past the end
+    # makes row r of ``after_noise`` hold row r's mask draws and row r + 1's
+    # scale, the uniforms that follow row r's noise in the stream
+    k = scaled + masked * n
+    drawn = np.empty(b * k + scaled)
+    uniforms, after_noise = drawn[:b * k].reshape(b, k), drawn[scaled:].reshape(b, k)
+    random, standard_normal = rng.random, rng.standard_normal
 
-    for r in range(b):
-        if crop:
-            side = np.sqrt(_uniform(rng, *policy.crop_range))
-            crop_h[r] = ch = max(1, int(round(h * side)))
-            crop_w[r] = cw = max(1, int(round(w * side)))
-            top[r] = rng.integers(0, h - ch + 1)
-            left[r] = rng.integers(0, w - cw + 1)
-        if flip:
-            flipped[r] = rng.random() < policy.flip_prob
-        if rotate:
-            axis_i[r], axis_j[r] = rng.choice(views.shape[1], size=2, replace=False)
-            theta = _uniform(rng, -policy.rotation_range, policy.rotation_range)
-            cos[r], sin[r] = np.cos(theta), np.sin(theta)
-        if policy.scale_range is not None:
-            scales[r] = _uniform(rng, *policy.scale_range)
-        if policy.noise_std > 0:
-            rng.standard_normal(out=noise[r])
-        if policy.mask_prob > 0:
-            rng.random(out=mask_draws[r])
+    if noisy and k and not (crop or flip or rotate):
+        if scaled:
+            random(out=drawn[:1])
+        for noise_row, after in zip(noise[:-1], after_noise[:-1]):
+            standard_normal(out=noise_row)
+            random(out=after)
+        standard_normal(out=noise[-1])
+        if masked:
+            random(out=after_noise[-1, :n])
+    else:
+        for r in range(b):
+            if crop:
+                side = np.sqrt(_uniform(rng, *policy.crop_range))
+                crop_h[r] = ch = max(1, int(round(h * side)))
+                crop_w[r] = cw = max(1, int(round(w * side)))
+                top[r] = rng.integers(0, h - ch + 1)
+                left[r] = rng.integers(0, w - cw + 1)
+            if flip:
+                flipped[r] = random() < policy.flip_prob
+            if rotate:
+                axis_i[r], axis_j[r] = rng.choice(views.shape[1], size=2, replace=False)
+                theta = _uniform(rng, -policy.rotation_range, policy.rotation_range)
+                cos[r], sin[r] = np.cos(theta), np.sin(theta)
+            if scaled:
+                random(out=uniforms[r, :1])
+            if noisy:
+                standard_normal(out=noise[r])
+            if masked:
+                random(out=uniforms[r, scaled:])
 
     rows = np.arange(b)
     if crop:
@@ -160,13 +179,15 @@ def augment(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator
         vi, vj = views[rows, axis_i], views[rows, axis_j]
         views[rows, axis_i] = cos * vi - sin * vj
         views[rows, axis_j] = sin * vi + cos * vj
-    if policy.scale_range is not None:
-        views *= scales.reshape((b,) + (1,) * (views.ndim - 1))
-    if policy.noise_std > 0:
-        views += 0.0 + policy.noise_std * noise     # the arithmetic of rng.normal(0.0, std)
-    if policy.mask_prob > 0:
-        views[mask_draws < policy.mask_prob] = 0.0
-    return views
+    flat = views.reshape(b, n)
+    if scaled:
+        lo, hi = policy.scale_range
+        flat *= lo + (hi - lo) * uniforms[:, :1]    # the arithmetic of rng.uniform(lo, hi)
+    if noisy:
+        flat += 0.0 + policy.noise_std * noise      # the arithmetic of rng.normal(0.0, std)
+    if masked:
+        flat[uniforms[:, scaled:] < policy.mask_prob] = 0.0
+    return flat.reshape(views.shape)
 
 
 def mean_distortion(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator,

@@ -130,6 +130,9 @@ class RunConfig:
             raise ConfigError("bank_capacity must be at least 2 for isd/moco")
         if self.lr_schedule not in ("step", "cosine"):
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
+        if any(not 0.0 <= frac < 1.0 for frac in self.lr_step_fracs):
+            raise ConfigError(f"every lr_step_fracs entry must lie in [0, 1), "
+                              f"got {self.lr_step_fracs}")
         if self.probe_lr <= 0:
             raise ConfigError(f"probe_lr must be positive, got {self.probe_lr}")
         if any(k < 1 for k in self.recall_ks):

@@ -97,7 +97,12 @@ def byol_loss(q_s_pred: Tensor, q_t_emb: Tensor) -> Tensor:
 def distribution_entropy(p: np.ndarray) -> np.ndarray:
     """Shannon entropy of one distribution or of each matrix row (nats)."""
     p = np.asarray(p, dtype=np.float64)
-    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+    if p.size and p.min() > 0:
+        # one log pass; the bytes of the form below, which also takes p_i = 0
+        terms = np.log(p)
+        terms *= p
+    else:
+        terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
     return -terms.sum(axis=-1)
 
 
@@ -144,11 +149,12 @@ def _anchor_units(anchors: np.ndarray, query_shape: tuple[int, ...], tau: float)
 
 
 def _anchor_softmax(queries: np.ndarray, units: np.ndarray, tau: float) -> np.ndarray:
-    qs = T.unit_rows(queries)
-    logits = qs @ units.T / tau
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    p = T.unit_rows(queries) @ units.T
+    p /= tau
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
 def anchor_distribution_batch(queries: np.ndarray, anchors: np.ndarray, tau: float) -> np.ndarray:
@@ -163,17 +169,20 @@ def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     The vjp is the closed form (softmax - targets)/b generalised to rows that
     need not sum to one. Value and gradient repeat the operation order of
     log_softmax, mul, sum, neg and a 1/b scale, so they are bitwise those of
-    that chain of graph nodes.
+    that chain of graph nodes. ``logits`` is consumed: it is overwritten with
+    the log-probabilities, so callers pass a temporary.
     """
     T._check_finite("soft_cross_entropy", logits)
     scale = 1.0 / logits.shape[0]
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - lse
+    logp = logits
+    logp -= logp.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
 
     def vjp(g):
         gt = targets * float(-(g * scale))
-        return gt - np.exp(logp) * gt.sum(axis=1, keepdims=True)
+        e = np.exp(logp)
+        e *= gt.sum(axis=1, keepdims=True)
+        return np.subtract(gt, e, out=gt)
 
     return np.asarray(-(logp * targets).sum()) * scale, vjp
 
@@ -190,9 +199,16 @@ def _anchor_cross_entropy(targets: np.ndarray, queries: Tensor, units: np.ndarra
         raise ShapeError(f"target block {targets.shape} does not match [{b}, {units.shape[0]}]")
     c = 1.0 / tau
     qs, normalize_vjp = _student_rows(queries)
-    value, ce_vjp = _soft_cross_entropy((qs @ units.T) * c, targets)
-    return T._record(value, "anchor_cross_entropy", (queries,),
-                     lambda g: (normalize_vjp((ce_vjp(g) * c) @ units),))
+    logits = qs @ units.T
+    logits *= c
+    value, ce_vjp = _soft_cross_entropy(logits, targets)
+
+    def vjp(g):
+        g = ce_vjp(g)
+        g *= c
+        return (normalize_vjp(g @ units),)
+
+    return T._record(value, "anchor_cross_entropy", (queries,), vjp)
 
 
 def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: Tensor,
@@ -224,13 +240,15 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: Tensor, tau: fl
     b = q_emb.data.shape[0]
     c = 1.0 / tau
     qs, normalize_vjp = _student_rows(q_emb)
-    logits = np.concatenate([(qs * pos_units).sum(axis=1)[:, None], qs @ units.T], axis=1) * c
+    logits = np.concatenate([(qs * pos_units).sum(axis=1)[:, None], qs @ units.T], axis=1)
+    logits *= c
     onehot = np.zeros((b, units.shape[0] + 1))
     onehot[:, 0] = 1.0
     value, ce_vjp = _soft_cross_entropy(logits, onehot)
 
     def vjp(g):
-        g = ce_vjp(g) * c
+        g = ce_vjp(g)
+        g *= c
         return (normalize_vjp(g[:, 0][:, None] * pos_units + g[:, 1:] @ units),)
 
     return T._record(value, "moco_loss", (q_emb,), vjp)

@@ -9,6 +9,7 @@ from oracles import augment_per_sample
 from simdistill.augment import (AGGRESSIVE, IDENTITY, MILD, AugmentPolicy, augment,
                                 mean_distortion, policy_by_name)
 from simdistill.errors import ContractError
+from simdistill.experiments import unbalanced_base_config
 
 
 class TestIdentityPolicy:
@@ -107,15 +108,29 @@ class TestImageTransforms:
 
 ROTATE_CROP_FLIP = AugmentPolicy("custom", noise_std=0.1, mask_prob=0.1, scale_range=(0.8, 1.2),
                                  rotation_range=0.7, crop_range=(0.3, 0.9), flip_prob=0.5)
+# every draw pattern of a policy with no crop, flip or rotation; those with
+# noise and a scale or mask merge generator calls, the others draw row by row
+SCALE_ONLY = AugmentPolicy("custom", scale_range=(0.5, 1.5))
+MASK_ONLY = AugmentPolicy("custom", mask_prob=0.3)
+NOISE_ONLY = AugmentPolicy("custom", noise_std=0.4)
+SCALE_MASK = AugmentPolicy("custom", mask_prob=0.3, scale_range=(0.5, 1.5))
+SCALE_NOISE = AugmentPolicy("custom", noise_std=0.4, scale_range=(0.5, 1.5))
+NOISE_MASK = AugmentPolicy("custom", noise_std=0.4, mask_prob=0.3)
+SCALE_NOISE_MASK = AugmentPolicy("custom", noise_std=0.4, mask_prob=0.3, scale_range=(0.5, 1.5))
+UNBALANCED = unbalanced_base_config().augment_policy("custom")
+DRAW_PATTERNS = [SCALE_ONLY, MASK_ONLY, NOISE_ONLY, SCALE_MASK, SCALE_NOISE, NOISE_MASK,
+          SCALE_NOISE_MASK, UNBALANCED]
 
 
 class TestBlockMatchesPerSampleOracle:
     @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 9),
            shape=st.sampled_from([(1,), (2,), (32,), (1, 1), (3, 5), (6, 6), (8, 3)]),
-           policy=st.sampled_from([IDENTITY, MILD, AGGRESSIVE, ROTATE_CROP_FLIP]))
-    @settings(max_examples=300, deadline=None)
+           policy=st.sampled_from([IDENTITY, MILD, AGGRESSIVE, ROTATE_CROP_FLIP, *DRAW_PATTERNS]))
+    @settings(max_examples=600, deadline=None)
     @example(seed=0, b=1, shape=(32,), policy=ROTATE_CROP_FLIP)
     @example(seed=0, b=1, shape=(6, 6), policy=ROTATE_CROP_FLIP)
+    @example(seed=0, b=9, shape=(6, 6), policy=SCALE_NOISE_MASK)
+    @example(seed=0, b=9, shape=(32,), policy=UNBALANCED)
     def test_bytes_and_generator_state(self, seed, b, shape, policy):
         """One block call equals b per-sample calls on one stream, byte for byte,
         and leaves the generator where they leave it."""
@@ -126,6 +141,15 @@ class TestBlockMatchesPerSampleOracle:
         assert block.shape == rows.shape
         assert block.tobytes() == rows.tobytes()
         assert block_rng.bit_generator.state == row_rng.bit_generator.state
+
+    @pytest.mark.parametrize("policy", [MILD, AGGRESSIVE, ROTATE_CROP_FLIP, *DRAW_PATTERNS])
+    @pytest.mark.parametrize("shape", [(0, 32), (0, 6, 6)])
+    def test_empty_block_draws_nothing(self, policy, shape):
+        rng = np.random.default_rng(20)
+        state = rng.bit_generator.state
+        views = augment(np.empty(shape), policy, rng)
+        assert views.shape == shape
+        assert rng.bit_generator.state == state
 
 
 class TestPolicyOrdering:

@@ -243,6 +243,7 @@ class TestExitCodes:
         ("eval", "recall_ks=0"), ("unbalanced", "seed_init=-1"),
         ("ablate-temperature", "eval_every=0"), ("train", "data_eval=eval.bin"),
         ("train", "lr_step_factor=-1"), ("train", "sgd_momentum=5"),
+        ("train", "lr_step_fracs=5"), ("unbalanced", "lr_step_fracs=-1"),
     ])
     def test_bad_config_value_is_exit_3_before_any_output(self, tmp_path, capsys,
                                                          command, override):

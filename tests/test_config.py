@@ -156,11 +156,18 @@ class TestValidate:
         "bank_capacity=1", "distill_source=both", "eval_k=0", "eval_every=0",
         "probe_lr=0", "probe_epochs=-1", "recall_ks=1,0", "seed_augment=-1",
         "data_classes=1", "data_dim=1", "data_sep=-1", "data_per_class=0",
+        "lr_step_fracs=5", "lr_step_fracs=-1", "lr_step_fracs=0.5,1",
     ])
     def test_bad_value_rejected(self, override):
         cfg = apply_overrides(RunConfig(), [override])
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    def test_step_fractions_span_zero_up_to_one(self):
+        """A fraction f steps the rate at epoch int(f * epochs): 0 steps it from
+        the start, and anything in [0, 1) steps it within the run."""
+        RunConfig(lr_step_fracs=(0.0, 0.999)).validate()
+        RunConfig(lr_step_fracs=()).validate()
 
     def test_eval_k_may_reach_the_synthetic_corpus(self):
         """k-NN may use all 3 * 200 synthetic samples. validate() judges no

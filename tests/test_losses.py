@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import simdistill.losses as library
 import simdistill.tensor as T
-from oracles import graph_ops, loss_chain, per_sample_losses
+from oracles import anchor_softmax, graph_ops, loss_chain, per_sample_losses
 from simdistill.errors import (ContractError, DegenerateDistributionError, NumericDomainError,
                                ShapeError)
 from simdistill.losses import (LossConfig, anchor_cross_entropy, anchor_cross_entropy_batch,
@@ -429,6 +429,79 @@ class TestBatchForms:
     def test_entropy_helper(self):
         assert float(distribution_entropy(np.array([1.0, 0.0]))) == 0.0
         assert float(distribution_entropy(np.full(4, 0.25))) == pytest.approx(np.log(4.0))
+
+
+class TestTeacherSideMatchesOutOfPlaceOracle:
+    """The in-place teacher softmax and the one-pass entropy give the bytes of
+    their out-of-place forms in ``oracles.anchor_softmax``."""
+
+    @staticmethod
+    def assert_bitwise(queries, anchors, tau):
+        p = anchor_distribution_batch(queries, anchors, tau)
+        want = anchor_softmax.anchor_softmax(queries, T.unit_rows(anchors), tau)
+        assert p.tobytes() == want.tobytes()
+        assert (distribution_entropy(p).tobytes()
+                == anchor_softmax.distribution_entropy(want).tobytes())
+        return p
+
+    @pytest.mark.parametrize("n", [512, 984, 1024])
+    @pytest.mark.parametrize("tau", [0.07, 0.02])
+    def test_reference_shapes(self, n, tau):
+        """Batch 64 at width 64 against the unbalanced protocol's bank of 512,
+        the 984 rows a default prefill leaves, and a full bank of 1024."""
+        rng = np.random.default_rng(n)
+        p = self.assert_bitwise(rng.standard_normal((64, 64)), rng.standard_normal((n, 64)), tau)
+        assert p.min() > 0
+
+    @pytest.mark.parametrize("tau", [0.003, 0.001])
+    def test_sharp_temperature(self, tau):
+        """Cosines span at most 2, so logits span at most 2 / tau. At tau 0.003
+        (667) every probability stays a normal double; at 0.001 (2000) some
+        underflow to exact zeros, and the entropy takes its zero-safe form."""
+        rng = np.random.default_rng(3)
+        queries = rng.standard_normal((64, 8))
+        anchors = np.concatenate([queries[:32], -queries[32:], rng.standard_normal((448, 8))])
+        p = self.assert_bitwise(queries, anchors, tau)
+        assert (p.min() == 0) == (tau == 0.001)
+
+    def test_one_row(self):
+        rng = np.random.default_rng(4)
+        query, anchors = rng.standard_normal(16), rng.standard_normal((40, 16))
+        p = anchor_distribution(Tensor(query), Tensor(anchors), 0.07).data
+        want = anchor_softmax.anchor_softmax(query[None], T.unit_rows(anchors), 0.07)[0]
+        assert p.ndim == 1 and p.tobytes() == want.tobytes()
+        for dist in (p, np.array([0.5, 0.0, 0.5]), np.array([0.0, 1.0]), np.zeros(0)):
+            assert (distribution_entropy(dist).tobytes()
+                    == anchor_softmax.distribution_entropy(dist).tobytes())
+
+
+class TestInputsStayUntouched:
+    """The in-place passes write only to temporaries: no anchor form, nor its
+    backward pass, changes a byte of a block it was handed."""
+
+    @pytest.mark.parametrize("name", ["anchor_distribution_batch", "anchor_cross_entropy_batch",
+                                      "isd_loss_batch", "moco_loss_batch"])
+    def test_inputs_byte_identical_after_backward(self, name):
+        rng = np.random.default_rng(21)
+        student = Tensor.parameter(rng.standard_normal((16, 8)))
+        teacher = rng.standard_normal((16, 8))
+        anchors = Tensor(rng.standard_normal((40, 8)))
+        targets = anchor_distribution_batch(rng.standard_normal((16, 8)), anchors.data, 0.07)
+        blocks = (student.data, teacher, anchors.data, targets)
+        before = [block.tobytes() for block in blocks]
+
+        if name == "anchor_distribution_batch":
+            anchor_distribution_batch(teacher, anchors.data, 0.07)
+        elif name == "anchor_cross_entropy_batch":
+            T.backward(anchor_cross_entropy_batch(targets, student, anchors, 0.07))
+        elif name == "isd_loss_batch":
+            loss, p_t = isd_loss_batch(teacher, student, anchors, 0.07)
+            p_t_bytes = p_t.tobytes()
+            T.backward(loss)
+            assert p_t.tobytes() == p_t_bytes
+        else:
+            T.backward(moco_loss_batch(student, teacher, anchors, 0.07))
+        assert [block.tobytes() for block in blocks] == before
 
 
 def call_anchor_form(name, block_shape=(2, 3), anchor_shape=(4, 3), poison=None, tau=0.1):

@@ -10,16 +10,16 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import loss_chain
+from oracles import anchor_softmax, loss_chain
 from simdistill.augment import augment
 from simdistill.checkpoint import load_checkpoint, save_checkpoint
 from simdistill.config import RunConfig
 from simdistill.data import gen_gaussian_mixture
 from simdistill.errors import CheckpointError, ColdStartError, ConfigError
 from simdistill.evaluation import embed_dataset, knn_eval
-from simdistill.losses import anchor_distribution_batch
 from simdistill.nn import (MlpParams, MlpSpec, ModelPair, default_predictor_spec,
                            init_params, mlp_forward)
+from simdistill.tensor import unit_rows
 from simdistill.train import MetricsWriter, Trainer, distill, distill_config, train
 
 SMALL_ENCODER = MlpSpec((6, 16, 4), final_normalize=True)
@@ -571,18 +571,27 @@ class TestMocoReductionEndToEnd:
 
 class TestFusedPathMatchesOracle:
     """Whole training runs through the CLI are byte-identical with the per-op MLP
-    graph, the per-op objective chains and the per-parameter SGD and EMA loops
-    patched in for the fused nodes and the whole-buffer updates."""
+    graph, the per-op objective chains, the out-of-place teacher softmax and
+    entropy, the row-by-row augment and the per-parameter SGD and EMA loops
+    patched in for the fused nodes, the in-place passes, the merged generator
+    calls and the whole-buffer updates."""
 
     ARGS = ["--set", "epochs=2", "--set", "bank_capacity=32", "--set", "batch_size=16",
             "--set", "encoder_widths=8,24,12", "--set", "eval_every=1",
             "--set", "data_classes=3", "--set", "data_per_class=24",
             "--set", "data_eval_per_class=8", "--set", "data_dim=8", "--set", "data_sep=3.0",
             "--set", "teacher_policy=aggressive", "--set", "student_policy=aggressive"]
+    # the rare-class protocol's views (noise, mask and scale) on a bank that wraps
+    CUSTOM_VIEWS = ["--set", "bank_capacity=128", "--set", "batch_size=32",
+                    "--set", "data_per_class=40", "--set", "teacher_policy=custom",
+                    "--set", "student_policy=custom", "--set", "custom_noise_std=1.0",
+                    "--set", "temperature=0.07"]
 
-    @pytest.mark.parametrize("objective", ["isd", "moco", "byol"])
-    def test_artifacts_are_byte_identical(self, tmp_path, monkeypatch, objective):
-        from oracles import mlp_graph
+    @pytest.mark.parametrize("objective, views", [
+        ("isd", []), ("moco", []), ("byol", []), ("isd", CUSTOM_VIEWS), ("moco", CUSTOM_VIEWS),
+    ], ids=["isd", "moco", "byol", "isd-custom-views", "moco-custom-views"])
+    def test_artifacts_are_byte_identical(self, tmp_path, monkeypatch, objective, views):
+        from oracles import augment_per_sample, mlp_graph
         from simdistill.cli import main
         # the package re-exports a function named train, so fetch the modules by path
         train_mod = importlib.import_module("simdistill.train")
@@ -590,14 +599,19 @@ class TestFusedPathMatchesOracle:
 
         def run(tag):
             out = tmp_path / tag
-            assert main(["train", "--out", str(out), *self.ARGS,
+            assert main(["train", "--out", str(out), *self.ARGS, *views,
                          "--set", f"objective={objective}"]) == 0
             return [(out / name).read_bytes() for name in ("checkpoint.bin", "metrics.csv")]
+
+        def row_by_row_augment(samples, policy, rng):
+            return np.stack([augment_per_sample.augment(x, policy, rng) for x in samples])
 
         fused = run("fused")
         for module in (train_mod, evaluation_mod):
             monkeypatch.setattr(module, "mlp_forward", mlp_graph.mlp_forward)
         monkeypatch.setattr(train_mod, "sgd_step", mlp_graph.sgd_step)
+        monkeypatch.setattr(train_mod, "augment", row_by_row_augment)
+        monkeypatch.setattr(train_mod, "distribution_entropy", anchor_softmax.distribution_entropy)
         monkeypatch.setattr(train_mod, "isd_loss_batch", chain_isd_loss_batch)
         monkeypatch.setattr(train_mod, "moco_loss_batch", loss_chain.moco_loss_batch)
         monkeypatch.setattr(train_mod, "byol_loss_batch", loss_chain.byol_loss_batch)
@@ -607,6 +621,7 @@ class TestFusedPathMatchesOracle:
 
 
 def chain_isd_loss_batch(q_t_emb, q_s_pred, anchors, tau):
-    """``isd_loss_batch`` with the loss built by the per-op chain."""
-    p_t = anchor_distribution_batch(q_t_emb, anchors.data, tau)
+    """``isd_loss_batch`` with the out-of-place teacher softmax and the loss
+    built by the per-op chain."""
+    p_t = anchor_softmax.anchor_softmax(q_t_emb, unit_rows(anchors.data), tau)
     return loss_chain.anchor_cross_entropy_batch(p_t, q_s_pred, anchors, tau), p_t
