@@ -2,10 +2,11 @@
 
 Subcommands: train, distill, eval, ablate-temperature, unbalanced,
 gen-data. Every run resolves its configuration (the command's base, then
-the --config file, then --set overrides, then --seed) and echoes it into
-the output directory before computing anything; beyond that config, a
-command reads only its input files and its --taus or --reps grid. Exit
-codes: 0 ok, 2 usage, 3 config, 4 data/format, 5 checkpoint.
+the --config file, then --set overrides, then --seed), reads and checks
+its corpus and any --teacher or --checkpoint file, and only then echoes
+the configuration into the output directory and computes. Beyond that
+config, a command reads only its input files and its --taus or --reps
+grid. Exit codes: 0 ok, 2 usage, 3 config, 4 data/format, 5 checkpoint.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from . import experiments
-from .config import RunConfig, apply_overrides, load_config
+from .config import RunConfig, apply_overrides, load_config, serialize_config
 from .errors import (CheckpointError, ConfigError, ContractError, FormatError,
                      SimDistillError)
 
@@ -33,7 +34,8 @@ def _add_common(parser: argparse.ArgumentParser, out: str = "run", seed: bool = 
     parser.add_argument("--out", default=out, help="output directory")
     if seed:
         parser.add_argument("--seed", type=int,
-                            help="base seed (sets init/data/augment seeds)")
+                            help="base seed N: seed_init=N, and seed_data=N+1 and "
+                                 "seed_augment=N+2 except for unbalanced")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,24 +74,18 @@ _BASES = {"ablate-temperature": experiments.ablation_base_config,
 
 def _resolve_config(args) -> RunConfig:
     """The command's base (RunConfig() unless _BASES names one), then the --config
-    file, then --set, then --seed; validated."""
+    file, then --set, then --seed; validated, and checked to survive its echo.
+    The drivers check it against the corpus (``experiments.build_datasets``)."""
     cfg = _BASES.get(args.command, RunConfig)()
     if args.config:
         cfg = load_config(args.config, cfg)
     cfg = apply_overrides(cfg, args.overrides)
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed_init=args.seed, seed_data=args.seed + 1,
-                      seed_augment=args.seed + 2)
+        cfg = replace(cfg, seed_init=args.seed)
+        if args.command != "unbalanced":    # the protocol derives its runs' seeds
+            cfg = replace(cfg, seed_data=args.seed + 1, seed_augment=args.seed + 2)
     cfg.validate()
-    # without container files, every command trains and scores on the synthetic corpus
-    if not cfg.data_train:
-        corpus = cfg.data_classes * cfg.data_per_class
-        if cfg.eval_k > corpus:
-            raise ConfigError(f"eval_k={cfg.eval_k} exceeds the {corpus} samples of the "
-                              f"training corpus (data_classes * data_per_class)")
-        if cfg.encoder_widths and cfg.encoder_widths[0] != cfg.data_dim:
-            raise ConfigError(f"encoder input width {cfg.encoder_widths[0]} does not match "
-                              f"data_dim {cfg.data_dim} of the synthetic corpus")
+    serialize_config(cfg)
     return cfg
 
 

@@ -20,12 +20,10 @@ from .tensor import Tensor, unit_rows
 
 @dataclass
 class EmbeddingTable:
-    """Unit-norm embedding rows with labels and a provenance tag."""
+    """Unit-norm embedding rows with their labels."""
 
     embeddings: np.ndarray
     labels: np.ndarray
-    source: str = ""
-    epoch: int = -1
 
     def __post_init__(self):
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
@@ -41,8 +39,7 @@ class EmbeddingTable:
             raise ContractError("embedding rows must be unit norm (off by more than 1e-10)")
 
 
-def embed_dataset(encoder: MlpParams, ds: LabeledDataset, source: str = "",
-                  epoch: int = -1) -> EmbeddingTable:
+def embed_dataset(encoder: MlpParams, ds: LabeledDataset) -> EmbeddingTable:
     """Encode a dataset, 512 rows at a time, without building any differentiation graph."""
     params = encoder.detached()
     x = ds.as_matrix()
@@ -53,7 +50,7 @@ def embed_dataset(encoder: MlpParams, ds: LabeledDataset, source: str = "",
     features = np.concatenate(chunks, axis=0)
     if not encoder.spec.final_normalize:
         features = unit_rows(features)
-    return EmbeddingTable(features, ds.labels, source=source, epoch=epoch)
+    return EmbeddingTable(features, ds.labels)
 
 
 def knn_eval(train: EmbeddingTable, test: EmbeddingTable, k: int = 5) -> float:

@@ -1,8 +1,9 @@
 """Experiment drivers shared by the command-line entry points.
 
-Each driver writes its resolved configuration before computing anything,
-so any emitted artifact can be reproduced bit-for-bit from the files in
-its output directory.
+Each driver reads and checks all its inputs (the corpus through
+:func:`build_datasets`, and any checkpoint), then writes its resolved
+configuration, then computes: a faulty input leaves no output, and any
+emitted artifact can be reproduced bit-for-bit from its output directory.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .data import (LabeledDataset, gen_gaussian_mixture, load_dataset, make_unba
                    save_dataset)
 from .errors import ConfigError, ContractError
 from .evaluation import embed_dataset, knn_eval, linear_probe, recall_at_k
-from .train import distill, distill_config, knn_accuracies, train
+from .train import distill_config, distill_trainer, knn_accuracies, train
 
 TEMPERATURE_GRID = (0.003, 0.007, 0.01, 0.02, 0.04, 0.06)
 
@@ -165,27 +166,33 @@ def ablation_base_config() -> RunConfig:
     )
 
 
-def synthetic_datasets(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    """The train and eval splits of the Gaussian mixture the data_* fields describe."""
-    train_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_per_class, cfg.data_dim,
-                                    cfg.data_sep, cfg.data_seed, split="train")
-    eval_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_eval_per_class, cfg.data_dim,
-                                   cfg.data_sep, cfg.data_seed, split="eval")
-    return train_ds, eval_ds
-
-
 def build_datasets(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    """Load container files when paths are set, else synthesize a mixture pair."""
+    """The container files when data_train is set, else the train and eval splits
+    of the Gaussian mixture the data_* fields describe; checked to fit the config.
+
+    The one check of a config against its corpus, each fault a ConfigError
+    naming the corpus: one feature width, eval_k train rows at least, and a
+    set encoder_widths that reads that width.
+    """
     if cfg.data_train:
+        corpus = cfg.data_train
         train_ds, eval_ds = load_dataset(cfg.data_train), load_dataset(cfg.data_eval)
-        if train_ds.feature_dim != eval_ds.feature_dim:
-            raise ConfigError(f"{cfg.data_train} has {train_ds.feature_dim} features per sample, "
-                              f"{cfg.data_eval} has {eval_ds.feature_dim}")
-        if cfg.eval_k > len(train_ds):
-            raise ConfigError(f"eval_k={cfg.eval_k} exceeds the {len(train_ds)} samples "
-                              f"of {cfg.data_train}")
-        return train_ds, eval_ds
-    return synthetic_datasets(cfg)
+    else:
+        corpus = "the synthetic corpus of the data_* fields"
+        train_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_per_class, cfg.data_dim,
+                                        cfg.data_sep, cfg.data_seed, split="train")
+        eval_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_eval_per_class, cfg.data_dim,
+                                       cfg.data_sep, cfg.data_seed, split="eval")
+    dim = train_ds.feature_dim
+    if eval_ds.feature_dim != dim:
+        raise ConfigError(f"{corpus} has {dim} features per sample, "
+                          f"{cfg.data_eval} has {eval_ds.feature_dim}")
+    if cfg.eval_k > len(train_ds):
+        raise ConfigError(f"eval_k={cfg.eval_k} exceeds the {len(train_ds)} samples of {corpus}")
+    if cfg.encoder_widths and cfg.encoder_widths[0] != dim:
+        raise ConfigError(f"encoder input width {cfg.encoder_widths[0]} does not match "
+                          f"the {dim} features per sample of {corpus}")
+    return train_ds, eval_ds
 
 
 def _write_table(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
@@ -208,8 +215,8 @@ def write_synthetic_datasets(cfg: RunConfig, out_dir: str) -> tuple[LabeledDatas
     if cfg.data_train:
         raise ConfigError("data_train is set: gen-data writes the synthetic corpus of the "
                           "data_* fields, not a copy of a loaded one")
+    train_ds, eval_ds = build_datasets(cfg)
     write_resolved_config(cfg, out_dir)
-    train_ds, eval_ds = synthetic_datasets(cfg)
     save_dataset(train_ds, os.path.join(out_dir, "train.bin"))
     save_dataset(eval_ds, os.path.join(out_dir, "eval.bin"))
     return train_ds, eval_ds
@@ -217,8 +224,8 @@ def write_synthetic_datasets(cfg: RunConfig, out_dir: str) -> tuple[LabeledDatas
 
 def run_training(cfg: RunConfig, out_dir: str) -> Checkpoint:
     """Train per the config; writes resolved.cfg, metrics.csv and checkpoint.bin."""
-    write_resolved_config(cfg, out_dir)
     train_ds, eval_ds = build_datasets(cfg)
+    write_resolved_config(cfg, out_dir)
     ckpt = train(cfg, train_ds, eval_ds,
                  metrics_path=os.path.join(out_dir, "metrics.csv"))
     save_checkpoint(ckpt, os.path.join(out_dir, "checkpoint.bin"))
@@ -229,10 +236,10 @@ def run_distill(cfg: RunConfig, teacher_path: str, out_dir: str) -> Checkpoint:
     """Frozen-teacher distillation from a stored checkpoint; resolved.cfg holds
     the settings distillation forces (:func:`distill_config`)."""
     cfg = distill_config(cfg)
-    write_resolved_config(cfg, out_dir)
     train_ds, eval_ds = build_datasets(cfg)
-    ckpt = distill(cfg, teacher_path, train_ds, eval_ds,
-                   metrics_path=os.path.join(out_dir, "metrics.csv"))
+    trainer = distill_trainer(cfg, teacher_path, train_ds.feature_dim)
+    write_resolved_config(cfg, out_dir)
+    ckpt = trainer.run(train_ds, eval_ds, metrics_path=os.path.join(out_dir, "metrics.csv"))
     save_checkpoint(ckpt, os.path.join(out_dir, "checkpoint.bin"))
     return ckpt
 
@@ -243,14 +250,12 @@ def evaluate_checkpoint(cfg: RunConfig, ckpt_path: str, out_dir: str) -> list[di
     The two networks are scored in parallel (:func:`fan_out`): the caller
     scores the teacher and a worker the student, so the teacher's rows come first.
     """
-    write_resolved_config(cfg, out_dir)
-    ckpt = load_checkpoint(ckpt_path)
     train_ds, eval_ds = build_datasets(cfg)
+    ckpt = load_checkpoint(ckpt_path)
     if ckpt.encoder_spec.input_dim != train_ds.feature_dim:
-        raise ConfigError(
-            f"checkpoint expects {ckpt.encoder_spec.input_dim} input features, "
-            f"dataset has {train_ds.feature_dim}"
-        )
+        raise ConfigError(f"checkpoint expects {ckpt.encoder_spec.input_dim} input features, "
+                          f"dataset has {train_ds.feature_dim}")
+    write_resolved_config(cfg, out_dir)
     halves = fan_out(_score_encoder, [
         (cfg, source, encoder, ckpt.epoch, train_ds, eval_ds)
         for source, encoder in (("teacher", ckpt.pair.teacher_encoder),
@@ -264,23 +269,20 @@ def evaluate_checkpoint(cfg: RunConfig, ckpt_path: str, out_dir: str) -> list[di
 def _score_encoder(task) -> list[dict]:
     """The eval.csv rows of one encoder: k-NN, linear probe, then recall@k."""
     cfg, source, encoder, epoch, train_ds, eval_ds = task
-    table_train = embed_dataset(encoder, train_ds, source=source, epoch=epoch)
-    table_eval = embed_dataset(encoder, eval_ds, source=source, epoch=epoch)
-    rows = [{"metric": "knn", "k": cfg.eval_k,
-             "value": knn_eval(table_train, table_eval, cfg.eval_k),
-             "source": source, "epoch": epoch},
-            {"metric": "linear", "k": "",
-             "value": linear_probe(table_train, table_eval, cfg.probe_epochs, cfg.probe_lr),
-             "source": source, "epoch": epoch}]
-    for k, r in zip(cfg.recall_ks, recall_at_k(table_eval, list(cfg.recall_ks))):
-        rows.append({"metric": "recall", "k": k, "value": r, "source": source, "epoch": epoch})
-    return rows
+    table_train = embed_dataset(encoder, train_ds)
+    table_eval = embed_dataset(encoder, eval_ds)
+    rows = [("knn", cfg.eval_k, knn_eval(table_train, table_eval, cfg.eval_k)),
+            ("linear", "", linear_probe(table_train, table_eval, cfg.probe_epochs, cfg.probe_lr))]
+    rows += [("recall", k, r)
+             for k, r in zip(cfg.recall_ks, recall_at_k(table_eval, list(cfg.recall_ks)))]
+    return [{"metric": metric, "k": k, "value": value, "source": source, "epoch": epoch}
+            for metric, k, value in rows]
 
 
 def temperature_sweep(cfg: RunConfig, taus: tuple[float, ...], out_dir: str) -> list[dict]:
     """Train one model per temperature on the same corpus; one CSV row per tau."""
-    write_resolved_config(cfg, out_dir)
     train_ds, eval_ds = build_datasets(cfg)
+    write_resolved_config(cfg, out_dir)
     rows = fan_out(_sweep_point, [(replace(cfg, temperature=tau), train_ds, eval_ds)
                                   for tau in taus])
     _write_table(os.path.join(out_dir, "temperature.csv"),
@@ -307,6 +309,9 @@ def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str) -> l
     """
     if reps < 1:
         raise ConfigError("reps must be at least 1")
+    if cfg.data_train:
+        raise ConfigError("data_train is set: unbalanced draws one synthetic corpus of the "
+                          "data_* fields per repetition, not a loaded one")
     if cfg.data_classes <= UNBALANCED_LARGE_CLASSES:
         raise ConfigError(f"data_classes={cfg.data_classes} leaves no rare class: the protocol "
                           f"keeps {UNBALANCED_LARGE_CLASSES} classes whole")
@@ -314,11 +319,10 @@ def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str) -> l
     if cfg.data_per_class < small_count:
         raise ConfigError(f"data_per_class={cfg.data_per_class} is too few: the protocol keeps "
                           f"{small_count} samples of each rare class")
-    write_resolved_config(cfg, out_dir)
     tasks = []
     for rep in range(reps):
         rep_seed = seed * 10007 + rep
-        balanced, eval_ds = synthetic_datasets(replace(cfg, data_seed=rep_seed))
+        balanced, eval_ds = build_datasets(replace(cfg, data_seed=rep_seed))
         pick = np.random.default_rng([seed, rep, 99])
         large = sorted(int(c) for c in pick.choice(
             cfg.data_classes, size=UNBALANCED_LARGE_CLASSES, replace=False))
@@ -332,6 +336,7 @@ def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str) -> l
                            seed_init=rep_seed + 2, seed_data=rep_seed + 3,
                            seed_augment=rep_seed + 4)
             tasks.append((rcfg, unbalanced, balanced, eval_ds, rare_eval))
+    write_resolved_config(cfg, out_dir)
     # One fork for the whole protocol: ISD and MoCo alternate in task order.
     accs = fan_out(_train_and_score, tasks)
     rows = []

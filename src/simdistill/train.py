@@ -14,7 +14,6 @@ import csv
 import functools
 import os
 import platform
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,14 +33,13 @@ from .tensor import Tensor, backward
 
 @dataclass
 class StepMetrics:
-    """Per-step observability record (wall clock stays out of the CSV)."""
+    """Per-step observability record: one row of the metrics CSV."""
 
     epoch: int
     step: int
     loss: float
     teacher_entropy: float | None
     lr: float
-    wall_ms: float
 
 
 class MetricsWriter:
@@ -185,7 +183,6 @@ class Trainer:
             raise ColdStartError("anchor bank not pre-filled; call prefill() before stepping")
         if len(batch) == 0:
             raise ConfigError("empty batch")
-        started = time.perf_counter()
 
         qt_views, qs_views = self._views(batch)
         t_emb = self._teacher_embed(qt_views)
@@ -225,7 +222,6 @@ class Trainer:
             loss=float(loss.data),
             teacher_entropy=h_pt,
             lr=self.sgd.lr,
-            wall_ms=(time.perf_counter() - started) * 1e3,
         )
 
     def checkpoint(self) -> Checkpoint:
@@ -295,29 +291,32 @@ def distill_config(config: RunConfig) -> RunConfig:
 def distill(config: RunConfig, teacher_checkpoint, train_ds: LabeledDataset,
             eval_ds: LabeledDataset | None = None,
             metrics_path: str | None = None) -> Checkpoint:
-    """Frozen-teacher distillation: teacher loaded, run with :func:`distill_config`.
+    """Frozen-teacher distillation: the :func:`distill_trainer` run on ``train_ds``."""
+    return distill_trainer(config, teacher_checkpoint, train_ds.feature_dim).run(
+        train_ds, eval_ds, metrics_path)
+
+
+def distill_trainer(config: RunConfig, teacher_checkpoint, input_dim: int) -> Trainer:
+    """The trainer of a frozen-teacher distillation, run with :func:`distill_config`.
 
     The student starts from scratch; the output checkpoint's teacher
     weights are bitwise those of the input. ``config.distill_source``
     selects which network of the loaded checkpoint becomes the frozen
-    teacher.
+    teacher; a network that is not the configured encoder for ``input_dim``
+    features raises :class:`CheckpointError`.
     """
     if isinstance(teacher_checkpoint, str):
         teacher_checkpoint = load_checkpoint(teacher_checkpoint)
     cfg = distill_config(config)
-
     source = teacher_checkpoint.pair
     loaded = source.teacher_encoder if cfg.distill_source == "teacher" else source.student_encoder
-    encoder_spec = _encoder_spec(cfg, train_ds.feature_dim)
+    encoder_spec = _encoder_spec(cfg, input_dim)
     if loaded.spec != encoder_spec:
-        raise CheckpointError(
-            f"checkpoint encoder {loaded.spec.layer_widths} does not match "
-            f"configured encoder {encoder_spec.layer_widths}"
-        )
-
+        raise CheckpointError(f"checkpoint encoder {loaded.spec.layer_widths} does not match "
+                              f"configured encoder {encoder_spec.layer_widths}")
     fresh = ModelPair.create(encoder_spec,
                              default_predictor_spec(encoder_spec.output_dim, cfg.predictor_hidden),
                              momentum=cfg.momentum, seed=cfg.seed_init)
     pair = ModelPair(fresh.student_encoder, fresh.student_predictor,
                      loaded.copy(trainable=False), momentum=cfg.momentum)
-    return Trainer(cfg, train_ds.feature_dim, pair=pair).run(train_ds, eval_ds, metrics_path)
+    return Trainer(cfg, input_dim, pair=pair)

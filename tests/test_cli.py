@@ -107,6 +107,30 @@ def drop_setting(args, key):
             if not value.startswith(f"{key}=") for a in (flag, value)]
 
 
+# Input faults, each as (exit code, --set overrides, --teacher or --checkpoint file),
+# with {names} taken from the input_files fixture. The ckpt6 network reads FAST's
+# corpus; the ckpt8 network reads 8 features, so FAST cannot use it.
+INPUT_FAULTS = {
+    "corpus-missing": (4, ["data_train={missing}", "data_eval={eval6}"], "ckpt6"),
+    "corpus-garbled": (4, ["data_train={garbage}", "data_eval={eval6}"], "ckpt6"),
+    "corpus-widths": (3, ["data_train={train6}", "data_eval={eval8}"], "ckpt6"),
+    "eval_k-loaded": (3, ["data_train={train6}", "data_eval={eval6}", "eval_k=200"], "ckpt6"),
+    "eval_k-synthetic": (3, ["eval_k=200"], "ckpt6"),
+    "encoder-loaded": (3, ["data_train={train6}", "data_eval={eval6}",
+                           "encoder_widths=8,12,4"], "ckpt6"),
+    "encoder-synthetic": (3, ["encoder_widths=8,12,4"], "ckpt6"),
+    "checkpoint-missing": (5, [], "missing"),
+    "checkpoint-garbled": (5, [], "garbage"),
+    "checkpoint-other-architecture": (5, [], "ckpt8"),
+}
+# Checkpoint faults apply to the two commands that read a checkpoint.
+FAULT_GRID = [(command, fault)
+              for command in ("train", "distill", "eval", "ablate-temperature", "unbalanced",
+                              "gen-data")
+              for fault in INPUT_FAULTS
+              if command in ("distill", "eval") or not fault.startswith("checkpoint")]
+
+
 def run_train(tmp_path, name="run", extra=()):
     out = str(tmp_path / name)
     code = main(["train", "--out", out, *FAST, *extra])
@@ -160,8 +184,13 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err == (f"config error: {tmp_path}/d6/train.bin has 6 "
                                            f"features per sample, {tmp_path}/d8/eval.bin has 8\n")
-        assert not (out / "metrics.csv").exists()
-        assert not (out / "eval.csv").exists()
+        assert not out.exists()
+
+    @staticmethod
+    def rare_classes(command):
+        """FAST's 2 classes leave unbalanced no rare class; 4 classes of 6 keep its 24 samples."""
+        return ["--set", "data_classes=4", "--set", "data_per_class=6"] \
+            if command == "unbalanced" else []
 
     @pytest.mark.parametrize("command", ["train", "eval", "unbalanced", "distill",
                                          "ablate-temperature", "gen-data"])
@@ -173,10 +202,11 @@ class TestExitCodes:
                  "distill": ["--teacher", str(tmp_path / "t.bin")],
                  "unbalanced": ["--reps", "1"]}.get(command, [])
         out = tmp_path / "out"
-        code = main([command, "--out", str(out), *extra, *FAST, "--set", "eval_k=25"])
+        code = main([command, "--out", str(out), *extra, *FAST, *self.rare_classes(command),
+                     "--set", "eval_k=25"])
         assert code == 3
         assert capsys.readouterr().err == ("config error: eval_k=25 exceeds the 24 samples of "
-                                           "the training corpus (data_classes * data_per_class)\n")
+                                           "the synthetic corpus of the data_* fields\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "unbalanced", "distill",
@@ -188,10 +218,12 @@ class TestExitCodes:
                  "distill": ["--teacher", str(tmp_path / "t.bin")],
                  "unbalanced": ["--reps", "1"]}.get(command, [])
         out = tmp_path / "out"
-        code = main([command, "--out", str(out), *extra, *FAST, "--set", "encoder_widths=8,12,4"])
+        code = main([command, "--out", str(out), *extra, *FAST, *self.rare_classes(command),
+                     "--set", "encoder_widths=8,12,4"])
         assert code == 3
         assert capsys.readouterr().err == ("config error: encoder input width 8 does not match "
-                                           "data_dim 6 of the synthetic corpus\n")
+                                           "the 6 features per sample of the synthetic corpus "
+                                           "of the data_* fields\n")
         assert not out.exists()
 
     def test_encoder_that_cannot_read_a_loaded_corpus_is_exit_3_before_training(self, tmp_path,
@@ -205,8 +237,8 @@ class TestExitCodes:
                      "--set", f"data_eval={tmp_path}/d/eval.bin"])
         assert code == 3
         assert capsys.readouterr().err == ("config error: encoder input width 8 does not match "
-                                           "data dim 6\n")
-        assert not (out / "metrics.csv").exists()
+                                           f"the 6 features per sample of {tmp_path}/d/train.bin\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_eval_k_above_a_loaded_corpus_is_exit_3_before_training(self, tmp_path, capsys,
@@ -222,9 +254,7 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err == (f"config error: eval_k=21 exceeds the 20 samples "
                                            f"of {tmp_path}/d/train.bin\n")
-        assert not (out / "metrics.csv").exists()
-        assert not (out / "checkpoint.bin").exists()
-        assert not (out / "eval.csv").exists()
+        assert not out.exists()
 
     def test_checkpoint_mismatch_is_exit_5(self, tmp_path):
         out = run_train(tmp_path)
@@ -325,7 +355,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err
         assert f"{data}/train.bin" in err
-        assert not (tmp_path / "run" / "metrics.csv").exists()
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("objective,culprit", [("isd", "anchors"), ("moco", "anchors"),
                                                    ("byol", "teacher embeddings")])
@@ -348,6 +378,59 @@ class TestExitCodes:
         bad.write_bytes(b"not a checkpoint")
         code = main(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "e"), *FAST])
         assert code == 5
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """Corpora of 6 and 8 features, a checkpoint of each width, a garbage file
+    and the path of a missing one."""
+    d = tmp_path_factory.mktemp("inputs")
+    for dim in (6, 8):
+        assert main(["gen-data", *gen_data_args(2, 12, 6, dim), "--out", str(d / f"d{dim}")]) == 0
+        assert main(["train", "--out", str(d / f"run{dim}"), *FAST, "--set", f"data_dim={dim}",
+                     "--set", f"encoder_widths={dim},12,4"]) == 0
+    (d / "garbage.bin").write_bytes(b"garbage")
+    return {"train6": d / "d6" / "train.bin", "eval6": d / "d6" / "eval.bin",
+            "eval8": d / "d8" / "eval.bin", "ckpt6": d / "run6" / "checkpoint.bin",
+            "ckpt8": d / "run8" / "checkpoint.bin", "garbage": d / "garbage.bin",
+            "missing": d / "missing.bin"}
+
+
+class TestInputFaults:
+    @pytest.mark.parametrize("command,fault", FAULT_GRID,
+                             ids=[f"{command}-{fault}" for command, fault in FAULT_GRID])
+    def test_input_fault_exits_with_its_code_before_any_output(self, tmp_path, input_files,
+                                                               command, fault):
+        """Every command reads and checks all its inputs before it writes anything."""
+        code, settings, checkpoint = INPUT_FAULTS[fault]
+        settings = [s.format(**input_files) for s in settings]
+        if command in ("unbalanced", "gen-data") and any(
+                s.startswith("data_train=") for s in settings):
+            code = 3    # they read no corpus file: a set data_train is a config fault
+        if (command, fault) == ("eval", "checkpoint-other-architecture"):
+            code = 3    # eval checks the checkpoint's input width against the corpus
+        extra = {"distill": ["--teacher", str(input_files[checkpoint])],
+                 "eval": ["--checkpoint", str(input_files[checkpoint])],
+                 "ablate-temperature": ["--taus", "0.1"],
+                 "unbalanced": ["--reps", "1"]}.get(command, [])
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), *extra,
+                     *(UNBALANCED_FAST if command == "unbalanced" else FAST),
+                     *(arg for s in settings for arg in ("--set", s))]) == code
+        assert not out.exists()
+
+    def test_unbalanced_with_data_files_is_exit_3_before_any_output(self, tmp_path, capsys,
+                                                                    input_files):
+        """The protocol draws its own corpora, so it refuses files it would ignore."""
+        out = tmp_path / "out"
+        code = main(["unbalanced", "--reps", "1", "--out", str(out), *UNBALANCED_FAST,
+                     "--set", f"data_train={input_files['train6']}",
+                     "--set", f"data_eval={input_files['eval6']}"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "config error: data_train is set: unbalanced draws one synthetic corpus of the "
+            "data_* fields per repetition, not a loaded one\n")
+        assert not out.exists()
 
 
 class TestGenData:
@@ -463,6 +546,20 @@ class TestTrainCommand:
         out = run_train(tmp_path, extra=["--seed", "41"])
         cfg = load_config(os.path.join(out, "resolved.cfg"))
         assert (cfg.seed_init, cfg.seed_data, cfg.seed_augment) == (41, 42, 43)
+
+    def test_unbalanced_seed_flag_sets_only_the_protocol_seed(self, tmp_path):
+        """The protocol derives every run's seeds from seed_init; the other two
+        keep their base values, and the CSV is that of --set seed_init."""
+        by_flag, by_set = str(tmp_path / "flag"), str(tmp_path / "set")
+        assert main(["unbalanced", "--reps", "1", "--seed", "41", "--out", by_flag,
+                     *UNBALANCED_FAST]) == 0
+        assert main(["unbalanced", "--reps", "1", "--set", "seed_init=41", "--out", by_set,
+                     *UNBALANCED_FAST]) == 0
+        cfg, base = load_config(os.path.join(by_flag, "resolved.cfg")), RunConfig()
+        assert (cfg.seed_init, cfg.seed_data, cfg.seed_augment) == (41, base.seed_data,
+                                                                    base.seed_augment)
+        for name in ("resolved.cfg", "unbalanced.csv"):
+            assert read(by_flag, name) == read(by_set, name), name
 
 
 class TestEvalCommand:

@@ -19,10 +19,10 @@ def unit_table(features, labels):
     return EmbeddingTable(unit_rows(features), labels)
 
 
-def random_table(n, d, classes, seed, source=""):
+def random_table(n, d, classes, seed):
     rng = np.random.default_rng(seed)
     return EmbeddingTable(unit_rows(rng.standard_normal((n, d))),
-                          rng.integers(0, classes, size=n), source)
+                          rng.integers(0, classes, size=n))
 
 
 def knn_oracle(train, test, k):
@@ -297,9 +297,8 @@ class TestEmbeddingTable:
     def test_embed_dataset_rows_unit(self):
         ds = gen_gaussian_mixture(2, 10, 4, 2.0, seed=17)
         enc = init_params(MlpSpec((4, 16, 3), final_normalize=True), 18)
-        table = embed_dataset(enc, ds, source="teacher", epoch=3)
+        table = embed_dataset(enc, ds)
         assert np.abs(np.linalg.norm(table.embeddings, axis=1) - 1.0).max() < 1e-10
-        assert table.source == "teacher" and table.epoch == 3
 
     def test_embed_dataset_flattens_images(self):
         from simdistill.data import LabeledDataset

@@ -13,9 +13,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from simdistill import experiments
+from simdistill.checkpoint import load_checkpoint
 from simdistill.cli import main
 from simdistill.config import RunConfig, apply_overrides
 from simdistill.errors import (ContractError, FormatError, LengthError, NumericDomainError,
@@ -184,17 +186,19 @@ class TestEvalCommandErrors:
                                          trained, failing):
         """The teacher half runs in the caller, the student half in the worker."""
         cpus(2)
-        real_probe = experiments.linear_probe
+        pair = load_checkpoint(trained).pair
+        weights = (pair.teacher_encoder if failing == "teacher" else pair.student_encoder).flat.data
+        real_embed = experiments.embed_dataset
 
-        def linear_probe(train, *args):
-            if train.source == failing:
-                raise NumericDomainError(f"{failing} probe diverged")
-            return real_probe(train, *args)
-        monkeypatch.setattr(experiments, "linear_probe", linear_probe)
+        def embed_dataset(encoder, ds):
+            if np.array_equal(encoder.flat.data, weights):
+                raise NumericDomainError(f"{failing} embedding diverged")
+            return real_embed(encoder, ds)
+        monkeypatch.setattr(experiments, "embed_dataset", embed_dataset)
         code = main(["eval", "--checkpoint", trained, "--out", str(tmp_path / "e"),
                      *(arg for kv in TINY for arg in ("--set", kv))])
         assert code == 4
-        assert f"error: {failing} probe diverged" in capsys.readouterr().err
+        assert f"error: {failing} embedding diverged" in capsys.readouterr().err
         assert not (tmp_path / "e" / "eval.csv").exists()
         assert multiprocessing.active_children() == []
 
