@@ -1,12 +1,12 @@
 """Command-line entry point.
 
 Subcommands: train, distill, eval, ablate-temperature, unbalanced,
-gen-data. Every run resolves its configuration (the command's base, then
-the --config file, then --set overrides, then --seed), reads and checks
-its corpus and any --teacher or --checkpoint file, and only then echoes
-the configuration into the output directory and computes. Beyond that
-config, a command reads only its input files and its --taus or --reps
-grid. Exit codes: 0 ok, 2 usage, 3 config, 4 data/format, 5 checkpoint.
+gen-data. The CLI only parses: it resolves the configuration (the
+command's base, then the --config file, then --set, then --seed), hands
+it to the command's driver in ``experiments``, which checks it and every
+input before it writes anything, and maps errors to exit codes. Beyond
+the config, a command reads only its input files and --taus or --reps.
+Exit codes: 0 ok, 2 usage, 3 config, 4 data/format, 5 checkpoint.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from . import experiments
-from .config import RunConfig, apply_overrides, load_config, serialize_config
+from .config import RunConfig, apply_overrides, load_config
 from .errors import (CheckpointError, ConfigError, ContractError, FormatError,
                      SimDistillError)
 
@@ -74,8 +74,7 @@ _BASES = {"ablate-temperature": experiments.ablation_base_config,
 
 def _resolve_config(args) -> RunConfig:
     """The command's base (RunConfig() unless _BASES names one), then the --config
-    file, then --set, then --seed; validated, and checked to survive its echo.
-    The drivers check it against the corpus (``experiments.build_datasets``)."""
+    file, then --set, then --seed; the driver checks it."""
     cfg = _BASES.get(args.command, RunConfig)()
     if args.config:
         cfg = load_config(args.config, cfg)
@@ -84,8 +83,6 @@ def _resolve_config(args) -> RunConfig:
         cfg = replace(cfg, seed_init=args.seed)
         if args.command != "unbalanced":    # the protocol derives its runs' seeds
             cfg = replace(cfg, seed_data=args.seed + 1, seed_augment=args.seed + 2)
-    cfg.validate()
-    serialize_config(cfg)
     return cfg
 
 
@@ -95,14 +92,12 @@ def _dispatch(args) -> int:
         train_ds, eval_ds = experiments.write_synthetic_datasets(cfg, args.out)
         print(f"wrote {args.out}/train.bin ({len(train_ds)} samples) and "
               f"{args.out}/eval.bin ({len(eval_ds)} samples)")
-    elif args.command == "train":
-        ckpt = experiments.run_training(cfg, args.out)
-        print(f"trained {cfg.objective} for {cfg.epochs} epochs; "
-              f"checkpoint at {args.out}/checkpoint.bin (step {ckpt.step})")
-    elif args.command == "distill":
-        ckpt = experiments.run_distill(cfg, args.teacher, args.out)
-        print(f"distilled {args.teacher} into a fresh student for {cfg.epochs} epochs; "
-              f"checkpoint at {args.out}/checkpoint.bin (step {ckpt.step})")
+    elif args.command in ("train", "distill"):
+        teacher = getattr(args, "teacher", None)
+        ckpt = experiments.run_training(cfg, args.out, teacher)
+        ran = f"distilled {teacher} into a fresh student" if teacher else f"trained {cfg.objective}"
+        print(f"{ran} for {cfg.epochs} epochs; checkpoint at {args.out}/checkpoint.bin "
+              f"(step {ckpt.step})")
     elif args.command == "eval":
         rows = experiments.evaluate_checkpoint(cfg, args.checkpoint, args.out)
         for row in rows:
@@ -113,10 +108,6 @@ def _dispatch(args) -> int:
             taus = tuple(float(t) for t in args.taus.split(",") if t.strip())
         except ValueError:
             raise ConfigError(f"temperature grid is not a list of numbers: {args.taus!r}")
-        if not taus:
-            raise ConfigError("empty temperature grid")
-        for tau in taus:
-            replace(cfg, temperature=tau).validate()
         rows = experiments.temperature_sweep(cfg, taus, args.out)
         for row in rows:
             print(f"tau={row['tau']}: teacher {row['teacher_knn']:.4f} "

@@ -9,8 +9,9 @@ and one parser applies both, in order, on a base config: ``RunConfig()``
 unless the caller passes another, as the CLI passes each command's base.
 Unknown keys are rejected, and ``parse_config(serialize_config(c)) == c``
 holds exactly, so the config echo a run writes is sufficient to reproduce
-it. ``validate()`` judges each value on its own; whether ``eval_k`` and
-the encoder fit the corpus is checked where the corpus is known.
+it. ``validate()`` judges each value, a string also by whether the echo
+can carry it; ``experiments.build_datasets`` calls it, then checks
+whether ``eval_k`` and the encoder fit the corpus.
 """
 
 from __future__ import annotations
@@ -102,6 +103,9 @@ class RunConfig:
             value = getattr(self, f.name)
             if f.type.startswith(("float", "tuple[float")) and not np.all(np.isfinite(value)):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.type == "str" and (not isinstance(value, str) or "#" in value
+                                    or len(value.splitlines()) > 1 or value != value.strip()):
+                raise ConfigError(f"{f.name}={value!r} cannot be written to resolved.cfg")
         try:
             LossConfig(self.objective, self.temperature)
             self.augment_policy(self.teacher_policy)

@@ -1,7 +1,8 @@
 """Experiment drivers shared by the command-line entry points.
 
-Each driver reads and checks all its inputs (the corpus through
-:func:`build_datasets`, and any checkpoint), then writes its resolved
+Each driver, called from the command line or a library, checks all its
+inputs (its config and corpus through :func:`build_datasets`, its τ grid
+or repetition count, and any checkpoint), then writes its resolved
 configuration, then computes: a faulty input leaves no output, and any
 emitted artifact can be reproduced bit-for-bit from its output directory.
 """
@@ -21,7 +22,8 @@ from .data import (LabeledDataset, gen_gaussian_mixture, load_dataset, make_unba
                    save_dataset)
 from .errors import ConfigError, ContractError
 from .evaluation import embed_dataset, knn_eval, linear_probe, recall_at_k
-from .train import distill_config, distill_trainer, knn_accuracies, train
+from .train import (Trainer, distill_config, distill_trainer, encoder_mismatch, knn_accuracies,
+                    train)
 
 TEMPERATURE_GRID = (0.003, 0.007, 0.01, 0.02, 0.04, 0.06)
 
@@ -170,10 +172,11 @@ def build_datasets(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
     """The container files when data_train is set, else the train and eval splits
     of the Gaussian mixture the data_* fields describe; checked to fit the config.
 
-    The one check of a config against its corpus, each fault a ConfigError
-    naming the corpus: one feature width, eval_k train rows at least, and a
-    set encoder_widths that reads that width.
+    Validates the config, then makes the one check of it against its corpus,
+    each fault a ConfigError naming the corpus: one feature width, eval_k
+    train rows at least, and a set encoder_widths that reads that width.
     """
+    cfg.validate()
     if cfg.data_train:
         corpus = cfg.data_train
         train_ds, eval_ds = load_dataset(cfg.data_train), load_dataset(cfg.data_eval)
@@ -222,22 +225,15 @@ def write_synthetic_datasets(cfg: RunConfig, out_dir: str) -> tuple[LabeledDatas
     return train_ds, eval_ds
 
 
-def run_training(cfg: RunConfig, out_dir: str) -> Checkpoint:
-    """Train per the config; writes resolved.cfg, metrics.csv and checkpoint.bin."""
+def run_training(cfg: RunConfig, out_dir: str, teacher_path: str | None = None) -> Checkpoint:
+    """Train per the config, or with ``teacher_path`` distill that stored checkpoint
+    into a fresh student (resolved.cfg then holds what :func:`distill_config`
+    forces); writes resolved.cfg, metrics.csv and checkpoint.bin."""
+    if teacher_path is not None:
+        cfg = distill_config(cfg)
     train_ds, eval_ds = build_datasets(cfg)
-    write_resolved_config(cfg, out_dir)
-    ckpt = train(cfg, train_ds, eval_ds,
-                 metrics_path=os.path.join(out_dir, "metrics.csv"))
-    save_checkpoint(ckpt, os.path.join(out_dir, "checkpoint.bin"))
-    return ckpt
-
-
-def run_distill(cfg: RunConfig, teacher_path: str, out_dir: str) -> Checkpoint:
-    """Frozen-teacher distillation from a stored checkpoint; resolved.cfg holds
-    the settings distillation forces (:func:`distill_config`)."""
-    cfg = distill_config(cfg)
-    train_ds, eval_ds = build_datasets(cfg)
-    trainer = distill_trainer(cfg, teacher_path, train_ds.feature_dim)
+    trainer = (Trainer(cfg, train_ds.feature_dim) if teacher_path is None
+               else distill_trainer(cfg, teacher_path, train_ds.feature_dim))
     write_resolved_config(cfg, out_dir)
     ckpt = trainer.run(train_ds, eval_ds, metrics_path=os.path.join(out_dir, "metrics.csv"))
     save_checkpoint(ckpt, os.path.join(out_dir, "checkpoint.bin"))
@@ -253,8 +249,8 @@ def evaluate_checkpoint(cfg: RunConfig, ckpt_path: str, out_dir: str) -> list[di
     train_ds, eval_ds = build_datasets(cfg)
     ckpt = load_checkpoint(ckpt_path)
     if ckpt.encoder_spec.input_dim != train_ds.feature_dim:
-        raise ConfigError(f"checkpoint expects {ckpt.encoder_spec.input_dim} input features, "
-                          f"dataset has {train_ds.feature_dim}")
+        raise encoder_mismatch(ckpt.encoder_spec,
+                               f"the {train_ds.feature_dim} features per sample of the corpus")
     write_resolved_config(cfg, out_dir)
     halves = fan_out(_score_encoder, [
         (cfg, source, encoder, ckpt.epoch, train_ds, eval_ds)
@@ -281,6 +277,10 @@ def _score_encoder(task) -> list[dict]:
 
 def temperature_sweep(cfg: RunConfig, taus: tuple[float, ...], out_dir: str) -> list[dict]:
     """Train one model per temperature on the same corpus; one CSV row per tau."""
+    if not taus:
+        raise ConfigError("empty temperature grid")
+    for tau in taus:
+        replace(cfg, temperature=tau).validate()
     train_ds, eval_ds = build_datasets(cfg)
     write_resolved_config(cfg, out_dir)
     rows = fan_out(_sweep_point, [(replace(cfg, temperature=tau), train_ds, eval_ds)
@@ -305,8 +305,10 @@ def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str) -> l
     random classes whole and cut the rest to per_class / UNBALANCED_RARE_RATIO
     samples, train both objectives with identical seeds and budgets, then
     score k-NN on a balanced evaluation split against the balanced training
-    corpus. The evaluation side never sees the imbalance.
+    corpus. The evaluation side never sees the imbalance. resolved.cfg
+    holds ``seed`` as ``seed_init``, which a replay reads.
     """
+    cfg = replace(cfg, seed_init=seed)
     if reps < 1:
         raise ConfigError("reps must be at least 1")
     if cfg.data_train:

@@ -5,8 +5,9 @@ and a vector-Jacobian closure so ``backward`` can sweep the graph once in
 reverse topological order. The pieces training runs have a closed-form
 backward and are single nodes: a whole MLP in ``nn`` and each objective in
 ``losses``, built on the array helpers ``l2_rows`` and ``unit_rows`` here.
-The generic ops left are the elementwise product, the sum and the reshape
-that the per-sample losses compose; none broadcasts.
+The generic ops left are the reshape that turns a per-sample loss's
+vectors into 1-row blocks, and the elementwise product and the sum that
+demo 01 and acceptance criterion 3 compose; none broadcasts.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         else:
             self.grad.fill(0.0)
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         tag = f" op={self.op}" if self.op else ""

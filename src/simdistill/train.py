@@ -281,6 +281,11 @@ def train(config: RunConfig, train_ds: LabeledDataset,
     return Trainer(config, train_ds.feature_dim).run(train_ds, eval_ds, metrics_path)
 
 
+def encoder_mismatch(found: MlpSpec, wanted: str) -> CheckpointError:
+    """The error of a checkpoint network that does not fit the run, for ``eval`` and ``distill``."""
+    return CheckpointError(f"checkpoint encoder {found.layer_widths} does not fit {wanted}")
+
+
 def distill_config(config: RunConfig) -> RunConfig:
     """The config a distillation runs: the caller's, validated, with the settings
     distillation forces whatever it says, momentum 1 and mild views on both sides."""
@@ -312,8 +317,7 @@ def distill_trainer(config: RunConfig, teacher_checkpoint, input_dim: int) -> Tr
     loaded = source.teacher_encoder if cfg.distill_source == "teacher" else source.student_encoder
     encoder_spec = _encoder_spec(cfg, input_dim)
     if loaded.spec != encoder_spec:
-        raise CheckpointError(f"checkpoint encoder {loaded.spec.layer_widths} does not match "
-                              f"configured encoder {encoder_spec.layer_widths}")
+        raise encoder_mismatch(loaded.spec, f"the configured encoder {encoder_spec.layer_widths}")
     fresh = ModelPair.create(encoder_spec,
                              default_predictor_spec(encoder_spec.output_dim, cfg.predictor_hidden),
                              momentum=cfg.momentum, seed=cfg.seed_init)

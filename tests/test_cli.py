@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from simdistill import cli, config, experiments
 from simdistill.checkpoint import load_checkpoint, save_checkpoint
 from simdistill.cli import main
 from simdistill.config import RunConfig, load_config, serialize_config
@@ -407,8 +408,6 @@ class TestInputFaults:
         if command in ("unbalanced", "gen-data") and any(
                 s.startswith("data_train=") for s in settings):
             code = 3    # they read no corpus file: a set data_train is a config fault
-        if (command, fault) == ("eval", "checkpoint-other-architecture"):
-            code = 3    # eval checks the checkpoint's input width against the corpus
         extra = {"distill": ["--teacher", str(input_files[checkpoint])],
                  "eval": ["--checkpoint", str(input_files[checkpoint])],
                  "ablate-temperature": ["--taus", "0.1"],
@@ -633,3 +632,25 @@ class TestConfigEcho:
         cfg = load_config(os.path.join(out, "resolved.cfg"))
         assert serialize_config(cfg) == open(os.path.join(out, "resolved.cfg")).read()
         assert isinstance(cfg, RunConfig)
+
+    @pytest.mark.parametrize("command", ["train", "distill", "eval", "ablate-temperature",
+                                         "unbalanced", "gen-data"])
+    def test_config_is_serialized_once_per_command(self, tmp_path, monkeypatch, input_files,
+                                                   command):
+        """The driver's echo is the one serialization of a run."""
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return serialize_config(cfg)
+        for module in (cli, config, experiments):
+            if hasattr(module, "serialize_config"):
+                monkeypatch.setattr(module, "serialize_config", counted)
+        extra = {"distill": ["--teacher", str(input_files["ckpt6"])],
+                 "eval": ["--checkpoint", str(input_files["ckpt6"])],
+                 "ablate-temperature": ["--taus", "0.1"],
+                 "unbalanced": ["--reps", "1"]}.get(command, [])
+        out = str(tmp_path / "out")
+        assert main([command, "--out", out, *extra,
+                     *(UNBALANCED_FAST if command == "unbalanced" else FAST)]) == 0
+        assert calls == [load_config(os.path.join(out, "resolved.cfg"))]

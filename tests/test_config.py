@@ -5,6 +5,7 @@ import os
 import re
 import string
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,19 @@ class TestRoundTrip:
     def test_value_the_echo_cannot_hold_rejected(self, values):
         with pytest.raises(ConfigError, match="would not survive"):
             serialize_config(RunConfig(**values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=8))
+    def test_validate_accepts_exactly_the_strings_the_echo_carries(self, text):
+        """validate() rejects a string just when resolved.cfg would lose it."""
+        def passes(check) -> bool:
+            try:
+                check()
+            except ConfigError:
+                return False
+            return True
+        cfg = RunConfig(data_train=text, data_eval=text)
+        assert passes(cfg.validate) == passes(lambda: serialize_config(cfg))
 
 
 class TestParsing:
@@ -163,6 +177,19 @@ class TestValidate:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("values", [
+        {"data_train": "runs#1/train.bin", "data_eval": "e.bin"},
+        {"data_train": "t.bin", "data_eval": "a\nb"},
+        {"data_train": "t.bin", "data_eval": "a\u2028b"},
+        {"data_train": " t.bin", "data_eval": "e.bin"},
+        {"data_train": "t.bin\t", "data_eval": "e.bin"},
+        {"objective": "isd#"},
+        {"data_train": Path("t.bin"), "data_eval": "e.bin"},
+    ])
+    def test_string_the_echo_cannot_carry_rejected(self, values):
+        with pytest.raises(ConfigError, match="cannot be written to resolved.cfg"):
+            RunConfig(**values).validate()
+
     def test_step_fractions_span_zero_up_to_one(self):
         """A fraction f steps the rate at epoch int(f * epochs): 0 steps it from
         the start, and anything in [0, 1) steps it within the run."""
@@ -171,9 +198,8 @@ class TestValidate:
 
     def test_eval_k_may_reach_the_synthetic_corpus(self):
         """k-NN may use all 3 * 200 synthetic samples. validate() judges no
-        eval_k against a corpus: the command line checks the synthetic one,
-        a loaded corpus is checked when it is loaded, and Trainer.run checks
-        the train set it is handed."""
+        eval_k against a corpus: experiments.build_datasets checks the
+        synthetic or loaded one, and Trainer.run the train set it is handed."""
         RunConfig(eval_k=600).validate()
         RunConfig(eval_k=601).validate()
         RunConfig(eval_k=601, data_train="t.bin", data_eval="e.bin").validate()

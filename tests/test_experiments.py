@@ -1,8 +1,9 @@
-"""Tests for the fan-out of independent runs in ``simdistill.experiments``.
+"""Tests for the drivers of ``simdistill.experiments``: their input checks,
+their config echo, and the fan-out of independent runs.
 
-``fan_out`` sizes itself from ``os.sched_getaffinity``, so each test pins
-the mask it needs: ``{0}`` for the inline path, ``{0, 1}`` (or more) for
-forked workers.
+``fan_out`` sizes itself from ``os.sched_getaffinity``, so each fan-out
+test pins the mask it needs: ``{0}`` for the inline path, ``{0, 1}`` (or
+more) for forked workers.
 """
 
 import functools
@@ -19,11 +20,12 @@ import pytest
 from simdistill import experiments
 from simdistill.checkpoint import load_checkpoint
 from simdistill.cli import main
-from simdistill.config import RunConfig, apply_overrides
-from simdistill.errors import (ContractError, FormatError, LengthError, NumericDomainError,
-                               SimDistillError)
+from simdistill.config import RunConfig, apply_overrides, load_config
+from simdistill.errors import (ConfigError, ContractError, FormatError, LengthError,
+                               NumericDomainError, SimDistillError)
 from simdistill.experiments import (evaluate_checkpoint, fan_out, run_training,
-                                    temperature_sweep, unbalanced_protocol)
+                                    temperature_sweep, unbalanced_protocol,
+                                    write_synthetic_datasets)
 
 # One-epoch runs on a 4-class corpus, as config overrides.
 TINY = ["epochs=1", "bank_capacity=16", "batch_size=8", "encoder_widths=6,12,4",
@@ -178,6 +180,46 @@ def trained(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("trained"))
     run_training(apply_overrides(RunConfig(), [*TINY, "epochs=4"]), out)
     return os.path.join(out, "checkpoint.bin")
+
+
+# Each driver called as a library, as (overrides, call(cfg, out, checkpoint)).
+FAULTY_CALLS = {
+    "train": (["lr=-1"], lambda cfg, out, ckpt: run_training(cfg, out)),
+    "train-echo": (["data_train=runs#1/t.bin", "data_eval=e.bin"],
+                   lambda cfg, out, ckpt: run_training(cfg, out)),
+    "distill": (["lr=-1"], lambda cfg, out, ckpt: run_training(cfg, out, teacher_path=ckpt)),
+    "eval": (["probe_lr=-1"], lambda cfg, out, ckpt: evaluate_checkpoint(cfg, ckpt, out)),
+    "sweep": (["lr=-1"], lambda cfg, out, ckpt: temperature_sweep(cfg, (0.1,), out)),
+    "sweep-tau": ([], lambda cfg, out, ckpt: temperature_sweep(cfg, (0.1, -1.0), out)),
+    "sweep-empty": ([], lambda cfg, out, ckpt: temperature_sweep(cfg, (), out)),
+    "unbalanced": (["lr=-1"], lambda cfg, out, ckpt: unbalanced_protocol(cfg, 1, 1, out)),
+    "unbalanced-seed": ([], lambda cfg, out, ckpt: unbalanced_protocol(cfg, 1, -1, out)),
+    "gen-data": (["lr=-1"], lambda cfg, out, ckpt: write_synthetic_datasets(cfg, out)),
+}
+
+
+class TestDriverInputChecks:
+    @pytest.mark.parametrize("case", FAULTY_CALLS)
+    def test_invalid_config_is_config_error_before_any_output(self, tmp_path, trained, case):
+        """A library caller gets the checks the command line gets."""
+        overrides, call = FAULTY_CALLS[case]
+        cfg = apply_overrides(RunConfig(), [*TINY, *overrides])
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError):
+            call(cfg, str(out), trained)
+        assert not out.exists()
+
+    def test_unbalanced_echo_replays_the_protocol(self, tmp_path):
+        """resolved.cfg holds the seed the protocol ran with, not the config's
+        seed_init, so replaying it writes the same CSV."""
+        cfg = apply_overrides(experiments.unbalanced_base_config(), TINY)
+        assert cfg.seed_init != 5
+        library, replay = tmp_path / "library", tmp_path / "replay"
+        unbalanced_protocol(cfg, 1, 5, str(library))
+        assert load_config(str(library / "resolved.cfg")).seed_init == 5
+        assert main(["unbalanced", "--config", str(library / "resolved.cfg"), "--reps", "1",
+                     "--out", str(replay)]) == 0
+        assert (library / "unbalanced.csv").read_bytes() == (replay / "unbalanced.csv").read_bytes()
 
 
 class TestEvalCommandErrors:

@@ -11,9 +11,11 @@ passing it to the constructor or assigning it is not a read.
 
 The scan matches bare names, so it cannot see three kinds of dead surface:
 a method that shares its name with a used one (numpy's ``sum`` and
-``mean``, say), dunders, which it skips, and a field that shares its name
-with an attribute read elsewhere (an ``epoch`` field passes as long as
-``Trainer.epoch`` or ``Checkpoint.epoch`` is read, whoever reads this one).
+``mean``, say, or a ``Tensor.backward`` method, which the calls of the
+module function ``tensor.backward`` would keep alive), dunders, which it
+skips, and a field that shares its name with an attribute read elsewhere
+(an ``epoch`` field passes as long as ``Trainer.epoch`` or
+``Checkpoint.epoch`` is read, whoever reads this one).
 """
 
 import ast
