@@ -13,8 +13,8 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_overrides, load_config, parse_config, serialize_config
 from .data import LabeledDataset, gen_gaussian_mixture, load_dataset, make_unbalanced, save_dataset
 from .evaluation import EmbeddingTable, embed_dataset, knn_eval, linear_probe, recall_at_k
-from .losses import (LossConfig, anchor_cross_entropy, anchor_distribution, byol_loss,
-                     distribution_entropy, isd_loss, moco_loss)
+from .losses import (LossConfig, anchor_cross_entropy_batch, anchor_distribution_batch,
+                     byol_loss_batch, distribution_entropy, isd_loss_batch, moco_loss_batch)
 from .nn import (MlpParams, MlpSpec, ModelPair, SgdState, default_encoder_spec,
                  default_predictor_spec, ema_update, init_params, mlp_forward, sgd_step)
 from .tensor import Tensor, backward, grad_check
@@ -32,8 +32,8 @@ __all__ = [
     "RunConfig", "apply_overrides", "load_config", "parse_config", "serialize_config",
     "LabeledDataset", "gen_gaussian_mixture", "load_dataset", "make_unbalanced", "save_dataset",
     "EmbeddingTable", "embed_dataset", "knn_eval", "linear_probe", "recall_at_k",
-    "LossConfig", "anchor_cross_entropy", "anchor_distribution", "byol_loss",
-    "distribution_entropy", "isd_loss", "moco_loss",
+    "LossConfig", "anchor_cross_entropy_batch", "anchor_distribution_batch", "byol_loss_batch",
+    "distribution_entropy", "isd_loss_batch", "moco_loss_batch",
     "MlpParams", "MlpSpec", "ModelPair", "SgdState", "default_encoder_spec",
     "default_predictor_spec", "ema_update", "init_params", "mlp_forward", "sgd_step",
     "Tensor", "backward", "grad_check",

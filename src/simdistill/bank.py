@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, EmptyBankError, ShapeError
-from .tensor import Tensor
 
 
 class AnchorBank:
@@ -32,7 +31,7 @@ class AnchorBank:
         in L2 normalization); in debug mode a row whose norm is off by
         more than 1e-6 raises a contract error.
         """
-        rows = batch.data if isinstance(batch, Tensor) else np.asarray(batch, dtype=np.float64)
+        rows = np.asarray(batch, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             raise ShapeError(f"enqueue: expected rows of width {self.dim}, got shape {rows.shape}")
         b = rows.shape[0]
@@ -47,13 +46,13 @@ class AnchorBank:
         self.head = (self.head + b) % self.capacity
         self.count = min(self.count + b, self.capacity)
 
-    def snapshot(self) -> Tensor:
-        """Immutable copy of the valid rows, oldest first, detached from all graphs."""
+    def snapshot(self) -> np.ndarray:
+        """A copy of the valid rows, oldest first; later enqueues do not change it."""
         if self.count == 0:
             raise EmptyBankError("snapshot: bank is empty; pre-fill it with teacher embeddings first")
         start = (self.head - self.count) % self.capacity
         idx = (start + np.arange(self.count)) % self.capacity
-        return Tensor(self.storage[idx])    # fancy indexing already copies
+        return self.storage[idx]    # fancy indexing already copies
 
     def state(self) -> tuple[np.ndarray, int, int]:
         """Raw (storage copy, head, count) for checkpointing."""

@@ -148,6 +148,12 @@ def linear_probe(train: EmbeddingTable, test: EmbeddingTable, epochs: int = 200,
     return float(np.mean(preds == test.labels))
 
 
+def single_member_class(labels: np.ndarray) -> int | None:
+    """The lowest class with exactly one row, which recall@k cannot score, or None."""
+    singles = np.flatnonzero(np.bincount(labels) == 1)
+    return int(singles[0]) if len(singles) else None
+
+
 def recall_at_k(table: EmbeddingTable, ks: list[int]) -> list[float]:
     """R@k: fraction of rows with a same-class row among their k nearest non-self neighbours.
 
@@ -159,10 +165,9 @@ def recall_at_k(table: EmbeddingTable, ks: list[int]) -> list[float]:
     k >= n - 1 recalls every row.
     """
     labels = table.labels
-    counts = np.bincount(labels)
-    singles = np.flatnonzero(counts == 1)
-    if len(singles):
-        raise ContractError(f"recall_at_k: class {int(singles[0])} has a single member")
+    single = single_member_class(labels)
+    if single is not None:
+        raise ContractError(f"recall_at_k: class {single} has a single member")
     if any(k < 1 for k in ks):
         raise ContractError("recall_at_k: every k must be at least 1")
     n = len(labels)

@@ -21,7 +21,7 @@ from .config import RunConfig, serialize_config
 from .data import (LabeledDataset, gen_gaussian_mixture, load_dataset, make_unbalanced,
                    save_dataset)
 from .errors import ConfigError, ContractError
-from .evaluation import embed_dataset, knn_eval, linear_probe, recall_at_k
+from .evaluation import embed_dataset, knn_eval, linear_probe, recall_at_k, single_member_class
 from .train import (Trainer, distill_config, distill_trainer, encoder_mismatch, knn_accuracies,
                     train)
 
@@ -245,8 +245,13 @@ def evaluate_checkpoint(cfg: RunConfig, ckpt_path: str, out_dir: str) -> list[di
 
     The two networks are scored in parallel (:func:`fan_out`): the caller
     scores the teacher and a worker the student, so the teacher's rows come first.
+    With recall_ks set, every class of the eval split needs two samples.
     """
     train_ds, eval_ds = build_datasets(cfg)
+    single = single_member_class(eval_ds.labels)
+    if cfg.recall_ks and single is not None:
+        split = cfg.data_eval or "the eval split of the synthetic corpus of the data_* fields"
+        raise ConfigError(f"recall_ks is set, but class {single} has a single sample in {split}")
     ckpt = load_checkpoint(ckpt_path)
     if ckpt.encoder_spec.input_dim != train_ds.feature_dim:
         raise encoder_mismatch(ckpt.encoder_spec,
@@ -269,8 +274,9 @@ def _score_encoder(task) -> list[dict]:
     table_eval = embed_dataset(encoder, eval_ds)
     rows = [("knn", cfg.eval_k, knn_eval(table_train, table_eval, cfg.eval_k)),
             ("linear", "", linear_probe(table_train, table_eval, cfg.probe_epochs, cfg.probe_lr))]
-    rows += [("recall", k, r)
-             for k, r in zip(cfg.recall_ks, recall_at_k(table_eval, list(cfg.recall_ks)))]
+    if cfg.recall_ks:
+        rows += [("recall", k, r)
+                 for k, r in zip(cfg.recall_ks, recall_at_k(table_eval, list(cfg.recall_ks)))]
     return [{"metric": metric, "k": k, "value": value, "source": source, "epoch": epoch}
             for metric, k, value in rows]
 

@@ -13,6 +13,7 @@ regressing the teacher embedding directly gives the bootstrap baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,64 +35,13 @@ class LossConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ContractError(f"LossConfig: unknown objective {self.objective!r}")
-        if self.objective != "byol" and self.temperature <= 0:
-            raise ContractError("LossConfig: temperature must be positive")
+        if self.objective != "byol":
+            _check_temperature(self.temperature)
 
 
-def _row(v: Tensor) -> Tensor:
-    """A 1-D embedding as a [1, d] block, through one reshape node."""
-    if v.data.ndim != 1:
-        raise ShapeError(f"query must be a vector, got shape {v.data.shape}")
-    return T.reshape(v, (1, v.data.shape[0]))
-
-
-def anchor_distribution(query: Tensor, anchors: Tensor, tau: float) -> Tensor:
-    """Softmax over cosine(query, anchor_i) / tau, as a constant.
-
-    The one-row case of :func:`anchor_distribution_batch`. Anchor rows are
-    normalised internally, so the result is invariant to positive rescaling
-    of any input.
-    """
-    return Tensor(anchor_distribution_batch(_row(query).data, anchors.data, tau)[0])
-
-
-def anchor_cross_entropy(target: np.ndarray, query: Tensor, anchors: Tensor, tau: float) -> Tensor:
-    """-sum_i target_i * log p_query(i) with target held constant.
-
-    The one-row case of :func:`anchor_cross_entropy_batch`.
-    """
-    target = np.asarray(target, dtype=np.float64)[None]
-    return anchor_cross_entropy_batch(target, _row(query), anchors, tau)
-
-
-def isd_loss(q_t_emb: Tensor, q_s_pred: Tensor, anchors: Tensor, tau: float) -> Tensor:
-    """Cross entropy from the teacher's anchor distribution to the student's.
-
-    Equals KL(p_t || p_s) + H(p_t); since p_t is constant with respect to
-    the student, the gradients of the two formulations are identical.
-    Gradient flows only through ``q_s_pred``. The one-row case of
-    :func:`isd_loss_batch`.
-    """
-    return isd_loss_batch(_row(q_t_emb).data, _row(q_s_pred), anchors, tau)[0]
-
-
-def moco_loss(q_emb: Tensor, pos_emb: Tensor, anchors: Tensor, tau: float) -> Tensor:
-    """InfoNCE: (n+1)-way cross entropy against one-hot at the positive key.
-
-    The positive embedding is prepended to the anchor set; both are
-    constants, so only the query receives gradient. The one-row case of
-    :func:`moco_loss_batch`.
-    """
-    return moco_loss_batch(_row(q_emb), _row(pos_emb).data, anchors, tau)
-
-
-def byol_loss(q_s_pred: Tensor, q_t_emb: Tensor) -> Tensor:
-    """Normalized-MSE regression: 2 - 2*cos(student prediction, teacher embedding).
-
-    Non-symmetric (one direction per step); the teacher side is constant.
-    The one-row case of :func:`byol_loss_batch`.
-    """
-    return byol_loss_batch(_row(q_s_pred), _row(q_t_emb).data)
+def _check_temperature(tau: float) -> None:
+    if not (tau > 0 and math.isfinite(1.0 / float(tau))):    # also rejects NaN, and 1/tau overflowing
+        raise ContractError(f"temperature must be positive with a finite inverse, got {tau}")
 
 
 def distribution_entropy(p: np.ndarray) -> np.ndarray:
@@ -106,8 +56,8 @@ def distribution_entropy(p: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1)
 
 
-# The batch forms are the one implementation; training calls them directly.
-# Each constant input is checked once per call, where it enters.
+# Each objective takes a [b, d] block; a single query is a [1, d] block.
+# Each constant input is an array, checked once per call, where it enters.
 
 def _finite(name: str, block) -> np.ndarray:
     block = np.asarray(block, dtype=np.float64)
@@ -132,8 +82,7 @@ def _student_rows(block: Tensor):
 
 def _anchor_units(anchors: np.ndarray, query_shape: tuple[int, ...], tau: float) -> np.ndarray:
     """Unit anchor rows for a [b, d] query block: at least 2 finite rows of width d."""
-    if not (tau > 0 and np.isfinite(1.0 / tau)):    # also rejects NaN, and 1/tau overflowing
-        raise ContractError(f"temperature must be positive with a finite inverse, got {tau}")
+    _check_temperature(tau)
     if len(query_shape) != 2:
         raise ShapeError(f"queries must be a [b, d] block, got shape {query_shape}")
     rows = _finite("anchors", anchors)
@@ -211,31 +160,32 @@ def _anchor_cross_entropy(targets: np.ndarray, queries: Tensor, units: np.ndarra
     return T._record(value, "anchor_cross_entropy", (queries,), vjp)
 
 
-def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: Tensor,
+def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: np.ndarray,
                                tau: float) -> Tensor:
     """Mean over rows of -sum_i target_i log p_row(i)."""
-    units = _anchor_units(anchors.data, queries.data.shape, tau)
+    units = _anchor_units(anchors, queries.data.shape, tau)
     return _anchor_cross_entropy(_finite("targets", targets), queries, units, tau)
 
 
-def isd_loss_batch(q_t_emb: np.ndarray, q_s_pred: Tensor, anchors: Tensor,
+def isd_loss_batch(q_t_emb: np.ndarray, q_s_pred: Tensor, anchors: np.ndarray,
                    tau: float) -> tuple[Tensor, np.ndarray]:
     """Batch ISD loss plus the teacher distributions it was scored against.
 
     The anchors are normalised once; teacher and student logits share them.
     """
-    units = _anchor_units(anchors.data, q_s_pred.data.shape, tau)
+    units = _anchor_units(anchors, q_s_pred.data.shape, tau)
     q_t_emb = _teacher_block("teacher embeddings", q_t_emb, q_s_pred.data.shape)
     p_t = _anchor_softmax(q_t_emb, units, tau)
     return _anchor_cross_entropy(p_t, q_s_pred, units, tau), p_t
 
 
-def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: Tensor, tau: float) -> Tensor:
+def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: np.ndarray,
+                    tau: float) -> Tensor:
     """Batch InfoNCE: each row's positive is its own teacher embedding.
 
     The same cross entropy as ISD, against a one-hot target at column 0.
     """
-    units = _anchor_units(anchors.data, q_emb.data.shape, tau)
+    units = _anchor_units(anchors, q_emb.data.shape, tau)
     pos_units = T.unit_rows(_teacher_block("positive keys", pos_emb, q_emb.data.shape))
     b = q_emb.data.shape[0]
     c = 1.0 / tau

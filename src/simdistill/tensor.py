@@ -5,9 +5,10 @@ and a vector-Jacobian closure so ``backward`` can sweep the graph once in
 reverse topological order. The pieces training runs have a closed-form
 backward and are single nodes: a whole MLP in ``nn`` and each objective in
 ``losses``, built on the array helpers ``l2_rows`` and ``unit_rows`` here.
-The generic ops left are the reshape that turns a per-sample loss's
-vectors into 1-row blocks, and the elementwise product and the sum that
-demo 01 and acceptance criterion 3 compose; none broadcasts.
+The generic ops left are the elementwise product and the sum that demo
+01 and acceptance criterion 3 compose; neither broadcasts. A ``Tensor``
+is a value the graph may differentiate; every constant operand (teacher
+embeddings, anchors, targets) is a plain ``np.ndarray``.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ class Tensor:
         t = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
         t.grad = np.zeros_like(t.data)
         return t
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
     def item(self) -> float:
         return float(self.data)
@@ -102,15 +99,6 @@ def tensor_sum(a: Tensor) -> Tensor:
         return (np.full(shape, float(g)),)
 
     return _record(np.asarray(a.data.sum()), "sum", (a,), vjp)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """The same values in another shape, such as a 1-D query as a [1, d] row."""
-
-    def vjp(g):
-        return (g.reshape(a.shape),)
-
-    return _record(a.data.reshape(shape), "reshape", (a,), vjp)
 
 
 def l2_rows(ad: np.ndarray, eps: float = 1e-12):

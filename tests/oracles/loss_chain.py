@@ -3,7 +3,8 @@
 ``anchor_cross_entropy_batch`` and ``moco_loss_batch`` as they were before
 ``soft_cross_entropy`` fused their last five nodes (log_softmax, mul, sum,
 neg and a 1/b scale), and ``byol_loss_batch`` as it was before the fused
-objectives, kept verbatim except that the ops come from ``graph_ops``.
+objectives, kept verbatim except that the ops come from ``graph_ops`` and
+the anchors are an array, as the library now takes them.
 Each fused objective must give bitwise the same value and gradient.
 """
 
@@ -15,12 +16,12 @@ from simdistill.errors import ContractError, ShapeError
 from simdistill.tensor import Tensor, unit_rows
 
 
-def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: Tensor,
+def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: np.ndarray,
                                tau: float) -> Tensor:
     """Mean over rows of -sum_i target_i log p_row(i)."""
     if tau <= 0:
         raise ContractError(f"temperature must be positive, got {tau}")
-    units = unit_rows(anchors.data)
+    units = unit_rows(anchors)
     targets = np.asarray(targets, dtype=np.float64)
     b = queries.data.shape[0]
     if targets.shape != (b, units.shape[0]):
@@ -31,11 +32,12 @@ def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: Te
     return T.mul(G.neg(T.tensor_sum(T.mul(logp, Tensor(targets)))), 1.0 / b)
 
 
-def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: Tensor, tau: float) -> Tensor:
+def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: np.ndarray,
+                    tau: float) -> Tensor:
     """Batch InfoNCE: each row's positive is its own teacher embedding."""
     if tau <= 0:
         raise ContractError(f"temperature must be positive, got {tau}")
-    units = unit_rows(anchors.data)
+    units = unit_rows(anchors)
     pos_units = Tensor(unit_rows(np.asarray(pos_emb, dtype=np.float64)))
     b = q_emb.data.shape[0]
     qs = G.l2_normalize(q_emb)

@@ -21,8 +21,9 @@ from simdistill.evaluation import embed_dataset, knn_eval
 from simdistill.experiments import (TEMPERATURE_GRID, ablation_base_config,
                                     temperature_sweep, unbalanced_base_config,
                                     unbalanced_protocol)
-from simdistill.losses import (anchor_cross_entropy, anchor_distribution_batch, byol_loss,
-                               distribution_entropy, isd_loss, moco_loss)
+from simdistill.losses import (anchor_cross_entropy_batch, anchor_distribution_batch,
+                               byol_loss_batch, distribution_entropy, isd_loss_batch,
+                               moco_loss_batch)
 from simdistill.nn import MlpSpec, ModelPair, default_predictor_spec, ema_update, init_params
 from simdistill.tensor import Tensor
 from simdistill.train import train
@@ -43,19 +44,19 @@ class TestCriterion1GradientCorrectness:
         instances = 0
         for d in (4, 8, 16):
             for n in (4, 16, 64):
-                q_t = Tensor(rng.standard_normal(d))
-                anchors = Tensor(rng.standard_normal((n, d)))
-                pos = Tensor(rng.standard_normal(d))
+                q_t = rng.standard_normal((1, d))
+                anchors = rng.standard_normal((n, d))
+                pos = rng.standard_normal((1, d))
 
-                q = Tensor.parameter(rng.standard_normal(d))
+                q = Tensor.parameter(rng.standard_normal((1, d)))
                 worst = max(worst, T.grad_check(
-                    lambda: isd_loss(q_t, q, anchors, 0.05), [q], step=1e-5))
-                q = Tensor.parameter(rng.standard_normal(d))
+                    lambda: isd_loss_batch(q_t, q, anchors, 0.05)[0], [q], step=1e-5))
+                q = Tensor.parameter(rng.standard_normal((1, d)))
                 worst = max(worst, T.grad_check(
-                    lambda: moco_loss(q, pos, anchors, 0.05), [q], step=1e-5))
-                q = Tensor.parameter(rng.standard_normal(d))
+                    lambda: moco_loss_batch(q, pos, anchors, 0.05), [q], step=1e-5))
+                q = Tensor.parameter(rng.standard_normal((1, d)))
                 worst = max(worst, T.grad_check(
-                    lambda: byol_loss(q, q_t), [q], step=1e-5))
+                    lambda: byol_loss_batch(q, q_t), [q], step=1e-5))
                 instances += 3
         elapsed = time.perf_counter() - started
         ok = worst < 1e-5 and instances >= 20 and elapsed < 60.0
@@ -77,17 +78,17 @@ class TestCriterion2MocoReduction:
             pos = rng.standard_normal(d)
             anchors = rng.standard_normal((n, d))
 
-            q_a = Tensor.parameter(q_values.copy())
-            loss_a = moco_loss(q_a, Tensor(pos), Tensor(anchors), tau)
+            q_a = Tensor.parameter(q_values[None].copy())
+            loss_a = moco_loss_batch(q_a, pos[None], anchors, tau)
             T.backward(loss_a)
 
             pos_unit = pos / np.linalg.norm(pos)
             units = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
             extended = np.concatenate([pos_unit[None, :], units], axis=0)
-            onehot = np.zeros(n + 1)
-            onehot[0] = 1.0
-            q_b = Tensor.parameter(q_values.copy())
-            loss_b = anchor_cross_entropy(onehot, q_b, Tensor(extended), tau)
+            onehot = np.zeros((1, n + 1))
+            onehot[0, 0] = 1.0
+            q_b = Tensor.parameter(q_values[None].copy())
+            loss_b = anchor_cross_entropy_batch(onehot, q_b, extended, tau)
             T.backward(loss_b)
 
             worst_value = max(worst_value, abs(loss_a.item() - loss_b.item()))
@@ -111,8 +112,8 @@ class TestCriterion3KlCrossEntropyEquivalence:
             units = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
             p_t = anchor_distribution_batch(q_t[None, :], anchors, tau)[0]
 
-            q_ce = Tensor.parameter(q_values.copy())
-            ce = anchor_cross_entropy(p_t, q_ce, Tensor(anchors), tau)
+            q_ce = Tensor.parameter(q_values[None].copy())
+            ce = anchor_cross_entropy_batch(p_t[None], q_ce, anchors, tau)
             T.backward(ce)
 
             q_kl = Tensor.parameter(q_values.copy())
@@ -123,7 +124,7 @@ class TestCriterion3KlCrossEntropyEquivalence:
 
             h_t = float(distribution_entropy(p_t))
             worst_value = max(worst_value, abs(ce.item() - kl.item() - h_t))
-            worst_grad = max(worst_grad, float(np.abs(q_ce.grad - q_kl.grad).max()))
+            worst_grad = max(worst_grad, float(np.abs(q_ce.grad[0] - q_kl.grad).max()))
         ok = worst_grad < 1e-10 and worst_value < 1e-10
         report(capsys, 3, ok,
                f"50 instances, grad diff {worst_grad:.2e}, (CE - KL) - H(p_t) {worst_value:.2e}")
@@ -173,7 +174,7 @@ class TestCriterion5BankOracle:
             oracle: list[np.ndarray] = []
             for _ in range(int(rng.integers(1, 25))):
                 if oracle and rng.random() < 0.3:
-                    if not np.array_equal(bank.snapshot().data, np.stack(oracle)):
+                    if not np.array_equal(bank.snapshot(), np.stack(oracle)):
                         mismatches += 1
                 else:
                     rows = rng.standard_normal((int(rng.integers(1, capacity + 1)), d))
@@ -181,7 +182,7 @@ class TestCriterion5BankOracle:
                     bank.enqueue(rows)
                     oracle.extend(np.array(r) for r in rows)
                     oracle = oracle[-capacity:]
-            if oracle and not np.array_equal(bank.snapshot().data, np.stack(oracle)):
+            if oracle and not np.array_equal(bank.snapshot(), np.stack(oracle)):
                 mismatches += 1
         report(capsys, 5, mismatches == 0,
                f"1000 scripts against the list FIFO oracle, {mismatches} mismatches")

@@ -51,7 +51,7 @@ class TestRoundTrip:
             assert not b.requires_grad
         for a, b in zip(ckpt.sgd.velocities, back.sgd.velocities):
             assert np.array_equal(a, b)
-        assert np.array_equal(back.bank.snapshot().data, ckpt.bank.snapshot().data)
+        assert np.array_equal(back.bank.snapshot(), ckpt.bank.snapshot())
         assert back.bank.head == ckpt.bank.head
 
     def test_byte_stable(self, tmp_path):

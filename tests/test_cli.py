@@ -123,13 +123,17 @@ INPUT_FAULTS = {
     "checkpoint-missing": (5, [], "missing"),
     "checkpoint-garbled": (5, [], "garbage"),
     "checkpoint-other-architecture": (5, [], "ckpt8"),
+    "recall-synthetic": (3, ["data_eval_per_class=1"], "ckpt6"),
+    "recall-loaded": (3, ["data_train={train6}", "data_eval={eval6single}"], "ckpt6"),
 }
-# Checkpoint faults apply to the two commands that read a checkpoint.
+# Checkpoint faults apply to the two commands that read a checkpoint, and recall
+# faults (an eval class of one sample) to eval, the one command that scores recall@k.
 FAULT_GRID = [(command, fault)
               for command in ("train", "distill", "eval", "ablate-temperature", "unbalanced",
                               "gen-data")
               for fault in INPUT_FAULTS
-              if command in ("distill", "eval") or not fault.startswith("checkpoint")]
+              if (command in ("distill", "eval") or not fault.startswith("checkpoint"))
+              and (command == "eval" or not fault.startswith("recall"))]
 
 
 def run_train(tmp_path, name="run", extra=()):
@@ -267,6 +271,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,override", [
         ("train", "objective=simclr"), ("train", "temperature=0"),
+        ("train", "temperature=1e-320"),
         ("train", "teacher_policy=bogus"), ("train", "custom_noise_std=-1"),
         ("train", "custom_scale_min=0"), ("train", "predictor_hidden=0"),
         ("train", "lr=nan"), ("distill", "distill_source=both"),
@@ -293,6 +298,7 @@ class TestExitCodes:
         ("train", ["--set", "data_train=runs#1/t.bin", "--set", "data_eval=e.bin"]),
         ("gen-data", ["--set", "data_train=t.bin", "--set", "data_eval=e.bin"]),
         ("unbalanced", ["--reps", "1"]),    # FAST's 2 classes leave no rare class
+        ("ablate-temperature", ["--taus", "0.1,1e-320"]),
     ])
     def test_bad_argument_is_exit_3_before_any_output(self, tmp_path, command, extra):
         out = tmp_path / "out"
@@ -383,15 +389,17 @@ class TestExitCodes:
 
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
-    """Corpora of 6 and 8 features, a checkpoint of each width, a garbage file
-    and the path of a missing one."""
+    """Corpora of 6 and 8 features, a 6-feature eval split of one sample per class,
+    a checkpoint of each width, a garbage file and the path of a missing one."""
     d = tmp_path_factory.mktemp("inputs")
     for dim in (6, 8):
         assert main(["gen-data", *gen_data_args(2, 12, 6, dim), "--out", str(d / f"d{dim}")]) == 0
         assert main(["train", "--out", str(d / f"run{dim}"), *FAST, "--set", f"data_dim={dim}",
                      "--set", f"encoder_widths={dim},12,4"]) == 0
+    assert main(["gen-data", *gen_data_args(2, 12, 1, 6), "--out", str(d / "single")]) == 0
     (d / "garbage.bin").write_bytes(b"garbage")
     return {"train6": d / "d6" / "train.bin", "eval6": d / "d6" / "eval.bin",
+            "eval6single": d / "single" / "eval.bin",
             "eval8": d / "d8" / "eval.bin", "ckpt6": d / "run6" / "checkpoint.bin",
             "ckpt8": d / "run8" / "checkpoint.bin", "garbage": d / "garbage.bin",
             "missing": d / "missing.bin"}
@@ -578,6 +586,23 @@ class TestEvalCommand:
                              "student": {"knn", "linear", "recall"}}
         for row in rows:
             assert np.isfinite(float(row["value"]))
+
+    def test_single_sample_class_is_scored_only_without_recall_ks(self, tmp_path, capsys):
+        """recall@k needs two samples of each eval class; with recall_ks empty, an
+        eval split of one sample per class gets its k-NN and probe rows."""
+        ckpt = os.path.join(run_train(tmp_path), "checkpoint.bin")
+        args = ["eval", "--checkpoint", ckpt, *FAST, "--set", "data_eval_per_class=1",
+                "--set", "probe_epochs=5"]
+        capsys.readouterr()
+        assert main([*args, "--out", str(tmp_path / "refused")]) == 3
+        assert capsys.readouterr().err == (
+            "config error: recall_ks is set, but class 0 has a single sample in the eval "
+            "split of the synthetic corpus of the data_* fields\n")
+        assert not (tmp_path / "refused").exists()
+        out = tmp_path / "scored"
+        assert main([*args, "--set", "recall_ks=", "--out", str(out)]) == 0
+        with open(out / "eval.csv") as f:
+            assert sorted({row["metric"] for row in csv.DictReader(f)}) == ["knn", "linear"]
 
 
 class TestDistillCommand:

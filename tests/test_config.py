@@ -161,7 +161,8 @@ class TestValidate:
             cfg.validate()
 
     @pytest.mark.parametrize("override", [
-        "objective=simclr", "temperature=0", "teacher_policy=bogus", "student_policy=",
+        "objective=simclr", "temperature=0", "temperature=1e-320", "teacher_policy=bogus",
+        "student_policy=",
         "custom_noise_std=-1", "custom_scale_min=0", "custom_crop_max=1.5",
         "predictor_hidden=0", "encoder_widths=6", "lr=nan", "lr=inf", "lr=-0.1",
         "momentum=inf", "weight_decay=inf", "weight_decay=-1", "sgd_momentum=5",

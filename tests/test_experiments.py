@@ -185,12 +185,16 @@ def trained(tmp_path_factory):
 # Each driver called as a library, as (overrides, call(cfg, out, checkpoint)).
 FAULTY_CALLS = {
     "train": (["lr=-1"], lambda cfg, out, ckpt: run_training(cfg, out)),
+    "train-tau": (["temperature=1e-320"], lambda cfg, out, ckpt: run_training(cfg, out)),
     "train-echo": (["data_train=runs#1/t.bin", "data_eval=e.bin"],
                    lambda cfg, out, ckpt: run_training(cfg, out)),
     "distill": (["lr=-1"], lambda cfg, out, ckpt: run_training(cfg, out, teacher_path=ckpt)),
     "eval": (["probe_lr=-1"], lambda cfg, out, ckpt: evaluate_checkpoint(cfg, ckpt, out)),
+    "eval-recall": (["data_eval_per_class=1"],
+                    lambda cfg, out, ckpt: evaluate_checkpoint(cfg, ckpt, out)),
     "sweep": (["lr=-1"], lambda cfg, out, ckpt: temperature_sweep(cfg, (0.1,), out)),
     "sweep-tau": ([], lambda cfg, out, ckpt: temperature_sweep(cfg, (0.1, -1.0), out)),
+    "sweep-tau-inverse": ([], lambda cfg, out, ckpt: temperature_sweep(cfg, (0.1, 1e-320), out)),
     "sweep-empty": ([], lambda cfg, out, ckpt: temperature_sweep(cfg, (), out)),
     "unbalanced": (["lr=-1"], lambda cfg, out, ckpt: unbalanced_protocol(cfg, 1, 1, out)),
     "unbalanced-seed": ([], lambda cfg, out, ckpt: unbalanced_protocol(cfg, 1, -1, out)),

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import simdistill.losses as library
 import simdistill.tensor as T
 from oracles import anchor_softmax, graph_ops, loss_chain, per_sample_losses
 from simdistill.errors import (ContractError, DegenerateDistributionError, NumericDomainError,
                                ShapeError)
-from simdistill.losses import (LossConfig, anchor_cross_entropy, anchor_cross_entropy_batch,
-                               anchor_distribution, anchor_distribution_batch, byol_loss,
-                               byol_loss_batch, distribution_entropy, isd_loss,
-                               isd_loss_batch, moco_loss, moco_loss_batch)
+from simdistill.losses import (LossConfig, anchor_cross_entropy_batch, anchor_distribution_batch,
+                               byol_loss_batch, distribution_entropy, isd_loss_batch,
+                               moco_loss_batch)
 from simdistill.tensor import Tensor
 
 mp.mp.dps = 50
@@ -41,67 +39,64 @@ def mp_cross_entropy(p_target, p_model):
     return -mp.fsum(t * mp.log(m) for t, m in zip(p_target, p_model))
 
 
+def row(values) -> np.ndarray:
+    """A vector as the [1, d] block the objectives take."""
+    return np.asarray(values, dtype=np.float64)[None]
+
+
 class TestAnchorDistribution:
     def test_equidistant_query_is_uniform(self):
         """Equal cosine to every anchor gives mass 1/n each."""
-        anchors = Tensor(np.eye(4))
-        query = Tensor(np.ones(4))
-        out = anchor_distribution(query, anchors, 0.07)
-        assert np.allclose(out.data, 0.25, atol=1e-12)
+        out = anchor_distribution_batch(row(np.ones(4)), np.eye(4), 0.07)[0]
+        assert np.allclose(out, 0.25, atol=1e-12)
 
     def test_low_temperature_concentrates(self):
         """tau=0.001 with one aligned anchor puts at least 0.999 there."""
-        anchors = Tensor(np.eye(4))
-        query = Tensor(np.array([1.0, 0.0, 0.0, 0.0]))
-        out = anchor_distribution(query, anchors, 0.001)
-        assert out.data[0] >= 0.999
+        out = anchor_distribution_batch(row([1.0, 0.0, 0.0, 0.0]), np.eye(4), 0.001)[0]
+        assert out[0] >= 0.999
 
     def test_hand_set_cosines_against_oracle(self):
         """Cosines (1.0, 0.5, 0.0) at tau=0.02, frozen from 50-digit mpmath."""
-        query = Tensor(np.array([1.0, 0.0]))
-        anchors = Tensor(np.array([[1.0, 0.0],
-                                   [0.5, np.sqrt(3.0) / 2.0],
-                                   [0.0, 1.0]]))
+        anchors = np.array([[1.0, 0.0],
+                            [0.5, np.sqrt(3.0) / 2.0],
+                            [0.0, 1.0]])
         expected = [0.99999999998611205614, 1.388794386477114561e-11,
                     1.9287498479371314134e-22]
-        out = anchor_distribution(query, anchors, 0.02)
-        assert np.abs(out.data - expected).max() < 1e-12
+        out = anchor_distribution_batch(row([1.0, 0.0]), anchors, 0.02)[0]
+        assert np.abs(out - expected).max() < 1e-12
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
-        out = anchor_distribution(Tensor(rng.standard_normal(5)),
-                                  Tensor(rng.standard_normal((9, 5))), 0.1)
-        assert abs(out.data.sum() - 1.0) < 1e-12
+        out = anchor_distribution_batch(rng.standard_normal((1, 5)),
+                                        rng.standard_normal((9, 5)), 0.1)
+        assert abs(out.sum() - 1.0) < 1e-12
 
     def test_too_few_anchors(self):
         with pytest.raises(DegenerateDistributionError):
-            anchor_distribution(Tensor(np.ones(3)), Tensor(np.ones((1, 3))), 0.1)
+            anchor_distribution_batch(row(np.ones(3)), np.ones((1, 3)), 0.1)
 
     def test_bad_temperature(self):
         with pytest.raises(ContractError):
-            anchor_distribution(Tensor(np.ones(3)), Tensor(np.eye(3)), 0.0)
+            anchor_distribution_batch(row(np.ones(3)), np.eye(3), 0.0)
 
     def test_is_a_constant(self):
-        """The teacher side of every loss: no graph, even from a trainable query."""
-        out = anchor_distribution(Tensor.parameter(np.ones(3)), Tensor(np.eye(3)), 0.1)
-        assert not out.requires_grad and out.parents == ()
+        """The teacher side of every loss is a plain array, not a graph node."""
+        out = anchor_distribution_batch(row(np.ones(3)), np.eye(3), 0.1)
+        assert type(out) is np.ndarray and out.shape == (1, 3)
 
 
 class TestIsdLoss:
     def test_matched_views_give_teacher_entropy(self):
         """q_s = q_t makes p_s = p_t, so the loss is H(p_t) and KL is zero."""
         rng = np.random.default_rng(1)
-        q = rng.standard_normal(6)
-        anchors = Tensor(rng.standard_normal((10, 6)))
-        loss = isd_loss(Tensor(q), Tensor(q.copy()), anchors, 0.1)
-        p_t = anchor_distribution(Tensor(q), anchors, 0.1).data
-        assert loss.item() == pytest.approx(float(distribution_entropy(p_t)), abs=1e-12)
+        q = rng.standard_normal((1, 6))
+        anchors = rng.standard_normal((10, 6))
+        loss, p_t = isd_loss_batch(q, Tensor(q.copy()), anchors, 0.1)
+        assert loss.item() == pytest.approx(float(distribution_entropy(p_t[0])), abs=1e-12)
 
     def test_uniform_distributions_give_log_n(self):
         """Uniform teacher and student over n anchors cost exactly ln n."""
-        anchors = Tensor(np.eye(5))
-        q = Tensor(np.ones(5))
-        loss = isd_loss(q, Tensor(np.ones(5)), anchors, 0.3)
+        loss = isd_loss_batch(row(np.ones(5)), Tensor(row(np.ones(5))), np.eye(5), 0.3)[0]
         assert loss.item() == pytest.approx(np.log(5.0), abs=1e-12)
 
     def test_random_instance_against_mpmath_oracle(self):
@@ -114,19 +109,19 @@ class TestIsdLoss:
             tau = float(rng.uniform(0.05, 0.5))
             expected = mp_cross_entropy(mp_distribution(q_t, anchors, tau),
                                         mp_distribution(q_s, anchors, tau))
-            loss = isd_loss(Tensor(q_t), Tensor(q_s), Tensor(anchors), tau)
+            loss = isd_loss_batch(row(q_t), Tensor(row(q_s)), anchors, tau)[0]
             assert abs(loss.item() - float(expected)) < 1e-12
 
     def test_gradient_passes_grad_check(self):
         rng = np.random.default_rng(3)
-        q_s = Tensor.parameter(rng.standard_normal(8))
-        q_t = Tensor(rng.standard_normal(8))
-        anchors = Tensor(rng.standard_normal((16, 8)))
-        assert T.grad_check(lambda: isd_loss(q_t, q_s, anchors, 0.05), [q_s]) < 1e-5
+        q_s = Tensor.parameter(rng.standard_normal((1, 8)))
+        q_t = rng.standard_normal((1, 8))
+        anchors = rng.standard_normal((16, 8))
+        assert T.grad_check(lambda: isd_loss_batch(q_t, q_s, anchors, 0.05)[0], [q_s]) < 1e-5
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            isd_loss(Tensor(np.ones(3)), Tensor(np.ones(4)), Tensor(np.eye(4)), 0.1)
+            isd_loss_batch(row(np.ones(3)), Tensor(row(np.ones(4))), np.eye(4), 0.1)
 
 
 class TestMocoLoss:
@@ -136,7 +131,7 @@ class TestMocoLoss:
         q = np.zeros(n + 1)
         q[0] = 1.0
         anchors = np.eye(n + 1)[1:]
-        loss = moco_loss(Tensor(q), Tensor(q.copy()), Tensor(anchors), 1.0)
+        loss = moco_loss_batch(Tensor(row(q)), row(q), anchors, 1.0)
         expected = -np.log(np.e / (np.e + n))
         assert loss.item() == pytest.approx(expected, abs=1e-12)
 
@@ -151,17 +146,16 @@ class TestMocoLoss:
             anchors = rng.standard_normal((n, d))
             tau = float(rng.uniform(0.05, 0.5))
 
-            q_a = Tensor.parameter(q.copy())
-            loss_a = moco_loss(q_a, Tensor(pos), Tensor(anchors), tau)
+            q_a = Tensor.parameter(row(q))
+            loss_a = moco_loss_batch(q_a, row(pos), anchors, tau)
             T.backward(loss_a)
 
             pos_unit = pos / np.linalg.norm(pos)
             units = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
             extended = np.concatenate([pos_unit[None, :], units], axis=0)
-            onehot = np.zeros(n + 1)
-            onehot[0] = 1.0
-            q_b = Tensor.parameter(q.copy())
-            loss_b = anchor_cross_entropy(onehot, q_b, Tensor(extended), tau)
+            onehot = row(np.eye(n + 1)[0])
+            q_b = Tensor.parameter(row(q))
+            loss_b = anchor_cross_entropy_batch(onehot, q_b, extended, tau)
             T.backward(loss_b)
 
             assert abs(loss_a.item() - loss_b.item()) < 1e-12
@@ -176,36 +170,36 @@ class TestMocoLoss:
         extended = np.concatenate([pos[None, :], anchors], axis=0)
         p_model = mp_distribution(q, extended, tau)
         expected = -mp.log(p_model[0])
-        loss = moco_loss(Tensor(q), Tensor(pos), Tensor(anchors), tau)
+        loss = moco_loss_batch(Tensor(row(q)), row(pos), anchors, tau)
         assert abs(loss.item() - float(expected)) < 1e-12
 
     def test_gradient_passes_grad_check(self):
         rng = np.random.default_rng(6)
-        q = Tensor.parameter(rng.standard_normal(8))
-        pos = Tensor(rng.standard_normal(8))
-        anchors = Tensor(rng.standard_normal((16, 8)))
-        assert T.grad_check(lambda: moco_loss(q, pos, anchors, 0.07), [q]) < 1e-5
+        q = Tensor.parameter(rng.standard_normal((1, 8)))
+        pos = rng.standard_normal((1, 8))
+        anchors = rng.standard_normal((16, 8))
+        assert T.grad_check(lambda: moco_loss_batch(q, pos, anchors, 0.07), [q]) < 1e-5
 
 
 class TestByolLoss:
     def test_identical_vectors(self):
-        v = np.array([0.3, -0.4, 1.2])
-        assert byol_loss(Tensor(v), Tensor(v.copy())).item() == pytest.approx(0.0, abs=1e-12)
+        v = row([0.3, -0.4, 1.2])
+        assert byol_loss_batch(Tensor(v), v.copy()).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_vectors(self):
-        a = np.array([1.0, 0.0])
-        b = np.array([0.0, 2.0])
-        assert byol_loss(Tensor(a), Tensor(b)).item() == pytest.approx(2.0, abs=1e-12)
+        a = row([1.0, 0.0])
+        b = row([0.0, 2.0])
+        assert byol_loss_batch(Tensor(a), b).item() == pytest.approx(2.0, abs=1e-12)
 
     def test_opposite_vectors(self):
-        v = np.array([0.5, -1.0, 2.0])
-        assert byol_loss(Tensor(v), Tensor(-v)).item() == pytest.approx(4.0, abs=1e-12)
+        v = row([0.5, -1.0, 2.0])
+        assert byol_loss_batch(Tensor(v), -v).item() == pytest.approx(4.0, abs=1e-12)
 
     def test_gradient_passes_grad_check(self):
         rng = np.random.default_rng(7)
-        q = Tensor.parameter(rng.standard_normal(8))
-        t = Tensor(rng.standard_normal(8))
-        assert T.grad_check(lambda: byol_loss(q, t), [q]) < 1e-5
+        q = Tensor.parameter(rng.standard_normal((1, 8)))
+        t = rng.standard_normal((1, 8))
+        assert T.grad_check(lambda: byol_loss_batch(q, t), [q]) < 1e-5
 
 
 class TestInvariants:
@@ -225,8 +219,8 @@ class TestInvariants:
             units = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
             p_t = anchor_distribution_batch(q_t[None, :], anchors, tau)[0]
 
-            q_ce = Tensor.parameter(q_s_values.copy())
-            ce = anchor_cross_entropy(p_t, q_ce, Tensor(anchors), tau)
+            q_ce = Tensor.parameter(row(q_s_values))
+            ce = anchor_cross_entropy_batch(p_t[None], q_ce, anchors, tau)
             T.backward(ce)
 
             q_kl = Tensor.parameter(q_s_values.copy())
@@ -239,49 +233,47 @@ class TestInvariants:
 
             h_t = float(distribution_entropy(p_t))
             assert abs((ce.item() - kl.item()) - h_t) < 1e-10
-            assert np.abs(q_ce.grad - q_kl.grad).max() < 1e-10
+            assert np.abs(q_ce.grad[0] - q_kl.grad).max() < 1e-10
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, 10.0])
     def test_losses_invariant_to_positive_rescaling(self, scale):
         """Cosine geometry: rescaling any input leaves each loss unchanged."""
         rng = np.random.default_rng(9)
-        q_t = rng.standard_normal(5)
-        q_s = rng.standard_normal(5)
-        pos = rng.standard_normal(5)
+        q_t = rng.standard_normal((1, 5))
+        q_s = rng.standard_normal((1, 5))
+        pos = rng.standard_normal((1, 5))
         anchors = rng.standard_normal((7, 5))
-        base = [isd_loss(Tensor(q_t), Tensor(q_s), Tensor(anchors), 0.1).item(),
-                moco_loss(Tensor(q_s), Tensor(pos), Tensor(anchors), 0.1).item(),
-                byol_loss(Tensor(q_s), Tensor(q_t)).item()]
-        scaled = [isd_loss(Tensor(scale * q_t), Tensor(scale * q_s),
-                           Tensor(scale * anchors), 0.1).item(),
-                  moco_loss(Tensor(scale * q_s), Tensor(scale * pos),
-                            Tensor(scale * anchors), 0.1).item(),
-                  byol_loss(Tensor(scale * q_s), Tensor(scale * q_t)).item()]
-        assert np.abs(np.array(base) - scaled).max() < 1e-10
 
-    def test_teacher_side_gradient_is_zero(self):
-        """No gradient reaches teacher-side inputs of any loss."""
+        def losses(c):
+            return [isd_loss_batch(c * q_t, Tensor(c * q_s), c * anchors, 0.1)[0].item(),
+                    moco_loss_batch(Tensor(c * q_s), c * pos, c * anchors, 0.1).item(),
+                    byol_loss_batch(Tensor(c * q_s), c * q_t).item()]
+
+        assert np.abs(np.array(losses(1.0)) - losses(scale)).max() < 1e-10
+
+    def test_only_the_student_block_is_a_graph_parent(self):
+        """Each loss node has the student block as its one parent, so no gradient
+        can reach a teacher-side input, which is a plain array."""
         rng = np.random.default_rng(10)
-        q_t = Tensor.parameter(rng.standard_normal(5))
-        pos = Tensor.parameter(rng.standard_normal(5))
-        anchors = Tensor.parameter(rng.standard_normal((7, 5)))
-        q_s = Tensor.parameter(rng.standard_normal(5))
-
-        T.backward(isd_loss(q_t, q_s, anchors, 0.1))
-        T.backward(moco_loss(q_s, pos, anchors, 0.1))
-        T.backward(byol_loss(q_s, q_t))
-
-        assert not q_t.grad.any()
-        assert not pos.grad.any()
-        assert not anchors.grad.any()
+        q_t, pos = rng.standard_normal((1, 5)), rng.standard_normal((1, 5))
+        anchors = rng.standard_normal((7, 5))
+        q_s = Tensor.parameter(rng.standard_normal((1, 5)))
+        for loss in (isd_loss_batch(q_t, q_s, anchors, 0.1)[0],
+                     moco_loss_batch(q_s, pos, anchors, 0.1),
+                     byol_loss_batch(q_s, q_t)):
+            assert loss.parents == (q_s,)
+            T.backward(loss)
         assert q_s.grad.any()
 
     def test_loss_config_validation(self):
         with pytest.raises(ContractError):
             LossConfig("simclr", 0.1)
-        with pytest.raises(ContractError):
-            LossConfig("isd", 0.0)
+        for objective in ("isd", "moco"):
+            for tau in (0.0, -1.0, np.nan, 1e-320):
+                with pytest.raises(ContractError, match="finite inverse"):
+                    LossConfig(objective, tau)
         LossConfig("byol", -1.0)    # temperature ignored for byol
+        LossConfig("byol", 1e-320)
 
 
 class TestBatchForms:
@@ -294,17 +286,17 @@ class TestBatchForms:
         tau = 0.1
 
         q_s = Tensor.parameter(q_s_values.copy())
-        batch_loss, p_t = isd_loss_batch(q_t, q_s, Tensor(anchors), tau)
+        batch_loss, p_t = isd_loss_batch(q_t, q_s, anchors, tau)
         T.backward(batch_loss)
 
         singles = []
         grads = np.zeros_like(q_s_values)
         for i in range(b):
-            qi = Tensor.parameter(q_s_values[i].copy())
-            li = isd_loss(Tensor(q_t[i]), qi, Tensor(anchors), tau)
+            qi = Tensor.parameter(q_s_values[i:i + 1])
+            li = isd_loss_batch(q_t[i:i + 1], qi, anchors, tau)[0]
             T.backward(li)
             singles.append(li.item())
-            grads[i] = qi.grad
+            grads[i] = qi.grad[0]
         assert batch_loss.item() == pytest.approx(np.mean(singles), abs=1e-12)
         assert np.abs(q_s.grad - grads / b).max() < 1e-12
         assert p_t.shape == (b, n)
@@ -316,8 +308,8 @@ class TestBatchForms:
         pos = rng.standard_normal((b, d))
         anchors = rng.standard_normal((n, d))
         q = Tensor.parameter(q_values.copy())
-        batch_loss = moco_loss_batch(q, pos, Tensor(anchors), 0.2)
-        singles = [moco_loss(Tensor(q_values[i]), Tensor(pos[i]), Tensor(anchors), 0.2).item()
+        batch_loss = moco_loss_batch(q, pos, anchors, 0.2)
+        singles = [moco_loss_batch(Tensor(q_values[i:i + 1]), pos[i:i + 1], anchors, 0.2).item()
                    for i in range(b)]
         assert batch_loss.item() == pytest.approx(np.mean(singles), abs=1e-12)
 
@@ -327,7 +319,7 @@ class TestBatchForms:
         q_values = rng.standard_normal((b, d))
         t_values = rng.standard_normal((b, d))
         batch = byol_loss_batch(Tensor.parameter(q_values.copy()), t_values)
-        singles = [byol_loss(Tensor(q_values[i]), Tensor(t_values[i])).item()
+        singles = [byol_loss_batch(Tensor(q_values[i:i + 1]), t_values[i:i + 1]).item()
                    for i in range(b)]
         assert batch.item() == pytest.approx(np.mean(singles), abs=1e-12)
 
@@ -360,45 +352,49 @@ class TestBatchForms:
            tau=st.sampled_from([0.02, 0.1, 0.5, 1.0]))
     @settings(max_examples=100, deadline=None)
     def test_one_row_forms_match_per_sample_oracle(self, seed, d, n, tau):
-        """The per-sample names, now 1-row batch calls, give the values and query
-        gradients of the per-op graph forms they replaced, to 1e-12 relative to
-        max(|oracle|, 1)."""
+        """1-row batch calls give the values and query gradients of the per-op
+        graph forms of the per-sample functions they replaced, to 1e-12 relative
+        to max(|oracle|, 1)."""
         rng = np.random.default_rng(seed)
         q_t, q_s, pos = (rng.standard_normal(d) for _ in range(3))
-        anchors = Tensor(rng.standard_normal((n, d)))
+        anchors = rng.standard_normal((n, d))
         target = rng.dirichlet(np.ones(n))
-        calls = [
-            lambda m, q: m.anchor_cross_entropy(target, q, anchors, tau),
-            lambda m, q: m.isd_loss(Tensor(q_t), q, anchors, tau),
-            lambda m, q: m.moco_loss(q, Tensor(pos), anchors, tau),
-            lambda m, q: m.byol_loss(q, Tensor(q_t)),
+        oracle = per_sample_losses
+        pairs = [
+            (lambda q: anchor_cross_entropy_batch(target[None], q, anchors, tau),
+             lambda q: oracle.anchor_cross_entropy(target, q, Tensor(anchors), tau)),
+            (lambda q: isd_loss_batch(q_t[None], q, anchors, tau)[0],
+             lambda q: oracle.isd_loss(Tensor(q_t), q, Tensor(anchors), tau)),
+            (lambda q: moco_loss_batch(q, pos[None], anchors, tau),
+             lambda q: oracle.moco_loss(q, Tensor(pos), Tensor(anchors), tau)),
+            (lambda q: byol_loss_batch(q, q_t[None]),
+             lambda q: oracle.byol_loss(q, Tensor(q_t))),
         ]
 
         def close(a, b):
             return np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
 
-        for call in calls:
-            results = []
-            for module in (library, per_sample_losses):
-                q = Tensor.parameter(q_s.copy())
-                loss = call(module, q)
-                T.backward(loss)
-                results.append((loss.data, q.grad))
-            (value, grad), (want_value, want_grad) = results
-            assert close(value, want_value) and close(grad, want_grad)
-        dist = anchor_distribution(Tensor(q_t), anchors, tau).data
-        assert close(dist, per_sample_losses.anchor_distribution(Tensor(q_t), anchors, tau).data)
+        for batch_call, oracle_call in pairs:
+            q_row, q_vec = Tensor.parameter(q_s[None]), Tensor.parameter(q_s)
+            loss, want = batch_call(q_row), oracle_call(q_vec)
+            T.backward(loss)
+            T.backward(want)
+            assert close(loss.data, want.data) and close(q_row.grad[0], q_vec.grad)
+        dist = anchor_distribution_batch(q_t[None], anchors, tau)[0]
+        assert close(dist, oracle.anchor_distribution(Tensor(q_t), Tensor(anchors), tau).data)
 
     def test_batch_target_shape_checked(self):
         with pytest.raises(ShapeError):
             anchor_cross_entropy_batch(np.ones((2, 3)), Tensor(np.ones((2, 4))),
-                                       Tensor(np.ones((5, 4))), 0.1)
+                                       np.ones((5, 4)), 0.1)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", ["anchor_distribution_batch", "anchor_cross_entropy_batch",
                                       "isd_loss_batch", "moco_loss_batch"])
     def test_anchor_forms_raise_typed_errors(self, name):
         """Too few anchors, a wrong anchor width, a teacher-side block unlike the
-        student's and a non-finite block or anchor each raise their own error."""
+        student's and a non-finite block or anchor each raise their own error, and
+        a temperature whose inverse overflows raises no numpy warning first."""
         call_anchor_form(name)
         with pytest.raises(DegenerateDistributionError):
             call_anchor_form(name, anchor_shape=(1, 3))
@@ -410,7 +406,7 @@ class TestBatchForms:
         for poison in ["block", "anchors"]:
             with pytest.raises(NumericDomainError):
                 call_anchor_form(name, poison=poison)
-        for tau in [0.0, np.nan, 1e-310]:
+        for tau in [0.0, np.nan, 1e-310, np.float64(1e-310)]:
             with pytest.raises(ContractError):
                 call_anchor_form(name, tau=tau)
 
@@ -420,7 +416,7 @@ class TestBatchForms:
         with pytest.raises(ShapeError):
             byol_loss_batch(q, rng.standard_normal((2, 4)))
         with pytest.raises(ShapeError):
-            byol_loss(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))))
+            byol_loss_batch(Tensor(np.ones(3)), np.ones(3))
         t = rng.standard_normal((2, 3))
         t[1, 2] = np.nan
         with pytest.raises(NumericDomainError, match="teacher embeddings"):
@@ -467,9 +463,9 @@ class TestTeacherSideMatchesOutOfPlaceOracle:
     def test_one_row(self):
         rng = np.random.default_rng(4)
         query, anchors = rng.standard_normal(16), rng.standard_normal((40, 16))
-        p = anchor_distribution(Tensor(query), Tensor(anchors), 0.07).data
+        p = anchor_distribution_batch(query[None], anchors, 0.07)[0]
         want = anchor_softmax.anchor_softmax(query[None], T.unit_rows(anchors), 0.07)[0]
-        assert p.ndim == 1 and p.tobytes() == want.tobytes()
+        assert p.tobytes() == want.tobytes()
         for dist in (p, np.array([0.5, 0.0, 0.5]), np.array([0.0, 1.0]), np.zeros(0)):
             assert (distribution_entropy(dist).tobytes()
                     == anchor_softmax.distribution_entropy(dist).tobytes())
@@ -485,13 +481,13 @@ class TestInputsStayUntouched:
         rng = np.random.default_rng(21)
         student = Tensor.parameter(rng.standard_normal((16, 8)))
         teacher = rng.standard_normal((16, 8))
-        anchors = Tensor(rng.standard_normal((40, 8)))
-        targets = anchor_distribution_batch(rng.standard_normal((16, 8)), anchors.data, 0.07)
-        blocks = (student.data, teacher, anchors.data, targets)
+        anchors = rng.standard_normal((40, 8))
+        targets = anchor_distribution_batch(rng.standard_normal((16, 8)), anchors, 0.07)
+        blocks = (student.data, teacher, anchors, targets)
         before = [block.tobytes() for block in blocks]
 
         if name == "anchor_distribution_batch":
-            anchor_distribution_batch(teacher, anchors.data, 0.07)
+            anchor_distribution_batch(teacher, anchors, 0.07)
         elif name == "anchor_cross_entropy_batch":
             T.backward(anchor_cross_entropy_batch(targets, student, anchors, 0.07))
         elif name == "isd_loss_batch":
@@ -525,17 +521,16 @@ def call_anchor_form(name, block_shape=(2, 3), anchor_shape=(4, 3), poison=None,
         targets = np.full((block_shape[0], anchor_shape[0]), 1.0 / anchor_shape[0])
         if poison == "block":
             targets[0, 0] = np.nan
-        return anchor_cross_entropy_batch(targets, student, Tensor(anchors), tau)
+        return anchor_cross_entropy_batch(targets, student, anchors, tau)
     if name == "isd_loss_batch":
-        return isd_loss_batch(block, student, Tensor(anchors), tau)
-    return moco_loss_batch(student, block, Tensor(anchors), tau)
+        return isd_loss_batch(block, student, anchors, tau)
+    return moco_loss_batch(student, block, anchors, tau)
 
 
-def assert_fused_equal_chain(q_values, q_t, anchor_rows, tau):
+def assert_fused_equal_chain(q_values, q_t, anchors, tau):
     """Each objective node and its per-op chain in ``oracles.loss_chain`` give the
     same loss and student-gradient bytes on one student block."""
-    anchors = Tensor(anchor_rows)
-    p_t = anchor_distribution_batch(q_t, anchors.data, tau)
+    p_t = anchor_distribution_batch(q_t, anchors, tau)
 
     def run(loss_of):
         q = Tensor.parameter(q_values.copy())

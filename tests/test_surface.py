@@ -11,8 +11,9 @@ passing it to the constructor or assigning it is not a read.
 
 The scan matches bare names, so it cannot see three kinds of dead surface:
 a method that shares its name with a used one (numpy's ``sum`` and
-``mean``, say, or a ``Tensor.backward`` method, which the calls of the
-module function ``tensor.backward`` would keep alive), dunders, which it
+``mean``, say, a ``Tensor.backward`` method, which the calls of the
+module function ``tensor.backward`` would keep alive, or a ``Tensor.shape``
+property, which every array's ``shape`` keeps alive), dunders, which it
 skips, and a field that shares its name with an attribute read elsewhere
 (an ``epoch`` field passes as long as ``Trainer.epoch`` or
 ``Checkpoint.epoch`` is read, whoever reads this one).
@@ -28,6 +29,12 @@ from pathlib import Path
 import simdistill
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# The package modules that may name ``Tensor``: a Tensor is a value the graph may
+# differentiate, and every constant operand (teacher embeddings, positive keys,
+# anchors, targets) is an array, so only the modules that build or run the graph
+# need the class. ``__init__`` re-exports it.
+TENSOR_MODULES = {"nn", "losses", "train", "evaluation", "__init__"}
 
 # Deliberate entry points with no caller in the scanned files, each with its reason.
 ALLOWED = {
@@ -122,3 +129,17 @@ class TestPublicSurface:
             assert reason.strip(), qualified
             assert qualified in names, f"{qualified} no longer exists"
             assert names[qualified] not in used, f"{qualified} now has a caller"
+
+
+class TestTensorBoundary:
+    def test_only_graph_modules_name_tensor(self):
+        """No other package module imports ``Tensor`` or reads an attribute of that
+        name (``T.Tensor``)."""
+        users = set()
+        for path in (ROOT / "src" / "simdistill").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.ImportFrom) and any(a.name == "Tensor" for a in node.names)
+                        or isinstance(node, ast.Attribute) and node.attr == "Tensor"):
+                    users.add(path.stem)
+        assert "nn" in users    # the scan sees an import
+        assert sorted(users - TENSOR_MODULES) == []

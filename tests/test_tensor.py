@@ -15,7 +15,7 @@ import simdistill.tensor as T
 from oracles import graph_ops, loss_chain
 from simdistill.errors import ContractError, NumericDomainError, ShapeError
 from simdistill.losses import (anchor_cross_entropy_batch, anchor_distribution_batch,
-                               byol_loss_batch, moco_loss_batch)
+                               byol_loss_batch, isd_loss_batch, moco_loss_batch)
 from simdistill.tensor import Tensor
 
 
@@ -126,7 +126,7 @@ def cross_entropy_of_row(values, target):
     the objective node of ``anchor_cross_entropy_batch``."""
     query, anchors, tau = logits_via_anchors(values)
     return anchor_cross_entropy_batch(np.array([target], dtype=np.float64), Tensor(query),
-                                      Tensor(anchors), tau).item()
+                                      anchors, tau).item()
 
 
 class TestSoftmax:
@@ -163,7 +163,7 @@ class TestSoftmax:
             anchor_distribution_batch(np.array([[1.0, bad]]), np.eye(2), 0.1)
         with pytest.raises(NumericDomainError):
             anchor_cross_entropy_batch(np.array([[0.5, 0.5]]), Tensor([[1.0, bad]]),
-                                       Tensor(np.eye(2)), 0.1)
+                                       np.eye(2), 0.1)
 
     @given(st.lists(st.floats(-350, 350), min_size=2, max_size=10))
     @settings(max_examples=200, deadline=None)
@@ -207,7 +207,7 @@ class TestSoftCrossEntropy:
         targets, also under an upstream gradient other than 1."""
         rng = np.random.default_rng(seed)
         values = rng.standard_normal((b, 3))
-        anchors = Tensor(rng.standard_normal((n, 3)))
+        anchors = rng.standard_normal((n, 3))
         pos = rng.standard_normal((b, 3))
         if one_hot:
             targets = np.zeros((b, n))
@@ -230,7 +230,7 @@ class TestSoftCrossEntropy:
     def test_passes_grad_check(self):
         rng = np.random.default_rng(41)
         x = Tensor.parameter(rng.standard_normal((4, 5)))
-        anchors = Tensor(rng.standard_normal((7, 5)))
+        anchors = rng.standard_normal((7, 5))
         pos = rng.standard_normal((4, 5))
         targets = rng.dirichlet(np.ones(7), size=4)
         assert T.grad_check(lambda: anchor_cross_entropy_batch(targets, x, anchors, 0.3), [x],
@@ -244,7 +244,7 @@ class TestSoftCrossEntropy:
         """Targets unlike the [b, n] logits of b queries against n anchors, or a
         query block that is not [b, d], are rejected."""
         queries = Tensor.parameter(rand(logits[:-1] + (4,), 42))
-        anchors = Tensor(rand((logits[-1], 4), 43))
+        anchors = rand((logits[-1], 4), 43)
         with pytest.raises(ShapeError):
             anchor_cross_entropy_batch(np.zeros(targets), queries, anchors, 0.1)
 
@@ -255,9 +255,9 @@ class TestSoftCrossEntropy:
         for bad in (np.nan, np.inf):
             q = Tensor.parameter([[1.0, bad]])
             with pytest.raises(NumericDomainError, match="student rows"):
-                anchor_cross_entropy_batch(np.array([[0.5, 0.5]]), q, Tensor(np.eye(2)), 0.1)
+                anchor_cross_entropy_batch(np.array([[0.5, 0.5]]), q, np.eye(2), 0.1)
             with pytest.raises(NumericDomainError, match="student rows"):
-                moco_loss_batch(q, np.ones((1, 2)), Tensor(np.eye(2)), 0.1)
+                moco_loss_batch(q, np.ones((1, 2)), np.eye(2), 0.1)
             with pytest.raises(NumericDomainError, match="student rows"):
                 byol_loss_batch(q, np.ones((1, 2)))
 
@@ -338,21 +338,19 @@ class TestGradCheck:
         assert T.grad_check(lambda: T.tensor_sum(T.mul(w, coef)), [w], step=1e-5) < 1e-9
 
     def test_isd_loss_instance(self):
-        """The distillation loss on random 8-dim embeddings, 16 anchors."""
-        from simdistill.losses import isd_loss
+        """The distillation loss on one random 8-dim embedding, 16 anchors."""
         rng = np.random.default_rng(22)
-        q_s = Tensor.parameter(rng.standard_normal(8))
-        q_t = Tensor(rng.standard_normal(8))
-        anchors = Tensor(rng.standard_normal((16, 8)))
-        err = T.grad_check(lambda: isd_loss(q_t, q_s, anchors, 0.05), [q_s], step=1e-5)
+        q_s = Tensor.parameter(rng.standard_normal((1, 8)))
+        q_t = rng.standard_normal((1, 8))
+        anchors = rng.standard_normal((16, 8))
+        err = T.grad_check(lambda: isd_loss_batch(q_t, q_s, anchors, 0.05)[0], [q_s], step=1e-5)
         assert err < 1e-5
 
     def test_byol_loss_instance(self):
-        from simdistill.losses import byol_loss
         rng = np.random.default_rng(23)
-        q_s = Tensor.parameter(rng.standard_normal(8))
-        q_t = Tensor(rng.standard_normal(8))
-        assert T.grad_check(lambda: byol_loss(q_s, q_t), [q_s], step=1e-5) < 1e-5
+        q_s = Tensor.parameter(rng.standard_normal((1, 8)))
+        q_t = rng.standard_normal((1, 8))
+        assert T.grad_check(lambda: byol_loss_batch(q_s, q_t), [q_s], step=1e-5) < 1e-5
 
     def test_step_must_be_positive(self):
         w = Tensor.parameter(rand(2, 24))
@@ -368,16 +366,6 @@ class TestOps:
     def test_mul_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.mul(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
-
-    def test_reshape_gradient_is_reshaped_back(self):
-        """A vector lifted to one row gets its gradient back in its own shape."""
-        v = Tensor.parameter(rand(5, 32))
-        row = T.reshape(v, (1, 5))
-        assert row.shape == (1, 5) and row.op == "reshape"
-        weights = Tensor(rand((1, 5), 34))
-        assert T.grad_check(lambda: T.tensor_sum(T.mul(T.reshape(v, (1, 5)), weights)),
-                            [v], step=1e-6) < 1e-9
-        assert v.grad.shape == (5,)
 
     def test_rowwise_dot_and_prepend_column_grads(self):
         rng = np.random.default_rng(33)

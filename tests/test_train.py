@@ -112,7 +112,7 @@ class TestHandTracedStep:
                            [[0.39161119258429284761, 0.072416788876439271418]], atol=1e-14)
         # the teacher view was enqueued after the loss, evicting one old row
         assert trainer.bank.count == 2
-        assert np.allclose(trainer.bank.snapshot().data[-1],
+        assert np.allclose(trainer.bank.snapshot()[-1],
                            [0.97014250014533189408, 0.24253562503633297352], atol=1e-14)
 
 
@@ -566,7 +566,7 @@ class TestMocoReductionEndToEnd:
                  (trainer.pair.teacher_encoder.biases[1].data, tb2)]
         for got, want in pairs:
             assert np.abs(got - want).max() < 1e-8
-        assert np.abs(trainer.bank.snapshot().data - np.stack(queue)).max() < 1e-12
+        assert np.abs(trainer.bank.snapshot() - np.stack(queue)).max() < 1e-12
 
 
 class TestFusedPathMatchesOracle:
@@ -623,5 +623,5 @@ class TestFusedPathMatchesOracle:
 def chain_isd_loss_batch(q_t_emb, q_s_pred, anchors, tau):
     """``isd_loss_batch`` with the out-of-place teacher softmax and the loss
     built by the per-op chain."""
-    p_t = anchor_softmax.anchor_softmax(q_t_emb, unit_rows(anchors.data), tau)
+    p_t = anchor_softmax.anchor_softmax(q_t_emb, unit_rows(anchors), tau)
     return loss_chain.anchor_cross_entropy_batch(p_t, q_s_pred, anchors, tau), p_t
