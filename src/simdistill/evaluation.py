@@ -53,12 +53,24 @@ def embed_dataset(encoder: MlpParams, ds: LabeledDataset) -> EmbeddingTable:
     return EmbeddingTable(features, ds.labels)
 
 
+# Bytes of similarities that knn_eval selects neighbours from per pass.
+# np.partition copies its block, and a copy this small stays under the
+# 1 MiB mmap threshold that train._keep_step_buffers_on_heap sets.
+_SELECT_BUDGET = 256 << 10
+
+
 def knn_eval(train: EmbeddingTable, test: EmbeddingTable, k: int = 5) -> float:
     """k-nearest-neighbour accuracy under cosine similarity with majority vote.
 
     A split vote falls back to the label of the single nearest neighbour.
     Equal similarities rank by train-row index (stable sort), so results
     are deterministic.
+
+    The [n_test, n_train] similarities come from one product, and the
+    neighbours are then picked a block of test rows at a time. Each row's
+    pick and vote read only that row, so the blocks change no prediction;
+    they only keep the temporaries of a pass within ``_SELECT_BUDGET``
+    instead of the size of the whole similarity block.
     """
     if k < 1:
         raise ContractError("knn_eval: k must be at least 1")
@@ -66,8 +78,24 @@ def knn_eval(train: EmbeddingTable, test: EmbeddingTable, k: int = 5) -> float:
         raise ContractError(f"knn_eval: k={k} exceeds train size {len(train.labels)}")
     if train.embeddings.shape[1] != test.embeddings.shape[1]:
         raise ShapeError("knn_eval: embedding dims disagree")
-    # one product for the whole block: splitting it changes BLAS rounding
+    # One product, not one per block: BLAS rounds a row block of a product
+    # differently from the whole, and the accuracy must not depend on the budget.
     sims = test.embeddings @ train.embeddings.T
+    classes, codes = np.unique(train.labels, return_inverse=True)
+    rows_per_block = max(1, _SELECT_BUDGET // (sims.itemsize * sims.shape[1]))
+    correct = 0
+    for start in range(0, len(sims), rows_per_block):
+        block = slice(start, start + rows_per_block)
+        pred = _knn_predict(sims[block], k, train.labels, classes, codes)
+        correct += int(np.count_nonzero(pred == test.labels[block]))
+    return correct / len(test.labels)
+
+
+def _knn_predict(sims: np.ndarray, k: int, labels: np.ndarray, classes: np.ndarray,
+                 codes: np.ndarray) -> np.ndarray:
+    """The k-NN label of each row of a [b, n] similarity block against train
+    rows of ``labels``; ``classes`` and ``codes`` are ``np.unique(labels,
+    return_inverse=True)``."""
     n = sims.shape[1]
     if k < n:
         # every row strictly above the k-th similarity, then the lowest-index
@@ -82,14 +110,13 @@ def knn_eval(train: EmbeddingTable, test: EmbeddingTable, k: int = 5) -> float:
         chosen |= ties
     else:
         chosen = np.ones(sims.shape, dtype=bool)
-    classes, codes = np.unique(train.labels, return_inverse=True)
     rows, cols = np.nonzero(chosen)
     votes = np.bincount(rows * len(classes) + codes[cols],
                         minlength=len(sims) * len(classes)).reshape(len(sims), len(classes))
     pred = classes[votes.argmax(axis=1)]
     split = (votes == votes.max(axis=1, keepdims=True)).sum(axis=1) > 1
-    pred[split] = train.labels[sims[split].argmax(axis=1)]
-    return int(np.count_nonzero(pred == test.labels)) / len(test.labels)
+    pred[split] = labels[sims[split].argmax(axis=1)]
+    return pred
 
 
 def _fit_probe(train: EmbeddingTable, epochs: int, lr: float

@@ -173,13 +173,16 @@ def build_datasets(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
     of the Gaussian mixture the data_* fields describe; checked to fit the config.
 
     Validates the config, then makes the one check of it against its corpus,
-    each fault a ConfigError naming the corpus: one feature width, eval_k
-    train rows at least, and a set encoder_widths that reads that width.
+    each fault a ConfigError naming the corpus: an eval split of one sample at
+    least, one feature width, eval_k train rows at least, and a set
+    encoder_widths that reads that width.
     """
     cfg.validate()
     if cfg.data_train:
         corpus = cfg.data_train
         train_ds, eval_ds = load_dataset(cfg.data_train), load_dataset(cfg.data_eval)
+        if not len(eval_ds):
+            raise ConfigError(f"{cfg.data_eval} holds no samples: the eval split needs one at least")
     else:
         corpus = "the synthetic corpus of the data_* fields"
         train_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_per_class, cfg.data_dim,
@@ -245,9 +248,14 @@ def evaluate_checkpoint(cfg: RunConfig, ckpt_path: str, out_dir: str) -> list[di
 
     The two networks are scored in parallel (:func:`fan_out`): the caller
     scores the teacher and a worker the student, so the teacher's rows come first.
-    With recall_ks set, every class of the eval split needs two samples.
+    The linear probe needs two classes in the train split, and with
+    recall_ks set every class of the eval split needs two samples.
     """
     train_ds, eval_ds = build_datasets(cfg)
+    classes = np.unique(train_ds.labels)
+    if len(classes) < 2:
+        raise ConfigError(f"the linear probe needs 2 classes, but {cfg.data_train} "
+                          f"holds only class {int(classes[0])}")
     single = single_member_class(eval_ds.labels)
     if cfg.recall_ks and single is not None:
         split = cfg.data_eval or "the eval split of the synthetic corpus of the data_* fields"

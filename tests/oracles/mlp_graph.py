@@ -11,10 +11,7 @@ views' grad buffers are views into the network's flat grad buffer, so
 does, and the trainer runs unchanged with these patched in.
 """
 
-import numpy as np
-
 from oracles import graph_ops as G
-from simdistill import tensor as T
 from simdistill.errors import ContractError, ShapeError
 from simdistill.nn import MlpParams, ModelPair, SgdState
 from simdistill.tensor import Tensor

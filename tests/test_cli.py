@@ -12,6 +12,7 @@ from simdistill import cli, config, experiments
 from simdistill.checkpoint import load_checkpoint, save_checkpoint
 from simdistill.cli import main
 from simdistill.config import RunConfig, load_config, serialize_config
+from simdistill.data import LabeledDataset, load_dataset, save_dataset
 from simdistill.train import Trainer
 
 FAST = [
@@ -123,17 +124,20 @@ INPUT_FAULTS = {
     "checkpoint-missing": (5, [], "missing"),
     "checkpoint-garbled": (5, [], "garbage"),
     "checkpoint-other-architecture": (5, [], "ckpt8"),
+    "eval-split-empty": (3, ["data_train={train6}", "data_eval={eval6empty}"], "ckpt6"),
     "recall-synthetic": (3, ["data_eval_per_class=1"], "ckpt6"),
     "recall-loaded": (3, ["data_train={train6}", "data_eval={eval6single}"], "ckpt6"),
+    "probe-one-class": (3, ["data_train={train6class0}", "data_eval={eval6}"], "ckpt6"),
 }
-# Checkpoint faults apply to the two commands that read a checkpoint, and recall
-# faults (an eval class of one sample) to eval, the one command that scores recall@k.
+# Checkpoint faults apply to the two commands that read a checkpoint. Recall faults
+# (an eval class of one sample) and probe faults (a train split of one class) apply
+# to eval, the one command that scores recall@k and fits the linear probe.
 FAULT_GRID = [(command, fault)
               for command in ("train", "distill", "eval", "ablate-temperature", "unbalanced",
                               "gen-data")
               for fault in INPUT_FAULTS
               if (command in ("distill", "eval") or not fault.startswith("checkpoint"))
-              and (command == "eval" or not fault.startswith("recall"))]
+              and (command == "eval" or not fault.startswith(("recall", "probe")))]
 
 
 def run_train(tmp_path, name="run", extra=()):
@@ -389,17 +393,25 @@ class TestExitCodes:
 
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
-    """Corpora of 6 and 8 features, a 6-feature eval split of one sample per class,
-    a checkpoint of each width, a garbage file and the path of a missing one."""
+    """Corpora of 6 and 8 features; 6-feature splits of one sample per class, of no
+    sample and of class 0 alone; a checkpoint of each width, a garbage file and the
+    path of a missing one."""
     d = tmp_path_factory.mktemp("inputs")
     for dim in (6, 8):
         assert main(["gen-data", *gen_data_args(2, 12, 6, dim), "--out", str(d / f"d{dim}")]) == 0
         assert main(["train", "--out", str(d / f"run{dim}"), *FAST, "--set", f"data_dim={dim}",
                      "--set", f"encoder_widths={dim},12,4"]) == 0
     assert main(["gen-data", *gen_data_args(2, 12, 1, 6), "--out", str(d / "single")]) == 0
+    train6 = load_dataset(str(d / "d6" / "train.bin"))
+    save_dataset(LabeledDataset(train6.samples[:0], train6.labels[:0], split="eval"),
+                 str(d / "eval6empty.bin"))
+    class0 = train6.labels == 0
+    save_dataset(LabeledDataset(train6.samples[class0], train6.labels[class0]),
+                 str(d / "train6class0.bin"))
     (d / "garbage.bin").write_bytes(b"garbage")
     return {"train6": d / "d6" / "train.bin", "eval6": d / "d6" / "eval.bin",
-            "eval6single": d / "single" / "eval.bin",
+            "eval6single": d / "single" / "eval.bin", "eval6empty": d / "eval6empty.bin",
+            "train6class0": d / "train6class0.bin",
             "eval8": d / "d8" / "eval.bin", "ckpt6": d / "run6" / "checkpoint.bin",
             "ckpt8": d / "run8" / "checkpoint.bin", "garbage": d / "garbage.bin",
             "missing": d / "missing.bin"}

@@ -1,11 +1,15 @@
 """Tests for k-NN, linear probe, and recall@k evaluators."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import knn_loop, probe_graph, recall_sort
+from oracles import knn_loop, knn_oneshot, probe_graph, recall_sort
+from simdistill import evaluation
 from simdistill.data import gen_gaussian_mixture
 from simdistill.errors import ContractError, NumericDomainError, ShapeError
 from simdistill.evaluation import (EmbeddingTable, _fit_probe, embed_dataset, knn_eval,
@@ -79,12 +83,17 @@ class TestKnnEval:
         test = random_table(10, 4, 3, seed=7)
         assert knn_eval(train, test, 3) == knn_eval(train, test, 3)
 
-    @given(seed=st.integers(0, 2**32 - 1), n_train=st.integers(1, 30), n_test=st.integers(1, 12),
-           dim=st.integers(1, 3), levels=st.integers(1, 3), k_pick=st.sampled_from(["1", "n", "any"]))
+    @given(seed=st.integers(0, 2**32 - 1), n_train=st.integers(1, 30), n_test=st.integers(1, 40),
+           dim=st.integers(1, 3), levels=st.integers(1, 3), k_pick=st.sampled_from(["1", "n", "any"]),
+           block_rows=st.integers(0, 6), spare_bytes=st.integers(0, 239))
     @settings(max_examples=300, deadline=None)
-    def test_matches_loop_oracle_on_ties(self, seed, n_train, n_test, dim, levels, k_pick):
+    def test_matches_loop_oracle_on_ties(self, seed, n_train, n_test, dim, levels, k_pick,
+                                         block_rows, spare_bytes):
         """Quantised embeddings repeat rows and similarities, and the labels have gaps:
-        the same accuracy as the per-row loop it replaced, for k = 1, k = n and any k."""
+        the same accuracy as the per-row loop and the one-shot selection it replaced,
+        for k = 1, k = n and any k. The selection budget is cut to a few rows (at
+        least one, even below a row's bytes), so the test rows span several blocks,
+        the last one often short."""
         rng = np.random.default_rng(seed)
         features = np.round(rng.uniform(-levels, levels, size=(n_train + n_test, dim)))
         features[~features.any(axis=1), 0] = 1.0
@@ -92,7 +101,27 @@ class TestKnnEval:
         train = unit_table(features[:n_train], labels[:n_train])
         test = unit_table(features[n_train:], labels[n_train:])
         k = {"1": 1, "n": n_train, "any": int(rng.integers(1, n_train + 1))}[k_pick]
-        assert knn_eval(train, test, k) == knn_loop.knn_eval(train, test, k)
+        budget = block_rows * 8 * n_train + spare_bytes % (8 * n_train)
+        with mock.patch.object(evaluation, "_SELECT_BUDGET", budget):
+            blocked = knn_eval(train, test, k)
+        assert blocked == knn_loop.knn_eval(train, test, k)
+        assert blocked == knn_oneshot.knn_eval(train, test, k)
+
+    def test_selection_memory_stays_near_the_similarity_block(self):
+        """At the unbalanced protocol's shape (400 eval rows against 2080 train rows
+        of 64 dims) the traced peak is the [400, 2080] similarity block plus a few
+        selection budgets; the one-shot selection's partition copied the whole block."""
+        train = random_table(2080, 64, 10, seed=8)
+        test = random_table(400, 64, 10, seed=9)
+        sims_bytes = 400 * 2080 * 8
+        tracemalloc.start()
+        try:
+            accuracy = knn_eval(train, test, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sims_bytes < peak <= sims_bytes + 4 * evaluation._SELECT_BUDGET
+        assert accuracy == knn_oneshot.knn_eval(train, test, 5)
 
 
 class TestLinearProbe:

@@ -143,3 +143,38 @@ class TestTensorBoundary:
                     users.add(path.stem)
         assert "nn" in users    # the scan sees an import
         assert sorted(users - TENSOR_MODULES) == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports and never reads, in import order.
+
+    ``import a.b`` binds ``a``. A name listed in the module's ``__all__`` is
+    a re-export, and ``from __future__`` imports are compiler directives, so
+    neither counts.
+    """
+    tree = ast.parse(source)
+    imported, exported = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read and name not in exported]
+
+
+class TestImports:
+    def test_the_scan_sees_each_kind_of_import(self):
+        source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+                  "from a import b, c as d\nfrom e import f\n__all__ = ['f']\nd(np)\n")
+        assert unused_imports(source) == ["os", "b"]
+
+    def test_no_file_imports_a_name_it_does_not_use(self):
+        files = sorted(p for top in ("src", "tests", "demos") for p in (ROOT / top).rglob("*.py"))
+        assert ROOT / "tests" / "oracles" / "mlp_graph.py" in files
+        unused = {str(p.relative_to(ROOT)): names for p in files
+                  if (names := unused_imports(p.read_text()))}
+        assert unused == {}
