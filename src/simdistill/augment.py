@@ -9,7 +9,7 @@ through bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,27 +20,22 @@ from .errors import ContractError
 class AugmentPolicy:
     """Per-transform parameters of one augmentation policy.
 
-    ``rotation_range`` (radians) applies to feature vectors only;
     ``crop_range`` (area fraction) and ``flip_prob`` apply to images only.
     A zero / empty parameter disables its transform.
     """
 
-    name: str = "none"
     noise_std: float = 0.0
     mask_prob: float = 0.0
     scale_range: tuple[float, float] | None = None
-    rotation_range: float = 0.0
     crop_range: tuple[float, float] | None = None
     flip_prob: float = 0.0
 
     def __post_init__(self):
-        numbers = (self.noise_std, self.rotation_range, *(self.scale_range or ()),
-                   *(self.crop_range or ()))
+        numbers = (self.noise_std, *(self.scale_range or ()), *(self.crop_range or ()))
         if not np.all(np.isfinite(numbers)):
             raise ContractError("AugmentPolicy: every parameter must be finite")
-        for value, what in ((self.noise_std, "noise_std"), (self.rotation_range, "rotation_range")):
-            if value < 0:
-                raise ContractError(f"AugmentPolicy: {what} must be non-negative")
+        if self.noise_std < 0:
+            raise ContractError("AugmentPolicy: noise_std must be non-negative")
         for p, what in ((self.mask_prob, "mask_prob"), (self.flip_prob, "flip_prob")):
             if not 0.0 <= p <= 1.0:
                 raise ContractError(f"AugmentPolicy: {what} must lie in [0, 1]")
@@ -55,37 +50,17 @@ class AugmentPolicy:
     @property
     def is_identity(self) -> bool:
         return (self.noise_std == 0 and self.mask_prob == 0 and self.scale_range is None
-                and self.rotation_range == 0 and self.crop_range is None and self.flip_prob == 0)
+                and self.crop_range is None and self.flip_prob == 0)
 
 
-IDENTITY = AugmentPolicy("none")
-MILD = AugmentPolicy("mild", noise_std=0.05, flip_prob=0.5)
+IDENTITY = AugmentPolicy()
+MILD = AugmentPolicy(noise_std=0.05, flip_prob=0.5)
 AGGRESSIVE = AugmentPolicy(
-    "aggressive",
     noise_std=0.25,
     mask_prob=0.2,
     scale_range=(0.5, 1.5),
     crop_range=(0.6, 1.0),
 )
-
-
-def policy_by_name(name: str, custom: AugmentPolicy | None = None) -> AugmentPolicy:
-    if name == "none":
-        return IDENTITY
-    if name == "mild":
-        return MILD
-    if name == "aggressive":
-        return AGGRESSIVE
-    if name == "custom":
-        if custom is None:
-            raise ContractError("policy 'custom' requested without parameters")
-        return replace(custom, name="custom")
-    raise ContractError(f"unknown augmentation policy {name!r}")
-
-
-def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    # the arithmetic of rng.uniform(lo, hi), without its per-call overhead
-    return lo + (hi - lo) * rng.random()
 
 
 def augment(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator) -> np.ndarray:
@@ -95,10 +70,10 @@ def augment(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator
     block of images. Random draws are made row by row, in the order a
     separate call per row would make them, so the views do not depend on
     how a batch is split into calls; the transforms then run once on the
-    whole block. Each row draws [crop][flip][rotation][scale][noise][mask];
-    with noise and a scale or mask but no crop, flip or rotation, row r's
-    mask draws and row r + 1's scale come from one generator call, which
-    leaves the stream as it is. Deterministic given the generator state;
+    whole block. Each row draws [crop][flip][scale][noise][mask]; with
+    noise and a scale or mask but no crop or flip, row r's mask draws and
+    row r + 1's scale come from one generator call, which leaves the
+    stream as it is. Deterministic given the generator state;
     two calls on one stream give two independent views of each row. The
     identity policy and an empty block return a bitwise copy without
     consuming randomness.
@@ -116,17 +91,14 @@ def augment(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator
     is_image = views.ndim == 3
     crop = is_image and policy.crop_range is not None
     flip = is_image and policy.flip_prob > 0
-    rotate = not is_image and policy.rotation_range > 0 and views.shape[1] >= 2
     scaled, noisy, masked = (policy.scale_range is not None, policy.noise_std > 0,
                              policy.mask_prob > 0)
     if crop:
         h, w = views.shape[1:]
+        area_lo, area_hi = policy.crop_range
         crop_h, crop_w, top, left = (np.empty(b, dtype=np.intp) for _ in range(4))
     if flip:
         flipped = np.empty(b, dtype=bool)
-    if rotate:
-        axis_i, axis_j = np.empty(b, dtype=np.intp), np.empty(b, dtype=np.intp)
-        cos, sin = np.empty(b), np.empty(b)
     n = views[0].size
     noise = np.empty((b, n)) if noisy else None
     # row r's uniforms: its scale, then its n mask draws. One slot past the end
@@ -137,7 +109,7 @@ def augment(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator
     uniforms, after_noise = drawn[:b * k].reshape(b, k), drawn[scaled:].reshape(b, k)
     random, standard_normal = rng.random, rng.standard_normal
 
-    if noisy and k and not (crop or flip or rotate):
+    if noisy and k and not (crop or flip):
         if scaled:
             random(out=drawn[:1])
         for noise_row, after in zip(noise[:-1], after_noise[:-1]):
@@ -149,17 +121,14 @@ def augment(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator
     else:
         for r in range(b):
             if crop:
-                side = np.sqrt(_uniform(rng, *policy.crop_range))
+                # the arithmetic of rng.uniform(area_lo, area_hi)
+                side = np.sqrt(area_lo + (area_hi - area_lo) * random())
                 crop_h[r] = ch = max(1, int(round(h * side)))
                 crop_w[r] = cw = max(1, int(round(w * side)))
                 top[r] = rng.integers(0, h - ch + 1)
                 left[r] = rng.integers(0, w - cw + 1)
             if flip:
                 flipped[r] = random() < policy.flip_prob
-            if rotate:
-                axis_i[r], axis_j[r] = rng.choice(views.shape[1], size=2, replace=False)
-                theta = _uniform(rng, -policy.rotation_range, policy.rotation_range)
-                cos[r], sin[r] = np.cos(theta), np.sin(theta)
             if scaled:
                 random(out=uniforms[r, :1])
             if noisy:
@@ -167,18 +136,13 @@ def augment(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator
             if masked:
                 random(out=uniforms[r, scaled:])
 
-    rows = np.arange(b)
     if crop:
         # nearest-neighbour resize of each row's crop back to the full grid
         src_y = top[:, None] + np.minimum((np.arange(h) * crop_h[:, None]) // h, crop_h[:, None] - 1)
         src_x = left[:, None] + np.minimum((np.arange(w) * crop_w[:, None]) // w, crop_w[:, None] - 1)
-        views = views[rows[:, None, None], src_y[:, :, None], src_x[:, None, :]]
+        views = views[np.arange(b)[:, None, None], src_y[:, :, None], src_x[:, None, :]]
     if flip:
         views[flipped] = views[flipped, :, ::-1]
-    if rotate:
-        vi, vj = views[rows, axis_i], views[rows, axis_j]
-        views[rows, axis_i] = cos * vi - sin * vj
-        views[rows, axis_j] = sin * vi + cos * vj
     flat = views.reshape(b, n)
     if scaled:
         lo, hi = policy.scale_range

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .augment import AugmentPolicy, policy_by_name
+from .augment import AGGRESSIVE, IDENTITY, MILD, AugmentPolicy
 from .errors import ConfigError, ContractError
 from .losses import LossConfig
 from .nn import MlpSpec
@@ -52,7 +52,6 @@ class RunConfig:
     custom_mask_prob: float = 0.2
     custom_scale_min: float = 0.5
     custom_scale_max: float = 1.5
-    custom_rotation_range: float = 0.0
     custom_crop_min: float = 0.6
     custom_crop_max: float = 1.0
     custom_flip_prob: float = 0.5
@@ -60,8 +59,6 @@ class RunConfig:
     seed_init: int = 0
     seed_data: int = 1
     seed_augment: int = 2
-    # distillation
-    distill_source: str = "teacher"      # which network of a loaded checkpoint
     # evaluation
     eval_every: int = 10
     eval_k: int = 5
@@ -85,17 +82,19 @@ class RunConfig:
             self.objective = self.objective.objective
 
     def augment_policy(self, name: str) -> AugmentPolicy:
-        """The named view policy; "custom" is built from the custom_* fields."""
-        custom = AugmentPolicy(
-            name="custom",
+        """The view policy none, mild or aggressive, or "custom" built from the custom_* fields."""
+        presets = {"none": IDENTITY, "mild": MILD, "aggressive": AGGRESSIVE}
+        if name in presets:
+            return presets[name]
+        if name != "custom":
+            raise ContractError(f"unknown augmentation policy {name!r}")
+        return AugmentPolicy(
             noise_std=self.custom_noise_std,
             mask_prob=self.custom_mask_prob,
             scale_range=(self.custom_scale_min, self.custom_scale_max),
-            rotation_range=self.custom_rotation_range,
             crop_range=(self.custom_crop_min, self.custom_crop_max),
             flip_prob=self.custom_flip_prob,
         )
-        return policy_by_name(name, custom=custom)
 
     def validate(self) -> None:
         """Raise ConfigError for any value no run could use."""
@@ -108,8 +107,8 @@ class RunConfig:
                 raise ConfigError(f"{f.name}={value!r} cannot be written to resolved.cfg")
         try:
             LossConfig(self.objective, self.temperature)
-            self.augment_policy(self.teacher_policy)
-            self.augment_policy(self.student_policy)
+            for name in (self.teacher_policy, self.student_policy, "custom"):
+                self.augment_policy(name)     # custom_* fields are checked whatever is chosen
             if self.encoder_widths:
                 MlpSpec(self.encoder_widths, final_normalize=True)
         except ContractError as e:
@@ -125,9 +124,6 @@ class RunConfig:
         for name in ("momentum", "sgd_momentum"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
-        if self.distill_source not in ("teacher", "student"):
-            raise ConfigError(f"distill_source must be teacher or student, "
-                              f"got {self.distill_source!r}")
         if self.batch_size > self.bank_capacity:
             raise ConfigError("batch_size cannot exceed bank_capacity")
         if self.objective != "byol" and self.bank_capacity < 2:

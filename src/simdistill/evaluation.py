@@ -177,7 +177,8 @@ def linear_probe(train: EmbeddingTable, test: EmbeddingTable, epochs: int = 200,
 
 def single_member_class(labels: np.ndarray) -> int | None:
     """The lowest class with exactly one row, which recall@k cannot score, or None."""
-    singles = np.flatnonzero(np.bincount(labels) == 1)
+    classes, counts = np.unique(labels, return_counts=True)
+    singles = classes[counts == 1]
     return int(singles[0]) if len(singles) else None
 
 

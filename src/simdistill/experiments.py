@@ -174,8 +174,8 @@ def build_datasets(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
 
     Validates the config, then makes the one check of it against its corpus,
     each fault a ConfigError naming the corpus: an eval split of one sample at
-    least, one feature width, eval_k train rows at least, and a set
-    encoder_widths that reads that width.
+    least, one feature width of one feature at least, eval_k train rows at
+    least, and a set encoder_widths that reads that width.
     """
     cfg.validate()
     if cfg.data_train:
@@ -190,6 +190,8 @@ def build_datasets(cfg: RunConfig) -> tuple[LabeledDataset, LabeledDataset]:
         eval_ds = gen_gaussian_mixture(cfg.data_classes, cfg.data_eval_per_class, cfg.data_dim,
                                        cfg.data_sep, cfg.data_seed, split="eval")
     dim = train_ds.feature_dim
+    if not dim:
+        raise ConfigError(f"{corpus} has 0 features per sample: the encoder needs one at least")
     if eval_ds.feature_dim != dim:
         raise ConfigError(f"{corpus} has {dim} features per sample, "
                           f"{cfg.data_eval} has {eval_ds.feature_dim}")

@@ -304,17 +304,15 @@ def distill(config: RunConfig, teacher_checkpoint, train_ds: LabeledDataset,
 def distill_trainer(config: RunConfig, teacher_checkpoint, input_dim: int) -> Trainer:
     """The trainer of a frozen-teacher distillation, run with :func:`distill_config`.
 
-    The student starts from scratch; the output checkpoint's teacher
-    weights are bitwise those of the input. ``config.distill_source``
-    selects which network of the loaded checkpoint becomes the frozen
-    teacher; a network that is not the configured encoder for ``input_dim``
-    features raises :class:`CheckpointError`.
+    The student starts from scratch, and the loaded checkpoint's teacher
+    encoder is the frozen teacher: the output checkpoint's teacher weights
+    are bitwise those of the input. A teacher that is not the configured
+    encoder for ``input_dim`` features raises :class:`CheckpointError`.
     """
     if isinstance(teacher_checkpoint, str):
         teacher_checkpoint = load_checkpoint(teacher_checkpoint)
     cfg = distill_config(config)
-    source = teacher_checkpoint.pair
-    loaded = source.teacher_encoder if cfg.distill_source == "teacher" else source.student_encoder
+    loaded = teacher_checkpoint.pair.teacher_encoder
     encoder_spec = _encoder_spec(cfg, input_dim)
     if loaded.spec != encoder_spec:
         raise encoder_mismatch(loaded.spec, f"the configured encoder {encoder_spec.layer_widths}")

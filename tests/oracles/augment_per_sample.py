@@ -1,6 +1,8 @@
 """Reference for ``simdistill.augment.augment``: one sample per call.
 
-The per-sample implementation the block version replaced, kept verbatim.
+The per-sample implementation the block version replaced, kept verbatim
+apart from the random rotation of feature vectors, which the library no
+longer offers.
 Stacking its views of b rows, drawn one call after another from one
 generator, must equal the block function's output byte for byte and leave
 the generator in the same state.
@@ -46,14 +48,6 @@ def augment(sample: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator)
         view = _crop_resize(view, float(rng.uniform(lo, hi)), rng)
     if is_image and policy.flip_prob > 0 and rng.random() < policy.flip_prob:
         view = view[:, ::-1].copy()
-    if not is_image and policy.rotation_range > 0 and view.shape[0] >= 2:
-        d = view.shape[0]
-        i, j = rng.choice(d, size=2, replace=False)
-        theta = rng.uniform(-policy.rotation_range, policy.rotation_range)
-        c, s = np.cos(theta), np.sin(theta)
-        vi, vj = view[i], view[j]
-        view[i] = c * vi - s * vj
-        view[j] = s * vi + c * vj
     if policy.scale_range is not None:
         lo, hi = policy.scale_range
         view *= rng.uniform(lo, hi)

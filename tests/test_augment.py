@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import augment_per_sample
-from simdistill.augment import (AGGRESSIVE, IDENTITY, MILD, AugmentPolicy, augment,
-                                mean_distortion, policy_by_name)
+from simdistill.augment import AGGRESSIVE, IDENTITY, MILD, AugmentPolicy, augment, mean_distortion
+from simdistill.config import RunConfig
 from simdistill.errors import ContractError
 from simdistill.experiments import unbalanced_base_config
 
@@ -55,7 +55,7 @@ class TestNoise:
     def test_empirical_stddev_matches(self):
         """Per-coordinate stddev of noise on a zero vector within 2% of sigma."""
         sigma = 0.37
-        policy = AugmentPolicy("custom", noise_std=sigma)
+        policy = AugmentPolicy(noise_std=sigma)
         rng = np.random.default_rng(6)
         draws = np.stack([augment(np.zeros((1, 8)), policy, rng)[0] for _ in range(12500)])
         assert draws.std() == pytest.approx(sigma, rel=0.02)
@@ -63,26 +63,18 @@ class TestNoise:
 
 class TestFeatureTransforms:
     def test_masking_zeroes_expected_fraction(self):
-        policy = AugmentPolicy("custom", mask_prob=0.25)
+        policy = AugmentPolicy(mask_prob=0.25)
         rng = np.random.default_rng(7)
         views = np.stack([augment(np.ones((1, 16)), policy, rng)[0] for _ in range(4000)])
         assert (views == 0).mean() == pytest.approx(0.25, abs=0.01)
 
     def test_scaling_stays_in_range(self):
-        policy = AugmentPolicy("custom", scale_range=(0.5, 1.5))
+        policy = AugmentPolicy(scale_range=(0.5, 1.5))
         rng = np.random.default_rng(8)
         x = np.ones(4)
         for _ in range(200):
             s = augment(x[None], policy, rng)[0, 0]
             assert 0.5 <= s <= 1.5
-
-    def test_rotation_preserves_norm(self):
-        policy = AugmentPolicy("custom", rotation_range=1.0)
-        rng = np.random.default_rng(9)
-        x = np.random.default_rng(10).standard_normal(8)
-        for _ in range(50):
-            v = augment(x[None], policy, rng)[0]
-            assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(x), abs=1e-12)
 
 
 class TestImageTransforms:
@@ -94,29 +86,29 @@ class TestImageTransforms:
             assert v.shape == img.shape
 
     def test_flip_only(self):
-        policy = AugmentPolicy("custom", flip_prob=1.0)
+        policy = AugmentPolicy(flip_prob=1.0)
         img = np.arange(6.0).reshape(2, 3)
         v = augment(img[None], policy, np.random.default_rng(13))[0]
         assert np.array_equal(v, img[:, ::-1])
 
     def test_full_crop_fraction_is_identity(self):
-        policy = AugmentPolicy("custom", crop_range=(1.0, 1.0))
+        policy = AugmentPolicy(crop_range=(1.0, 1.0))
         img = np.random.default_rng(14).random((5, 5))
         v = augment(img[None], policy, np.random.default_rng(15))[0]
         assert np.array_equal(v, img)
 
 
-ROTATE_CROP_FLIP = AugmentPolicy("custom", noise_std=0.1, mask_prob=0.1, scale_range=(0.8, 1.2),
-                                 rotation_range=0.7, crop_range=(0.3, 0.9), flip_prob=0.5)
-# every draw pattern of a policy with no crop, flip or rotation; those with
+CROP_FLIP = AugmentPolicy(noise_std=0.1, mask_prob=0.1, scale_range=(0.8, 1.2),
+                          crop_range=(0.3, 0.9), flip_prob=0.5)
+# every draw pattern of a policy with no crop or flip; those with
 # noise and a scale or mask merge generator calls, the others draw row by row
-SCALE_ONLY = AugmentPolicy("custom", scale_range=(0.5, 1.5))
-MASK_ONLY = AugmentPolicy("custom", mask_prob=0.3)
-NOISE_ONLY = AugmentPolicy("custom", noise_std=0.4)
-SCALE_MASK = AugmentPolicy("custom", mask_prob=0.3, scale_range=(0.5, 1.5))
-SCALE_NOISE = AugmentPolicy("custom", noise_std=0.4, scale_range=(0.5, 1.5))
-NOISE_MASK = AugmentPolicy("custom", noise_std=0.4, mask_prob=0.3)
-SCALE_NOISE_MASK = AugmentPolicy("custom", noise_std=0.4, mask_prob=0.3, scale_range=(0.5, 1.5))
+SCALE_ONLY = AugmentPolicy(scale_range=(0.5, 1.5))
+MASK_ONLY = AugmentPolicy(mask_prob=0.3)
+NOISE_ONLY = AugmentPolicy(noise_std=0.4)
+SCALE_MASK = AugmentPolicy(mask_prob=0.3, scale_range=(0.5, 1.5))
+SCALE_NOISE = AugmentPolicy(noise_std=0.4, scale_range=(0.5, 1.5))
+NOISE_MASK = AugmentPolicy(noise_std=0.4, mask_prob=0.3)
+SCALE_NOISE_MASK = AugmentPolicy(noise_std=0.4, mask_prob=0.3, scale_range=(0.5, 1.5))
 UNBALANCED = unbalanced_base_config().augment_policy("custom")
 DRAW_PATTERNS = [SCALE_ONLY, MASK_ONLY, NOISE_ONLY, SCALE_MASK, SCALE_NOISE, NOISE_MASK,
           SCALE_NOISE_MASK, UNBALANCED]
@@ -125,10 +117,10 @@ DRAW_PATTERNS = [SCALE_ONLY, MASK_ONLY, NOISE_ONLY, SCALE_MASK, SCALE_NOISE, NOI
 class TestBlockMatchesPerSampleOracle:
     @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 9),
            shape=st.sampled_from([(1,), (2,), (32,), (1, 1), (3, 5), (6, 6), (8, 3)]),
-           policy=st.sampled_from([IDENTITY, MILD, AGGRESSIVE, ROTATE_CROP_FLIP, *DRAW_PATTERNS]))
+           policy=st.sampled_from([IDENTITY, MILD, AGGRESSIVE, CROP_FLIP, *DRAW_PATTERNS]))
     @settings(max_examples=600, deadline=None)
-    @example(seed=0, b=1, shape=(32,), policy=ROTATE_CROP_FLIP)
-    @example(seed=0, b=1, shape=(6, 6), policy=ROTATE_CROP_FLIP)
+    @example(seed=0, b=1, shape=(32,), policy=CROP_FLIP)
+    @example(seed=0, b=1, shape=(6, 6), policy=CROP_FLIP)
     @example(seed=0, b=9, shape=(6, 6), policy=SCALE_NOISE_MASK)
     @example(seed=0, b=9, shape=(32,), policy=UNBALANCED)
     def test_bytes_and_generator_state(self, seed, b, shape, policy):
@@ -142,7 +134,7 @@ class TestBlockMatchesPerSampleOracle:
         assert block.tobytes() == rows.tobytes()
         assert block_rng.bit_generator.state == row_rng.bit_generator.state
 
-    @pytest.mark.parametrize("policy", [MILD, AGGRESSIVE, ROTATE_CROP_FLIP, *DRAW_PATTERNS])
+    @pytest.mark.parametrize("policy", [MILD, AGGRESSIVE, CROP_FLIP, *DRAW_PATTERNS])
     @pytest.mark.parametrize("shape", [(0, 32), (0, 6, 6)])
     def test_empty_block_draws_nothing(self, policy, shape):
         rng = np.random.default_rng(20)
@@ -161,35 +153,29 @@ class TestPolicyOrdering:
         assert aggressive > mild
 
     def test_policy_by_name(self):
-        assert policy_by_name("none") is IDENTITY
-        assert policy_by_name("mild") is MILD
-        assert policy_by_name("aggressive") is AGGRESSIVE
-        custom = AugmentPolicy("custom", noise_std=0.9)
-        assert policy_by_name("custom", custom).noise_std == 0.9
-        with pytest.raises(ContractError):
-            policy_by_name("blur")
-        with pytest.raises(ContractError):
-            policy_by_name("custom")
+        cfg = RunConfig(custom_noise_std=0.9)
+        assert cfg.augment_policy("none") is IDENTITY
+        assert cfg.augment_policy("mild") is MILD
+        assert cfg.augment_policy("aggressive") is AGGRESSIVE
+        assert cfg.augment_policy("custom").noise_std == 0.9
+        with pytest.raises(ContractError, match="unknown augmentation policy 'blur'"):
+            cfg.augment_policy("blur")
 
 
 class TestValidation:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ContractError):
-            AugmentPolicy("custom", noise_std=-0.1)
+            AugmentPolicy(noise_std=-0.1)
         with pytest.raises(ContractError):
-            AugmentPolicy("custom", mask_prob=1.5)
+            AugmentPolicy(mask_prob=1.5)
         with pytest.raises(ContractError):
-            AugmentPolicy("custom", scale_range=(2.0, 1.0))
+            AugmentPolicy(scale_range=(2.0, 1.0))
         with pytest.raises(ContractError):
-            AugmentPolicy("custom", crop_range=(0.5, 1.2))
+            AugmentPolicy(crop_range=(0.5, 1.2))
         with pytest.raises(ContractError):
-            AugmentPolicy("custom", scale_range=(1.0, np.inf))
+            AugmentPolicy(scale_range=(1.0, np.inf))
         with pytest.raises(ContractError):
-            AugmentPolicy("custom", rotation_range=np.nan)
-        with pytest.raises(ContractError, match="rotation_range must be non-negative"):
-            AugmentPolicy("custom", rotation_range=-1.0)
-        with pytest.raises(ContractError):
-            AugmentPolicy("custom", noise_std=np.inf)
+            AugmentPolicy(noise_std=np.inf)
 
     @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4, 5)])
     def test_non_block_input_rejected(self, shape):

@@ -128,6 +128,9 @@ INPUT_FAULTS = {
     "recall-synthetic": (3, ["data_eval_per_class=1"], "ckpt6"),
     "recall-loaded": (3, ["data_train={train6}", "data_eval={eval6single}"], "ckpt6"),
     "probe-one-class": (3, ["data_train={train6class0}", "data_eval={eval6}"], "ckpt6"),
+    "corpus-no-features": (3, ["data_train={train0}", "data_eval={eval0}", "encoder_widths="],
+                           "ckpt6"),
+    "recall-large-label": (3, ["data_train={train6}", "data_eval={eval6biglabel}"], "ckpt6"),
 }
 # Checkpoint faults apply to the two commands that read a checkpoint. Recall faults
 # (an eval class of one sample) and probe faults (a train split of one class) apply
@@ -278,7 +281,7 @@ class TestExitCodes:
         ("train", "temperature=1e-320"),
         ("train", "teacher_policy=bogus"), ("train", "custom_noise_std=-1"),
         ("train", "custom_scale_min=0"), ("train", "predictor_hidden=0"),
-        ("train", "lr=nan"), ("distill", "distill_source=both"),
+        ("train", "lr=nan"), ("distill", "momentum=2"),
         ("eval", "eval_k=0"), ("eval", "probe_lr=0"), ("eval", "probe_epochs=-1"),
         ("eval", "recall_ks=0"), ("unbalanced", "seed_init=-1"),
         ("ablate-temperature", "eval_every=0"), ("train", "data_eval=eval.bin"),
@@ -394,8 +397,8 @@ class TestExitCodes:
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
     """Corpora of 6 and 8 features; 6-feature splits of one sample per class, of no
-    sample and of class 0 alone; a checkpoint of each width, a garbage file and the
-    path of a missing one."""
+    sample, of class 0 alone and with one sample of class 2**50; a corpus of no
+    features; a checkpoint of each width, a garbage file and the path of a missing one."""
     d = tmp_path_factory.mktemp("inputs")
     for dim in (6, 8):
         assert main(["gen-data", *gen_data_args(2, 12, 6, dim), "--out", str(d / f"d{dim}")]) == 0
@@ -408,10 +411,17 @@ def input_files(tmp_path_factory):
     class0 = train6.labels == 0
     save_dataset(LabeledDataset(train6.samples[class0], train6.labels[class0]),
                  str(d / "train6class0.bin"))
+    eval6 = load_dataset(str(d / "d6" / "eval.bin"))
+    save_dataset(LabeledDataset(eval6.samples, np.append(eval6.labels[:-1], 2**50), split="eval"),
+                 str(d / "eval6biglabel.bin"))
+    save_dataset(LabeledDataset(train6.samples[:, :0], train6.labels), str(d / "train0.bin"))
+    save_dataset(LabeledDataset(eval6.samples[:, :0], eval6.labels, split="eval"),
+                 str(d / "eval0.bin"))
     (d / "garbage.bin").write_bytes(b"garbage")
     return {"train6": d / "d6" / "train.bin", "eval6": d / "d6" / "eval.bin",
             "eval6single": d / "single" / "eval.bin", "eval6empty": d / "eval6empty.bin",
-            "train6class0": d / "train6class0.bin",
+            "train6class0": d / "train6class0.bin", "eval6biglabel": d / "eval6biglabel.bin",
+            "train0": d / "train0.bin", "eval0": d / "eval0.bin",
             "eval8": d / "d8" / "eval.bin", "ckpt6": d / "run6" / "checkpoint.bin",
             "ckpt8": d / "run8" / "checkpoint.bin", "garbage": d / "garbage.bin",
             "missing": d / "missing.bin"}
@@ -616,6 +626,25 @@ class TestEvalCommand:
         with open(out / "eval.csv") as f:
             assert sorted({row["metric"] for row in csv.DictReader(f)}) == ["knn", "linear"]
 
+    @pytest.mark.parametrize("recall_ks", ["1,2", ""])
+    def test_large_label_ids_are_scored(self, tmp_path, input_files, recall_ks):
+        """A class id is a name, not a size: class 1 renamed 2**50 trains and scores."""
+        names = {}
+        for split in ("train6", "eval6"):
+            ds = load_dataset(str(input_files[split]))
+            names[split] = str(tmp_path / f"{split}.bin")
+            save_dataset(LabeledDataset(ds.samples, np.where(ds.labels == 1, 2**50, ds.labels),
+                                        split=ds.split), names[split])
+        files = ["--set", f"data_train={names['train6']}", "--set", f"data_eval={names['eval6']}"]
+        ckpt = os.path.join(run_train(tmp_path, extra=files), "checkpoint.bin")
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", ckpt, "--out", str(out), *FAST, *files,
+                     "--set", f"recall_ks={recall_ks}", "--set", "probe_epochs=5"]) == 0
+        with open(out / "eval.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2 * (2 + len(recall_ks.split(",")) * bool(recall_ks))
+        assert all(np.isfinite(float(row["value"])) for row in rows)
+
 
 class TestDistillCommand:
     def test_distill_run_writes_checkpoint(self, tmp_path):
@@ -669,6 +698,17 @@ class TestConfigEcho:
         cfg = load_config(os.path.join(out, "resolved.cfg"))
         assert serialize_config(cfg) == open(os.path.join(out, "resolved.cfg")).read()
         assert isinstance(cfg, RunConfig)
+
+    @pytest.mark.parametrize("line", ["custom_rotation_range=0.0", "distill_source=teacher"])
+    def test_echo_holding_a_removed_key_is_exit_3(self, tmp_path, capsys, line):
+        """An echo written while the option existed names it as an unknown key."""
+        old = tmp_path / "old.cfg"
+        old.write_text(open(os.path.join(run_train(tmp_path), "resolved.cfg")).read() + line + "\n")
+        out = tmp_path / "replay"
+        capsys.readouterr()
+        assert main(["train", "--config", str(old), "--out", str(out)]) == 3
+        assert f"unknown key '{line.split('=')[0]}'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "distill", "eval", "ablate-temperature",
                                          "unbalanced", "gen-data"])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simdistill.augment import MILD
 from simdistill.config import (RunConfig, apply_overrides, load_config, parse_config,
                                serialize_config)
 from simdistill.errors import ConfigError
@@ -65,7 +66,7 @@ class TestRoundTrip:
         assert "lr_step_fracs=0.7,0.9\nlr_step_factor=0.2\n" in text
         assert "encoder_widths=\npredictor_hidden=64\nteacher_policy=none\n" in text
         assert "recall_ks=1,2,4,8\n" in text
-        assert "seed_augment=2\ndistill_source=teacher\neval_every=10\n" in text
+        assert "seed_augment=2\neval_every=10\n" in text
         assert text.endswith("data_sep=6.0\ndata_seed=7\n")
 
     @pytest.mark.parametrize("values", [
@@ -166,9 +167,9 @@ class TestValidate:
         "custom_noise_std=-1", "custom_scale_min=0", "custom_crop_max=1.5",
         "predictor_hidden=0", "encoder_widths=6", "lr=nan", "lr=inf", "lr=-0.1",
         "momentum=inf", "weight_decay=inf", "weight_decay=-1", "sgd_momentum=5",
-        "sgd_momentum=-0.1", "lr_step_factor=-1", "custom_rotation_range=-1",
+        "sgd_momentum=-0.1", "lr_step_factor=-1",
         "lr_step_fracs=0.5,nan", "lr_schedule=linear", "batch_size=0", "epochs=-1",
-        "bank_capacity=1", "distill_source=both", "eval_k=0", "eval_every=0",
+        "bank_capacity=1", "eval_k=0", "eval_every=0",
         "probe_lr=0", "probe_epochs=-1", "recall_ks=1,0", "seed_augment=-1",
         "data_classes=1", "data_dim=1", "data_sep=-1", "data_per_class=0",
         "lr_step_fracs=5", "lr_step_fracs=-1", "lr_step_fracs=0.5,1",
@@ -243,15 +244,14 @@ class TestTrainerReadsConfig:
 
     def test_named_policies(self):
         trainer = Trainer(RunConfig(teacher_policy="mild", student_policy="none"), 6)
-        assert trainer.teacher_policy.name == "mild"
+        assert trainer.teacher_policy is MILD
         assert trainer.student_policy.is_identity
 
     def test_custom_policy_fields(self):
-        rc = RunConfig(student_policy="custom", custom_noise_std=0.9,
-                       custom_rotation_range=0.3)
+        rc = RunConfig(student_policy="custom", custom_noise_std=0.9, custom_flip_prob=0.3)
         trainer = Trainer(rc, 6)
         assert trainer.student_policy.noise_std == 0.9
-        assert trainer.student_policy.rotation_range == 0.3
+        assert trainer.student_policy.flip_prob == 0.3
 
     def test_empty_widths_defer_to_data_dim(self):
         trainer = Trainer(RunConfig(encoder_widths=()), 7)

@@ -16,7 +16,10 @@ module function ``tensor.backward`` would keep alive, or a ``Tensor.shape``
 property, which every array's ``shape`` keeps alive), dunders, which it
 skips, and a field that shares its name with an attribute read elsewhere
 (an ``epoch`` field passes as long as ``Trainer.epoch`` or
-``Checkpoint.epoch`` is read, whoever reads this one).
+``Checkpoint.epoch`` is read, whoever reads this one). An
+``AugmentPolicy.name`` field that nothing read went unseen this way: every
+``f.name`` that ``config.py`` reads off a ``dataclasses.Field`` kept it
+alive.
 """
 
 import ast

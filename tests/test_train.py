@@ -396,15 +396,6 @@ class TestDistill:
                              loaded.pair.teacher_encoder.parameters()):
             assert np.array_equal(got.data, want.data)
 
-    def test_student_source_selectable(self, tmp_path):
-        ds = small_dataset()
-        path = self._teacher_checkpoint(ds, None, tmp_path)
-        loaded = load_checkpoint(path)
-        out = distill(small_config(epochs=0, distill_source="student"), path, ds)
-        for got, want in zip(out.pair.teacher_encoder.parameters(),
-                             loaded.pair.student_encoder.parameters()):
-            assert np.array_equal(got.data, want.data)
-
     def test_architecture_mismatch_rejected(self, tmp_path):
         ds = small_dataset()
         path = self._teacher_checkpoint(ds, None, tmp_path)
