@@ -2,15 +2,30 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import ContractError, EmptyBankError, ShapeError
+from .errors import ContractError, EmptyBankError, NumericDomainError, ShapeError
+from .tensor import unit_rows
+
+
+@dataclass(frozen=True)
+class UnitAnchors:
+    """Anchor rows already scaled to unit norm and checked finite, oldest first.
+
+    The objectives take these as they are; any other anchor array they
+    check and normalise at every call.
+    """
+
+    rows: np.ndarray
 
 
 class AnchorBank:
     """Ring buffer of the most recent teacher embeddings.
 
-    Rows are stored as plain float64 values with no graph linkage. Once
+    Rows are stored as plain float64 values with no graph linkage, each
+    beside its unit row, which is computed once when the row enters. Once
     the bank has seen at least ``capacity`` rows it stays permanently
     full, always evicting the oldest row first.
     """
@@ -21,38 +36,51 @@ class AnchorBank:
         self.capacity = int(capacity)
         self.dim = int(dim)
         self.storage = np.zeros((self.capacity, self.dim))
+        self.units = np.zeros((self.capacity, self.dim))    # unit_rows of each storage row
         self.head = 0      # next write position
         self.count = 0     # valid rows, <= capacity
 
     def enqueue(self, batch) -> None:
         """Append rows FIFO, overwriting the oldest once full.
 
-        Rows must arrive already unit-normalised (the teacher encoder ends
-        in L2 normalization); in debug mode a row whose norm is off by
-        more than 1e-6 raises a contract error.
+        A batch holding NaN or Inf raises :class:`NumericDomainError` and
+        leaves the bank unchanged. Rows must arrive already unit-normalised
+        (the teacher encoder ends in L2 normalization); in debug mode a row
+        whose norm is off by more than 1e-6 raises a contract error.
         """
-        rows = np.asarray(batch, dtype=np.float64)
+        rows = np.ascontiguousarray(batch, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             raise ShapeError(f"enqueue: expected rows of width {self.dim}, got shape {rows.shape}")
         b = rows.shape[0]
         if b > self.capacity:
             raise ContractError(f"enqueue: batch of {b} rows exceeds capacity {self.capacity}")
+        if not np.all(np.isfinite(rows)):
+            raise NumericDomainError("anchors contain NaN or Inf")
         if __debug__ and b:
             norms = np.linalg.norm(rows, axis=1)
             off = np.abs(norms - 1.0)
             if off.max() > 1e-6:
                 raise ContractError(f"enqueue: row norm off unit by {off.max():.3g} (> 1e-6)")
-        self.storage[(self.head + np.arange(b)) % self.capacity] = rows
+        idx = (self.head + np.arange(b)) % self.capacity
+        self.storage[idx] = rows
+        self.units[idx] = unit_rows(rows)
         self.head = (self.head + b) % self.capacity
         self.count = min(self.count + b, self.capacity)
 
-    def snapshot(self) -> np.ndarray:
-        """A copy of the valid rows, oldest first; later enqueues do not change it."""
+    def _valid(self) -> np.ndarray:
+        """Positions of the valid rows, oldest first."""
         if self.count == 0:
             raise EmptyBankError("snapshot: bank is empty; pre-fill it with teacher embeddings first")
         start = (self.head - self.count) % self.capacity
-        idx = (start + np.arange(self.count)) % self.capacity
-        return self.storage[idx]    # fancy indexing already copies
+        return (start + np.arange(self.count)) % self.capacity
+
+    def snapshot(self) -> np.ndarray:
+        """A copy of the valid rows, oldest first; later enqueues do not change it."""
+        return self.storage[self._valid()]    # fancy indexing already copies
+
+    def unit_snapshot(self) -> UnitAnchors:
+        """The unit rows of :meth:`snapshot`, bitwise ``unit_rows(snapshot())``, as a copy."""
+        return UnitAnchors(self.units[self._valid()])
 
     def state(self) -> tuple[np.ndarray, int, int]:
         """Raw (storage copy, head, count) for checkpointing."""
@@ -60,13 +88,17 @@ class AnchorBank:
 
     @staticmethod
     def from_state(storage: np.ndarray, head: int, count: int) -> "AnchorBank":
-        """Rebuild a bank from :meth:`state`; head and count must fit the storage."""
+        """Rebuild a bank from :meth:`state`; head and count must fit the storage,
+        which must be finite. The unit rows are computed again from it."""
         bank = AnchorBank(storage.shape[0], storage.shape[1])
         if not 0 <= head < bank.capacity:
             raise ContractError(f"from_state: head {head} outside [0, {bank.capacity})")
         if not 0 <= count <= bank.capacity:
             raise ContractError(f"from_state: count {count} outside [0, {bank.capacity}]")
+        if not np.all(np.isfinite(storage)):
+            raise ContractError("from_state: storage contains NaN or Inf")
         bank.storage[...] = storage
+        bank.units[...] = unit_rows(bank.storage)
         bank.head = int(head)
         bank.count = int(count)
         return bank

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .bank import UnitAnchors
 from .errors import ContractError, DegenerateDistributionError, NumericDomainError, ShapeError
 from .tensor import Tensor
 
@@ -57,7 +58,9 @@ def distribution_entropy(p: np.ndarray) -> np.ndarray:
 
 
 # Each objective takes a [b, d] block; a single query is a [1, d] block.
-# Each constant input is an array, checked once per call, where it enters.
+# Each constant input is an array, checked once per call, where it enters;
+# anchors may instead be an AnchorBank's UnitAnchors, checked when each row
+# entered the bank.
 
 def _finite(name: str, block) -> np.ndarray:
     block = np.asarray(block, dtype=np.float64)
@@ -80,12 +83,19 @@ def _student_rows(block: Tensor):
     return T.l2_rows(_finite("student rows", block.data))
 
 
-def _anchor_units(anchors: np.ndarray, query_shape: tuple[int, ...], tau: float) -> np.ndarray:
-    """Unit anchor rows for a [b, d] query block: at least 2 finite rows of width d."""
+def _anchor_units(anchors: np.ndarray | UnitAnchors, query_shape: tuple[int, ...],
+                  tau: float) -> np.ndarray:
+    """Unit anchor rows for a [b, d] query block: at least 2 finite rows of width d.
+
+    :class:`UnitAnchors` pass through as they are, since the bank checked and
+    normalised each row when it entered; any other anchors are checked and
+    normalised here.
+    """
     _check_temperature(tau)
     if len(query_shape) != 2:
         raise ShapeError(f"queries must be a [b, d] block, got shape {query_shape}")
-    rows = _finite("anchors", anchors)
+    checked = isinstance(anchors, UnitAnchors)
+    rows = anchors.rows if checked else _finite("anchors", anchors)
     if rows.ndim != 2:
         raise ShapeError(f"anchors must be a [n, d] matrix, got shape {rows.shape}")
     if rows.shape[0] < 2:
@@ -94,7 +104,7 @@ def _anchor_units(anchors: np.ndarray, query_shape: tuple[int, ...], tau: float)
         )
     if rows.shape[1] != query_shape[1]:
         raise ShapeError(f"anchor width {rows.shape[1]} does not match query dim {query_shape[1]}")
-    return T.unit_rows(rows)
+    return rows if checked else T.unit_rows(rows)
 
 
 def _anchor_softmax(queries: np.ndarray, units: np.ndarray, tau: float) -> np.ndarray:
@@ -106,7 +116,8 @@ def _anchor_softmax(queries: np.ndarray, units: np.ndarray, tau: float) -> np.nd
     return p
 
 
-def anchor_distribution_batch(queries: np.ndarray, anchors: np.ndarray, tau: float) -> np.ndarray:
+def anchor_distribution_batch(queries: np.ndarray, anchors: np.ndarray | UnitAnchors,
+                              tau: float) -> np.ndarray:
     """Row-wise anchor distributions for a [b, d] block of constant queries."""
     queries = _finite("queries", queries)
     return _anchor_softmax(queries, _anchor_units(anchors, queries.shape, tau), tau)
@@ -160,18 +171,18 @@ def _anchor_cross_entropy(targets: np.ndarray, queries: Tensor, units: np.ndarra
     return T._record(value, "anchor_cross_entropy", (queries,), vjp)
 
 
-def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: np.ndarray,
-                               tau: float) -> Tensor:
+def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor,
+                               anchors: np.ndarray | UnitAnchors, tau: float) -> Tensor:
     """Mean over rows of -sum_i target_i log p_row(i)."""
     units = _anchor_units(anchors, queries.data.shape, tau)
     return _anchor_cross_entropy(_finite("targets", targets), queries, units, tau)
 
 
-def isd_loss_batch(q_t_emb: np.ndarray, q_s_pred: Tensor, anchors: np.ndarray,
+def isd_loss_batch(q_t_emb: np.ndarray, q_s_pred: Tensor, anchors: np.ndarray | UnitAnchors,
                    tau: float) -> tuple[Tensor, np.ndarray]:
     """Batch ISD loss plus the teacher distributions it was scored against.
 
-    The anchors are normalised once; teacher and student logits share them.
+    The unit anchors are found once; teacher and student logits share them.
     """
     units = _anchor_units(anchors, q_s_pred.data.shape, tau)
     q_t_emb = _teacher_block("teacher embeddings", q_t_emb, q_s_pred.data.shape)
@@ -179,7 +190,7 @@ def isd_loss_batch(q_t_emb: np.ndarray, q_s_pred: Tensor, anchors: np.ndarray,
     return _anchor_cross_entropy(p_t, q_s_pred, units, tau), p_t
 
 
-def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: np.ndarray,
+def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: np.ndarray | UnitAnchors,
                     tau: float) -> Tensor:
     """Batch InfoNCE: each row's positive is its own teacher embedding.
 

@@ -191,12 +191,10 @@ class Trainer:
 
         h_pt: float | None
         if objective == "isd":
-            snapshot = self.bank.snapshot()
-            loss, p_t = isd_loss_batch(t_emb, s_pred, snapshot, tau)
+            loss, p_t = isd_loss_batch(t_emb, s_pred, self.bank.unit_snapshot(), tau)
             h_pt = float(distribution_entropy(p_t).mean())
         elif objective == "moco":
-            snapshot = self.bank.snapshot()
-            loss = moco_loss_batch(s_pred, t_emb, snapshot, tau)
+            loss = moco_loss_batch(s_pred, t_emb, self.bank.unit_snapshot(), tau)
             h_pt = 0.0          # one-hot teacher target
         else:
             loss = byol_loss_batch(s_pred, t_emb)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from simdistill import tensor as T
 from simdistill.bank import AnchorBank
-from simdistill.errors import ContractError, EmptyBankError, ShapeError
+from simdistill.errors import ContractError, EmptyBankError, NumericDomainError, ShapeError
 
 
 def unit_rows(n, d, rng):
@@ -61,6 +64,20 @@ class TestEnqueue:
         bank = AnchorBank(2, 3)
         with pytest.raises(ContractError):
             bank.enqueue(unit_rows(3, 3, np.random.default_rng(2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected_and_bank_unchanged(self, bad):
+        """A batch holding NaN or Inf raises before anything is written, also where
+        the unit-norm check cannot see it (a NaN norm is not off by more than 1e-6)."""
+        bank = AnchorBank(4, 2)
+        with pytest.raises(NumericDomainError, match="anchors contain NaN or Inf"):
+            bank.enqueue(np.array([[bad, 0.0], [1.0, 0.0]]))
+        assert bank.count == 0 and bank.head == 0
+        bank.enqueue(unit_rows(3, 2, np.random.default_rng(9)))
+        before = [bank.storage.tobytes(), bank.units.tobytes(), bank.head, bank.count]
+        with pytest.raises(NumericDomainError, match="anchors contain NaN or Inf"):
+            bank.enqueue(np.array([[1.0, 0.0], [0.0, bad]]))
+        assert [bank.storage.tobytes(), bank.units.tobytes(), bank.head, bank.count] == before
 
     def test_full_bank_stays_full(self):
         rng = np.random.default_rng(3)
@@ -122,7 +139,53 @@ class TestAgainstListOracle:
         assert np.array_equal(restored.snapshot(), bank.snapshot())
         assert restored.head == bank.head and restored.count == bank.count
 
+    def test_non_finite_state_rejected(self):
+        storage = np.zeros((5, 3))
+        storage[4, 1] = np.nan
+        with pytest.raises(ContractError, match="NaN or Inf"):
+            AnchorBank.from_state(storage, 0, 5)
+
     @pytest.mark.parametrize("head,count", [(5, 4), (-1, 4), (0, 6), (0, -5)])
     def test_state_out_of_range_rejected(self, head, count):
         with pytest.raises(ContractError):
             AnchorBank.from_state(np.zeros((5, 3)), head, count)
+
+
+class TestUnitRows:
+    """The unit rows the bank computes once per row, on entry, are bitwise the rows
+    ``unit_rows`` gives for the whole snapshot, which the objectives computed at
+    every step before."""
+
+    @given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(2, 80),
+           d=st.sampled_from([1, 2, 3, 7, 8, 9, 31, 64, 65, 130]),
+           batches=st.lists(st.integers(1, 80), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_to_unit_rows_of_the_snapshot(self, seed, capacity, d, batches):
+        """After every enqueue of a script that wraps around, and after a
+        state()/from_state() round trip."""
+        rng = np.random.default_rng(seed)
+        bank = AnchorBank(capacity, d)
+        for b in batches:
+            bank.enqueue(unit_rows(min(b, capacity), d, rng))
+            units = bank.unit_snapshot().rows
+            assert units.tobytes() == T.unit_rows(bank.snapshot()).tobytes()
+        restored = AnchorBank.from_state(*bank.state())
+        assert restored.unit_snapshot().rows.tobytes() == units.tobytes()
+
+    @pytest.mark.parametrize("capacity", [512, 984, 1024])
+    def test_equal_at_training_shapes(self, capacity):
+        """Batches of 64 rows of width 64, and a partial batch, with wrap-around."""
+        rng = np.random.default_rng(capacity)
+        bank = AnchorBank(capacity, 64)
+        for b in [64] * 7 + [24] + [64] * 12:
+            bank.enqueue(unit_rows(b, 64, rng))
+            assert bank.unit_snapshot().rows.tobytes() == T.unit_rows(bank.snapshot()).tobytes()
+
+    def test_unit_snapshot_is_a_copy(self):
+        rng = np.random.default_rng(10)
+        bank = AnchorBank(2, 2)
+        bank.enqueue(unit_rows(2, 2, rng))
+        units = bank.unit_snapshot().rows
+        kept = units.copy()
+        bank.enqueue(unit_rows(2, 2, rng))
+        assert np.array_equal(units, kept)

@@ -12,6 +12,7 @@ import pytest
 
 from oracles import anchor_softmax, loss_chain
 from simdistill.augment import augment
+from simdistill.bank import AnchorBank
 from simdistill.checkpoint import load_checkpoint, save_checkpoint
 from simdistill.config import RunConfig
 from simdistill.data import gen_gaussian_mixture
@@ -150,20 +151,27 @@ class TestStepContracts:
         with pytest.raises(ColdStartError, match="pre-fill"):
             trainer.step(ds.samples[:4])
 
-    def test_enqueue_happens_strictly_after_the_loss(self):
-        """The anchor snapshot scored by a step never contains that step's views."""
+    @pytest.mark.parametrize("objective", ["isd", "moco"])
+    def test_enqueue_happens_strictly_after_the_loss(self, monkeypatch, objective):
+        """The bank's unit rows a step scores never contain that step's views: the
+        step reads them, scores its loss, and only then enqueues."""
+        train_mod = importlib.import_module("simdistill.train")
         ds = small_dataset()
-        trainer = Trainer(small_config(), ds.feature_dim)
+        trainer = Trainer(small_config(objective), ds.feature_dim)
         trainer.prefill(ds)
 
         events = []
-        original_snapshot = trainer.bank.snapshot
+        loss_name = f"{objective}_loss_batch"
+        loss_fn = getattr(train_mod, loss_name)
+        original_units = trainer.bank.unit_snapshot
         original_enqueue = trainer.bank.enqueue
-        trainer.bank.snapshot = lambda: (events.append("snapshot"), original_snapshot())[1]
+        trainer.bank.unit_snapshot = lambda: (events.append("unit_snapshot"), original_units())[1]
         trainer.bank.enqueue = lambda batch: (events.append("enqueue"), original_enqueue(batch))[1]
+        monkeypatch.setattr(train_mod, loss_name,
+                            lambda *args: (events.append("loss"), loss_fn(*args))[1])
 
         trainer.step(ds.samples[:8])
-        assert events == ["snapshot", "enqueue"]
+        assert events == ["unit_snapshot", "loss", "enqueue"]
 
     def test_teacher_grads_zero_after_steps(self):
         ds = small_dataset()
@@ -560,6 +568,29 @@ class TestMocoReductionEndToEnd:
         assert np.abs(trainer.bank.snapshot() - np.stack(queue)).max() < 1e-12
 
 
+class TestTracerView:
+    """``bench/tracer.py`` times a step's anchor work by wrapping the names the step
+    looks up: ``simdistill.train.isd_loss_batch``, ``moco_loss_batch`` and
+    ``AnchorBank.enqueue``. A step that reached them some other way would read
+    0 ms in ``losses.isd_ms``, ``losses.moco_ms`` or ``bank.enqueue_ms``."""
+
+    @pytest.mark.parametrize("objective", ["isd", "moco"])
+    def test_a_step_calls_its_loss_and_enqueue_once(self, monkeypatch, objective):
+        train_mod = importlib.import_module("simdistill.train")
+        calls = []
+        for owner, attr in [(train_mod, "isd_loss_batch"), (train_mod, "moco_loss_batch"),
+                            (AnchorBank, "enqueue")]:
+            original = vars(owner)[attr]    # the tracer's lookup
+            monkeypatch.setattr(owner, attr, lambda *args, attr=attr, original=original:
+                                (calls.append(attr), original(*args))[1])
+        ds = small_dataset()
+        trainer = Trainer(small_config(objective), ds.feature_dim)
+        trainer.prefill(ds)
+        calls.clear()
+        trainer.step(ds.samples[:8])
+        assert calls == [f"{objective}_loss_batch", "enqueue"]
+
+
 class TestFusedPathMatchesOracle:
     """Whole training runs through the CLI are byte-identical with the per-op MLP
     graph, the per-op objective chains, the out-of-place teacher softmax and
@@ -607,6 +638,8 @@ class TestFusedPathMatchesOracle:
         monkeypatch.setattr(train_mod, "moco_loss_batch", loss_chain.moco_loss_batch)
         monkeypatch.setattr(train_mod, "byol_loss_batch", loss_chain.byol_loss_batch)
         monkeypatch.setattr(train_mod, "ema_update", mlp_graph.ema_update)
+        # the chains normalise the raw anchor rows at every step, as the step once did
+        monkeypatch.setattr(AnchorBank, "unit_snapshot", AnchorBank.snapshot)
         oracle = run("oracle")
         assert fused == oracle
 
