@@ -108,8 +108,9 @@ def _anchor_units(anchors: np.ndarray | UnitAnchors, query_shape: tuple[int, ...
 
 
 def _anchor_softmax(queries: np.ndarray, units: np.ndarray, tau: float) -> np.ndarray:
-    p = T.unit_rows(queries) @ units.T
-    p /= tau
+    qs = T.unit_rows(queries)
+    qs *= 1.0 / tau     # on the [b, d] block, not the [b, K] logits
+    p = qs @ units.T
     p -= p.max(axis=1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
@@ -148,9 +149,12 @@ def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray):
 
 
 # Each objective below is one graph node whose only parent is the student
-# block. Its vjp runs the operations of the per-op chain it replaced
-# (tests/oracles/loss_chain.py) in that chain's order, so loss and gradient
-# are bitwise the chain's.
+# block, with the closed-form vjp of the per-op chain it replaced
+# (tests/oracles/loss_chain.py). BYOL runs that chain's operations in its
+# order, so its loss and gradient are bitwise the chain's. ISD and MoCo apply
+# 1/tau to the [b, d] query block and to the [b, d] product with the anchors,
+# not to the [b, K] logits and their gradient, so they agree with the chain
+# to rounding.
 
 def _anchor_cross_entropy(targets: np.ndarray, queries: Tensor, units: np.ndarray,
                           tau: float) -> Tensor:
@@ -159,14 +163,12 @@ def _anchor_cross_entropy(targets: np.ndarray, queries: Tensor, units: np.ndarra
         raise ShapeError(f"target block {targets.shape} does not match [{b}, {units.shape[0]}]")
     c = 1.0 / tau
     qs, normalize_vjp = _student_rows(queries)
-    logits = qs @ units.T
-    logits *= c
-    value, ce_vjp = _soft_cross_entropy(logits, targets)
+    value, ce_vjp = _soft_cross_entropy((qs * c) @ units.T, targets)
 
     def vjp(g):
-        g = ce_vjp(g)
+        g = ce_vjp(g) @ units
         g *= c
-        return (normalize_vjp(g @ units),)
+        return (normalize_vjp(g),)
 
     return T._record(value, "anchor_cross_entropy", (queries,), vjp)
 
@@ -201,16 +203,17 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: np.ndarray | Un
     b = q_emb.data.shape[0]
     c = 1.0 / tau
     qs, normalize_vjp = _student_rows(q_emb)
+    qs = qs * c
     logits = np.concatenate([(qs * pos_units).sum(axis=1)[:, None], qs @ units.T], axis=1)
-    logits *= c
     onehot = np.zeros((b, units.shape[0] + 1))
     onehot[:, 0] = 1.0
     value, ce_vjp = _soft_cross_entropy(logits, onehot)
 
     def vjp(g):
         g = ce_vjp(g)
+        g = g[:, 0][:, None] * pos_units + g[:, 1:] @ units
         g *= c
-        return (normalize_vjp(g[:, 0][:, None] * pos_units + g[:, 1:] @ units),)
+        return (normalize_vjp(g),)
 
     return T._record(value, "moco_loss", (q_emb,), vjp)
 

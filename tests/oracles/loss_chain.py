@@ -5,7 +5,10 @@
 neg and a 1/b scale), and ``byol_loss_batch`` as it was before the fused
 objectives, kept verbatim except that the ops come from ``graph_ops`` and
 the anchors are an array, as the library now takes them.
-Each fused objective must give bitwise the same value and gradient.
+The fused BYOL objective must give bitwise the same value and gradient. The
+fused ISD and MoCo objectives scale by 1/tau on the [b, d] blocks rather than
+on the [b, K] logits, so they round differently: they must agree with these
+chains to ``CHAIN_RTOL`` (see :func:`assert_close`).
 """
 
 import numpy as np
@@ -14,6 +17,20 @@ from oracles import graph_ops as G
 from simdistill import tensor as T
 from simdistill.errors import ContractError, ShapeError
 from simdistill.tensor import Tensor, unit_rows
+
+
+# How far an ISD or MoCo node's value or gradient may lie from its chain's,
+# relative to the larger of the chain's and the size of the terms it sums.
+CHAIN_RTOL = 1e-12
+
+
+def assert_close(got, want, scale=1.0, rtol=CHAIN_RTOL):
+    """``got`` and ``want`` have one shape and differ by at most
+    rtol * max(|want|, scale). A logit is up to 1/tau in size, so a loss or a
+    gradient that cancels such terms is compared with ``scale`` 1/tau."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= rtol * max(np.abs(want).max(initial=0.0), scale)
 
 
 def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor, anchors: np.ndarray,

@@ -201,10 +201,11 @@ class TestSoftCrossEntropy:
            tau=st.sampled_from([1.0, 0.1, 0.005]), one_hot=st.booleans(),
            weight=st.sampled_from([1.0, 0.3, -2.5]))
     @settings(max_examples=200, deadline=None)
-    def test_bitwise_equal_to_node_chain(self, seed, b, n, tau, one_hot, weight):
-        """Value and gradient equal the per-op chain (l2_normalize, matmul, scale,
-        log_softmax, mul, sum, neg, scale) byte for byte, for soft and one-hot
-        targets, also under an upstream gradient other than 1."""
+    def test_matches_node_chain(self, seed, b, n, tau, one_hot, weight):
+        """Value and gradient agree with the per-op chain (l2_normalize, matmul,
+        scale, log_softmax, mul, sum, neg, scale) to ``loss_chain.CHAIN_RTOL``,
+        for soft and one-hot targets, also under an upstream gradient other
+        than 1."""
         rng = np.random.default_rng(seed)
         values = rng.standard_normal((b, 3))
         anchors = rng.standard_normal((n, 3))
@@ -224,8 +225,9 @@ class TestSoftCrossEntropy:
                 x = Tensor.parameter(values.copy())
                 loss = T.mul(loss_of(x), weight)
                 T.backward(loss)
-                results.append((loss.data.tobytes(), x.grad.tobytes()))
-            assert results[0] == results[1]
+                results.append((loss.data, x.grad))
+            for got, want in zip(*results):
+                loss_chain.assert_close(got, want, scale=abs(weight) / tau)
 
     def test_passes_grad_check(self):
         rng = np.random.default_rng(41)
