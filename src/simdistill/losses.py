@@ -148,6 +148,21 @@ def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     return np.asarray(-(logp * targets).sum()) * scale, vjp
 
 
+def _times_units(g: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """``g @ units`` for a [b, K] gradient block, with K zero-padded to a multiple of 32.
+
+    OpenBLAS splits this product's reduction over K differently at different
+    thread counts unless K is a multiple of 32 (K = 984 after a default
+    prefill), and so rounds it differently. The zeros add nothing, but the
+    padded product may round unlike the unpadded one at small shapes.
+    """
+    pad = -units.shape[0] % 32
+    if pad:
+        g = np.pad(g, ((0, 0), (0, pad)))
+        units = np.pad(units, ((0, pad), (0, 0)))
+    return g @ units
+
+
 # Each objective below is one graph node whose only parent is the student
 # block, with the closed-form vjp of the per-op chain it replaced
 # (tests/oracles/loss_chain.py). BYOL runs that chain's operations in its
@@ -166,7 +181,7 @@ def _anchor_cross_entropy(targets: np.ndarray, queries: Tensor, units: np.ndarra
     value, ce_vjp = _soft_cross_entropy((qs * c) @ units.T, targets)
 
     def vjp(g):
-        g = ce_vjp(g) @ units
+        g = _times_units(ce_vjp(g), units)
         g *= c
         return (normalize_vjp(g),)
 
@@ -211,7 +226,7 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: np.ndarray | Un
 
     def vjp(g):
         g = ce_vjp(g)
-        g = g[:, 0][:, None] * pos_units + g[:, 1:] @ units
+        g = g[:, 0][:, None] * pos_units + _times_units(g[:, 1:], units)
         g *= c
         return (normalize_vjp(g),)
 

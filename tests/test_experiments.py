@@ -262,7 +262,8 @@ class TestEvalCommandErrors:
 @pytest.mark.skipif(experiments._openblas_threads() is None,
                     reason="numpy's BLAS is not scipy-openblas")
 class TestBlasThreads:
-    """``fan_out`` runs one OpenBLAS thread per process and restores the caller's count."""
+    """``fan_out`` runs one OpenBLAS thread per process and restores the caller's count;
+    a training run writes the same bytes at any thread count."""
 
     @pytest.fixture
     def two_threads(self, monkeypatch):
@@ -291,6 +292,27 @@ class TestBlasThreads:
         with pytest.raises(SimDistillError):
             fan_out(fn, [0, 1])
         assert two_threads() == 2
+
+    @pytest.mark.parametrize("objective", ["isd", "moco"])
+    def test_trained_bytes_do_not_depend_on_the_thread_count(self, tmp_path, objective):
+        """A default prefill leaves K = 984 of the 1024 anchors, and OpenBLAS would
+        round the student-gradient product with them differently at 1 and 2
+        threads; padded to a multiple of 32, a default run writes the same
+        ``metrics.csv`` and ``checkpoint.bin`` at both."""
+        get_threads, set_threads = experiments._openblas_threads()
+        previous = get_threads()
+        runs = []
+        try:
+            for threads in (1, 2):
+                set_threads(threads)
+                out = tmp_path / f"threads{threads}"
+                assert main(["train", "--out", str(out), "--set", "epochs=2",
+                             "--set", f"objective={objective}"]) == 0
+                runs.append([(out / name).read_bytes()
+                             for name in ("metrics.csv", "checkpoint.bin")])
+        finally:
+            set_threads(previous)
+        assert runs[0] == runs[1]
 
     def test_user_setting_wins(self):
         """With ``OPENBLAS_NUM_THREADS`` set at start-up, ``fan_out`` leaves the count alone."""
