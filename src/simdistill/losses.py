@@ -128,22 +128,25 @@ def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     """Mean over rows of -sum_i targets_i * log_softmax(logits)_i, and its vjp on arrays.
 
     The vjp is the closed form (softmax - targets)/b generalised to rows that
-    need not sum to one. Value and gradient repeat the operation order of
-    log_softmax, mul, sum, neg and a 1/b scale, so they are bitwise those of
-    that chain of graph nodes. ``logits`` is consumed: it is overwritten with
-    the log-probabilities, so callers pass a temporary.
+    need not sum to one. The value repeats the operation order of log_softmax,
+    mul, sum, neg and a 1/b scale. The vjp reuses the forward pass's exp block
+    rather than exponentiating the log-probabilities again, and folds the
+    softmax's division by the row sums into its per-row factor. ``logits`` is
+    consumed: it is overwritten with the log-probabilities, so callers pass a
+    temporary.
     """
     T._check_finite("soft_cross_entropy", logits)
     scale = 1.0 / logits.shape[0]
     logp = logits
     logp -= logp.max(axis=1, keepdims=True)
-    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    e = np.exp(logp)
+    sums = e.sum(axis=1, keepdims=True)
+    logp -= np.log(sums)
 
     def vjp(g):
         gt = targets * float(-(g * scale))
-        e = np.exp(logp)
-        e *= gt.sum(axis=1, keepdims=True)
-        return np.subtract(gt, e, out=gt)
+        # softmax * row sums of gt, as e * (row sums of gt / row sums of e)
+        return np.subtract(gt, e * (gt.sum(axis=1, keepdims=True) / sums), out=gt)
 
     return np.asarray(-(logp * targets).sum()) * scale, vjp
 
