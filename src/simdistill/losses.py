@@ -107,21 +107,27 @@ def _anchor_units(anchors: np.ndarray | UnitAnchors, query_shape: tuple[int, ...
     return rows if checked else T.unit_rows(rows)
 
 
-def _anchor_softmax(queries: np.ndarray, units: np.ndarray, tau: float) -> np.ndarray:
+def _anchor_softmax(queries: np.ndarray, units: np.ndarray,
+                    tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax of the scaled cosines of queries and unit anchors, and
+    each row's entropy H(p) = log sum e^z - sum p z, on the logits z shifted so
+    that their row maximum is 0. Both terms are >= 0, since every z <= 0 and
+    the sum holds e^0 = 1, so H is too; an entry p = 0 adds nothing."""
     qs = T.unit_rows(queries)
     qs *= 1.0 / tau     # on the [b, d] block, not the [b, K] logits
-    p = qs @ units.T
-    p -= p.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    return p
+    z = qs @ units.T
+    z -= z.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    sums = p.sum(axis=1, keepdims=True)
+    p /= sums
+    return p, np.log(sums[:, 0]) - np.einsum("ij,ij->i", p, z)
 
 
 def anchor_distribution_batch(queries: np.ndarray, anchors: np.ndarray | UnitAnchors,
                               tau: float) -> np.ndarray:
     """Row-wise anchor distributions for a [b, d] block of constant queries."""
     queries = _finite("queries", queries)
-    return _anchor_softmax(queries, _anchor_units(anchors, queries.shape, tau), tau)
+    return _anchor_softmax(queries, _anchor_units(anchors, queries.shape, tau), tau)[0]
 
 
 def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray):
@@ -199,15 +205,16 @@ def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor,
 
 
 def isd_loss_batch(q_t_emb: np.ndarray, q_s_pred: Tensor, anchors: np.ndarray | UnitAnchors,
-                   tau: float) -> tuple[Tensor, np.ndarray]:
-    """Batch ISD loss plus the teacher distributions it was scored against.
+                   tau: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Batch ISD loss, the teacher distributions p_t it was scored against, and
+    each row's entropy H(p_t), read off the teacher softmax.
 
     The unit anchors are found once; teacher and student logits share them.
     """
     units = _anchor_units(anchors, q_s_pred.data.shape, tau)
     q_t_emb = _teacher_block("teacher embeddings", q_t_emb, q_s_pred.data.shape)
-    p_t = _anchor_softmax(q_t_emb, units, tau)
-    return _anchor_cross_entropy(p_t, q_s_pred, units, tau), p_t
+    p_t, h_t = _anchor_softmax(q_t_emb, units, tau)
+    return _anchor_cross_entropy(p_t, q_s_pred, units, tau), p_t, h_t
 
 
 def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: np.ndarray | UnitAnchors,

@@ -30,6 +30,14 @@ from .nn import (MlpSpec, ModelPair, SgdState, default_encoder_spec,
                  default_predictor_spec, ema_update, mlp_forward, sgd_step)
 from .tensor import Tensor, backward
 
+# A step reads H(p_t) off the teacher softmax and no longer calls
+# distribution_entropy; the name stays here, re-exported, because
+# bench/tracer.py still wraps simdistill.train.distribution_entropy and the
+# benchmark's tests require every name it wraps to exist.
+__all__ = ["StepMetrics", "MetricsWriter", "knn_accuracies", "Trainer", "train",
+           "encoder_mismatch", "distill_config", "distill", "distill_trainer",
+           "distribution_entropy"]
+
 
 @dataclass
 class StepMetrics:
@@ -191,8 +199,8 @@ class Trainer:
 
         h_pt: float | None
         if objective == "isd":
-            loss, p_t = isd_loss_batch(t_emb, s_pred, self.bank.unit_snapshot(), tau)
-            h_pt = float(distribution_entropy(p_t).mean())
+            loss, _, h_t = isd_loss_batch(t_emb, s_pred, self.bank.unit_snapshot(), tau)
+            h_pt = float(h_t.mean())
         elif objective == "moco":
             loss = moco_loss_batch(s_pred, t_emb, self.bank.unit_snapshot(), tau)
             h_pt = 0.0          # one-hot teacher target

@@ -92,8 +92,9 @@ class TestIsdLoss:
         rng = np.random.default_rng(1)
         q = rng.standard_normal((1, 6))
         anchors = rng.standard_normal((10, 6))
-        loss, p_t = isd_loss_batch(q, Tensor(q.copy()), anchors, 0.1)
+        loss, p_t, h_t = isd_loss_batch(q, Tensor(q.copy()), anchors, 0.1)
         assert loss.item() == pytest.approx(float(distribution_entropy(p_t[0])), abs=1e-12)
+        assert loss.item() == pytest.approx(h_t[0], abs=1e-12)
 
     def test_uniform_distributions_give_log_n(self):
         """Uniform teacher and student over n anchors cost exactly ln n."""
@@ -287,7 +288,7 @@ class TestBatchForms:
         tau = 0.1
 
         q_s = Tensor.parameter(q_s_values.copy())
-        batch_loss, p_t = isd_loss_batch(q_t, q_s, anchors, tau)
+        batch_loss, p_t, _ = isd_loss_batch(q_t, q_s, anchors, tau)
         T.backward(batch_loss)
 
         singles = []
@@ -430,9 +431,11 @@ class TestBatchForms:
 
 class TestTeacherSideMatchesOutOfPlaceOracle:
     """The in-place teacher softmax agrees with its out-of-place form in
-    ``oracles.anchor_softmax`` to ``loss_chain.CHAIN_RTOL`` (it scales the [b, d] queries by
-    1/tau, the oracle the [b, K] logits), and the one-pass entropy gives the
-    bytes of the oracle's zero-safe form."""
+    ``oracles.anchor_softmax`` to ``loss_chain.CHAIN_RTOL`` (it scales the
+    [b, d] queries by 1/tau, the oracle the [b, K] logits), and the one-pass
+    entropy gives the bytes of the oracle's zero-safe form. The entropy
+    ``isd_loss_batch`` reads off the teacher softmax is >= 0 and agrees with
+    ``distribution_entropy`` to rounding of terms of size 1/tau."""
 
     @staticmethod
     def assert_matches(queries, anchors, tau):
@@ -441,6 +444,10 @@ class TestTeacherSideMatchesOutOfPlaceOracle:
         assert_close(p, want)
         assert (distribution_entropy(p).tobytes()
                 == anchor_softmax.distribution_entropy(p).tobytes())
+        _, p_t, h_t = isd_loss_batch(queries, Tensor(queries), anchors, tau)
+        assert p_t.tobytes() == p.tobytes()
+        assert h_t.min() >= 0
+        assert_close(h_t, distribution_entropy(p), scale=1 / tau)
         return p
 
     @pytest.mark.parametrize("n", [512, 984, 1024])
@@ -493,7 +500,7 @@ class TestInputsStayUntouched:
         elif name == "anchor_cross_entropy_batch":
             T.backward(anchor_cross_entropy_batch(targets, student, anchors, 0.07))
         elif name == "isd_loss_batch":
-            loss, p_t = isd_loss_batch(teacher, student, anchors, 0.07)
+            loss, p_t, _ = isd_loss_batch(teacher, student, anchors, 0.07)
             p_t_bytes = p_t.tobytes()
             T.backward(loss)
             assert p_t.tobytes() == p_t_bytes

@@ -640,7 +640,6 @@ class TestFusedPathMatchesOracle:
         assert run("oracle") == fused
         if objective == "byol":
             return
-        monkeypatch.setattr(train_mod, "distribution_entropy", anchor_softmax.distribution_entropy)
         monkeypatch.setattr(train_mod, "isd_loss_batch", chain_isd_loss_batch)
         monkeypatch.setattr(train_mod, "moco_loss_batch", loss_chain.moco_loss_batch)
         # the chains normalise the raw anchor rows at every step, as the step once did
@@ -663,7 +662,8 @@ def assert_metrics_close(got: bytes, want: bytes, rtol: float) -> None:
 
 
 def chain_isd_loss_batch(q_t_emb, q_s_pred, anchors, tau):
-    """``isd_loss_batch`` with the out-of-place teacher softmax and the loss
-    built by the per-op chain."""
+    """``isd_loss_batch`` with the out-of-place teacher softmax and entropy and
+    the loss built by the per-op chain."""
     p_t = anchor_softmax.anchor_softmax(q_t_emb, unit_rows(anchors), tau)
-    return loss_chain.anchor_cross_entropy_batch(p_t, q_s_pred, anchors, tau), p_t
+    return (loss_chain.anchor_cross_entropy_batch(p_t, q_s_pred, anchors, tau), p_t,
+            anchor_softmax.distribution_entropy(p_t))
