@@ -229,7 +229,9 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: np.ndarray | Un
     c = 1.0 / tau
     qs, normalize_vjp = _student_rows(q_emb)
     qs = qs * c
-    logits = np.concatenate([(qs * pos_units).sum(axis=1)[:, None], qs @ units.T], axis=1)
+    logits = np.empty((b, units.shape[0] + 1))     # the positive's column, then the anchors'
+    logits[:, 0] = (qs * pos_units).sum(axis=1)
+    np.matmul(qs, units.T, out=logits[:, 1:])
     onehot = np.zeros((b, units.shape[0] + 1))
     onehot[:, 0] = 1.0
     value, ce_vjp = _soft_cross_entropy(logits, onehot)
