@@ -36,7 +36,9 @@ class AnchorBank:
         self.capacity = int(capacity)
         self.dim = int(dim)
         self.storage = np.zeros((self.capacity, self.dim))
-        self.units = np.zeros((self.capacity, self.dim))    # unit_rows of each storage row
+        # unit_rows of each valid storage row; the rest is never read, and left
+        # unwritten it costs no memory (BYOL keeps a bank it never fills)
+        self.units = np.empty((self.capacity, self.dim))
         self.head = 0      # next write position
         self.count = 0     # valid rows, <= capacity
 
@@ -98,7 +100,7 @@ class AnchorBank:
         if not np.all(np.isfinite(storage)):
             raise ContractError("from_state: storage contains NaN or Inf")
         bank.storage[...] = storage
-        bank.units[...] = unit_rows(bank.storage)
+        bank.units = unit_rows(bank.storage)
         bank.head = int(head)
         bank.count = int(count)
         return bank

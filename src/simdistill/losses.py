@@ -48,12 +48,7 @@ def _check_temperature(tau: float) -> None:
 def distribution_entropy(p: np.ndarray) -> np.ndarray:
     """Shannon entropy of one distribution or of each matrix row (nats)."""
     p = np.asarray(p, dtype=np.float64)
-    if p.size and p.min() > 0:
-        # one log pass; the bytes of the form below, which also takes p_i = 0
-        terms = np.log(p)
-        terms *= p
-    else:
-        terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
     return -terms.sum(axis=-1)
 
 

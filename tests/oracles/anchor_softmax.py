@@ -1,9 +1,9 @@
-"""Reference for the teacher side of the anchor objectives: out-of-place forms.
+"""Reference for the teacher side of the anchor objectives: the out-of-place form.
 
-``anchor_softmax`` is ``simdistill.losses._anchor_softmax`` and
-``distribution_entropy`` is ``simdistill.losses.distribution_entropy`` as
-they were before their passes over the [b, K] block ran in place, kept
-verbatim. The library forms must give the same bytes.
+``anchor_softmax`` is ``simdistill.losses._anchor_softmax`` as it was before
+its passes over the [b, K] block ran in place and before 1/tau moved onto
+the [b, d] queries, kept verbatim. The library form must agree with it to
+rounding.
 """
 
 import numpy as np
@@ -17,10 +17,3 @@ def anchor_softmax(queries: np.ndarray, units: np.ndarray, tau: float) -> np.nda
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def distribution_entropy(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy of one distribution or of each matrix row (nats)."""
-    p = np.asarray(p, dtype=np.float64)
-    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return -terms.sum(axis=-1)

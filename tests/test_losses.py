@@ -432,18 +432,16 @@ class TestBatchForms:
 class TestTeacherSideMatchesOutOfPlaceOracle:
     """The in-place teacher softmax agrees with its out-of-place form in
     ``oracles.anchor_softmax`` to ``loss_chain.CHAIN_RTOL`` (it scales the
-    [b, d] queries by 1/tau, the oracle the [b, K] logits), and the one-pass
-    entropy gives the bytes of the oracle's zero-safe form. The entropy
+    [b, d] queries by 1/tau, the oracle the [b, K] logits). The entropy
     ``isd_loss_batch`` reads off the teacher softmax is >= 0 and agrees with
-    ``distribution_entropy`` to rounding of terms of size 1/tau."""
+    ``distribution_entropy`` to rounding of terms of size 1/tau, also where
+    probabilities underflow to exact zeros."""
 
     @staticmethod
     def assert_matches(queries, anchors, tau):
         p = anchor_distribution_batch(queries, anchors, tau)
         want = anchor_softmax.anchor_softmax(queries, T.unit_rows(anchors), tau)
         assert_close(p, want)
-        assert (distribution_entropy(p).tobytes()
-                == anchor_softmax.distribution_entropy(p).tobytes())
         _, p_t, h_t = isd_loss_batch(queries, Tensor(queries), anchors, tau)
         assert p_t.tobytes() == p.tobytes()
         assert h_t.min() >= 0
@@ -463,7 +461,7 @@ class TestTeacherSideMatchesOutOfPlaceOracle:
     def test_sharp_temperature(self, tau):
         """Cosines span at most 2, so logits span at most 2 / tau. At tau 0.003
         (667) every probability stays a normal double; at 0.001 (2000) some
-        underflow to exact zeros, and the entropy takes its zero-safe form."""
+        underflow to exact zeros, which add nothing to the entropy."""
         rng = np.random.default_rng(3)
         queries = rng.standard_normal((64, 8))
         anchors = np.concatenate([queries[:32], -queries[32:], rng.standard_normal((448, 8))])
@@ -475,9 +473,6 @@ class TestTeacherSideMatchesOutOfPlaceOracle:
         query, anchors = rng.standard_normal(16), rng.standard_normal((40, 16))
         p = anchor_distribution_batch(query[None], anchors, 0.07)[0]
         assert_close(p, anchor_softmax.anchor_softmax(query[None], T.unit_rows(anchors), 0.07)[0])
-        for dist in (p, np.array([0.5, 0.0, 0.5]), np.array([0.0, 1.0]), np.zeros(0)):
-            assert (distribution_entropy(dist).tobytes()
-                    == anchor_softmax.distribution_entropy(dist).tobytes())
 
 
 class TestInputsStayUntouched:

@@ -18,6 +18,7 @@ from simdistill.config import RunConfig
 from simdistill.data import gen_gaussian_mixture
 from simdistill.errors import CheckpointError, ColdStartError, ConfigError
 from simdistill.evaluation import embed_dataset, knn_eval
+from simdistill.losses import distribution_entropy
 from simdistill.nn import (MlpParams, MlpSpec, ModelPair, default_predictor_spec,
                            init_params, mlp_forward)
 from simdistill.tensor import unit_rows
@@ -597,8 +598,8 @@ class TestFusedPathMatchesOracle:
     SGD and EMA loops patched in for the fused nodes, the merged generator calls
     and the whole-buffer updates. The ISD and MoCo kernels scale by 1/tau on
     [b, d] blocks rather than on the [b, K] logits of their per-op chains, so
-    with those chains, the out-of-place teacher softmax and entropy patched in
-    as well, the runs' metrics agree to a stated tolerance instead."""
+    with those chains, the out-of-place teacher softmax and ``distribution_entropy``
+    patched in as well, the runs' metrics agree to a stated tolerance instead."""
 
     ARGS = ["--set", "epochs=2", "--set", "bank_capacity=32", "--set", "batch_size=16",
             "--set", "encoder_widths=8,24,12", "--set", "eval_every=1",
@@ -662,8 +663,8 @@ def assert_metrics_close(got: bytes, want: bytes, rtol: float) -> None:
 
 
 def chain_isd_loss_batch(q_t_emb, q_s_pred, anchors, tau):
-    """``isd_loss_batch`` with the out-of-place teacher softmax and entropy and
-    the loss built by the per-op chain."""
+    """``isd_loss_batch`` with the out-of-place teacher softmax, the entropy of
+    ``distribution_entropy`` and the loss built by the per-op chain."""
     p_t = anchor_softmax.anchor_softmax(q_t_emb, unit_rows(anchors), tau)
     return (loss_chain.anchor_cross_entropy_batch(p_t, q_s_pred, anchors, tau), p_t,
-            anchor_softmax.distribution_entropy(p_t))
+            distribution_entropy(p_t))
