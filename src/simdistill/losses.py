@@ -114,7 +114,7 @@ def _anchor_softmax(queries: np.ndarray, units: np.ndarray,
     z -= z.max(axis=1, keepdims=True)
     p = np.exp(z)
     sums = p.sum(axis=1, keepdims=True)
-    p /= sums
+    p *= 1.0 / sums     # a product with b reciprocals costs half a [b, K] division
     return p, np.log(sums[:, 0]) - np.einsum("ij,ij->i", p, z)
 
 
