@@ -125,6 +125,18 @@ def anchor_distribution_batch(queries: np.ndarray, anchors: np.ndarray | UnitAnc
     return _anchor_softmax(queries, _anchor_units(anchors, queries.shape, tau), tau)[0]
 
 
+def _log_softmax(logits: np.ndarray):
+    """Each row's log-probabilities, written over ``logits``, with the exp block
+    of the shifted logits and its row sums, which a vjp reuses for the softmax."""
+    T._check_finite("soft_cross_entropy", logits)
+    logp = logits
+    logp -= logp.max(axis=1, keepdims=True)
+    e = np.exp(logp)
+    sums = e.sum(axis=1, keepdims=True)
+    logp -= np.log(sums)
+    return logp, e, sums
+
+
 def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     """Mean over rows of -sum_i targets_i * log_softmax(logits)_i, and its vjp on arrays.
 
@@ -136,13 +148,8 @@ def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     consumed: it is overwritten with the log-probabilities, so callers pass a
     temporary.
     """
-    T._check_finite("soft_cross_entropy", logits)
-    scale = 1.0 / logits.shape[0]
-    logp = logits
-    logp -= logp.max(axis=1, keepdims=True)
-    e = np.exp(logp)
-    sums = e.sum(axis=1, keepdims=True)
-    logp -= np.log(sums)
+    logp, e, sums = _log_softmax(logits)
+    scale = 1.0 / logp.shape[0]
 
     def vjp(g):
         gt = targets * float(-(g * scale))
@@ -150,6 +157,22 @@ def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray):
         return np.subtract(gt, e * (gt.sum(axis=1, keepdims=True) / sums), out=gt)
 
     return np.asarray(-(logp * targets).sum()) * scale, vjp
+
+
+def _first_column_cross_entropy(logits: np.ndarray):
+    """:func:`_soft_cross_entropy` against a one-hot target at column 0, with no
+    [b, K] target block: the mean of -log_softmax(logits)[:, 0], and its vjp,
+    (softmax - onehot)/b. ``logits`` is consumed as there."""
+    logp, e, sums = _log_softmax(logits)
+    scale = 1.0 / logp.shape[0]
+
+    def vjp(g):
+        s = float(-(g * scale))
+        out = e * (-s / sums)
+        out[:, 0] += s
+        return out
+
+    return np.asarray(-logp[:, 0].sum()) * scale, vjp
 
 
 def _times_units(g: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -227,9 +250,7 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: np.ndarray | Un
     logits = np.empty((b, units.shape[0] + 1))     # the positive's column, then the anchors'
     logits[:, 0] = (qs * pos_units).sum(axis=1)
     np.matmul(qs, units.T, out=logits[:, 1:])
-    onehot = np.zeros((b, units.shape[0] + 1))
-    onehot[:, 0] = 1.0
-    value, ce_vjp = _soft_cross_entropy(logits, onehot)
+    value, ce_vjp = _first_column_cross_entropy(logits)
 
     def vjp(g):
         g = ce_vjp(g)
