@@ -24,10 +24,11 @@ class UnitAnchors:
 class AnchorBank:
     """Ring buffer of the most recent teacher embeddings.
 
-    Rows are stored as plain float64 values with no graph linkage, each
-    beside its unit row, which is computed once when the row enters. Once
-    the bank has seen at least ``capacity`` rows it stays permanently
-    full, always evicting the oldest row first.
+    Rows are stored as plain float64 values with no graph linkage. From
+    the first read of the bank's unit rows on, each row's unit row is kept
+    beside it, computed once, when the row enters. Once the bank has seen
+    at least ``capacity`` rows it stays permanently full, always evicting
+    the oldest row first.
     """
 
     def __init__(self, capacity: int, dim: int):
@@ -36,9 +37,7 @@ class AnchorBank:
         self.capacity = int(capacity)
         self.dim = int(dim)
         self.storage = np.zeros((self.capacity, self.dim))
-        # unit_rows of each valid storage row; the rest is never read, and left
-        # unwritten it costs no memory (BYOL keeps a bank it never fills)
-        self.units = np.empty((self.capacity, self.dim))
+        self._units: np.ndarray | None = None     # see unit_snapshot
         self.head = 0      # next write position
         self.count = 0     # valid rows, <= capacity
 
@@ -65,7 +64,8 @@ class AnchorBank:
                 raise ContractError(f"enqueue: row norm off unit by {off.max():.3g} (> 1e-6)")
         idx = (self.head + np.arange(b)) % self.capacity
         self.storage[idx] = rows
-        self.units[idx] = unit_rows(rows)
+        if self._units is not None:
+            self._units[idx] = unit_rows(rows)
         self.head = (self.head + b) % self.capacity
         self.count = min(self.count + b, self.capacity)
 
@@ -81,8 +81,17 @@ class AnchorBank:
         return self.storage[self._valid()]    # fancy indexing already copies
 
     def unit_snapshot(self) -> UnitAnchors:
-        """The unit rows of :meth:`snapshot`, bitwise ``unit_rows(snapshot())``, as a copy."""
-        return UnitAnchors(self.units[self._valid()])
+        """The unit rows of :meth:`snapshot`, bitwise ``unit_rows(snapshot())``, as a copy.
+
+        The first call computes the unit rows of the whole storage; from then
+        on :meth:`enqueue` computes each entering row's. A bank whose unit rows
+        are never read, such as BYOL's or one loaded from a checkpoint, holds
+        no such copy.
+        """
+        valid = self._valid()
+        if self._units is None:
+            self._units = unit_rows(self.storage)
+        return UnitAnchors(self._units[valid])
 
     def state(self) -> tuple[np.ndarray, int, int]:
         """Raw (storage copy, head, count) for checkpointing."""
@@ -91,7 +100,7 @@ class AnchorBank:
     @staticmethod
     def from_state(storage: np.ndarray, head: int, count: int) -> "AnchorBank":
         """Rebuild a bank from :meth:`state`; head and count must fit the storage,
-        which must be finite. The unit rows are computed again from it."""
+        which must be finite."""
         bank = AnchorBank(storage.shape[0], storage.shape[1])
         if not 0 <= head < bank.capacity:
             raise ContractError(f"from_state: head {head} outside [0, {bank.capacity})")
@@ -100,7 +109,6 @@ class AnchorBank:
         if not np.all(np.isfinite(storage)):
             raise ContractError("from_state: storage contains NaN or Inf")
         bank.storage[...] = storage
-        bank.units = unit_rows(bank.storage)
         bank.head = int(head)
         bank.count = int(count)
         return bank

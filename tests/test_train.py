@@ -155,24 +155,25 @@ class TestStepContracts:
     @pytest.mark.parametrize("objective", ["isd", "moco"])
     def test_enqueue_happens_strictly_after_the_loss(self, monkeypatch, objective):
         """The bank's unit rows a step scores never contain that step's views: the
-        step reads them, scores its loss, and only then enqueues."""
+        step reads them, calls its loss once and only then enqueues once.
+
+        The loss and ``enqueue`` are wrapped where ``bench/tracer.py`` wraps them,
+        on ``simdistill.train`` and on ``AnchorBank``: a step that reached them
+        some other way would read 0 ms in ``losses.isd_ms``, ``losses.moco_ms``
+        or ``bank.enqueue_ms``."""
         train_mod = importlib.import_module("simdistill.train")
         ds = small_dataset()
         trainer = Trainer(small_config(objective), ds.feature_dim)
         trainer.prefill(ds)
 
         events = []
-        loss_name = f"{objective}_loss_batch"
-        loss_fn = getattr(train_mod, loss_name)
-        original_units = trainer.bank.unit_snapshot
-        original_enqueue = trainer.bank.enqueue
-        trainer.bank.unit_snapshot = lambda: (events.append("unit_snapshot"), original_units())[1]
-        trainer.bank.enqueue = lambda batch: (events.append("enqueue"), original_enqueue(batch))[1]
-        monkeypatch.setattr(train_mod, loss_name,
-                            lambda *args: (events.append("loss"), loss_fn(*args))[1])
-
+        for owner, attr in [(train_mod, "isd_loss_batch"), (train_mod, "moco_loss_batch"),
+                            (AnchorBank, "unit_snapshot"), (AnchorBank, "enqueue")]:
+            original = vars(owner)[attr]    # the tracer's lookup
+            monkeypatch.setattr(owner, attr, lambda *args, attr=attr, original=original:
+                                (events.append(attr), original(*args))[1])
         trainer.step(ds.samples[:8])
-        assert events == ["unit_snapshot", "loss", "enqueue"]
+        assert events == ["unit_snapshot", f"{objective}_loss_batch", "enqueue"]
 
     def test_teacher_grads_zero_after_steps(self):
         ds = small_dataset()
@@ -569,29 +570,6 @@ class TestMocoReductionEndToEnd:
         assert np.abs(trainer.bank.snapshot() - np.stack(queue)).max() < 1e-12
 
 
-class TestTracerView:
-    """``bench/tracer.py`` times a step's anchor work by wrapping the names the step
-    looks up: ``simdistill.train.isd_loss_batch``, ``moco_loss_batch`` and
-    ``AnchorBank.enqueue``. A step that reached them some other way would read
-    0 ms in ``losses.isd_ms``, ``losses.moco_ms`` or ``bank.enqueue_ms``."""
-
-    @pytest.mark.parametrize("objective", ["isd", "moco"])
-    def test_a_step_calls_its_loss_and_enqueue_once(self, monkeypatch, objective):
-        train_mod = importlib.import_module("simdistill.train")
-        calls = []
-        for owner, attr in [(train_mod, "isd_loss_batch"), (train_mod, "moco_loss_batch"),
-                            (AnchorBank, "enqueue")]:
-            original = vars(owner)[attr]    # the tracer's lookup
-            monkeypatch.setattr(owner, attr, lambda *args, attr=attr, original=original:
-                                (calls.append(attr), original(*args))[1])
-        ds = small_dataset()
-        trainer = Trainer(small_config(objective), ds.feature_dim)
-        trainer.prefill(ds)
-        calls.clear()
-        trainer.step(ds.samples[:8])
-        assert calls == [f"{objective}_loss_batch", "enqueue"]
-
-
 class TestFusedPathMatchesOracle:
     """Whole training runs through the CLI are byte-identical with the per-op MLP
     graph, the per-op BYOL chain, the row-by-row augment and the per-parameter
@@ -654,9 +632,9 @@ def assert_metrics_close(got: bytes, want: bytes, rtol: float) -> None:
     got_rows, want_rows = (list(csv.DictReader(text.decode().splitlines()))
                            for text in (got, want))
     assert len(got_rows) == len(want_rows)
+    exact = ("epoch", "step", "lr", "teacher_knn", "student_knn")
     for g, w in zip(got_rows, want_rows):
-        assert [g[k] for k in ("epoch", "step", "lr", "teacher_knn", "student_knn")] == \
-            [w[k] for k in ("epoch", "step", "lr", "teacher_knn", "student_knn")]
+        assert [g[k] for k in exact] == [w[k] for k in exact]
         for k in ("loss", "h_pt"):
             if w[k]:
                 assert abs(float(g[k]) - float(w[k])) <= rtol * max(abs(float(w[k])), 1.0)
