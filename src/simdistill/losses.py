@@ -82,8 +82,8 @@ def _anchor_units(anchors: np.ndarray | UnitAnchors, query_shape: tuple[int, ...
                   tau: float) -> np.ndarray:
     """Unit anchor rows for a [b, d] query block: at least 2 finite rows of width d.
 
-    :class:`UnitAnchors` pass through as they are, since the bank checked and
-    normalised each row when it entered; any other anchors are checked and
+    :class:`UnitAnchors` pass through as they are, since the bank checked each
+    row finite and unit-norm when it entered; any other anchors are checked and
     normalised here.
     """
     _check_temperature(tau)
@@ -125,18 +125,6 @@ def anchor_distribution_batch(queries: np.ndarray, anchors: np.ndarray | UnitAnc
     return _anchor_softmax(queries, _anchor_units(anchors, queries.shape, tau), tau)[0]
 
 
-def _log_softmax(logits: np.ndarray):
-    """Each row's log-probabilities, written over ``logits``, with the exp block
-    of the shifted logits and its row sums, which a vjp reuses for the softmax."""
-    T._check_finite("soft_cross_entropy", logits)
-    logp = logits
-    logp -= logp.max(axis=1, keepdims=True)
-    e = np.exp(logp)
-    sums = e.sum(axis=1, keepdims=True)
-    logp -= np.log(sums)
-    return logp, e, sums
-
-
 def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     """Mean over rows of -sum_i targets_i * log_softmax(logits)_i, and its vjp on arrays.
 
@@ -148,8 +136,13 @@ def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     consumed: it is overwritten with the log-probabilities, so callers pass a
     temporary.
     """
-    logp, e, sums = _log_softmax(logits)
-    scale = 1.0 / logp.shape[0]
+    T._check_finite("soft_cross_entropy", logits)
+    scale = 1.0 / logits.shape[0]
+    logp = logits
+    logp -= logp.max(axis=1, keepdims=True)
+    e = np.exp(logp)
+    sums = e.sum(axis=1, keepdims=True)
+    logp -= np.log(sums)
 
     def vjp(g):
         gt = targets * float(-(g * scale))
@@ -157,22 +150,6 @@ def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray):
         return np.subtract(gt, e * (gt.sum(axis=1, keepdims=True) / sums), out=gt)
 
     return np.asarray(-(logp * targets).sum()) * scale, vjp
-
-
-def _first_column_cross_entropy(logits: np.ndarray):
-    """:func:`_soft_cross_entropy` against a one-hot target at column 0, with no
-    [b, K] target block: the mean of -log_softmax(logits)[:, 0], and its vjp,
-    (softmax - onehot)/b. ``logits`` is consumed as there."""
-    logp, e, sums = _log_softmax(logits)
-    scale = 1.0 / logp.shape[0]
-
-    def vjp(g):
-        s = float(-(g * scale))
-        out = e * (-s / sums)
-        out[:, 0] += s
-        return out
-
-    return np.asarray(-logp[:, 0].sum()) * scale, vjp
 
 
 def _times_units(g: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -250,7 +227,9 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: np.ndarray | Un
     logits = np.empty((b, units.shape[0] + 1))     # the positive's column, then the anchors'
     logits[:, 0] = (qs * pos_units).sum(axis=1)
     np.matmul(qs, units.T, out=logits[:, 1:])
-    value, ce_vjp = _first_column_cross_entropy(logits)
+    onehot = np.zeros((b, units.shape[0] + 1))
+    onehot[:, 0] = 1.0
+    value, ce_vjp = _soft_cross_entropy(logits, onehot)
 
     def vjp(g):
         g = ce_vjp(g)
