@@ -7,12 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, EmptyBankError, NumericDomainError, ShapeError
-from .tensor import unit_rows
 
 
 @dataclass(frozen=True)
 class UnitAnchors:
-    """Anchor rows already scaled to unit norm and checked finite, oldest first.
+    """An AnchorBank's rows, oldest first: checked finite and unit-norm when
+    they entered it.
 
     The objectives take these as they are; any other anchor array they
     check and normalise at every call.
@@ -21,14 +21,20 @@ class UnitAnchors:
     rows: np.ndarray
 
 
+def _check_unit(where: str, rows: np.ndarray) -> None:
+    """In debug mode, a row whose norm is off unit by more than 1e-6 raises a contract error."""
+    if __debug__ and len(rows):
+        off = np.abs(np.linalg.norm(rows, axis=1) - 1.0).max()
+        if off > 1e-6:
+            raise ContractError(f"{where}: row norm off unit by {off:.3g} (> 1e-6)")
+
+
 class AnchorBank:
     """Ring buffer of the most recent teacher embeddings.
 
-    Rows are stored as plain float64 values with no graph linkage. From
-    the first read of the bank's unit rows on, each row's unit row is kept
-    beside it, computed once, when the row enters. Once the bank has seen
-    at least ``capacity`` rows it stays permanently full, always evicting
-    the oldest row first.
+    Rows are stored as plain float64 values with no graph linkage. Once
+    the bank has seen at least ``capacity`` rows it stays permanently full,
+    always evicting the oldest row first.
     """
 
     def __init__(self, capacity: int, dim: int):
@@ -37,7 +43,6 @@ class AnchorBank:
         self.capacity = int(capacity)
         self.dim = int(dim)
         self.storage = np.zeros((self.capacity, self.dim))
-        self._units: np.ndarray | None = None     # see unit_snapshot
         self.head = 0      # next write position
         self.count = 0     # valid rows, <= capacity
 
@@ -57,15 +62,9 @@ class AnchorBank:
             raise ContractError(f"enqueue: batch of {b} rows exceeds capacity {self.capacity}")
         if not np.all(np.isfinite(rows)):
             raise NumericDomainError("anchors contain NaN or Inf")
-        if __debug__ and b:
-            norms = np.linalg.norm(rows, axis=1)
-            off = np.abs(norms - 1.0)
-            if off.max() > 1e-6:
-                raise ContractError(f"enqueue: row norm off unit by {off.max():.3g} (> 1e-6)")
+        _check_unit("enqueue", rows)
         idx = (self.head + np.arange(b)) % self.capacity
         self.storage[idx] = rows
-        if self._units is not None:
-            self._units[idx] = unit_rows(rows)
         self.head = (self.head + b) % self.capacity
         self.count = min(self.count + b, self.capacity)
 
@@ -81,17 +80,8 @@ class AnchorBank:
         return self.storage[self._valid()]    # fancy indexing already copies
 
     def unit_snapshot(self) -> UnitAnchors:
-        """The unit rows of :meth:`snapshot`, bitwise ``unit_rows(snapshot())``, as a copy.
-
-        The first call computes the unit rows of the whole storage; from then
-        on :meth:`enqueue` computes each entering row's. A bank whose unit rows
-        are never read, such as BYOL's or one loaded from a checkpoint, holds
-        no such copy.
-        """
-        valid = self._valid()
-        if self._units is None:
-            self._units = unit_rows(self.storage)
-        return UnitAnchors(self._units[valid])
+        """:meth:`snapshot` marked as rows the objectives need not check or normalise."""
+        return UnitAnchors(self.snapshot())
 
     def state(self) -> tuple[np.ndarray, int, int]:
         """Raw (storage copy, head, count) for checkpointing."""
@@ -100,7 +90,7 @@ class AnchorBank:
     @staticmethod
     def from_state(storage: np.ndarray, head: int, count: int) -> "AnchorBank":
         """Rebuild a bank from :meth:`state`; head and count must fit the storage,
-        which must be finite."""
+        which must be finite, and its valid rows unit-norm as in :meth:`enqueue`."""
         bank = AnchorBank(storage.shape[0], storage.shape[1])
         if not 0 <= head < bank.capacity:
             raise ContractError(f"from_state: head {head} outside [0, {bank.capacity})")
@@ -111,4 +101,6 @@ class AnchorBank:
         bank.storage[...] = storage
         bank.head = int(head)
         bank.count = int(count)
+        if bank.count:
+            _check_unit("from_state", bank.snapshot())
         return bank
