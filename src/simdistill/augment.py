@@ -82,7 +82,7 @@ def augment(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator
     if views.ndim not in (2, 3):
         raise ContractError(f"augment: samples must be a [b, d] or [b, h, w] block, "
                             f"got shape {views.shape}")
-    if not np.all(np.isfinite(views)):
+    if not np.isfinite(views).all():
         raise ContractError("augment: samples must be finite")
     b = views.shape[0]
     if policy.is_identity or b == 0:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, EmptyBankError, NumericDomainError, ShapeError
+from .tensor import row_norms
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,7 @@ class UnitAnchors:
 def _check_unit(where: str, rows: np.ndarray) -> None:
     """In debug mode, a row whose norm is off unit by more than 1e-6 raises a contract error."""
     if __debug__ and len(rows):
-        off = np.abs(np.linalg.norm(rows, axis=1) - 1.0).max()
+        off = np.abs(row_norms(rows) - 1.0).max()
         if off > 1e-6:
             raise ContractError(f"{where}: row norm off unit by {off:.3g} (> 1e-6)")
 
@@ -60,7 +61,7 @@ class AnchorBank:
         b = rows.shape[0]
         if b > self.capacity:
             raise ContractError(f"enqueue: batch of {b} rows exceeds capacity {self.capacity}")
-        if not np.all(np.isfinite(rows)):
+        if not np.isfinite(rows).all():
             raise NumericDomainError("anchors contain NaN or Inf")
         _check_unit("enqueue", rows)
         idx = (self.head + np.arange(b)) % self.capacity
@@ -96,7 +97,7 @@ class AnchorBank:
             raise ContractError(f"from_state: head {head} outside [0, {bank.capacity})")
         if not 0 <= count <= bank.capacity:
             raise ContractError(f"from_state: count {count} outside [0, {bank.capacity}]")
-        if not np.all(np.isfinite(storage)):
+        if not np.isfinite(storage).all():
             raise ContractError("from_state: storage contains NaN or Inf")
         bank.storage[...] = storage
         bank.head = int(head)

@@ -117,17 +117,18 @@ class RunConfig:
                      "data_seed", "data_sep", "weight_decay", "lr_step_factor"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in ("batch_size", "predictor_hidden", "eval_every", "eval_k", "data_per_class",
-                     "data_eval_per_class"):
+        for name in ("batch_size", "bank_capacity", "predictor_hidden", "eval_every", "eval_k",
+                     "data_per_class", "data_eval_per_class"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("momentum", "sgd_momentum"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
-        if self.batch_size > self.bank_capacity:
-            raise ConfigError("batch_size cannot exceed bank_capacity")
-        if self.objective != "byol" and self.bank_capacity < 2:
-            raise ConfigError("bank_capacity must be at least 2 for isd/moco")
+        if self.objective != "byol":     # byol keeps no anchors
+            if self.bank_capacity < 2:
+                raise ConfigError("bank_capacity must be at least 2 for isd/moco")
+            if self.batch_size > self.bank_capacity:
+                raise ConfigError("batch_size cannot exceed bank_capacity for isd/moco")
         if self.lr_schedule not in ("step", "cosine"):
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
         if any(not 0.0 <= frac < 1.0 for frac in self.lr_step_fracs):

@@ -15,7 +15,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ContractError, NumericDomainError, ShapeError
 from .nn import MlpParams, mlp_forward
-from .tensor import Tensor, unit_rows
+from .tensor import Tensor, row_norms, unit_rows
 
 
 @dataclass
@@ -34,8 +34,7 @@ class EmbeddingTable:
             raise ContractError("one label per embedding row required")
         if self.labels.min() < 0:
             raise ContractError(f"labels must be non-negative, got {int(self.labels.min())}")
-        norms = np.linalg.norm(self.embeddings, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-10:
+        if np.abs(row_norms(self.embeddings) - 1.0).max() > 1e-10:
             raise ContractError("embedding rows must be unit norm (off by more than 1e-10)")
 
 

@@ -59,7 +59,7 @@ def distribution_entropy(p: np.ndarray) -> np.ndarray:
 
 def _finite(name: str, block) -> np.ndarray:
     block = np.asarray(block, dtype=np.float64)
-    if not np.all(np.isfinite(block)):
+    if not np.isfinite(block).all():
         raise NumericDomainError(f"{name} contain NaN or Inf")
     return block
 

@@ -12,6 +12,7 @@ EMA are a few whole-buffer operations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -139,8 +140,8 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
     nodes it replaces, so values and gradients are bitwise theirs. The
     whole-network gradient reaches ``params.flat`` through ``backward``'s
     ``leaf.grad += g``, as each layer's did, so -0.0 still lands as +0.0.
-    Otherwise (teacher passes, evaluation) the output is a constant and no
-    activation or mask is kept.
+    Otherwise (teacher passes, evaluation) the output is a constant, its rows
+    normalised through ``unit_rows``, and no activation, mask or vjp is kept.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"mlp_forward: need a [batch, features] input, got {x.data.shape}")
@@ -163,22 +164,24 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
             # np.where(h > 0, h, 0.0) bit for bit, NaN and -0.0 included, without a copy
             np.fmax(h, 0.0, out=h)
             h += 0.0
+    if not graph:
+        return Tensor(T.unit_rows(h) if params.spec.final_normalize else h)
     if params.spec.final_normalize:
         h, normalize_vjp = T.l2_rows(h)
-    if not graph:
-        return Tensor(h)
 
     def vjp(g):
         if params.spec.final_normalize:
             g = normalize_vjp(g)
-        grad = layer_grads = gx = None
+        grad = gx = None
         if params.trainable:
             grad = np.empty_like(params.flat.data)
-            layer_grads = split_buffer(grad, params.spec.parameter_shapes)
+            layout = _layer_slices(params.spec)
         for i in range(last, -1, -1):
-            if layer_grads:
-                layer_grads[2 * i + 1][...] = g.sum(axis=0)
-                layer_grads[2 * i][...] = inputs[i].T @ g
+            if grad is not None:
+                # each layer's gradient is written straight into its slice of the flat one
+                w_at, w_shape, b_at = layout[i]
+                np.add.reduce(g, axis=0, out=grad[b_at])
+                np.matmul(inputs[i].T, g, out=grad[w_at].reshape(w_shape))
             if i:
                 g = g @ weights[i].T
                 g *= inputs[i] > 0
@@ -187,6 +190,19 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
         return gx, grad
 
     return T._record(h, "mlp", (x, params.flat), vjp)
+
+
+@functools.cache
+def _layer_slices(spec: MlpSpec) -> tuple[tuple[slice, tuple[int, int], slice], ...]:
+    """Per layer, where the flat buffer holds its weight, the weight's shape,
+    and where it holds its bias, in the order of ``parameter_shapes``."""
+    layers, start = [], 0
+    shapes = spec.parameter_shapes
+    for w_shape, (fan_out,) in zip(shapes[0::2], shapes[1::2]):
+        w_end = start + math.prod(w_shape)
+        layers.append((slice(start, w_end), w_shape, slice(w_end, w_end + fan_out)))
+        start = w_end + fan_out
+    return tuple(layers)
 
 
 @dataclass

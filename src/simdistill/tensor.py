@@ -4,11 +4,12 @@ Values live in numpy arrays; each differentiable op records its inputs
 and a vector-Jacobian closure so ``backward`` can sweep the graph once in
 reverse topological order. The pieces training runs have a closed-form
 backward and are single nodes: a whole MLP in ``nn`` and each objective in
-``losses``, built on the array helpers ``l2_rows`` and ``unit_rows`` here.
-The generic ops left are the elementwise product and the sum that demo
-01 and acceptance criterion 3 compose; neither broadcasts. A ``Tensor``
-is a value the graph may differentiate; every constant operand (teacher
-embeddings, anchors, targets) is a plain ``np.ndarray``.
+``losses``, built on the array helpers ``row_norms``, ``l2_rows`` and
+``unit_rows`` here. The generic ops left are the elementwise product and
+the sum that demo 01 and acceptance criterion 3 compose; neither
+broadcasts. A ``Tensor`` is a value the graph may differentiate; every
+constant operand (teacher embeddings, anchors, targets) is a plain
+``np.ndarray``.
 """
 
 from __future__ import annotations
@@ -101,31 +102,44 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _record(np.asarray(a.data.sum()), "sum", (a,), vjp)
 
 
+def row_norms(ad: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row of a [b, d] array.
+
+    The formula ``np.linalg.norm(ad, axis=1)`` evaluates for real input, so
+    the values are bitwise its own, without the wrapper's checks.
+    """
+    return np.sqrt(np.add.reduce(ad * ad, axis=1))
+
+
 def l2_rows(ad: np.ndarray, eps: float = 1e-12):
     """The rows of a [b, d] array scaled to unit norm, and the map's vjp on arrays.
 
     The divisor is max(norm, eps), so rows below eps pass through scaled by
-    1/eps instead of dividing by zero; there the map is exactly linear.
+    1/eps instead of dividing by zero; there the map is exactly linear. The
+    vjp builds that branch only for a block that has such a row.
     """
-    r = np.linalg.norm(ad, axis=1)
-    denom = np.maximum(r, eps)
-    out = ad / denom[:, None]
+    r = row_norms(ad)
+    denom = np.maximum(r, eps)[:, None]
+    out = ad / denom
     big = (r >= eps)[:, None]
+    every_row_big = bool(big.all())
 
     def vjp(g):
         dots = (out * g).sum(axis=1, keepdims=True)
-        return np.where(big, (g - out * dots) / denom[:, None], g / eps)
+        unit = g - out * dots
+        unit /= denom
+        return unit if every_row_big else np.where(big, unit, g / eps)
 
     return out, vjp
 
 
 def unit_rows(ad: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """The rows of a [b, d] array divided by max(norm, eps), with no graph node."""
-    return ad / np.maximum(np.linalg.norm(ad, axis=1, keepdims=True), eps)
+    return ad / np.maximum(row_norms(ad), eps)[:, None]
 
 
 def _check_finite(name: str, ad: np.ndarray) -> None:
-    if not np.all(np.isfinite(ad)):
+    if not np.isfinite(ad).all():
         raise NumericDomainError(f"{name}: input contains NaN or Inf")
 
 

@@ -153,8 +153,12 @@ class Trainer:
         return augment(batch, policy, self.rng_augment).reshape(len(batch), -1)
 
     def _views(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (self._view(batch, self.teacher_policy),
-                self._view(batch, self.student_policy))
+        """The teacher's and the student's views. Under two identity policies both
+        are one copy of the batch: neither network writes to its input."""
+        teacher_view = self._view(batch, self.teacher_policy)
+        if self.teacher_policy.is_identity and self.student_policy.is_identity:
+            return teacher_view, teacher_view
+        return teacher_view, self._view(batch, self.student_policy)
 
     def _teacher_embed(self, views: np.ndarray) -> np.ndarray:
         return mlp_forward(self.pair.teacher_encoder, Tensor(views)).data

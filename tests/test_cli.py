@@ -298,6 +298,16 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("capacity,code", [("4", 0), ("0", 3)])
+    def test_byol_bank_capacity_need_only_be_positive(self, tmp_path, capsys, capacity, code):
+        """BYOL keeps no anchors: a bank smaller than the batch of 8 trains, and a
+        bank of no rows is a config error before any output."""
+        out = tmp_path / "out"
+        assert main(["train", "--out", str(out), *FAST, "--set", "objective=byol",
+                     "--set", f"bank_capacity={capacity}"]) == code
+        assert out.exists() == (code == 0)
+        assert ("config error" in capsys.readouterr().err) == (code == 3)
+
     @pytest.mark.parametrize("command,extra", [
         ("ablate-temperature", ["--taus", "0.1,0"]),
         ("ablate-temperature", ["--taus", "0.1,x"]),

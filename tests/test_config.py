@@ -161,6 +161,21 @@ class TestValidate:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    def test_byol_batch_may_exceed_the_bank_it_never_fills(self):
+        for cap in ("1", "8"):
+            apply_overrides(RunConfig(), ["objective=byol", "batch_size=64",
+                                          f"bank_capacity={cap}"]).validate()
+
+    @pytest.mark.parametrize("overrides", [
+        ["objective=byol", "bank_capacity=0"], ["objective=byol", "bank_capacity=-1"],
+        ["objective=isd", "bank_capacity=8", "batch_size=64"],
+        ["objective=moco", "bank_capacity=8", "batch_size=64"],
+        ["objective=moco", "bank_capacity=1", "batch_size=1"],
+    ])
+    def test_bank_capacity_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            apply_overrides(RunConfig(), overrides).validate()
+
     @pytest.mark.parametrize("override", [
         "objective=simclr", "temperature=0", "temperature=1e-320", "teacher_policy=bogus",
         "student_policy=",

@@ -128,13 +128,15 @@ def _layer_inputs(kinds, width, rng):
     return x
 
 
-# (encoder widths, encoder normalises, predictor widths or None, parameters trainable)
+# (encoder widths, encoder normalises, predictor widths or None, parameters trainable,
+#  encoder's first hidden unit dead for every row)
 FUSED_CASES = {
-    "one-layer": ((4, 3), True, None, True),
-    "no-normalize": ((4, 6, 5, 3), False, None, True),
-    "encoder": ((4, 6, 5, 3), True, None, True),
-    "predictor-on-encoder": ((4, 6, 3), True, (3, 5, 3), True),
-    "frozen": ((4, 6, 3), True, None, False),
+    "one-layer": ((4, 3), True, None, True, False),
+    "no-normalize": ((4, 6, 5, 3), False, None, True, False),
+    "encoder": ((4, 6, 5, 3), True, None, True, False),
+    "predictor-on-encoder": ((4, 6, 3), True, (3, 5, 3), True, False),
+    "frozen": ((4, 6, 3), True, None, False, False),
+    "dead-hidden-unit": ((4, 6, 5, 3), True, (3, 5, 3), True, True),
 }
 
 
@@ -149,8 +151,9 @@ class TestFusedNode:
                                           input_grad):
         """Forward value, input gradient and every parameter gradient are byte-equal
         to the per-op graph, including zero rows (dead rectifiers, the eps branch of
-        the l2 backward) and signed zeros."""
-        widths, normalize, pred_widths, trainable = FUSED_CASES[case]
+        the l2 backward), a hidden unit that no row activates, whose gradient
+        slices the fused node must still write as zeros, and signed zeros."""
+        widths, normalize, pred_widths, trainable, dead_unit = FUSED_CASES[case]
         rng = np.random.default_rng(seed)
         nets = [init_params(MlpSpec(widths, normalize), [seed, 0], trainable)]
         if pred_widths:
@@ -159,6 +162,9 @@ class TestFusedNode:
             for net in nets:
                 for b in net.biases:
                     b.data[...] = rng.standard_normal(b.data.shape)
+        if dead_unit:
+            nets[0].weights[0].data[:, 0] = 0.0
+            nets[0].biases[0].data[0] = -1.0
         x = _layer_inputs(kinds, widths[0], rng)
         upstream = Tensor(rng.standard_normal((len(kinds), nets[-1].spec.output_dim)))
         input_grad = input_grad or not trainable

@@ -103,6 +103,59 @@ class TestL2Normalize:
         assert abs(np.linalg.norm(out.data) - 1.0) < 1e-12
 
 
+def _l2_block(kind, seed):
+    """A [5, 4] block whose rows all clear eps, or with one row below it, or one zero row."""
+    m = rand((5, 4), seed)
+    if kind == "tiny":
+        m[1] *= 1e-14
+    elif kind == "zero":
+        m[3] = 0.0
+    return m
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+class TestRowKernels:
+    """``row_norms`` and the vjp of ``l2_rows`` byte for byte against the forms
+    they replaced: ``np.linalg.norm(x, axis=1)`` and the ``np.where`` vjp of
+    the reference l2_normalize node."""
+
+    @pytest.mark.parametrize("kind", ["big", "tiny", "zero"])
+    @pytest.mark.parametrize("special", [None, -0.0, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_l2_rows_vjp_equals_the_where_form(self, kind, special, seed):
+        m = _l2_block(kind, seed)
+        g = rand(m.shape, seed + 100)
+        if special is not None:
+            g[0, 1] = g[1, 2] = g[3, 0] = special
+        out, vjp = T.l2_rows(m)
+        node = graph_ops.l2_normalize(Tensor.parameter(m))
+        assert out.tobytes() == node.data.tobytes()
+        got, (want,) = vjp(g), node._vjp(g)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_l2_rows_vjp_of_a_zero_gradient_keeps_its_signed_zeros(self):
+        m = _l2_block("zero", 1)
+        g = np.full(m.shape, -0.0)
+        (want,) = graph_ops.l2_normalize(Tensor.parameter(m))._vjp(g)
+        assert T.l2_rows(m)[1](g).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-310, 5e-324, 1e300, 1e-160, 1e160])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_row_norms_equal_numpy_norm(self, scale, seed):
+        """Random rows, subnormal rows, and rows whose squares overflow or underflow."""
+        x = rand((6, 7), seed) * scale
+        x[2] = 0.0
+        x[4, 3] = -0.0
+        assert T.row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+        assert T.unit_rows(x).tobytes() == graph_ops.l2_normalize(Tensor(x)).data.tobytes()
+
+    def test_row_norms_of_non_finite_rows_equal_numpy_norm(self):
+        x = rand((4, 3), 9)
+        x[0, 1], x[1, 0], x[2, 2] = np.inf, np.nan, -np.inf
+        assert T.row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+
+
 def logits_via_anchors(values):
     """A query, anchors and tau whose anchor logits are ``values`` to rounding.
 

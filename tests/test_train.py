@@ -190,6 +190,39 @@ class TestStepContracts:
         assert np.isfinite(m.loss) and m.teacher_entropy is None
         assert trainer.bank.count == 0
 
+    def test_identity_views_share_one_copy_of_the_batch(self):
+        """Under two identity policies a BYOL step hands both networks one copy
+        of the batch, leaves the batch's bytes as they were and draws nothing
+        from the augment stream."""
+        ds = small_dataset()
+        trainer = Trainer(small_config("byol", teacher_policy="none", student_policy="none"),
+                          ds.feature_dim)
+        batch = ds.samples[:8].copy()
+        batch[0, 0] = -0.0
+        before = batch.tobytes()
+        teacher_view, student_view = trainer._views(batch)
+        assert teacher_view is student_view and not np.shares_memory(teacher_view, batch)
+        state = trainer.rng_augment.bit_generator.state
+        trainer.step(batch)
+        assert batch.tobytes() == before
+        assert trainer.rng_augment.bit_generator.state == state
+
+    def test_shared_identity_view_writes_the_checkpoint_of_one_copy_per_network(
+            self, tmp_path, monkeypatch):
+        ds = small_dataset()
+        cfg = small_config("byol", teacher_policy="none", student_policy="none")
+        shared = tmp_path / "shared.bin"
+        save_checkpoint(train(cfg, ds), str(shared))
+
+        def one_copy_per_network(self, batch):
+            return (self._view(batch, self.teacher_policy),
+                    self._view(batch, self.student_policy))
+
+        monkeypatch.setattr(Trainer, "_views", one_copy_per_network)
+        separate = tmp_path / "separate.bin"
+        save_checkpoint(train(cfg, ds), str(separate))
+        assert shared.read_bytes() == separate.read_bytes()
+
     def test_moco_entropy_is_zero(self):
         ds = small_dataset()
         trainer = Trainer(small_config("moco"), ds.feature_dim)
