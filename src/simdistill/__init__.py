@@ -17,7 +17,7 @@ from .losses import (LossConfig, anchor_cross_entropy_batch, anchor_distribution
                      byol_loss_batch, distribution_entropy, isd_loss_batch, moco_loss_batch)
 from .nn import (MlpParams, MlpSpec, ModelPair, SgdState, default_encoder_spec,
                  default_predictor_spec, ema_update, init_params, mlp_forward, sgd_step)
-from .tensor import Tensor, backward, grad_check
+from .tensor import grad_check
 from .train import StepMetrics, Trainer, distill, train
 
 # the name bench/workloads.py builds its config with
@@ -36,6 +36,6 @@ __all__ = [
     "distribution_entropy", "isd_loss_batch", "moco_loss_batch",
     "MlpParams", "MlpSpec", "ModelPair", "SgdState", "default_encoder_spec",
     "default_predictor_spec", "ema_update", "init_params", "mlp_forward", "sgd_step",
-    "Tensor", "backward", "grad_check",
+    "grad_check",
     "StepMetrics", "Trainer", "distill", "train",
 ]

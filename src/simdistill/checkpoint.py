@@ -98,8 +98,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     }
     # Records are row-major and back to back, so each network's flat buffer
     # and the velocities in any grouping write the bytes of the per-layer records.
-    blocks = [pair.student_encoder.flat.data, pair.student_predictor.flat.data,
-              pair.teacher_encoder.flat.data, *ckpt.sgd.velocities, storage]
+    blocks = [pair.student_encoder.data, pair.student_predictor.data,
+              pair.teacher_encoder.data, *ckpt.sgd.velocities, storage]
     write_container(path, _MAGIC, _VERSION, header,
                     [np.asarray(block, dtype=np.float64) for block in blocks])
 

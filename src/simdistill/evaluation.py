@@ -15,7 +15,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ContractError, NumericDomainError, ShapeError
 from .nn import MlpParams, mlp_forward
-from .tensor import Tensor, row_norms, unit_rows
+from .tensor import row_norms, unit_rows
 
 
 @dataclass
@@ -39,13 +39,9 @@ class EmbeddingTable:
 
 
 def embed_dataset(encoder: MlpParams, ds: LabeledDataset) -> EmbeddingTable:
-    """Encode a dataset, 512 rows at a time, without building any differentiation graph."""
-    params = encoder.detached()
+    """Encode a dataset, 512 rows at a time, keeping no activations or vjp."""
     x = ds.as_matrix()
-    chunks = []
-    for start in range(0, len(x), 512):
-        out = mlp_forward(params, Tensor(x[start:start + 512]))
-        chunks.append(out.data)
+    chunks = [mlp_forward(encoder, x[start:start + 512]) for start in range(0, len(x), 512)]
     features = np.concatenate(chunks, axis=0)
     if not encoder.spec.final_normalize:
         features = unit_rows(features)

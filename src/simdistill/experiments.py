@@ -325,6 +325,7 @@ def unbalanced_protocol(cfg: RunConfig, reps: int, seed: int, out_dir: str) -> l
     holds ``seed`` as ``seed_init``, which a replay reads.
     """
     cfg = replace(cfg, seed_init=seed)
+    cfg.validate()      # as given, before each repetition replaces data_seed
     if reps < 1:
         raise ConfigError("reps must be at least 1")
     if cfg.data_train:

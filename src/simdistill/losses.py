@@ -9,6 +9,9 @@ minimising KL(p_t || p_s), because the teacher side is constant.
 Replacing p_t with a one-hot vector at a query key prepended to the
 anchors turns the same cross entropy into the InfoNCE contrastive loss;
 regressing the teacher embedding directly gives the bootstrap baseline.
+
+Each objective returns its value and, in closed form, the gradient of that
+value with respect to the student block: the start of a step's backward.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 from . import tensor as T
 from .bank import UnitAnchors
 from .errors import ContractError, DegenerateDistributionError, NumericDomainError, ShapeError
-from .tensor import Tensor
 
 OBJECTIVES = ("isd", "moco", "byol")
 
@@ -73,9 +75,9 @@ def _teacher_block(name: str, block, student_shape: tuple[int, ...]) -> np.ndarr
     return block
 
 
-def _student_rows(block: Tensor):
+def _student_rows(block: np.ndarray):
     """``l2_rows`` of a finite student block: its unit rows and the map's vjp."""
-    return T.l2_rows(_finite("student rows", block.data))
+    return T.l2_rows(_finite("student rows", block))
 
 
 def _anchor_units(anchors: np.ndarray | UnitAnchors, query_shape: tuple[int, ...],
@@ -125,16 +127,16 @@ def anchor_distribution_batch(queries: np.ndarray, anchors: np.ndarray | UnitAnc
     return _anchor_softmax(queries, _anchor_units(anchors, queries.shape, tau), tau)[0]
 
 
-def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray):
-    """Mean over rows of -sum_i targets_i * log_softmax(logits)_i, and its vjp on arrays.
+def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean over rows of -sum_i targets_i * log_softmax(logits)_i, and its gradient.
 
-    The vjp is the closed form (softmax - targets)/b generalised to rows that
-    need not sum to one. The value repeats the operation order of log_softmax,
-    mul, sum, neg and a 1/b scale. The vjp reuses the forward pass's exp block
-    rather than exponentiating the log-probabilities again, and folds the
-    softmax's division by the row sums into its per-row factor. ``logits`` is
-    consumed: it is overwritten with the log-probabilities, so callers pass a
-    temporary.
+    The gradient is the closed form (softmax - targets)/b generalised to rows
+    that need not sum to one. The value repeats the operation order of
+    log_softmax, mul, sum, neg and a 1/b scale. The gradient reuses the exp
+    block of the value rather than exponentiating the log-probabilities
+    again, and folds the softmax's division by the row sums into its per-row
+    factor. ``logits`` is consumed: it is overwritten with the
+    log-probabilities, so callers pass a temporary.
     """
     T._check_finite("soft_cross_entropy", logits)
     scale = 1.0 / logits.shape[0]
@@ -143,13 +145,10 @@ def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     e = np.exp(logp)
     sums = e.sum(axis=1, keepdims=True)
     logp -= np.log(sums)
-
-    def vjp(g):
-        gt = targets * float(-(g * scale))
-        # softmax * row sums of gt, as e * (row sums of gt / row sums of e)
-        return np.subtract(gt, e * (gt.sum(axis=1, keepdims=True) / sums), out=gt)
-
-    return np.asarray(-(logp * targets).sum()) * scale, vjp
+    value = float(-(logp * targets).sum() * scale)
+    gt = targets * -scale
+    # softmax * row sums of gt, as e * (row sums of gt / row sums of e)
+    return value, np.subtract(gt, e * (gt.sum(axis=1, keepdims=True) / sums), out=gt)
 
 
 def _times_units(g: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -167,60 +166,60 @@ def _times_units(g: np.ndarray, units: np.ndarray) -> np.ndarray:
     return g @ units
 
 
-# Each objective below is one graph node whose only parent is the student
-# block, with the closed-form vjp of the per-op chain it replaced
-# (tests/oracles/loss_chain.py). BYOL runs that chain's operations in its
-# order, so its loss and gradient are bitwise the chain's. ISD and MoCo apply
-# 1/tau to the [b, d] query block and to the [b, d] product with the anchors,
-# not to the [b, K] logits and their gradient, so they agree with the chain
-# to rounding.
+# Each objective below returns its value and the student block's gradient, in
+# the closed form of the per-op chain it replaced (tests/oracles/loss_chain.py).
+# BYOL runs that chain's operations in its order, so its loss and gradient are
+# bitwise the chain's. ISD and MoCo apply 1/tau to the [b, d] query block and
+# to the [b, d] product with the anchors, not to the [b, K] logits and their
+# gradient, so they agree with the chain to rounding.
 
-def _anchor_cross_entropy(targets: np.ndarray, queries: Tensor, units: np.ndarray,
-                          tau: float) -> Tensor:
-    b = queries.data.shape[0]
+def _anchor_cross_entropy(targets: np.ndarray, queries: np.ndarray, units: np.ndarray,
+                          tau: float) -> tuple[float, np.ndarray]:
+    b = queries.shape[0]
     if targets.shape != (b, units.shape[0]):
         raise ShapeError(f"target block {targets.shape} does not match [{b}, {units.shape[0]}]")
     c = 1.0 / tau
     qs, normalize_vjp = _student_rows(queries)
-    value, ce_vjp = _soft_cross_entropy((qs * c) @ units.T, targets)
-
-    def vjp(g):
-        g = _times_units(ce_vjp(g), units)
-        g *= c
-        return (normalize_vjp(g),)
-
-    return T._record(value, "anchor_cross_entropy", (queries,), vjp)
+    value, g = _soft_cross_entropy((qs * c) @ units.T, targets)
+    g = _times_units(g, units)
+    g *= c
+    return value, normalize_vjp(g)
 
 
-def anchor_cross_entropy_batch(targets: np.ndarray, queries: Tensor,
-                               anchors: np.ndarray | UnitAnchors, tau: float) -> Tensor:
-    """Mean over rows of -sum_i target_i log p_row(i)."""
-    units = _anchor_units(anchors, queries.data.shape, tau)
+def anchor_cross_entropy_batch(targets: np.ndarray, queries: np.ndarray,
+                               anchors: np.ndarray | UnitAnchors,
+                               tau: float) -> tuple[float, np.ndarray]:
+    """Mean over rows of -sum_i target_i log p_row(i), and its gradient."""
+    queries = np.asarray(queries, dtype=np.float64)
+    units = _anchor_units(anchors, queries.shape, tau)
     return _anchor_cross_entropy(_finite("targets", targets), queries, units, tau)
 
 
-def isd_loss_batch(q_t_emb: np.ndarray, q_s_pred: Tensor, anchors: np.ndarray | UnitAnchors,
-                   tau: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Batch ISD loss, the teacher distributions p_t it was scored against, and
-    each row's entropy H(p_t), read off the teacher softmax.
+def isd_loss_batch(q_t_emb: np.ndarray, q_s_pred: np.ndarray, anchors: np.ndarray | UnitAnchors,
+                   tau: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Batch ISD loss, its gradient, the teacher distributions p_t it was scored
+    against, and each row's entropy H(p_t), read off the teacher softmax.
 
     The unit anchors are found once; teacher and student logits share them.
     """
-    units = _anchor_units(anchors, q_s_pred.data.shape, tau)
-    q_t_emb = _teacher_block("teacher embeddings", q_t_emb, q_s_pred.data.shape)
+    q_s_pred = np.asarray(q_s_pred, dtype=np.float64)
+    units = _anchor_units(anchors, q_s_pred.shape, tau)
+    q_t_emb = _teacher_block("teacher embeddings", q_t_emb, q_s_pred.shape)
     p_t, h_t = _anchor_softmax(q_t_emb, units, tau)
-    return _anchor_cross_entropy(p_t, q_s_pred, units, tau), p_t, h_t
+    return *_anchor_cross_entropy(p_t, q_s_pred, units, tau), p_t, h_t
 
 
-def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: np.ndarray | UnitAnchors,
-                    tau: float) -> Tensor:
-    """Batch InfoNCE: each row's positive is its own teacher embedding.
+def moco_loss_batch(q_emb: np.ndarray, pos_emb: np.ndarray, anchors: np.ndarray | UnitAnchors,
+                    tau: float) -> tuple[float, np.ndarray]:
+    """Batch InfoNCE, and its gradient: each row's positive is its own teacher
+    embedding.
 
     The same cross entropy as ISD, against a one-hot target at column 0.
     """
-    units = _anchor_units(anchors, q_emb.data.shape, tau)
-    pos_units = T.unit_rows(_teacher_block("positive keys", pos_emb, q_emb.data.shape))
-    b = q_emb.data.shape[0]
+    q_emb = np.asarray(q_emb, dtype=np.float64)
+    units = _anchor_units(anchors, q_emb.shape, tau)
+    pos_units = T.unit_rows(_teacher_block("positive keys", pos_emb, q_emb.shape))
+    b = q_emb.shape[0]
     c = 1.0 / tau
     qs, normalize_vjp = _student_rows(q_emb)
     qs = qs * c
@@ -229,23 +228,17 @@ def moco_loss_batch(q_emb: Tensor, pos_emb: np.ndarray, anchors: np.ndarray | Un
     np.matmul(qs, units.T, out=logits[:, 1:])
     onehot = np.zeros((b, units.shape[0] + 1))
     onehot[:, 0] = 1.0
-    value, ce_vjp = _soft_cross_entropy(logits, onehot)
-
-    def vjp(g):
-        g = ce_vjp(g)
-        g = g[:, 0][:, None] * pos_units + _times_units(g[:, 1:], units)
-        g *= c
-        return (normalize_vjp(g),)
-
-    return T._record(value, "moco_loss", (q_emb,), vjp)
+    value, g = _soft_cross_entropy(logits, onehot)
+    g = g[:, 0][:, None] * pos_units + _times_units(g[:, 1:], units)
+    g *= c
+    return value, normalize_vjp(g)
 
 
-def byol_loss_batch(q_s_pred: Tensor, q_t_emb: np.ndarray) -> Tensor:
-    """Mean over rows of 2 - 2*cos(student prediction, teacher embedding)."""
-    t_units = T.unit_rows(_teacher_block("teacher embeddings", q_t_emb, q_s_pred.data.shape))
-    b = q_s_pred.data.shape[0]
-    c = -2.0 / b
+def byol_loss_batch(q_s_pred: np.ndarray, q_t_emb: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean over rows of 2 - 2*cos(student prediction, teacher embedding), and
+    its gradient."""
+    q_s_pred = np.asarray(q_s_pred, dtype=np.float64)
+    t_units = T.unit_rows(_teacher_block("teacher embeddings", q_t_emb, q_s_pred.shape))
+    c = -2.0 / q_s_pred.shape[0]
     qs, normalize_vjp = _student_rows(q_s_pred)
-    value = np.asarray((qs * t_units).sum(axis=1).sum()) * c + np.asarray(2.0)
-    return T._record(value, "byol_loss", (q_s_pred,),
-                     lambda g: (normalize_vjp(np.full((b,), float(g * c))[:, None] * t_units),))
+    return float((qs * t_units).sum(axis=1).sum() * c + 2.0), normalize_vjp(t_units * c)

@@ -6,8 +6,9 @@ layer). The student additionally owns a small prediction head; the teacher
 is a non-trainable copy of the student encoder updated only by EMA.
 
 Each network keeps its parameters in one flat buffer, and its forward pass
-with a gradient is one graph node, so a training step's zeroing, SGD and
-EMA are a few whole-buffer operations.
+with a gradient returns a closed-form vjp that writes the network's whole
+gradient into one flat buffer, so a training step's SGD and EMA are a few
+whole-buffer operations.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, ShapeError
-from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,24 @@ def split_buffer(buffer: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.n
     return views
 
 
+@dataclass
+class ParamView:
+    """One layer's weight or bias: a view into its network's flat buffer.
+
+    ``view.data += x`` adds in place and leaves ``data`` the same view."""
+
+    data: np.ndarray
+
+
 class MlpParams:
     """Weights and biases of one MLP, all held in one flat float64 buffer.
 
-    ``flat`` is the network's one graph leaf. Its data holds w0, b0, w1, b1,
-    ... back to back, each row-major, and its grad buffer has the same
-    layout. ``weights``, ``biases`` and :meth:`parameters` are per-layer
-    tensors whose data and grad are views into those two buffers, so a
-    write through either side shows on the other. Non-trainable networks
-    keep a permanent zero grad buffer.
+    ``data`` holds w0, b0, w1, b1, ... back to back, each row-major. A
+    trainable network's ``grad`` has the same layout and is written whole by
+    each vjp of :func:`mlp_forward`; a non-trainable one (the teacher) has no
+    gradient buffer. ``weights``, ``biases`` and :meth:`parameters` are
+    per-layer views into ``data``, so a write through either side shows on
+    the other.
     """
 
     def __init__(self, spec: MlpSpec, buffer: np.ndarray, trainable: bool = True):
@@ -94,26 +103,20 @@ class MlpParams:
             raise ShapeError("MlpParams: the parameter buffer must be contiguous")
         self.spec = spec
         self.trainable = trainable
-        self.flat = Tensor(buffer, requires_grad=trainable)
-        self.flat.grad = np.zeros(buffer.shape)   # calloc: a grad never written costs no RSS
-        shapes = spec.parameter_shapes
-        layers = [Tensor(view, requires_grad=trainable) for view in split_buffer(buffer, shapes)]
-        for layer, grad in zip(layers, split_buffer(self.flat.grad, shapes)):
-            layer.grad = grad
+        self.data = buffer
+        # calloc: a buffer costs no RSS until the first vjp writes it
+        self.grad = np.zeros(buffer.shape) if trainable else None
+        layers = [ParamView(view) for view in split_buffer(buffer, spec.parameter_shapes)]
         self.weights = layers[0::2]
         self.biases = layers[1::2]
 
-    def parameters(self) -> list[Tensor]:
+    def parameters(self) -> list[ParamView]:
         """Per-layer views in buffer order: w0, b0, w1, b1, ..."""
         return [t for layer in zip(self.weights, self.biases) for t in layer]
 
     def copy(self, trainable: bool) -> "MlpParams":
         """Deep copy into a buffer of its own."""
-        return MlpParams(self.spec, self.flat.data.copy(), trainable)
-
-    def detached(self) -> "MlpParams":
-        """Non-trainable view sharing this network's buffer, so it builds no graph."""
-        return MlpParams(self.spec, self.flat.data, trainable=False)
+        return MlpParams(self.spec, self.data.copy(), trainable)
 
 
 def init_params(spec: MlpSpec, seed, trainable: bool = True) -> MlpParams:
@@ -130,33 +133,34 @@ def init_params(spec: MlpSpec, seed, trainable: bool = True) -> MlpParams:
     return params
 
 
-def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
-    """Run a [b, d_in] batch through the MLP.
+def mlp_forward(params: MlpParams, x: np.ndarray, grad: bool = False):
+    """Run a [b, d_in] batch through the MLP; return its output, and with
+    ``grad`` also the network's vjp.
 
-    When the parameters are trainable or the input needs a gradient, the
-    whole network is one graph node whose parents are the input and
-    ``params.flat``. Its backward walks the layers in closed form, in the
-    operation order of the matmul, bias-add, rectifier and l2_normalize
-    nodes it replaces, so values and gradients are bitwise theirs. The
-    whole-network gradient reaches ``params.flat`` through ``backward``'s
-    ``leaf.grad += g``, as each layer's did, so -0.0 still lands as +0.0.
-    Otherwise (teacher passes, evaluation) the output is a constant, its rows
+    ``vjp(g)`` takes the gradient on the output. For a trainable network it
+    writes the whole-network gradient into ``params.grad``, every element of
+    it, and it returns the gradient on the input; ``input_grad=False`` skips
+    that last product. It walks the layers in closed form, in the operation
+    order of the per-op matmul, bias-add, rectifier and l2_normalize chain,
+    so values and gradients are bitwise that chain's. One ``+= 0.0`` pass
+    then turns each -0.0 into +0.0, as adding into a zeroed buffer did.
+    Without ``grad`` (teacher passes, evaluation) the output rows are
     normalised through ``unit_rows``, and no activation, mask or vjp is kept.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"mlp_forward: need a [batch, features] input, got {x.data.shape}")
-    if x.data.shape[1] != params.spec.input_dim:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"mlp_forward: need a [batch, features] input, got {x.shape}")
+    if x.shape[1] != params.spec.input_dim:
         raise ShapeError(
-            f"mlp_forward: input width {x.data.shape[1]} does not match "
+            f"mlp_forward: input width {x.shape[1]} does not match "
             f"spec width {params.spec.input_dim}"
         )
-    graph = params.trainable or x.requires_grad
     weights = [w.data for w in params.weights]
     last = len(weights) - 1
     inputs = []     # each layer's input; a rectified one is > 0 exactly where its mask is
-    h = x.data
+    h = x
     for i, (w, b) in enumerate(zip(weights, params.biases)):
-        if graph:
+        if grad:
             inputs.append(h)
         h = h @ w
         h += b.data
@@ -164,32 +168,30 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
             # np.where(h > 0, h, 0.0) bit for bit, NaN and -0.0 included, without a copy
             np.fmax(h, 0.0, out=h)
             h += 0.0
-    if not graph:
-        return Tensor(T.unit_rows(h) if params.spec.final_normalize else h)
+    if not grad:
+        return T.unit_rows(h) if params.spec.final_normalize else h
     if params.spec.final_normalize:
         h, normalize_vjp = T.l2_rows(h)
 
-    def vjp(g):
+    def vjp(g, input_grad=True):
         if params.spec.final_normalize:
             g = normalize_vjp(g)
-        grad = gx = None
-        if params.trainable:
-            grad = np.empty_like(params.flat.data)
-            layout = _layer_slices(params.spec)
+        out = params.grad
+        layout = _layer_slices(params.spec)
         for i in range(last, -1, -1):
-            if grad is not None:
+            if out is not None:
                 # each layer's gradient is written straight into its slice of the flat one
                 w_at, w_shape, b_at = layout[i]
-                np.add.reduce(g, axis=0, out=grad[b_at])
-                np.matmul(inputs[i].T, g, out=grad[w_at].reshape(w_shape))
+                np.add.reduce(g, axis=0, out=out[b_at])
+                np.matmul(inputs[i].T, g, out=out[w_at].reshape(w_shape))
             if i:
                 g = g @ weights[i].T
                 g *= inputs[i] > 0
-            elif x.requires_grad:
-                gx = g @ weights[0].T
-        return gx, grad
+        if out is not None:
+            out += 0.0
+        return g @ weights[0].T if input_grad else None
 
-    return T._record(h, "mlp", (x, params.flat), vjp)
+    return h, vjp
 
 
 @functools.cache
@@ -209,7 +211,7 @@ def _layer_slices(spec: MlpSpec) -> tuple[tuple[slice, tuple[int, int], slice], 
 class SgdState:
     """SGD-with-momentum state: one velocity buffer per parameter array.
 
-    The trainer's arrays are whole networks (``MlpParams.flat``), so it keeps
+    The trainer's arrays are whole networks (``MlpParams.data``), so it keeps
     one velocity buffer per network.
     """
 
@@ -223,29 +225,29 @@ class SgdState:
             raise ContractError("SgdState: lr must be non-negative")
 
     @staticmethod
-    def for_params(params: list[Tensor], lr: float, momentum: float = 0.9,
+    def for_params(params: list, lr: float, momentum: float = 0.9,
                    weight_decay: float = 1e-4) -> "SgdState":
         state = SgdState(lr=lr, momentum=momentum, weight_decay=weight_decay)
         state.velocities = [np.zeros_like(p.data) for p in params]
         return state
 
 
-def sgd_step(params: list[Tensor], state: SgdState) -> None:
+def sgd_step(networks: list[MlpParams], state: SgdState) -> None:
     """In-place update: v <- momentum*v + (grad + wd*theta); theta <- theta - lr*v.
 
-    ``grad`` is each parameter's own grad buffer. The formula's operations run
-    in place through one temporary per array. They are elementwise, so the
-    trainer's one leaf per network gets bitwise the values that a loop over its
-    layer views would. Teacher (non-trainable) parameters are rejected.
+    theta and grad are each network's flat ``data`` and ``grad``. The formula's
+    operations run in place through one temporary per network. They are
+    elementwise, so each network gets bitwise the values that a loop over its
+    layer views would. A non-trainable network (the teacher) is rejected.
     """
-    if len(state.velocities) != len(params):
-        raise ShapeError("sgd_step: params and velocities must align")
-    for p, v in zip(params, state.velocities):
-        if not p.requires_grad:
-            raise ContractError("sgd_step: refusing to update a non-trainable (teacher) parameter")
+    if len(state.velocities) != len(networks):
+        raise ShapeError("sgd_step: networks and velocities must align")
+    for p, v in zip(networks, state.velocities):
+        if not p.trainable:
+            raise ContractError("sgd_step: refusing to update a non-trainable (teacher) network")
         g = p.grad
         if g is None or g.shape != p.data.shape or v.shape != p.data.shape:
-            raise ShapeError(f"sgd_step: buffer shape mismatch for parameter {p.data.shape}")
+            raise ShapeError(f"sgd_step: buffer shape mismatch for network {p.data.shape}")
         step = p.data * state.weight_decay
         step += g
         v *= state.momentum
@@ -285,7 +287,7 @@ class ModelPair:
         teacher = encoder.copy(trainable=False)
         return ModelPair(encoder, predictor, teacher, momentum)
 
-    def student_parameters(self) -> list[Tensor]:
+    def student_parameters(self) -> list[ParamView]:
         """Per-layer views of the student encoder, then of the predictor."""
         return self.student_encoder.parameters() + self.student_predictor.parameters()
 
@@ -299,7 +301,7 @@ def ema_update(pair: ModelPair) -> None:
     m = pair.momentum
     if m == 1.0:
         return
-    t, s = pair.teacher_encoder.flat.data, pair.student_encoder.flat.data
+    t, s = pair.teacher_encoder.data, pair.student_encoder.data
     if m == 0.0:
         t[...] = s
     else:

@@ -1,11 +1,13 @@
 """The iterative training loop: augment, forward both networks, distill, update.
 
 Each step draws two independent views of every query, embeds one with the
-teacher (constant) and one with the student (graph-linked), scores the
-selected objective against the current anchor snapshot, applies one SGD
-step to the student and one EMA step to the teacher, and only then
-enqueues the teacher embeddings. That ordering guarantees a query is
-never scored against its own current view.
+teacher (constant) and one with the student encoder and predictor (each
+keeping its vjp), scores the selected objective against the current anchor
+snapshot, carries the objective's gradient back through the predictor and
+the encoder into their gradient buffers, applies one SGD step to the student
+and one EMA step to the teacher, and only then enqueues the teacher
+embeddings. That ordering guarantees a query is never scored against its
+own current view.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .evaluation import embed_dataset, knn_eval
 from .losses import byol_loss_batch, distribution_entropy, isd_loss_batch, moco_loss_batch
 from .nn import (MlpSpec, ModelPair, SgdState, default_encoder_spec,
                  default_predictor_spec, ema_update, mlp_forward, sgd_step)
-from .tensor import Tensor, backward
 
 # A step reads H(p_t) off the teacher softmax and no longer calls
 # distribution_entropy; the name stays here, re-exported, because
@@ -36,7 +37,7 @@ from .tensor import Tensor, backward
 # benchmark's tests require every name it wraps to exist.
 __all__ = ["StepMetrics", "MetricsWriter", "knn_accuracies", "Trainer", "train",
            "encoder_mismatch", "distill_config", "distill", "distill_trainer",
-           "distribution_entropy"]
+           "distribution_entropy", "backward"]
 
 
 @dataclass
@@ -87,6 +88,14 @@ def knn_accuracies(pair: ModelPair, train_ds: LabeledDataset, eval_ds: LabeledDa
     return knn_eval(t_train, t_eval, k), knn_eval(s_train, s_eval, k)
 
 
+def backward(grad: np.ndarray, predictor_vjp, encoder_vjp) -> None:
+    """A step's backward: the objective's gradient on the predictor's output,
+    carried through the predictor into the student encoder. Each vjp writes
+    its network's gradient buffer whole; the encoder's input gradient is not
+    needed."""
+    encoder_vjp(predictor_vjp(grad), input_grad=False)
+
+
 @functools.cache
 def _keep_step_buffers_on_heap() -> None:
     """Raise glibc's mmap and trim thresholds to 1 MiB and 8 MiB, once per process.
@@ -132,9 +141,9 @@ class Trainer:
             )
         embed_dim = encoder_spec.output_dim
         self.pair = pair
-        # one leaf per student network: zeroing, SGD and EMA work on whole buffers
-        self.leaves = [pair.student_encoder.flat, pair.student_predictor.flat]
-        self.sgd = SgdState.for_params(self.leaves, lr=config.lr,
+        # SGD and EMA work on each network's whole buffer
+        self.networks = [pair.student_encoder, pair.student_predictor]
+        self.sgd = SgdState.for_params(self.networks, lr=config.lr,
                                        momentum=config.sgd_momentum,
                                        weight_decay=config.weight_decay)
         self.bank = AnchorBank(config.bank_capacity, embed_dim)
@@ -161,7 +170,7 @@ class Trainer:
         return teacher_view, self._view(batch, self.student_policy)
 
     def _teacher_embed(self, views: np.ndarray) -> np.ndarray:
-        return mlp_forward(self.pair.teacher_encoder, Tensor(views)).data
+        return mlp_forward(self.pair.teacher_encoder, views)
 
     def prefill(self, ds: LabeledDataset) -> None:
         """Fill the bank with teacher embeddings before any optimization step.
@@ -198,38 +207,36 @@ class Trainer:
 
         qt_views, qs_views = self._views(batch)
         t_emb = self._teacher_embed(qt_views)
-        s_emb = mlp_forward(self.pair.student_encoder, Tensor(qs_views))
-        s_pred = mlp_forward(self.pair.student_predictor, s_emb)
+        s_emb, encoder_vjp = mlp_forward(self.pair.student_encoder, qs_views, grad=True)
+        s_pred, predictor_vjp = mlp_forward(self.pair.student_predictor, s_emb, grad=True)
 
         h_pt: float | None
         if objective == "isd":
-            loss, _, h_t = isd_loss_batch(t_emb, s_pred, self.bank.unit_snapshot(), tau)
+            loss, grad, _, h_t = isd_loss_batch(t_emb, s_pred, self.bank.unit_snapshot(), tau)
             h_pt = float(h_t.mean())
         elif objective == "moco":
-            loss = moco_loss_batch(s_pred, t_emb, self.bank.unit_snapshot(), tau)
+            loss, grad = moco_loss_batch(s_pred, t_emb, self.bank.unit_snapshot(), tau)
             h_pt = 0.0          # one-hot teacher target
         else:
-            loss = byol_loss_batch(s_pred, t_emb)
+            loss, grad = byol_loss_batch(s_pred, t_emb)
             h_pt = None
 
-        for leaf in self.leaves:
-            leaf.zero_grad()
-        backward(loss)
+        backward(grad, predictor_vjp, encoder_vjp)
         self.sgd.lr = cfg.lr_at(self.epoch)
-        sgd_step(self.leaves, self.sgd)
+        sgd_step(self.networks, self.sgd)
         ema_update(self.pair)
         if self.needs_bank:
             # strictly after the loss: a query never meets its own view
             self.bank.enqueue(t_emb)
 
         if __debug__:
-            assert not self.pair.teacher_encoder.flat.grad.any(), "teacher parameter received gradient"
+            assert self.pair.teacher_encoder.grad is None, "teacher parameter received gradient"
 
         self.global_step += 1
         return StepMetrics(
             epoch=self.epoch,
             step=self.global_step,
-            loss=float(loss.data),
+            loss=loss,
             teacher_entropy=h_pt,
             lr=self.sgd.lr,
         )

@@ -8,16 +8,18 @@ and ``relu`` are verbatim as they were before a whole MLP became one graph
 node. ``matmul`` and ``l2_normalize`` in their 2-D branches, and ``add``
 in its same-shape branch, are also the library's ops of those names from
 before each training objective became one graph node; ``rowwise_dot`` and
-``prepend_column`` are verbatim from then. Each op records into the library's graph, so
-``simdistill.tensor.backward`` differentiates through it. Tests build
-independent derivative paths (KL through softmax and log, the unfused
-cross-entropy chain, the graph-fitted probe, the per-op MLP) from these.
+``prepend_column`` are verbatim from then. Each op records into the
+reference tape, so ``oracles.tape.backward`` differentiates through it.
+Tests build independent derivative paths (KL through softmax and log, the
+unfused cross-entropy chain, the graph-fitted probe, the per-op MLP) from
+these.
 """
 
 import numpy as np
 
+from oracles.tape import Tensor, _record
 from simdistill.errors import ContractError, NumericDomainError, ShapeError
-from simdistill.tensor import Tensor, _check_finite, _record
+from simdistill.tensor import _check_finite
 
 
 def detach(t: Tensor) -> Tensor:

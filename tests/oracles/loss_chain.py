@@ -1,10 +1,12 @@
-"""Reference for the batch losses before each became one graph node.
+"""Reference for the batch losses before each became one closed-form call.
 
 ``anchor_cross_entropy_batch`` and ``moco_loss_batch`` as they were before
 ``soft_cross_entropy`` fused their last five nodes (log_softmax, mul, sum,
 neg and a 1/b scale), and ``byol_loss_batch`` as it was before the fused
 objectives, kept verbatim except that the ops come from ``graph_ops`` and
-the anchors are an array, as the library now takes them.
+the tape, and the anchors are an array, as the library now takes them. Each
+records a per-op chain on a student ``Tensor``; ``tape.value_and_grad``
+turns one into the library's (value, gradient) contract.
 The fused BYOL objective must give bitwise the same value and gradient. The
 fused ISD and MoCo objectives scale by 1/tau on the [b, d] blocks rather than
 on the [b, K] logits, so they round differently: they must agree with these
@@ -14,9 +16,10 @@ chains to ``CHAIN_RTOL`` (see :func:`assert_close`).
 import numpy as np
 
 from oracles import graph_ops as G
-from simdistill import tensor as T
+from oracles import tape as T
+from oracles.tape import Tensor
 from simdistill.errors import ContractError, ShapeError
-from simdistill.tensor import Tensor, unit_rows
+from simdistill.tensor import unit_rows
 
 
 # How far an ISD or MoCo node's value or gradient may lie from its chain's,

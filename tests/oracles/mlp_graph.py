@@ -2,62 +2,95 @@
 
 ``mlp_forward`` is the per-op graph: matmul, bias add and relu nodes per
 layer and an l2_normalize node, with each layer view a separate leaf.
-``sgd_step`` and ``ema_update`` are the loops the trainer ran over the ten
+``sgd_step`` and ``ema_update`` are the loops the trainer ran over the
 layer views, with a temporary array per operation. All three are verbatim,
-except that the graph ops now come from ``graph_ops`` and ``sgd_step``
-reads each parameter's grad buffer, as the library's does. The layer
-views' grad buffers are views into the network's flat grad buffer, so
-``backward`` through this graph fills the same buffer that the fused node
-does, and the trainer runs unchanged with these patched in.
+except for the edits that fit them to the library's calls. The graph ops
+come from ``graph_ops`` and record on the reference tape. ``mlp_forward``
+takes and returns arrays and, with ``grad``, returns a vjp of the library's
+contract: it zeroes the network's flat grad buffer, sweeps the tape into
+leaves whose grad buffers are views of it, and returns the input gradient
+as a leaf collects it. ``sgd_step`` takes whole networks, as the library's
+does, and loops over the views of each network's buffers. So the trainer
+runs unchanged with these patched in.
 """
 
+import numpy as np
+
 from oracles import graph_ops as G
+from oracles import tape
 from simdistill.errors import ContractError, ShapeError
-from simdistill.nn import MlpParams, ModelPair, SgdState
-from simdistill.tensor import Tensor
+from simdistill.nn import MlpParams, ModelPair, SgdState, split_buffer
 
 
-def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
+def layer_leaves(params: MlpParams) -> list[tape.Tensor]:
+    """w0, b0, w1, b1, ... as tape leaves whose data and grad are views of the
+    network's flat buffers; a network without a grad buffer gives constants."""
+    shapes = params.spec.parameter_shapes
+    leaves = [tape.Tensor(view, requires_grad=params.trainable)
+              for view in split_buffer(params.data, shapes)]
+    if params.grad is not None:
+        for leaf, grad in zip(leaves, split_buffer(params.grad, shapes)):
+            leaf.grad = grad
+    return leaves
+
+
+def mlp_forward(params: MlpParams, x: np.ndarray, grad: bool = False):
     """Run a [b, d_in] batch through the MLP.
 
-    Builds a differentiation graph only when the parameters (or input)
-    are trainable, so teacher-side passes stay constant by construction.
+    Builds a differentiation graph only when ``grad`` is asked for, so
+    teacher-side passes stay constant by construction.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"mlp_forward: need a [batch, features] input, got {x.data.shape}")
-    if x.data.shape[1] != params.spec.input_dim:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"mlp_forward: need a [batch, features] input, got {x.shape}")
+    if x.shape[1] != params.spec.input_dim:
         raise ShapeError(
-            f"mlp_forward: input width {x.data.shape[1]} does not match "
+            f"mlp_forward: input width {x.shape[1]} does not match "
             f"spec width {params.spec.input_dim}"
         )
-    h = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    leaves = layer_leaves(params)
+    inp = tape.Tensor(x, requires_grad=grad)
+    h = inp
+    last = len(leaves) // 2 - 1
+    for i, (w, b) in enumerate(zip(leaves[0::2], leaves[1::2])):
         h = G.add(G.matmul(h, w), b)
         if i != last:
             h = G.relu(h)
     if params.spec.final_normalize:
         h = G.l2_normalize(h)
-    return h
+    if not grad:
+        return h.data
+
+    def vjp(g, input_grad=True):
+        for leaf in leaves:
+            if leaf.requires_grad:
+                leaf.zero_grad()
+        inp.grad = None
+        tape.backward(h, g)
+        return inp.grad if input_grad else None
+
+    return h.data, vjp
 
 
-def sgd_step(params: list[Tensor], state: SgdState) -> None:
+def sgd_step(networks: list[MlpParams], state: SgdState) -> None:
     """In-place update: v <- momentum*v + (grad + wd*theta); theta <- theta - lr*v.
 
-    ``grad`` is each parameter's own grad buffer. Teacher (non-trainable)
-    parameters are rejected.
+    ``grad`` is each network's own grad buffer. Teacher (non-trainable)
+    networks are rejected.
     """
-    grads = [p.grad for p in params]
-    if len(grads) != len(params) or len(state.velocities) != len(params):
+    if len(state.velocities) != len(networks):
         raise ShapeError("sgd_step: params, grads and velocities must align")
-    for p, g, v in zip(params, grads, state.velocities):
-        if not p.requires_grad:
+    for net, velocity in zip(networks, state.velocities):
+        if not net.trainable:
             raise ContractError("sgd_step: refusing to update a non-trainable (teacher) parameter")
-        if g is None or g.shape != p.data.shape or v.shape != p.data.shape:
-            raise ShapeError(f"sgd_step: buffer shape mismatch for parameter {p.data.shape}")
-        v *= state.momentum
-        v += g + state.weight_decay * p.data
-        p.data -= state.lr * v
+        if net.grad is None or net.grad.shape != net.data.shape or velocity.shape != net.data.shape:
+            raise ShapeError(f"sgd_step: buffer shape mismatch for parameter {net.data.shape}")
+        shapes = net.spec.parameter_shapes
+        for p, g, v in zip(split_buffer(net.data, shapes), split_buffer(net.grad, shapes),
+                           split_buffer(velocity, shapes)):
+            v *= state.momentum
+            v += g + state.weight_decay * p
+            p -= state.lr * v
 
 
 def ema_update(pair: ModelPair) -> None:

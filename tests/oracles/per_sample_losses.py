@@ -11,9 +11,10 @@ library's 1-row forms must agree with these to rounding.
 import numpy as np
 
 from oracles import graph_ops as G
-from simdistill import tensor as T
+from oracles import tape as T
+from oracles.tape import Tensor
 from simdistill.errors import ContractError, DegenerateDistributionError, ShapeError
-from simdistill.tensor import Tensor, unit_rows
+from simdistill.tensor import unit_rows
 
 
 def _check_anchors(query_dim: int, anchors: Tensor) -> np.ndarray:

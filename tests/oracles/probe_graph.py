@@ -9,10 +9,10 @@ accuracies must be equal.
 import numpy as np
 
 from oracles import graph_ops as G
-from simdistill import tensor as T
+from oracles import tape as T
+from oracles.tape import Tensor
 from simdistill.errors import ContractError
 from simdistill.evaluation import EmbeddingTable
-from simdistill.tensor import Tensor
 
 
 def fit(train: EmbeddingTable, epochs: int, lr: float):

@@ -13,6 +13,8 @@ import pytest
 
 import simdistill.tensor as T
 from oracles import graph_ops as G
+from oracles import tape
+from oracles.tape import Tensor
 from simdistill.bank import AnchorBank
 from simdistill.cli import main
 from simdistill.config import RunConfig
@@ -25,7 +27,6 @@ from simdistill.losses import (anchor_cross_entropy_batch, anchor_distribution_b
                                byol_loss_batch, distribution_entropy, isd_loss_batch,
                                moco_loss_batch)
 from simdistill.nn import MlpSpec, ModelPair, default_predictor_spec, ema_update, init_params
-from simdistill.tensor import Tensor
 from simdistill.train import train
 
 
@@ -48,15 +49,15 @@ class TestCriterion1GradientCorrectness:
                 anchors = rng.standard_normal((n, d))
                 pos = rng.standard_normal((1, d))
 
-                q = Tensor.parameter(rng.standard_normal((1, d)))
+                q = rng.standard_normal((1, d))
                 worst = max(worst, T.grad_check(
-                    lambda: isd_loss_batch(q_t, q, anchors, 0.05)[0], [q], step=1e-5))
-                q = Tensor.parameter(rng.standard_normal((1, d)))
+                    lambda x: isd_loss_batch(q_t, x, anchors, 0.05), q, step=1e-5))
+                q = rng.standard_normal((1, d))
                 worst = max(worst, T.grad_check(
-                    lambda: moco_loss_batch(q, pos, anchors, 0.05), [q], step=1e-5))
-                q = Tensor.parameter(rng.standard_normal((1, d)))
+                    lambda x: moco_loss_batch(x, pos, anchors, 0.05), q, step=1e-5))
+                q = rng.standard_normal((1, d))
                 worst = max(worst, T.grad_check(
-                    lambda: byol_loss_batch(q, q_t), [q], step=1e-5))
+                    lambda x: byol_loss_batch(x, q_t), q, step=1e-5))
                 instances += 3
         elapsed = time.perf_counter() - started
         ok = worst < 1e-5 and instances >= 20 and elapsed < 60.0
@@ -78,21 +79,17 @@ class TestCriterion2MocoReduction:
             pos = rng.standard_normal(d)
             anchors = rng.standard_normal((n, d))
 
-            q_a = Tensor.parameter(q_values[None].copy())
-            loss_a = moco_loss_batch(q_a, pos[None], anchors, tau)
-            T.backward(loss_a)
+            loss_a, grad_a = moco_loss_batch(q_values[None], pos[None], anchors, tau)
 
             pos_unit = pos / np.linalg.norm(pos)
             units = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
             extended = np.concatenate([pos_unit[None, :], units], axis=0)
             onehot = np.zeros((1, n + 1))
             onehot[0, 0] = 1.0
-            q_b = Tensor.parameter(q_values[None].copy())
-            loss_b = anchor_cross_entropy_batch(onehot, q_b, extended, tau)
-            T.backward(loss_b)
+            loss_b, grad_b = anchor_cross_entropy_batch(onehot, q_values[None], extended, tau)
 
-            worst_value = max(worst_value, abs(loss_a.item() - loss_b.item()))
-            worst_grad = max(worst_grad, float(np.abs(q_a.grad - q_b.grad).max()))
+            worst_value = max(worst_value, abs(loss_a - loss_b))
+            worst_grad = max(worst_grad, float(np.abs(grad_a - grad_b).max()))
         ok = worst_value < 1e-10 and worst_grad < 1e-10
         report(capsys, 2, ok,
                f"120 instances, value diff {worst_value:.2e}, grad diff {worst_grad:.2e} (< 1e-10)")
@@ -112,19 +109,17 @@ class TestCriterion3KlCrossEntropyEquivalence:
             units = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
             p_t = anchor_distribution_batch(q_t[None, :], anchors, tau)[0]
 
-            q_ce = Tensor.parameter(q_values[None].copy())
-            ce = anchor_cross_entropy_batch(p_t[None], q_ce, anchors, tau)
-            T.backward(ce)
+            ce, grad_ce = anchor_cross_entropy_batch(p_t[None], q_values[None], anchors, tau)
 
             q_kl = Tensor.parameter(q_values.copy())
-            logits = T.mul(G.matmul(Tensor(units), G.l2_normalize(q_kl)), 1.0 / tau)
+            logits = tape.mul(G.matmul(Tensor(units), G.l2_normalize(q_kl)), 1.0 / tau)
             p_s = G.softmax(logits)
-            kl = T.tensor_sum(T.mul(Tensor(p_t), G.sub(Tensor(np.log(p_t)), G.log(p_s))))
-            T.backward(kl)
+            kl = tape.tensor_sum(tape.mul(Tensor(p_t), G.sub(Tensor(np.log(p_t)), G.log(p_s))))
+            tape.backward(kl)
 
             h_t = float(distribution_entropy(p_t))
-            worst_value = max(worst_value, abs(ce.item() - kl.item() - h_t))
-            worst_grad = max(worst_grad, float(np.abs(q_ce.grad[0] - q_kl.grad).max()))
+            worst_value = max(worst_value, abs(ce - kl.item() - h_t))
+            worst_grad = max(worst_grad, float(np.abs(grad_ce[0] - q_kl.grad).max()))
         ok = worst_grad < 1e-10 and worst_value < 1e-10
         report(capsys, 3, ok,
                f"50 instances, grad diff {worst_grad:.2e}, (CE - KL) - H(p_t) {worst_value:.2e}")

@@ -287,6 +287,7 @@ class TestExitCodes:
         ("ablate-temperature", "eval_every=0"), ("train", "data_eval=eval.bin"),
         ("train", "lr_step_factor=-1"), ("train", "sgd_momentum=5"),
         ("train", "lr_step_fracs=5"), ("unbalanced", "lr_step_fracs=-1"),
+        ("unbalanced", "data_seed=-1"),
     ])
     def test_bad_config_value_is_exit_3_before_any_output(self, tmp_path, capsys,
                                                          command, override):
@@ -330,6 +331,18 @@ class TestExitCodes:
                      "--set", "data_per_class=1", "--set", "eval_k=1"])
         assert code == 3
         assert "config error: data_per_class=1 is too few" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unbalanced_with_a_bad_data_seed_is_exit_3_before_any_output(self, tmp_path,
+                                                                         capsys):
+        """Each repetition replaces data_seed, so the protocol checks the value as
+        given before it writes anything. FAST's 2 classes would stop the run at the
+        rare-class check first, so this case uses a corpus that has rare classes."""
+        out = tmp_path / "out"
+        code = main(["unbalanced", "--reps", "1", "--out", str(out), *UNBALANCED_FAST,
+                     "--set", "data_seed=-1"])
+        assert code == 3
+        assert "config error: data_seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("edit", [*GARBLED.values(), drop_key("buffers"),

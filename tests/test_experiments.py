@@ -233,11 +233,11 @@ class TestEvalCommandErrors:
         """The teacher half runs in the caller, the student half in the worker."""
         cpus(2)
         pair = load_checkpoint(trained).pair
-        weights = (pair.teacher_encoder if failing == "teacher" else pair.student_encoder).flat.data
+        weights = (pair.teacher_encoder if failing == "teacher" else pair.student_encoder).data
         real_embed = experiments.embed_dataset
 
         def embed_dataset(encoder, ds):
-            if np.array_equal(encoder.flat.data, weights):
+            if np.array_equal(encoder.data, weights):
                 raise NumericDomainError(f"{failing} embedding diverged")
             return real_embed(encoder, ds)
         monkeypatch.setattr(experiments, "embed_dataset", embed_dataset)

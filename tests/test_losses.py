@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simdistill.tensor as T
-from oracles import anchor_softmax, graph_ops, loss_chain, per_sample_losses
+from oracles import anchor_softmax, graph_ops, loss_chain, per_sample_losses, tape
 from oracles.loss_chain import assert_close
+from oracles.tape import Tensor
 from simdistill.errors import (ContractError, DegenerateDistributionError, NumericDomainError,
                                ShapeError)
 from simdistill.losses import (LossConfig, anchor_cross_entropy_batch, anchor_distribution_batch,
                                byol_loss_batch, distribution_entropy, isd_loss_batch,
                                moco_loss_batch)
-from simdistill.tensor import Tensor
 
 mp.mp.dps = 50
 
@@ -81,7 +81,7 @@ class TestAnchorDistribution:
             anchor_distribution_batch(row(np.ones(3)), np.eye(3), 0.0)
 
     def test_is_a_constant(self):
-        """The teacher side of every loss is a plain array, not a graph node."""
+        """The teacher side of every loss is a plain array."""
         out = anchor_distribution_batch(row(np.ones(3)), np.eye(3), 0.1)
         assert type(out) is np.ndarray and out.shape == (1, 3)
 
@@ -92,14 +92,14 @@ class TestIsdLoss:
         rng = np.random.default_rng(1)
         q = rng.standard_normal((1, 6))
         anchors = rng.standard_normal((10, 6))
-        loss, p_t, h_t = isd_loss_batch(q, Tensor(q.copy()), anchors, 0.1)
-        assert loss.item() == pytest.approx(float(distribution_entropy(p_t[0])), abs=1e-12)
-        assert loss.item() == pytest.approx(h_t[0], abs=1e-12)
+        loss, _, p_t, h_t = isd_loss_batch(q, q.copy(), anchors, 0.1)
+        assert loss == pytest.approx(float(distribution_entropy(p_t[0])), abs=1e-12)
+        assert loss == pytest.approx(h_t[0], abs=1e-12)
 
     def test_uniform_distributions_give_log_n(self):
         """Uniform teacher and student over n anchors cost exactly ln n."""
-        loss = isd_loss_batch(row(np.ones(5)), Tensor(row(np.ones(5))), np.eye(5), 0.3)[0]
-        assert loss.item() == pytest.approx(np.log(5.0), abs=1e-12)
+        loss = isd_loss_batch(row(np.ones(5)), row(np.ones(5)), np.eye(5), 0.3)[0]
+        assert loss == pytest.approx(np.log(5.0), abs=1e-12)
 
     def test_random_instance_against_mpmath_oracle(self):
         """Loss equals the 50-digit brute-force cross entropy to 1e-12."""
@@ -111,19 +111,19 @@ class TestIsdLoss:
             tau = float(rng.uniform(0.05, 0.5))
             expected = mp_cross_entropy(mp_distribution(q_t, anchors, tau),
                                         mp_distribution(q_s, anchors, tau))
-            loss = isd_loss_batch(row(q_t), Tensor(row(q_s)), anchors, tau)[0]
-            assert abs(loss.item() - float(expected)) < 1e-12
+            loss = isd_loss_batch(row(q_t), row(q_s), anchors, tau)[0]
+            assert abs(loss - float(expected)) < 1e-12
 
     def test_gradient_passes_grad_check(self):
         rng = np.random.default_rng(3)
-        q_s = Tensor.parameter(rng.standard_normal((1, 8)))
+        q_s = rng.standard_normal((1, 8))
         q_t = rng.standard_normal((1, 8))
         anchors = rng.standard_normal((16, 8))
-        assert T.grad_check(lambda: isd_loss_batch(q_t, q_s, anchors, 0.05)[0], [q_s]) < 1e-5
+        assert T.grad_check(lambda q: isd_loss_batch(q_t, q, anchors, 0.05), q_s) < 1e-5
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            isd_loss_batch(row(np.ones(3)), Tensor(row(np.ones(4))), np.eye(4), 0.1)
+            isd_loss_batch(row(np.ones(3)), row(np.ones(4)), np.eye(4), 0.1)
 
 
 class TestMocoLoss:
@@ -133,9 +133,9 @@ class TestMocoLoss:
         q = np.zeros(n + 1)
         q[0] = 1.0
         anchors = np.eye(n + 1)[1:]
-        loss = moco_loss_batch(Tensor(row(q)), row(q), anchors, 1.0)
+        loss = moco_loss_batch(row(q), row(q), anchors, 1.0)[0]
         expected = -np.log(np.e / (np.e + n))
-        assert loss.item() == pytest.approx(expected, abs=1e-12)
+        assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_reduction_to_one_hot_cross_entropy(self):
         """Equals the distillation loss with the query key prepended and a
@@ -148,20 +148,16 @@ class TestMocoLoss:
             anchors = rng.standard_normal((n, d))
             tau = float(rng.uniform(0.05, 0.5))
 
-            q_a = Tensor.parameter(row(q))
-            loss_a = moco_loss_batch(q_a, row(pos), anchors, tau)
-            T.backward(loss_a)
+            loss_a, grad_a = moco_loss_batch(row(q), row(pos), anchors, tau)
 
             pos_unit = pos / np.linalg.norm(pos)
             units = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
             extended = np.concatenate([pos_unit[None, :], units], axis=0)
             onehot = row(np.eye(n + 1)[0])
-            q_b = Tensor.parameter(row(q))
-            loss_b = anchor_cross_entropy_batch(onehot, q_b, extended, tau)
-            T.backward(loss_b)
+            loss_b, grad_b = anchor_cross_entropy_batch(onehot, row(q), extended, tau)
 
-            assert abs(loss_a.item() - loss_b.item()) < 1e-12
-            assert np.abs(q_a.grad - q_b.grad).max() < 1e-10
+            assert abs(loss_a - loss_b) < 1e-12
+            assert np.abs(grad_a - grad_b).max() < 1e-10
 
     def test_random_instance_against_mpmath_oracle(self):
         rng = np.random.default_rng(5)
@@ -172,36 +168,36 @@ class TestMocoLoss:
         extended = np.concatenate([pos[None, :], anchors], axis=0)
         p_model = mp_distribution(q, extended, tau)
         expected = -mp.log(p_model[0])
-        loss = moco_loss_batch(Tensor(row(q)), row(pos), anchors, tau)
-        assert abs(loss.item() - float(expected)) < 1e-12
+        loss = moco_loss_batch(row(q), row(pos), anchors, tau)[0]
+        assert abs(loss - float(expected)) < 1e-12
 
     def test_gradient_passes_grad_check(self):
         rng = np.random.default_rng(6)
-        q = Tensor.parameter(rng.standard_normal((1, 8)))
+        q = rng.standard_normal((1, 8))
         pos = rng.standard_normal((1, 8))
         anchors = rng.standard_normal((16, 8))
-        assert T.grad_check(lambda: moco_loss_batch(q, pos, anchors, 0.07), [q]) < 1e-5
+        assert T.grad_check(lambda x: moco_loss_batch(x, pos, anchors, 0.07), q) < 1e-5
 
 
 class TestByolLoss:
     def test_identical_vectors(self):
         v = row([0.3, -0.4, 1.2])
-        assert byol_loss_batch(Tensor(v), v.copy()).item() == pytest.approx(0.0, abs=1e-12)
+        assert byol_loss_batch(v, v.copy())[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_vectors(self):
         a = row([1.0, 0.0])
         b = row([0.0, 2.0])
-        assert byol_loss_batch(Tensor(a), b).item() == pytest.approx(2.0, abs=1e-12)
+        assert byol_loss_batch(a, b)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_opposite_vectors(self):
         v = row([0.5, -1.0, 2.0])
-        assert byol_loss_batch(Tensor(v), -v).item() == pytest.approx(4.0, abs=1e-12)
+        assert byol_loss_batch(v, -v)[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_gradient_passes_grad_check(self):
         rng = np.random.default_rng(7)
-        q = Tensor.parameter(rng.standard_normal((1, 8)))
+        q = rng.standard_normal((1, 8))
         t = rng.standard_normal((1, 8))
-        assert T.grad_check(lambda: byol_loss_batch(q, t), [q]) < 1e-5
+        assert T.grad_check(lambda x: byol_loss_batch(x, t), q) < 1e-5
 
 
 class TestInvariants:
@@ -221,21 +217,19 @@ class TestInvariants:
             units = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
             p_t = anchor_distribution_batch(q_t[None, :], anchors, tau)[0]
 
-            q_ce = Tensor.parameter(row(q_s_values))
-            ce = anchor_cross_entropy_batch(p_t[None], q_ce, anchors, tau)
-            T.backward(ce)
+            ce, grad_ce = anchor_cross_entropy_batch(p_t[None], row(q_s_values), anchors, tau)
 
             q_kl = Tensor.parameter(q_s_values.copy())
-            logits = T.mul(graph_ops.matmul(Tensor(units), graph_ops.l2_normalize(q_kl)),
-                           1.0 / tau)
+            logits = tape.mul(graph_ops.matmul(Tensor(units), graph_ops.l2_normalize(q_kl)),
+                              1.0 / tau)
             p_s = graph_ops.softmax(logits)
             log_ratio = graph_ops.sub(Tensor(np.log(p_t)), graph_ops.log(p_s))
-            kl = T.tensor_sum(T.mul(Tensor(p_t), log_ratio))
-            T.backward(kl)
+            kl = tape.tensor_sum(tape.mul(Tensor(p_t), log_ratio))
+            tape.backward(kl)
 
             h_t = float(distribution_entropy(p_t))
-            assert abs((ce.item() - kl.item()) - h_t) < 1e-10
-            assert np.abs(q_ce.grad[0] - q_kl.grad).max() < 1e-10
+            assert abs((ce - kl.item()) - h_t) < 1e-10
+            assert np.abs(grad_ce[0] - q_kl.grad).max() < 1e-10
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, 10.0])
     def test_losses_invariant_to_positive_rescaling(self, scale):
@@ -247,25 +241,24 @@ class TestInvariants:
         anchors = rng.standard_normal((7, 5))
 
         def losses(c):
-            return [isd_loss_batch(c * q_t, Tensor(c * q_s), c * anchors, 0.1)[0].item(),
-                    moco_loss_batch(Tensor(c * q_s), c * pos, c * anchors, 0.1).item(),
-                    byol_loss_batch(Tensor(c * q_s), c * q_t).item()]
+            return [isd_loss_batch(c * q_t, c * q_s, c * anchors, 0.1)[0],
+                    moco_loss_batch(c * q_s, c * pos, c * anchors, 0.1)[0],
+                    byol_loss_batch(c * q_s, c * q_t)[0]]
 
         assert np.abs(np.array(losses(1.0)) - losses(scale)).max() < 1e-10
 
-    def test_only_the_student_block_is_a_graph_parent(self):
-        """Each loss node has the student block as its one parent, so no gradient
-        can reach a teacher-side input, which is a plain array."""
+    def test_the_gradient_is_the_student_blocks(self):
+        """Each objective returns a float value and one gradient, of the student
+        block's shape; the teacher-side inputs are plain arrays and get none."""
         rng = np.random.default_rng(10)
         q_t, pos = rng.standard_normal((1, 5)), rng.standard_normal((1, 5))
         anchors = rng.standard_normal((7, 5))
-        q_s = Tensor.parameter(rng.standard_normal((1, 5)))
-        for loss in (isd_loss_batch(q_t, q_s, anchors, 0.1)[0],
-                     moco_loss_batch(q_s, pos, anchors, 0.1),
-                     byol_loss_batch(q_s, q_t)):
-            assert loss.parents == (q_s,)
-            T.backward(loss)
-        assert q_s.grad.any()
+        q_s = rng.standard_normal((1, 5))
+        for value, grad in (isd_loss_batch(q_t, q_s, anchors, 0.1)[:2],
+                            moco_loss_batch(q_s, pos, anchors, 0.1),
+                            byol_loss_batch(q_s, q_t)):
+            assert type(value) is float
+            assert grad.shape == q_s.shape and grad.any()
 
     def test_loss_config_validation(self):
         with pytest.raises(ContractError):
@@ -287,20 +280,16 @@ class TestBatchForms:
         anchors = rng.standard_normal((n, d))
         tau = 0.1
 
-        q_s = Tensor.parameter(q_s_values.copy())
-        batch_loss, p_t, _ = isd_loss_batch(q_t, q_s, anchors, tau)
-        T.backward(batch_loss)
+        batch_loss, batch_grad, p_t, _ = isd_loss_batch(q_t, q_s_values, anchors, tau)
 
         singles = []
         grads = np.zeros_like(q_s_values)
         for i in range(b):
-            qi = Tensor.parameter(q_s_values[i:i + 1])
-            li = isd_loss_batch(q_t[i:i + 1], qi, anchors, tau)[0]
-            T.backward(li)
-            singles.append(li.item())
-            grads[i] = qi.grad[0]
-        assert batch_loss.item() == pytest.approx(np.mean(singles), abs=1e-12)
-        assert np.abs(q_s.grad - grads / b).max() < 1e-12
+            li, gi = isd_loss_batch(q_t[i:i + 1], q_s_values[i:i + 1], anchors, tau)[:2]
+            singles.append(li)
+            grads[i] = gi[0]
+        assert batch_loss == pytest.approx(np.mean(singles), abs=1e-12)
+        assert np.abs(batch_grad - grads / b).max() < 1e-12
         assert p_t.shape == (b, n)
 
     def test_moco_batch_equals_mean_of_per_sample(self):
@@ -309,21 +298,19 @@ class TestBatchForms:
         q_values = rng.standard_normal((b, d))
         pos = rng.standard_normal((b, d))
         anchors = rng.standard_normal((n, d))
-        q = Tensor.parameter(q_values.copy())
-        batch_loss = moco_loss_batch(q, pos, anchors, 0.2)
-        singles = [moco_loss_batch(Tensor(q_values[i:i + 1]), pos[i:i + 1], anchors, 0.2).item()
+        batch_loss = moco_loss_batch(q_values, pos, anchors, 0.2)[0]
+        singles = [moco_loss_batch(q_values[i:i + 1], pos[i:i + 1], anchors, 0.2)[0]
                    for i in range(b)]
-        assert batch_loss.item() == pytest.approx(np.mean(singles), abs=1e-12)
+        assert batch_loss == pytest.approx(np.mean(singles), abs=1e-12)
 
     def test_byol_batch_equals_mean_of_per_sample(self):
         rng = np.random.default_rng(13)
         b, d = 5, 4
         q_values = rng.standard_normal((b, d))
         t_values = rng.standard_normal((b, d))
-        batch = byol_loss_batch(Tensor.parameter(q_values.copy()), t_values)
-        singles = [byol_loss_batch(Tensor(q_values[i:i + 1]), t_values[i:i + 1]).item()
-                   for i in range(b)]
-        assert batch.item() == pytest.approx(np.mean(singles), abs=1e-12)
+        batch = byol_loss_batch(q_values, t_values)[0]
+        singles = [byol_loss_batch(q_values[i:i + 1], t_values[i:i + 1])[0] for i in range(b)]
+        assert batch == pytest.approx(np.mean(singles), abs=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 5), n=st.integers(2, 12),
            d=st.integers(1, 6), tau=st.sampled_from([0.02, 0.1, 1.0]),
@@ -365,7 +352,7 @@ class TestBatchForms:
         pairs = [
             (lambda q: anchor_cross_entropy_batch(target[None], q, anchors, tau),
              lambda q: oracle.anchor_cross_entropy(target, q, Tensor(anchors), tau)),
-            (lambda q: isd_loss_batch(q_t[None], q, anchors, tau)[0],
+            (lambda q: isd_loss_batch(q_t[None], q, anchors, tau),
              lambda q: oracle.isd_loss(Tensor(q_t), q, Tensor(anchors), tau)),
             (lambda q: moco_loss_batch(q, pos[None], anchors, tau),
              lambda q: oracle.moco_loss(q, Tensor(pos), Tensor(anchors), tau)),
@@ -377,18 +364,15 @@ class TestBatchForms:
             return np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
 
         for batch_call, oracle_call in pairs:
-            q_row, q_vec = Tensor.parameter(q_s[None]), Tensor.parameter(q_s)
-            loss, want = batch_call(q_row), oracle_call(q_vec)
-            T.backward(loss)
-            T.backward(want)
-            assert close(loss.data, want.data) and close(q_row.grad[0], q_vec.grad)
+            loss, grad = batch_call(q_s[None])[:2]
+            want, want_grad = tape.value_and_grad(oracle_call, q_s)
+            assert close(loss, want) and close(grad[0], want_grad)
         dist = anchor_distribution_batch(q_t[None], anchors, tau)[0]
         assert close(dist, oracle.anchor_distribution(Tensor(q_t), Tensor(anchors), tau).data)
 
     def test_batch_target_shape_checked(self):
         with pytest.raises(ShapeError):
-            anchor_cross_entropy_batch(np.ones((2, 3)), Tensor(np.ones((2, 4))),
-                                       np.ones((5, 4)), 0.1)
+            anchor_cross_entropy_batch(np.ones((2, 3)), np.ones((2, 4)), np.ones((5, 4)), 0.1)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", ["anchor_distribution_batch", "anchor_cross_entropy_batch",
@@ -414,11 +398,11 @@ class TestBatchForms:
 
     def test_byol_checks_the_teacher_block(self):
         rng = np.random.default_rng(16)
-        q = Tensor.parameter(rng.standard_normal((2, 3)))
+        q = rng.standard_normal((2, 3))
         with pytest.raises(ShapeError):
             byol_loss_batch(q, rng.standard_normal((2, 4)))
         with pytest.raises(ShapeError):
-            byol_loss_batch(Tensor(np.ones(3)), np.ones(3))
+            byol_loss_batch(np.ones(3), np.ones(3))
         t = rng.standard_normal((2, 3))
         t[1, 2] = np.nan
         with pytest.raises(NumericDomainError, match="teacher embeddings"):
@@ -442,7 +426,7 @@ class TestTeacherSideMatchesOutOfPlaceOracle:
         p = anchor_distribution_batch(queries, anchors, tau)
         want = anchor_softmax.anchor_softmax(queries, T.unit_rows(anchors), tau)
         assert_close(p, want)
-        _, p_t, h_t = isd_loss_batch(queries, Tensor(queries), anchors, tau)
+        _, _, p_t, h_t = isd_loss_batch(queries, queries.copy(), anchors, tau)
         assert p_t.tobytes() == p.tobytes()
         assert h_t.min() >= 0
         assert_close(h_t, distribution_entropy(p), scale=1 / tau)
@@ -476,31 +460,28 @@ class TestTeacherSideMatchesOutOfPlaceOracle:
 
 
 class TestInputsStayUntouched:
-    """The in-place passes write only to temporaries: no anchor form, nor its
-    backward pass, changes a byte of a block it was handed."""
+    """The in-place passes write only to temporaries: no anchor form, nor the
+    gradient it returns, changes a byte of a block it was handed."""
 
     @pytest.mark.parametrize("name", ["anchor_distribution_batch", "anchor_cross_entropy_batch",
                                       "isd_loss_batch", "moco_loss_batch"])
-    def test_inputs_byte_identical_after_backward(self, name):
+    def test_inputs_byte_identical_after_the_gradient(self, name):
         rng = np.random.default_rng(21)
-        student = Tensor.parameter(rng.standard_normal((16, 8)))
+        student = rng.standard_normal((16, 8))
         teacher = rng.standard_normal((16, 8))
         anchors = rng.standard_normal((40, 8))
         targets = anchor_distribution_batch(rng.standard_normal((16, 8)), anchors, 0.07)
-        blocks = (student.data, teacher, anchors, targets)
+        blocks = (student, teacher, anchors, targets)
         before = [block.tobytes() for block in blocks]
 
         if name == "anchor_distribution_batch":
             anchor_distribution_batch(teacher, anchors, 0.07)
         elif name == "anchor_cross_entropy_batch":
-            T.backward(anchor_cross_entropy_batch(targets, student, anchors, 0.07))
+            anchor_cross_entropy_batch(targets, student, anchors, 0.07)
         elif name == "isd_loss_batch":
-            loss, p_t, _ = isd_loss_batch(teacher, student, anchors, 0.07)
-            p_t_bytes = p_t.tobytes()
-            T.backward(loss)
-            assert p_t.tobytes() == p_t_bytes
+            isd_loss_batch(teacher, student, anchors, 0.07)
         else:
-            T.backward(moco_loss_batch(student, teacher, anchors, 0.07))
+            moco_loss_batch(student, teacher, anchors, 0.07)
         assert [block.tobytes() for block in blocks] == before
 
 
@@ -518,7 +499,7 @@ def call_anchor_form(name, block_shape=(2, 3), anchor_shape=(4, 3), poison=None,
         block.flat[-1] = np.nan
     elif poison == "anchors":
         anchors[-1, 0] = np.inf
-    student = Tensor.parameter(rng.standard_normal((2, 3)))
+    student = rng.standard_normal((2, 3))
     if name == "anchor_distribution_batch":
         return anchor_distribution_batch(block, anchors, tau)
     if name == "anchor_cross_entropy_batch":
@@ -532,28 +513,31 @@ def call_anchor_form(name, block_shape=(2, 3), anchor_shape=(4, 3), poison=None,
 
 
 def assert_fused_equal_chain(q_values, q_t, anchors, tau):
-    """Each objective node and its per-op chain in ``oracles.loss_chain`` give the
+    """Each objective and its per-op chain in ``oracles.loss_chain`` give the
     same loss and student gradient on one student block: to ``CHAIN_RTOL`` for
-    ISD and MoCo, byte for byte for BYOL."""
+    ISD and MoCo, byte for byte for BYOL. The objective's gradient is taken
+    as the chain's leaf collects it, added into zeros, so -0.0 reads +0.0."""
     p_t = anchor_distribution_batch(q_t, anchors, tau)
 
-    def run(loss_of):
-        q = Tensor.parameter(q_values.copy())
-        loss = loss_of(q)
-        T.backward(loss)
-        return loss.data, q.grad
+    def run(objective):
+        value, grad = objective(q_values.copy())[:2]
+        return np.float64(value), grad + 0.0
+
+    def run_chain(chain):
+        value, grad = tape.value_and_grad(chain, q_values.copy())
+        return np.float64(value), grad
 
     # The row normalisation's vjp divides a row by max(norm, 1e-12), so an
     # all-zero row's gradient magnifies rounding by 1e12; compare it undone.
     divisor = np.maximum(np.linalg.norm(q_values, axis=1, keepdims=True), 1e-12)
     for got, want in [
-        (run(lambda q: isd_loss_batch(q_t, q, anchors, tau)[0]),
-         run(lambda q: loss_chain.anchor_cross_entropy_batch(p_t, q, anchors, tau))),
+        (run(lambda q: isd_loss_batch(q_t, q, anchors, tau)),
+         run_chain(lambda q: loss_chain.anchor_cross_entropy_batch(p_t, q, anchors, tau))),
         (run(lambda q: moco_loss_batch(q, q_t, anchors, tau)),
-         run(lambda q: loss_chain.moco_loss_batch(q, q_t, anchors, tau))),
+         run_chain(lambda q: loss_chain.moco_loss_batch(q, q_t, anchors, tau))),
     ]:
         assert_close(got[0], want[0], scale=1 / tau)
         assert_close(got[1] * divisor, want[1] * divisor, scale=1 / tau)
-    assert isd_loss_batch(q_t, Tensor(q_values), anchors, tau)[1].tobytes() == p_t.tobytes()
+    assert isd_loss_batch(q_t, q_values, anchors, tau)[2].tobytes() == p_t.tobytes()
     assert ([a.tobytes() for a in run(lambda q: byol_loss_batch(q, q_t))]
-            == [a.tobytes() for a in run(lambda q: loss_chain.byol_loss_batch(q, q_t))])
+            == [a.tobytes() for a in run_chain(lambda q: loss_chain.byol_loss_batch(q, q_t))])

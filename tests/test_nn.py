@@ -11,7 +11,6 @@ from simdistill.errors import ContractError, ShapeError
 from simdistill.nn import (MlpParams, MlpSpec, ModelPair, SgdState, default_encoder_spec,
                            default_predictor_spec, ema_update, init_params, mlp_forward,
                            sgd_step)
-from simdistill.tensor import Tensor
 
 
 class TestInitParams:
@@ -52,14 +51,14 @@ class TestMlpForward:
         p = init_params(spec, 0)
         for w in p.weights:
             w.data[...] = 0.0
-        out = mlp_forward(p, Tensor(np.ones((5, 3))))
-        assert not out.data.any()
+        out = mlp_forward(p, np.ones((5, 3)))
+        assert not out.any()
 
     def test_single_layer_equals_affine(self):
         p = init_params(MlpSpec((4, 3)), 3)
         x = np.random.default_rng(4).standard_normal((6, 4))
-        out = mlp_forward(p, Tensor(x))
-        assert np.array_equal(out.data, x @ p.weights[0].data + p.biases[0].data)
+        out = mlp_forward(p, x)
+        assert np.array_equal(out, x @ p.weights[0].data + p.biases[0].data)
 
     def test_against_independent_forward_oracle(self):
         """Random net matches a separately coded forward pass to 1e-12."""
@@ -75,42 +74,45 @@ class TestMlpForward:
                 h = np.maximum(h, 0.0)
         h = h / np.maximum(np.linalg.norm(h, axis=1, keepdims=True), 1e-12)
 
-        out = mlp_forward(p, Tensor(x))
-        assert np.abs(out.data - h).max() < 1e-12
+        out = mlp_forward(p, x)
+        assert np.abs(out - h).max() < 1e-12
 
     def test_final_normalize_rows_unit(self):
         # hidden width 16 keeps every row clear of total relu die-off
         p = init_params(MlpSpec((4, 16, 3), final_normalize=True), 8)
-        out = mlp_forward(p, Tensor(np.random.default_rng(9).standard_normal((10, 4))))
-        assert np.abs(np.linalg.norm(out.data, axis=1) - 1.0).max() < 1e-10
+        out = mlp_forward(p, np.random.default_rng(9).standard_normal((10, 4)))
+        assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() < 1e-10
 
     def test_width_mismatch(self):
         p = init_params(MlpSpec((4, 3)), 0)
         with pytest.raises(ShapeError):
-            mlp_forward(p, Tensor(np.zeros((2, 5))))
+            mlp_forward(p, np.zeros((2, 5)))
 
-    def test_no_graph_for_frozen_params(self):
-        p = init_params(MlpSpec((3, 4, 2)), 1).copy(trainable=False)
-        out = mlp_forward(p, Tensor(np.ones((2, 3))))
-        assert not out.requires_grad
+    def test_without_grad_the_output_is_one_array(self):
+        """A teacher or evaluation pass returns the output alone, the same bytes
+        as the output of a pass with a gradient."""
+        for normalize in (False, True):
+            p = init_params(MlpSpec((3, 4, 2), normalize), 1)
+            x = np.random.default_rng(2).standard_normal((5, 3))
+            out = mlp_forward(p, x)
+            assert isinstance(out, np.ndarray)
+            assert out.tobytes() == mlp_forward(p, x, grad=True)[0].tobytes()
 
 
 class TestFlatBuffer:
-    def test_layer_views_share_the_buffer_and_grad(self):
+    def test_layer_views_share_the_buffer(self):
         p = init_params(MlpSpec((3, 4, 2)), 0)
         assert [t.data.shape for t in p.parameters()] == [(3, 4), (4,), (4, 2), (2,)]
-        assert p.flat.data.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+        assert p.data.shape == p.grad.shape == (3 * 4 + 4 + 4 * 2 + 2,)
         p.biases[1].data[1] = 7.0
-        assert p.flat.data[-1] == 7.0
-        p.flat.grad[:12] = 1.0
-        assert np.all(p.weights[0].grad == 1.0) and not p.biases[0].grad.any()
+        assert p.data[-1] == 7.0
 
-    def test_detached_shares_and_copy_owns(self):
+    def test_copy_owns_its_buffer(self):
         p = init_params(MlpSpec((3, 4, 2)), 0)
-        view, copy = p.detached(), p.copy(trainable=True)
-        p.flat.data[0] += 1.0
-        assert view.flat.data is p.flat.data and not view.trainable
-        assert copy.flat.data[0] == p.flat.data[0] - 1.0
+        copy, frozen = p.copy(trainable=True), p.copy(trainable=False)
+        p.data[0] += 1.0
+        assert copy.data[0] == frozen.data[0] == p.data[0] - 1.0
+        assert copy.grad is not p.grad and frozen.grad is None and not frozen.trainable
 
     def test_wrong_buffer_size_rejected(self):
         with pytest.raises(ShapeError):
@@ -152,7 +154,9 @@ class TestFusedNode:
         """Forward value, input gradient and every parameter gradient are byte-equal
         to the per-op graph, including zero rows (dead rectifiers, the eps branch of
         the l2 backward), a hidden unit that no row activates, whose gradient
-        slices the fused node must still write as zeros, and signed zeros."""
+        slices the closed form must still write as zeros, and signed zeros. The
+        input gradient is compared as a zeroed buffer collects it (-0.0 as +0.0),
+        which is how the tape hands it over."""
         widths, normalize, pred_widths, trainable, dead_unit = FUSED_CASES[case]
         rng = np.random.default_rng(seed)
         nets = [init_params(MlpSpec(widths, normalize), [seed, 0], trainable)]
@@ -166,30 +170,60 @@ class TestFusedNode:
             nets[0].weights[0].data[:, 0] = 0.0
             nets[0].biases[0].data[0] = -1.0
         x = _layer_inputs(kinds, widths[0], rng)
-        upstream = Tensor(rng.standard_normal((len(kinds), nets[-1].spec.output_dim)))
+        upstream = rng.standard_normal((len(kinds), nets[-1].spec.output_dim)) * weight
         input_grad = input_grad or not trainable
 
         def run(forward, copies):
-            inp = Tensor.parameter(x) if input_grad else Tensor(x.copy())
-            out = inp
+            out, vjps = x.copy(), []
             for net in copies:
-                out = forward(net, out)
-            T.backward(T.mul(T.tensor_sum(T.mul(out, upstream)), weight))
-            grads = [inp.grad] + [net.flat.grad for net in copies]
-            return [out.data] + [g for g in grads if g is not None]
+                out, vjp = forward(net, out, grad=True)
+                vjps.append(vjp)
+            g = upstream
+            for vjp in reversed(vjps[1:]):
+                g = vjp(g)
+            gx = vjps[0](g, input_grad=input_grad)
+            grads = [None if gx is None else gx + 0.0] + [net.grad for net in copies]
+            return [out] + [g for g in grads if g is not None]
 
         fused = run(mlp_forward, [net.copy(net.trainable) for net in nets])
         oracle = run(mlp_graph.mlp_forward, [net.copy(net.trainable) for net in nets])
-        assert len(fused) == len(oracle)
+        assert len(fused) == len(oracle) == 1 + input_grad + sum(n.trainable for n in nets)
         for got, want in zip(fused, oracle):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    def test_one_node_over_the_input_and_the_flat_leaf(self):
+    def test_vjp_overwrites_every_element_of_the_grad_buffer(self):
+        """A stale gradient, NaN here, leaves no trace: nothing zeroes the buffer
+        before a vjp writes it."""
+        rng = np.random.default_rng(15)
+        x, g = rng.standard_normal((3, 4)), rng.standard_normal((3, 3))
+        clean, stale = (init_params(MlpSpec((4, 6, 5, 3), final_normalize=True), 16)
+                        for _ in range(2))
+        stale.grad[...] = np.nan
+        for p in (clean, stale):
+            mlp_forward(p, x, grad=True)[1](g)
+        assert stale.grad.tobytes() == clean.grad.tobytes()
+
+    def test_a_negative_zero_gradient_lands_as_positive_zero(self):
+        """No -0.0 reaches a gradient buffer: a column of -0.0 gradients gives
+        the bias and weight gradients a zeroed buffer added into would hold, as
+        the per-op graph's leaves do."""
+        g = np.array([[-0.0, 1.0], [-0.0, -2.0]])
+        x = np.ones((2, 3))
+        fused, graph = (init_params(MlpSpec((3, 2)), 17) for _ in range(2))
+        mlp_forward(fused, x, grad=True)[1](g)
+        mlp_graph.mlp_forward(graph, x, grad=True)[1](g)
+        assert fused.grad.tobytes() == graph.grad.tobytes()
+        assert not np.signbit(fused.grad[fused.grad == 0]).any()
+
+    def test_input_gradient_only_on_request(self):
         p = init_params(MlpSpec((4, 6, 3), final_normalize=True), 0)
-        x = Tensor(np.ones((2, 4)))
-        out = mlp_forward(p, x)
-        assert out.parents == (x, p.flat)
-        assert not mlp_forward(p.detached(), x).requires_grad
+        x = np.random.default_rng(1).standard_normal((2, 4))
+        _, vjp = mlp_forward(p, x, grad=True)
+        gx = vjp(np.ones((2, 3)))
+        written = p.grad.copy()
+        assert gx.shape == x.shape
+        assert vjp(np.ones((2, 3)), input_grad=False) is None
+        assert p.grad.tobytes() == written.tobytes()
 
     def test_grad_check(self):
         enc = init_params(MlpSpec((4, 7, 5, 3), final_normalize=True), 12)
@@ -198,92 +232,111 @@ class TestFusedNode:
         for net in (enc, pred):
             for b in net.biases:
                 b.data[...] = rng.standard_normal(b.data.shape) * 0.1
-        x = Tensor.parameter(rng.standard_normal((5, 4)))
-        upstream = Tensor(rng.standard_normal((5, 3)))
+        x = rng.standard_normal((5, 4))
+        upstream = rng.standard_normal((5, 3))
 
-        def f():
-            return T.tensor_sum(T.mul(mlp_forward(pred, mlp_forward(enc, x)), upstream))
+        def value_and_grad_in(which):
+            def f(values):
+                e = MlpParams(enc.spec, values) if which == "encoder" else enc
+                p = MlpParams(pred.spec, values) if which == "predictor" else pred
+                h, encoder_vjp = mlp_forward(e, values if which == "input" else x, grad=True)
+                out, predictor_vjp = mlp_forward(p, h, grad=True)
+                gx = encoder_vjp(predictor_vjp(upstream))
+                grads = {"encoder": e.grad, "predictor": p.grad, "input": gx}
+                return float((out * upstream).sum()), grads[which]
+            return f
 
-        assert T.grad_check(f, [enc.flat, pred.flat, x], step=1e-6) < 1e-5
+        for which, point in (("encoder", enc.data), ("predictor", pred.data), ("input", x)):
+            assert T.grad_check(value_and_grad_in(which), point, step=1e-6) < 1e-5, which
 
 
 class TestWholeBufferUpdates:
     def test_sgd_and_ema_match_the_per_layer_loops(self):
         """One update per network buffer gives the bytes of one per layer view."""
         flat, layered = make_pair(0.9, seed=3), make_pair(0.9, seed=3)
+        states = []
         for pair in (flat, layered):
             rng = np.random.default_rng(4)
             for net in (pair.student_encoder, pair.student_predictor):
-                net.flat.grad[...] = rng.standard_normal(net.flat.grad.shape)
-        leaves = [flat.student_encoder.flat, flat.student_predictor.flat]
-        state_flat = SgdState.for_params(leaves, lr=0.05, weight_decay=1e-3)
-        state_layer = SgdState.for_params(layered.student_parameters(), lr=0.05,
-                                          weight_decay=1e-3)
+                net.grad[...] = rng.standard_normal(net.grad.shape)
+            states.append(SgdState.for_params([pair.student_encoder, pair.student_predictor],
+                                              lr=0.05, weight_decay=1e-3))
         for _ in range(3):
-            sgd_step(leaves, state_flat)
-            mlp_graph.sgd_step(layered.student_parameters(), state_layer)
+            sgd_step([flat.student_encoder, flat.student_predictor], states[0])
+            mlp_graph.sgd_step([layered.student_encoder, layered.student_predictor], states[1])
             ema_update(flat)
             mlp_graph.ema_update(layered)
         for a, b in zip(flat.student_parameters() + flat.teacher_encoder.parameters(),
                         layered.student_parameters() + layered.teacher_encoder.parameters()):
             assert a.data.tobytes() == b.data.tobytes()
-        merged = np.concatenate([v.ravel() for v in state_layer.velocities])
-        assert np.concatenate(state_flat.velocities).tobytes() == merged.tobytes()
+        for a, b in zip(*(state.velocities for state in states)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_state_for_layer_views_has_one_velocity_per_layer(self):
+        pair = make_pair(0.9)
+        state = SgdState.for_params(pair.student_parameters(), lr=0.1)
+        assert [v.shape for v in state.velocities] == [p.data.shape
+                                                       for p in pair.student_parameters()]
+        assert not any(v.any() for v in state.velocities)
+
+
+def _net(values, grad):
+    """A one-layer (1, 2) network holding the four given values and gradient."""
+    net = MlpParams(MlpSpec((1, 2)), np.asarray(values, dtype=np.float64))
+    net.grad[...] = grad
+    return net
 
 
 class TestSgd:
-    def _param(self, values, grad):
-        p = Tensor.parameter(np.asarray(values, dtype=np.float64))
-        p.grad = np.asarray(grad, dtype=np.float64)
-        return p
-
     def test_zero_grad_leaves_params_unchanged(self):
-        p = self._param([1.0, -2.0], np.zeros(2))
+        p = _net([1.0, -2.0, 0.5, 3.0], np.zeros(4))
         state = SgdState.for_params([p], lr=0.1, weight_decay=0.0)
         sgd_step([p], state)
-        assert np.array_equal(p.data, [1.0, -2.0])
+        assert np.array_equal(p.data, [1.0, -2.0, 0.5, 3.0])
 
     def test_first_step_closed_form(self):
-        g = np.array([0.5, -0.25])
-        p = self._param([1.0, 2.0], g)
+        g = np.array([0.5, -0.25, 1.0, 0.0])
+        p = _net([1.0, 2.0, 3.0, 4.0], g)
         state = SgdState.for_params([p], lr=0.1, weight_decay=0.0)
         sgd_step([p], state)
-        assert np.allclose(p.data, [1.0, 2.0] - 0.1 * g, atol=1e-15)
+        assert np.allclose(p.data, [1.0, 2.0, 3.0, 4.0] - 0.1 * g, atol=1e-15)
 
     def test_two_steps_unrolled_by_hand(self):
         """Constant gradient g for two steps gives theta - lr*g*(1 + 1.9)."""
-        p = self._param([3.0], [2.0])
+        p = _net([3.0] * 4, [2.0] * 4)
         state = SgdState.for_params([p], lr=0.1, weight_decay=0.0)
         sgd_step([p], state)
         sgd_step([p], state)
-        assert p.data[0] == pytest.approx(3.0 - 0.1 * 2.0 * (1.0 + 1.9), abs=1e-15)
+        assert p.data == pytest.approx([3.0 - 0.1 * 2.0 * (1.0 + 1.9)] * 4, abs=1e-15)
 
     def test_weight_decay_enters_velocity(self):
-        p = self._param([2.0], np.zeros(1))
+        p = _net([2.0] * 4, np.zeros(4))
         state = SgdState.for_params([p], lr=0.1, momentum=0.9, weight_decay=0.01)
         sgd_step([p], state)
-        assert p.data[0] == pytest.approx(2.0 - 0.1 * (0.01 * 2.0))
+        assert p.data == pytest.approx([2.0 - 0.1 * (0.01 * 2.0)] * 4)
 
-    def test_teacher_parameter_rejected(self):
-        frozen = init_params(MlpSpec((1, 2)), 0, trainable=False).flat
-        frozen.grad = np.zeros(4)
+    def test_teacher_network_rejected(self):
+        frozen = init_params(MlpSpec((1, 2)), 0, trainable=False)
         state = SgdState.for_params([frozen], lr=0.1)
+        before = frozen.data.copy()
         with pytest.raises(ContractError):
             sgd_step([frozen], state)
+        assert frozen.data.tobytes() == before.tobytes()
 
     def test_shape_mismatch(self):
-        """A grad buffer or a velocity unlike its parameter, or a velocity
-        list that does not align with the parameters, is rejected."""
-        p = self._param([1.0, 2.0], np.zeros(3))
+        """A grad buffer or a velocity unlike its network's buffer, or a velocity
+        list that does not align with the networks, is rejected."""
+        p = _net([1.0, 2.0, 3.0, 4.0], np.zeros(4))
         state = SgdState.for_params([p], lr=0.1)
+        p.grad = np.zeros(3)
         with pytest.raises(ShapeError):
             sgd_step([p], state)
-        p.grad = np.zeros(2)
+        p.grad = np.zeros(4)
         state.velocities[0] = np.zeros(3)
         with pytest.raises(ShapeError):
             sgd_step([p], state)
         with pytest.raises(ShapeError):
-            sgd_step([p, self._param([1.0], [0.0])], SgdState.for_params([p], lr=0.1))
+            sgd_step([p, _net([1.0] * 4, np.zeros(4))], SgdState.for_params([p], lr=0.1))
 
 
 def make_pair(momentum, seed=0):
@@ -352,7 +405,7 @@ class TestModelPair:
         pair = make_pair(0.99)
         for t, s in zip(pair.teacher_encoder.parameters(), pair.student_encoder.parameters()):
             assert np.array_equal(t.data, s.data)
-            assert not t.requires_grad and s.requires_grad
+        assert pair.student_encoder.trainable and not pair.teacher_encoder.trainable
 
     def test_momentum_range_checked(self):
         with pytest.raises(ContractError):
@@ -370,12 +423,13 @@ class TestModelPair:
         pred = default_predictor_spec(64)
         assert pred.layer_widths == (64, 64, 64) and not pred.final_normalize
 
-    def test_teacher_receives_no_gradient_through_forward(self):
+    def test_teacher_has_no_gradient_buffer_to_receive_one(self):
+        """The teacher's vjp, if one is asked for, only carries the gradient to
+        its input."""
         pair = make_pair(0.99)
-        x = Tensor(np.random.default_rng(3).standard_normal((4, 3)))
-        out = mlp_forward(pair.teacher_encoder, x)
-        assert not out.requires_grad
-        loss = T.tensor_sum(mlp_forward(pair.student_encoder, x))
-        T.backward(loss)
-        for t in pair.teacher_encoder.parameters():
-            assert not t.grad.any()
+        x = np.random.default_rng(3).standard_normal((4, 3))
+        before = pair.teacher_encoder.data.copy()
+        _, vjp = mlp_forward(pair.teacher_encoder, x, grad=True)
+        assert vjp(np.ones((4, 2))).shape == x.shape
+        assert pair.teacher_encoder.grad is None
+        assert pair.teacher_encoder.data.tobytes() == before.tobytes()

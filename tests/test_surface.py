@@ -11,9 +11,9 @@ passing it to the constructor or assigning it is not a read.
 
 The scan matches bare names, so it cannot see three kinds of dead surface:
 a method that shares its name with a used one (numpy's ``sum`` and
-``mean``, say, a ``Tensor.backward`` method, which the calls of the
-module function ``tensor.backward`` would keep alive, or a ``Tensor.shape``
-property, which every array's ``shape`` keeps alive), dunders, which it
+``mean``, say, a ``backward`` method, which the calls of the module
+function ``train.backward`` would keep alive, or a ``shape`` property,
+which every array's ``shape`` keeps alive), dunders, which it
 skips, and a field that shares its name with an attribute read elsewhere
 (an ``epoch`` field passes as long as ``Trainer.epoch`` or
 ``Checkpoint.epoch`` is read, whoever reads this one). An
@@ -33,11 +33,11 @@ import simdistill
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# The package modules that may name ``Tensor``: a Tensor is a value the graph may
-# differentiate, and every constant operand (teacher embeddings, positive keys,
-# anchors, targets) is an array, so only the modules that build or run the graph
-# need the class. ``__init__`` re-exports it.
-TENSOR_MODULES = {"nn", "losses", "train", "evaluation", "__init__"}
+# The pieces of a general autodiff tape. A training step's backward is three
+# closed-form vjps on arrays, so no package module builds or walks a graph; the
+# tape lives on in tests/oracles/tape.py for the per-op oracles.
+TAPE_NAMES = {"Tensor", "_record", "parents", "requires_grad", "zero_grad", "mul",
+              "tensor_sum"}
 
 # Deliberate entry points with no caller in the scanned files, each with its reason.
 ALLOWED = {
@@ -112,7 +112,7 @@ class TestPublicSurface:
         # a function, a class, a method, a property and a staticmethod are all collected
         for qualified in ("data.gen_gaussian_mixture", "bank.AnchorBank",
                           "bank.AnchorBank.enqueue", "augment.AugmentPolicy.is_identity",
-                          "tensor.Tensor.parameter"):
+                          "nn.SgdState.for_params"):
             assert qualified in names
         uncalled = [q for q, name in names.items() if name not in used and q not in ALLOWED]
         assert sorted(uncalled) == []
@@ -134,18 +134,31 @@ class TestPublicSurface:
             assert names[qualified] not in used, f"{qualified} now has a caller"
 
 
-class TestTensorBoundary:
-    def test_only_graph_modules_name_tensor(self):
-        """No other package module imports ``Tensor`` or reads an attribute of that
-        name (``T.Tensor``)."""
-        users = set()
-        for path in (ROOT / "src" / "simdistill").glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if (isinstance(node, ast.ImportFrom) and any(a.name == "Tensor" for a in node.names)
-                        or isinstance(node, ast.Attribute) and node.attr == "Tensor"):
-                    users.add(path.stem)
-        assert "nn" in users    # the scan sees an import
-        assert sorted(users - TENSOR_MODULES) == []
+def tape_names_in(path: Path) -> set[str]:
+    """The ``TAPE_NAMES`` that a file defines, imports, assigns or reads."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found |= TAPE_NAMES.intersection(names)
+    return found
+
+
+class TestNoGraph:
+    def test_no_package_module_builds_or_walks_a_graph(self):
+        """No package module defines, imports or uses a piece of the tape."""
+        assert tape_names_in(ROOT / "tests" / "oracles" / "tape.py") == TAPE_NAMES
+        users = {path.stem: names for path in (ROOT / "src" / "simdistill").glob("*.py")
+                 if (names := tape_names_in(path))}
+        assert users == {}
 
 
 def unused_imports(source: str) -> list[str]:

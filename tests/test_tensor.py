@@ -1,9 +1,11 @@
-"""Tests for the reverse-mode autodiff engine and the graph ops tests build on.
+"""Tests for the row kernels and the gradient check of ``simdistill.tensor``, and
+for the reference tape and graph ops the per-op oracles are built on.
 
 ``TestMatmul``, ``TestL2Normalize`` and the ``add``, ``rowwise_dot`` and
 ``prepend_column`` cases check the reference ops in ``oracles.graph_ops``
-that the per-op loss and MLP chains are made of. The soft cross entropy is
-checked through the objective nodes of ``simdistill.losses``.
+that the per-op loss and MLP chains are made of; ``TestBackward`` and
+``TestOps`` check the sweep and the ops of ``oracles.tape``. The soft cross
+entropy is checked through the objectives of ``simdistill.losses``.
 """
 
 import numpy as np
@@ -12,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simdistill.tensor as T
-from oracles import graph_ops, loss_chain
+from oracles import graph_ops, loss_chain, tape
+from oracles.tape import Tensor
 from simdistill.errors import ContractError, NumericDomainError, ShapeError
 from simdistill.losses import (anchor_cross_entropy_batch, anchor_distribution_batch,
                                byol_loss_batch, isd_loss_batch, moco_loss_batch)
-from simdistill.tensor import Tensor
 
 
 def rand(shape, seed=0):
@@ -176,10 +178,10 @@ def softmax_via_anchors(values):
 
 def cross_entropy_of_row(values, target):
     """The soft cross entropy of one row of logits against one target row, through
-    the objective node of ``anchor_cross_entropy_batch``."""
+    ``anchor_cross_entropy_batch``."""
     query, anchors, tau = logits_via_anchors(values)
-    return anchor_cross_entropy_batch(np.array([target], dtype=np.float64), Tensor(query),
-                                      anchors, tau).item()
+    return anchor_cross_entropy_batch(np.array([target], dtype=np.float64), query,
+                                      anchors, tau)[0]
 
 
 class TestSoftmax:
@@ -215,7 +217,7 @@ class TestSoftmax:
         with pytest.raises(NumericDomainError):
             anchor_distribution_batch(np.array([[1.0, bad]]), np.eye(2), 0.1)
         with pytest.raises(NumericDomainError):
-            anchor_cross_entropy_batch(np.array([[0.5, 0.5]]), Tensor([[1.0, bad]]),
+            anchor_cross_entropy_batch(np.array([[0.5, 0.5]]), np.array([[1.0, bad]]),
                                        np.eye(2), 0.1)
 
     @given(st.lists(st.floats(-350, 350), min_size=2, max_size=10))
@@ -243,12 +245,12 @@ class TestSoftmax:
 def _chain_cross_entropy(logits, targets):
     """Mean soft cross entropy as the five nodes it took before the fused op."""
     logp = graph_ops.log_softmax(logits)
-    return T.mul(graph_ops.neg(T.tensor_sum(T.mul(logp, Tensor(targets)))),
-                 1.0 / logits.data.shape[0])
+    return tape.mul(graph_ops.neg(tape.tensor_sum(tape.mul(logp, Tensor(targets)))),
+                    1.0 / logits.data.shape[0])
 
 
 class TestSoftCrossEntropy:
-    """The soft cross entropy inside the ISD and MoCo objective nodes."""
+    """The soft cross entropy inside the ISD and MoCo objectives."""
 
     @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 6), n=st.integers(2, 9),
            tau=st.sampled_from([1.0, 0.1, 0.005]), one_hot=st.booleans(),
@@ -257,8 +259,9 @@ class TestSoftCrossEntropy:
     def test_matches_node_chain(self, seed, b, n, tau, one_hot, weight):
         """Value and gradient agree with the per-op chain (l2_normalize, matmul,
         scale, log_softmax, mul, sum, neg, scale) to ``loss_chain.CHAIN_RTOL``,
-        for soft and one-hot targets, also under an upstream gradient other
-        than 1."""
+        for soft and one-hot targets, also when the chain runs under an upstream
+        gradient other than 1 and the objective's value and gradient are scaled
+        by it."""
         rng = np.random.default_rng(seed)
         values = rng.standard_normal((b, 3))
         anchors = rng.standard_normal((n, 3))
@@ -272,25 +275,23 @@ class TestSoftCrossEntropy:
                   lambda q: loss_chain.anchor_cross_entropy_batch(targets, q, anchors, tau)),
                  (lambda q: moco_loss_batch(q, pos, anchors, tau),
                   lambda q: loss_chain.moco_loss_batch(q, pos, anchors, tau))]
-        for pair in pairs:
-            results = []
-            for loss_of in pair:
-                x = Tensor.parameter(values.copy())
-                loss = T.mul(loss_of(x), weight)
-                T.backward(loss)
-                results.append((loss.data, x.grad))
-            for got, want in zip(*results):
+        for objective, chain in pairs:
+            value, grad = objective(values.copy())
+            x = Tensor.parameter(values.copy())
+            loss = tape.mul(chain(x), weight)
+            tape.backward(loss)
+            for got, want in ((value * weight, loss.data), (grad * weight, x.grad)):
                 loss_chain.assert_close(got, want, scale=abs(weight) / tau)
 
     def test_passes_grad_check(self):
         rng = np.random.default_rng(41)
-        x = Tensor.parameter(rng.standard_normal((4, 5)))
+        x = rng.standard_normal((4, 5))
         anchors = rng.standard_normal((7, 5))
         pos = rng.standard_normal((4, 5))
         targets = rng.dirichlet(np.ones(7), size=4)
-        assert T.grad_check(lambda: anchor_cross_entropy_batch(targets, x, anchors, 0.3), [x],
+        assert T.grad_check(lambda q: anchor_cross_entropy_batch(targets, q, anchors, 0.3), x,
                             step=1e-5) < 1e-5
-        assert T.grad_check(lambda: moco_loss_batch(x, pos, anchors, 0.3), [x],
+        assert T.grad_check(lambda q: moco_loss_batch(q, pos, anchors, 0.3), x,
                             step=1e-5) < 1e-5
 
     @pytest.mark.parametrize("logits, targets", [((2, 3), (2, 4)), ((2, 3), (3, 3)),
@@ -298,7 +299,7 @@ class TestSoftCrossEntropy:
     def test_shape_mismatch(self, logits, targets):
         """Targets unlike the [b, n] logits of b queries against n anchors, or a
         query block that is not [b, d], are rejected."""
-        queries = Tensor.parameter(rand(logits[:-1] + (4,), 42))
+        queries = rand(logits[:-1] + (4,), 42)
         anchors = rand((logits[-1], 4), 43)
         with pytest.raises(ShapeError):
             anchor_cross_entropy_batch(np.zeros(targets), queries, anchors, 0.1)
@@ -308,7 +309,7 @@ class TestSoftCrossEntropy:
         """A non-finite student block stops all three objectives with a typed error,
         before its rows are normalised (no numpy warning)."""
         for bad in (np.nan, np.inf):
-            q = Tensor.parameter([[1.0, bad]])
+            q = np.array([[1.0, bad]])
             with pytest.raises(NumericDomainError, match="student rows"):
                 anchor_cross_entropy_batch(np.array([[0.5, 0.5]]), q, np.eye(2), 0.1)
             with pytest.raises(NumericDomainError, match="student rows"):
@@ -318,15 +319,17 @@ class TestSoftCrossEntropy:
 
 
 class TestBackward:
+    """The sweep of the reference tape."""
+
     def test_sum_gives_ones(self):
         x = Tensor.parameter(rand((3, 4), 9))
-        T.backward(T.tensor_sum(x))
+        tape.backward(tape.tensor_sum(x))
         assert np.array_equal(x.grad, np.ones((3, 4)))
 
     def test_quadratic_gives_x(self):
         x = Tensor.parameter(rand((2, 5), 10))
-        loss = T.mul(T.tensor_sum(T.mul(x, x)), 0.5)
-        T.backward(loss)
+        loss = tape.mul(tape.tensor_sum(tape.mul(x, x)), 0.5)
+        tape.backward(loss)
         assert np.allclose(x.grad, x.data, atol=1e-15)
 
     def test_mlp_loss_matches_finite_differences(self):
@@ -342,18 +345,24 @@ class TestBackward:
             h = graph_ops.relu(graph_ops.add(graph_ops.matmul(x, w1), b1))
             return _chain_cross_entropy(graph_ops.matmul(h, w2), target)
 
-        assert T.grad_check(f, [w1, b1, w2], step=1e-5) < 1e-5
+        assert tape.grad_check(f, [w1, b1, w2], step=1e-5) < 1e-5
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor.parameter(rand(3, 12))
         with pytest.raises(ContractError):
-            T.backward(T.mul(x, 2.0))
+            tape.backward(tape.mul(x, 2.0))
+
+    def test_upstream_gradient_seeds_a_non_scalar_root(self):
+        x = Tensor.parameter(rand(3, 12))
+        g = rand(3, 13)
+        tape.backward(tape.mul(x, 2.0), g)
+        assert np.array_equal(x.grad, g * 2.0)
 
     def test_grad_accumulates_across_shared_subgraphs(self):
         x = Tensor.parameter(np.array(2.0))
-        y = T.mul(x, 3.0)
-        loss = T.tensor_sum(graph_ops.add(y, y))
-        T.backward(loss)
+        y = tape.mul(x, 3.0)
+        loss = tape.tensor_sum(graph_ops.add(y, y))
+        tape.backward(loss)
         assert x.grad == pytest.approx(6.0)
 
     def test_shared_gradient_array_is_not_accumulated_into(self):
@@ -361,8 +370,8 @@ class TestBackward:
         gradient, which must not be added into the array y2 also holds."""
         a = Tensor.parameter(np.array([1.0]))
         b = Tensor.parameter(np.array([1.0]))
-        y1, y2 = T.mul(a, 2.0), T.mul(b, 3.0)
-        T.backward(T.tensor_sum(graph_ops.add(graph_ops.add(y1, y2), y1)))
+        y1, y2 = tape.mul(a, 2.0), tape.mul(b, 3.0)
+        tape.backward(tape.tensor_sum(graph_ops.add(graph_ops.add(y1, y2), y1)))
         assert a.grad[0] == 4.0 and b.grad[0] == 3.0
 
     def test_non_trainable_leaf_keeps_zero_grad(self):
@@ -370,47 +379,71 @@ class TestBackward:
         frozen = Tensor(rand(4, 13))
         frozen.grad = np.zeros(4)
         x = Tensor.parameter(rand(4, 14))
-        loss = T.tensor_sum(T.mul(x, frozen))
-        T.backward(loss)
+        loss = tape.tensor_sum(tape.mul(x, frozen))
+        tape.backward(loss)
         assert np.array_equal(frozen.grad, np.zeros(4))
         assert np.allclose(x.grad, frozen.data)
 
     def test_unreachable_tensor_grad_stays_zero(self):
         reachable = Tensor.parameter(rand(3, 15))
         unreachable = Tensor.parameter(rand(3, 16))
-        T.backward(T.tensor_sum(reachable))
+        tape.backward(tape.tensor_sum(reachable))
         assert np.array_equal(unreachable.grad, np.zeros(3))
 
     def test_constant_loss_is_a_no_op(self):
-        T.backward(T.tensor_sum(Tensor(rand(3, 17))))
+        tape.backward(tape.tensor_sum(Tensor(rand(3, 17))))
+
+    def test_value_and_grad_is_the_objectives_contract(self):
+        """A chain wrapped by ``value_and_grad`` returns what the BYOL objective
+        returns, byte for byte."""
+        rng = np.random.default_rng(18)
+        q, t = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        got = tape.value_and_grad(lambda leaf: loss_chain.byol_loss_batch(leaf, t), q)
+        want = byol_loss_batch(q, t)
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
 
 class TestGradCheck:
     def test_linear_function_is_exact(self):
         """Central differences are exact for linear maps."""
-        w = Tensor.parameter(rand(5, 20))
-        coef = Tensor(rand(5, 21))
-        assert T.grad_check(lambda: T.tensor_sum(T.mul(w, coef)), [w], step=1e-5) < 1e-9
+        coef = rand(5, 21)
+        assert T.grad_check(lambda w: (float((w * coef).sum()), coef), rand(5, 20),
+                            step=1e-5) < 1e-9
+
+    def test_a_wrong_gradient_is_caught(self):
+        coef = rand(5, 21)
+        assert T.grad_check(lambda w: (float((w * coef).sum()), coef * 1.01), rand(5, 20),
+                            step=1e-5) > 1e-3
+
+    def test_the_point_is_not_moved(self):
+        """The function sees a copy; the caller's array keeps its bytes."""
+        w = rand((2, 3), 25)
+        before = w.tobytes()
+        T.grad_check(lambda v: (float((v * v).sum()), 2.0 * v), w)
+        assert w.tobytes() == before
 
     def test_isd_loss_instance(self):
         """The distillation loss on one random 8-dim embedding, 16 anchors."""
         rng = np.random.default_rng(22)
-        q_s = Tensor.parameter(rng.standard_normal((1, 8)))
+        q_s = rng.standard_normal((1, 8))
         q_t = rng.standard_normal((1, 8))
         anchors = rng.standard_normal((16, 8))
-        err = T.grad_check(lambda: isd_loss_batch(q_t, q_s, anchors, 0.05)[0], [q_s], step=1e-5)
+        err = T.grad_check(lambda q: isd_loss_batch(q_t, q, anchors, 0.05), q_s, step=1e-5)
         assert err < 1e-5
 
     def test_byol_loss_instance(self):
         rng = np.random.default_rng(23)
-        q_s = Tensor.parameter(rng.standard_normal((1, 8)))
+        q_s = rng.standard_normal((1, 8))
         q_t = rng.standard_normal((1, 8))
-        assert T.grad_check(lambda: byol_loss_batch(q_s, q_t), [q_s], step=1e-5) < 1e-5
+        assert T.grad_check(lambda q: byol_loss_batch(q, q_t), q_s, step=1e-5) < 1e-5
 
     def test_step_must_be_positive(self):
-        w = Tensor.parameter(rand(2, 24))
         with pytest.raises(ContractError):
-            T.grad_check(lambda: T.tensor_sum(w), [w], step=0.0)
+            T.grad_check(lambda w: (float(w.sum()), np.ones_like(w)), rand(2, 24), step=0.0)
+
+    def test_gradient_must_have_the_points_shape(self):
+        with pytest.raises(ShapeError):
+            T.grad_check(lambda w: (float(w.sum()), np.ones(3)), rand(2, 24))
 
 
 class TestOps:
@@ -420,7 +453,7 @@ class TestOps:
 
     def test_mul_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            T.mul(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+            tape.mul(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
     def test_rowwise_dot_and_prepend_column_grads(self):
         rng = np.random.default_rng(33)
@@ -432,7 +465,6 @@ class TestOps:
         def f():
             col = graph_ops.rowwise_dot(a, b)
             block = graph_ops.prepend_column(col, m)
-            return T.tensor_sum(T.mul(block, weights))
+            return tape.tensor_sum(tape.mul(block, weights))
 
-        assert T.grad_check(f, [a], step=1e-6) < 1e-7
-
+        assert tape.grad_check(f, [a], step=1e-6) < 1e-7

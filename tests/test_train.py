@@ -10,17 +10,17 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import anchor_softmax, loss_chain
+from oracles import anchor_softmax, loss_chain, tape
 from simdistill.augment import augment
 from simdistill.bank import AnchorBank
 from simdistill.checkpoint import load_checkpoint, save_checkpoint
 from simdistill.config import RunConfig
 from simdistill.data import gen_gaussian_mixture
-from simdistill.errors import CheckpointError, ColdStartError, ConfigError
+from simdistill.errors import CheckpointError, ColdStartError, ConfigError, ContractError
 from simdistill.evaluation import embed_dataset, knn_eval
 from simdistill.losses import distribution_entropy
-from simdistill.nn import (MlpParams, MlpSpec, ModelPair, default_predictor_spec,
-                           init_params, mlp_forward)
+from simdistill.nn import (MlpParams, MlpSpec, ModelPair, SgdState, default_predictor_spec,
+                           init_params, mlp_forward, sgd_step)
 from simdistill.tensor import unit_rows
 from simdistill.train import MetricsWriter, Trainer, distill, distill_config, train
 
@@ -175,13 +175,44 @@ class TestStepContracts:
         trainer.step(ds.samples[:8])
         assert events == ["unit_snapshot", f"{objective}_loss_batch", "enqueue"]
 
-    def test_teacher_grads_zero_after_steps(self):
+    def test_teacher_cannot_receive_a_gradient(self):
+        """The teacher has no gradient buffer after a step, SGD refuses it, and a
+        step whose teacher has gained one fails its debug check."""
         ds = small_dataset()
         trainer = Trainer(small_config(), ds.feature_dim)
         trainer.prefill(ds)
+        teacher = trainer.pair.teacher_encoder
         trainer.step(ds.samples[:8])
-        for p in trainer.pair.teacher_encoder.parameters():
-            assert not p.grad.any()
+        assert teacher.grad is None
+        with pytest.raises(ContractError, match="non-trainable"):
+            sgd_step([teacher], SgdState.for_params([teacher], lr=0.1))
+        if __debug__:
+            teacher.grad = np.zeros_like(teacher.data)
+            with pytest.raises(AssertionError, match="teacher parameter received gradient"):
+                trainer.step(ds.samples[:8])
+
+    @pytest.mark.parametrize("objective", ["isd", "moco", "byol"])
+    def test_stale_gradients_leave_no_trace(self, objective):
+        """Nothing zeroes the gradient buffers, so each step's vjps must write
+        every element: with both student buffers filled with NaN before each
+        step, the parameters, velocities and losses stay bytewise those of an
+        unpoisoned run."""
+        ds = small_dataset()
+        runs = []
+        for poison in (False, True):
+            trainer = Trainer(small_config(objective), ds.feature_dim)
+            trainer.prefill(ds)
+            losses = []
+            for start in (0, 8, 16):
+                if poison:
+                    for net in trainer.networks:
+                        net.grad[...] = np.nan
+                losses.append(trainer.step(ds.samples[start:start + 8]).loss)
+            runs.append((np.float64(losses).tobytes(),
+                         [p.data.tobytes() for p in trainer.pair.student_parameters()],
+                         [v.tobytes() for v in trainer.sgd.velocities],
+                         trainer.pair.teacher_encoder.data.tobytes()))
+        assert runs[0] == runs[1]
 
     def test_byol_needs_no_bank(self):
         ds = small_dataset()
@@ -229,37 +260,33 @@ class TestStepContracts:
         trainer.prefill(ds)
         assert trainer.step(ds.samples[:8]).teacher_entropy == 0.0
 
-    def test_one_graph_node_per_objective(self, monkeypatch):
-        """A step records three graph nodes for every objective: the student
-        encoder, the predictor and the objective itself, whose only parent is
-        the predictor's output block."""
+    def test_one_backward_chains_three_closed_form_calls(self, monkeypatch):
+        """For every objective a step calls ``simdistill.train.backward`` once, with
+        the objective's gradient on the predictor's output, the predictor's vjp
+        and the student encoder's vjp. ``bench/tracer.py`` times that call as
+        ``tensor.backward``."""
         train_mod = importlib.import_module("simdistill.train")
         ds = small_dataset()
         for objective in ("isd", "moco", "byol"):
             trainer = Trainer(small_config(objective), ds.feature_dim)
             trainer.prefill(ds)
-            outputs, losses = [], []
+            forwards, calls = [], []
 
-            def forward(params, x):
-                outputs.append(mlp_forward(params, x))
-                return outputs[-1]
+            def forward(params, x, **kwargs):
+                out = mlp_forward(params, x, **kwargs)
+                forwards.append((params, out))
+                return out
 
             monkeypatch.setattr(train_mod, "mlp_forward", forward)
-            monkeypatch.setattr(train_mod, "backward", losses.append)
+            monkeypatch.setattr(train_mod, "backward", lambda *args: calls.append(args))
             trainer.step(ds.samples[:8])
-            (loss,) = losses
-            s_pred = outputs[-1]
-            assert loss.parents == (s_pred,)
-            ops, seen, stack = [], {id(loss)}, [loss]
-            while stack:
-                node = stack.pop()
-                if node.op is not None:
-                    ops.append(node.op)
-                for p in node.parents:
-                    if id(p) not in seen:
-                        seen.add(id(p))
-                        stack.append(p)
-            assert len(ops) == 3, (objective, ops)
+            (teacher, _), (encoder, (_, encoder_vjp)), (predictor, (s_pred, predictor_vjp)) = (
+                forwards)
+            assert (teacher, encoder, predictor) == (trainer.pair.teacher_encoder,
+                                                     trainer.pair.student_encoder,
+                                                     trainer.pair.student_predictor)
+            (grad, *vjps), = calls
+            assert grad.shape == s_pred.shape and vjps == [predictor_vjp, encoder_vjp]
 
     def test_metrics_stay_finite_with_bounded_entropy(self):
         """Loss is finite every step and H(p_t) never exceeds ln(bank count)."""
@@ -647,13 +674,13 @@ class TestFusedPathMatchesOracle:
             monkeypatch.setattr(module, "mlp_forward", mlp_graph.mlp_forward)
         monkeypatch.setattr(train_mod, "sgd_step", mlp_graph.sgd_step)
         monkeypatch.setattr(train_mod, "augment", row_by_row_augment)
-        monkeypatch.setattr(train_mod, "byol_loss_batch", loss_chain.byol_loss_batch)
+        monkeypatch.setattr(train_mod, "byol_loss_batch", chain_byol_loss_batch)
         monkeypatch.setattr(train_mod, "ema_update", mlp_graph.ema_update)
         assert run("oracle") == fused
         if objective == "byol":
             return
         monkeypatch.setattr(train_mod, "isd_loss_batch", chain_isd_loss_batch)
-        monkeypatch.setattr(train_mod, "moco_loss_batch", loss_chain.moco_loss_batch)
+        monkeypatch.setattr(train_mod, "moco_loss_batch", chain_moco_loss_batch)
         # the chains normalise the raw anchor rows at every step, as the step once did
         monkeypatch.setattr(AnchorBank, "unit_snapshot", AnchorBank.snapshot)
         assert_metrics_close(run("chains")[1], fused[1], rtol=1e-9)
@@ -675,7 +702,19 @@ def assert_metrics_close(got: bytes, want: bytes, rtol: float) -> None:
 
 def chain_isd_loss_batch(q_t_emb, q_s_pred, anchors, tau):
     """``isd_loss_batch`` with the out-of-place teacher softmax, the entropy of
-    ``distribution_entropy`` and the loss built by the per-op chain."""
+    ``distribution_entropy`` and the loss and gradient of the per-op chain."""
     p_t = anchor_softmax.anchor_softmax(q_t_emb, unit_rows(anchors), tau)
-    return (loss_chain.anchor_cross_entropy_batch(p_t, q_s_pred, anchors, tau), p_t,
-            distribution_entropy(p_t))
+    return (*tape.value_and_grad(
+        lambda q: loss_chain.anchor_cross_entropy_batch(p_t, q, anchors, tau), q_s_pred),
+        p_t, distribution_entropy(p_t))
+
+
+def chain_moco_loss_batch(q_emb, pos_emb, anchors, tau):
+    """``moco_loss_batch`` as the loss and gradient of the per-op chain."""
+    return tape.value_and_grad(lambda q: loss_chain.moco_loss_batch(q, pos_emb, anchors, tau),
+                               q_emb)
+
+
+def chain_byol_loss_batch(q_s_pred, q_t_emb):
+    """``byol_loss_batch`` as the loss and gradient of the per-op chain."""
+    return tape.value_and_grad(lambda q: loss_chain.byol_loss_batch(q, q_t_emb), q_s_pred)
