@@ -13,7 +13,6 @@ whole-buffer operations.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -79,22 +78,22 @@ def split_buffer(buffer: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.n
 
 @dataclass
 class ParamView:
-    """One layer's weight or bias: a view into its network's flat buffer.
-
-    ``view.data += x`` adds in place and leaves ``data`` the same view."""
+    """One layer's weight or bias and its gradient: views into its network's flat
+    buffers (no gradient for a non-trainable network)."""
 
     data: np.ndarray
+    grad: np.ndarray | None
 
 
 class MlpParams:
     """Weights and biases of one MLP, all held in one flat float64 buffer.
 
     ``data`` holds w0, b0, w1, b1, ... back to back, each row-major. A
-    trainable network's ``grad`` has the same layout and is written whole by
-    each vjp of :func:`mlp_forward`; a non-trainable one (the teacher) has no
-    gradient buffer. ``weights``, ``biases`` and :meth:`parameters` are
-    per-layer views into ``data``, so a write through either side shows on
-    the other.
+    trainable network's ``grad`` has the same layout and is written whole, in
+    place, by each vjp of :func:`mlp_forward`; a non-trainable one (the
+    teacher) has no gradient buffer. ``weights``, ``biases`` and
+    :meth:`parameters` are per-layer views into both, so a write through
+    either side shows on the other.
     """
 
     def __init__(self, spec: MlpSpec, buffer: np.ndarray, trainable: bool = True):
@@ -106,7 +105,9 @@ class MlpParams:
         self.data = buffer
         # calloc: a buffer costs no RSS until the first vjp writes it
         self.grad = np.zeros(buffer.shape) if trainable else None
-        layers = [ParamView(view) for view in split_buffer(buffer, spec.parameter_shapes)]
+        shapes = spec.parameter_shapes
+        grads = split_buffer(self.grad, shapes) if trainable else [None] * len(shapes)
+        layers = [ParamView(*views) for views in zip(split_buffer(buffer, shapes), grads)]
         self.weights = layers[0::2]
         self.biases = layers[1::2]
 
@@ -137,16 +138,18 @@ def mlp_forward(params: MlpParams, x: np.ndarray, grad: bool = False):
     """Run a [b, d_in] batch through the MLP; return its output, and with
     ``grad`` also the network's vjp.
 
-    ``vjp(g)`` takes the gradient on the output. For a trainable network it
-    writes the whole-network gradient into ``params.grad``, every element of
-    it, and it returns the gradient on the input; ``input_grad=False`` skips
-    that last product. It walks the layers in closed form, in the operation
-    order of the per-op matmul, bias-add, rectifier and l2_normalize chain,
-    so values and gradients are bitwise that chain's. One ``+= 0.0`` pass
-    then turns each -0.0 into +0.0, as adding into a zeroed buffer did.
-    Without ``grad`` (teacher passes, evaluation) the output rows are
-    normalised through ``unit_rows``, and no activation, mask or vjp is kept.
+    ``vjp(g)`` takes the gradient on the output, writes the network's whole
+    gradient into every element of ``params.grad`` and returns the gradient
+    on the input (``input_grad=False`` skips it). It walks the layers in
+    closed form, in the operation order of the per-op matmul, bias-add,
+    rectifier and l2_normalize chain, so values and gradients are bitwise
+    that chain's; a last ``+= 0.0`` turns -0.0 into +0.0, as adding into a
+    zeroed buffer did. Without ``grad`` (teacher, evaluation) the rows are
+    normalised through ``unit_rows`` and no activation, mask or vjp is kept.
+    A non-trainable network (the teacher) refuses ``grad``.
     """
+    if grad and not params.trainable:
+        raise ContractError("mlp_forward: a non-trainable (teacher) network takes no gradient")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"mlp_forward: need a [batch, features] input, got {x.shape}")
@@ -176,35 +179,17 @@ def mlp_forward(params: MlpParams, x: np.ndarray, grad: bool = False):
     def vjp(g, input_grad=True):
         if params.spec.final_normalize:
             g = normalize_vjp(g)
-        out = params.grad
-        layout = _layer_slices(params.spec)
         for i in range(last, -1, -1):
-            if out is not None:
-                # each layer's gradient is written straight into its slice of the flat one
-                w_at, w_shape, b_at = layout[i]
-                np.add.reduce(g, axis=0, out=out[b_at])
-                np.matmul(inputs[i].T, g, out=out[w_at].reshape(w_shape))
+            # each layer's gradient is written straight into its views of the flat one
+            np.add.reduce(g, axis=0, out=params.biases[i].grad)
+            np.matmul(inputs[i].T, g, out=params.weights[i].grad)
             if i:
                 g = g @ weights[i].T
                 g *= inputs[i] > 0
-        if out is not None:
-            out += 0.0
+        params.grad += 0.0
         return g @ weights[0].T if input_grad else None
 
     return h, vjp
-
-
-@functools.cache
-def _layer_slices(spec: MlpSpec) -> tuple[tuple[slice, tuple[int, int], slice], ...]:
-    """Per layer, where the flat buffer holds its weight, the weight's shape,
-    and where it holds its bias, in the order of ``parameter_shapes``."""
-    layers, start = [], 0
-    shapes = spec.parameter_shapes
-    for w_shape, (fan_out,) in zip(shapes[0::2], shapes[1::2]):
-        w_end = start + math.prod(w_shape)
-        layers.append((slice(start, w_end), w_shape, slice(w_end, w_end + fan_out)))
-        start = w_end + fan_out
-    return tuple(layers)
 
 
 @dataclass

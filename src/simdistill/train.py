@@ -1,13 +1,11 @@
 """The iterative training loop: augment, forward both networks, distill, update.
 
 Each step draws two independent views of every query, embeds one with the
-teacher (constant) and one with the student encoder and predictor (each
-keeping its vjp), scores the selected objective against the current anchor
-snapshot, carries the objective's gradient back through the predictor and
-the encoder into their gradient buffers, applies one SGD step to the student
-and one EMA step to the teacher, and only then enqueues the teacher
-embeddings. That ordering guarantees a query is never scored against its
-own current view.
+teacher (constant) and one with the student, scores the selected objective
+against the current anchor snapshot, carries its gradient back through the
+student, applies one SGD step to the student and one EMA step to the
+teacher, and only then enqueues the teacher embeddings. That ordering
+guarantees a query is never scored against its own current view.
 """
 
 from __future__ import annotations
@@ -89,10 +87,7 @@ def knn_accuracies(pair: ModelPair, train_ds: LabeledDataset, eval_ds: LabeledDa
 
 
 def backward(grad: np.ndarray, predictor_vjp, encoder_vjp) -> None:
-    """A step's backward: the objective's gradient on the predictor's output,
-    carried through the predictor into the student encoder. Each vjp writes
-    its network's gradient buffer whole; the encoder's input gradient is not
-    needed."""
+    """Carry the objective's gradient back through the predictor and the student encoder."""
     encoder_vjp(predictor_vjp(grad), input_grad=False)
 
 
@@ -141,7 +136,6 @@ class Trainer:
             )
         embed_dim = encoder_spec.output_dim
         self.pair = pair
-        # SGD and EMA work on each network's whole buffer
         self.networks = [pair.student_encoder, pair.student_predictor]
         self.sgd = SgdState.for_params(self.networks, lr=config.lr,
                                        momentum=config.sgd_momentum,
@@ -169,9 +163,6 @@ class Trainer:
             return teacher_view, teacher_view
         return teacher_view, self._view(batch, self.student_policy)
 
-    def _teacher_embed(self, views: np.ndarray) -> np.ndarray:
-        return mlp_forward(self.pair.teacher_encoder, views)
-
     def prefill(self, ds: LabeledDataset) -> None:
         """Fill the bank with teacher embeddings before any optimization step.
 
@@ -191,7 +182,7 @@ class Trainer:
                     break
                 batch = ds.samples[order[start:start + self.config.batch_size]]
                 views = self._view(batch, self.teacher_policy)
-                self.bank.enqueue(self._teacher_embed(views))
+                self.bank.enqueue(mlp_forward(self.pair.teacher_encoder, views))
                 done += 1
         self._prefilled = True
 
@@ -206,7 +197,7 @@ class Trainer:
             raise ConfigError("empty batch")
 
         qt_views, qs_views = self._views(batch)
-        t_emb = self._teacher_embed(qt_views)
+        t_emb = mlp_forward(self.pair.teacher_encoder, qt_views)
         s_emb, encoder_vjp = mlp_forward(self.pair.student_encoder, qs_views, grad=True)
         s_pred, predictor_vjp = mlp_forward(self.pair.student_predictor, s_emb, grad=True)
 

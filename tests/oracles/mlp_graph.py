@@ -8,9 +8,9 @@ except for the edits that fit them to the library's calls. The graph ops
 come from ``graph_ops`` and record on the reference tape. ``mlp_forward``
 takes and returns arrays and, with ``grad``, returns a vjp of the library's
 contract: it zeroes the network's flat grad buffer, sweeps the tape into
-leaves whose grad buffers are views of it, and returns the input gradient
-as a leaf collects it. ``sgd_step`` takes whole networks, as the library's
-does, and loops over the views of each network's buffers. So the trainer
+leaves whose grad buffers are the layer views of it, and returns the input
+gradient as a leaf collects it. ``sgd_step`` takes whole networks, as the
+library's does, and loops over each network's layer views. So the trainer
 runs unchanged with these patched in.
 """
 
@@ -23,14 +23,12 @@ from simdistill.nn import MlpParams, ModelPair, SgdState, split_buffer
 
 
 def layer_leaves(params: MlpParams) -> list[tape.Tensor]:
-    """w0, b0, w1, b1, ... as tape leaves whose data and grad are views of the
-    network's flat buffers; a network without a grad buffer gives constants."""
-    shapes = params.spec.parameter_shapes
-    leaves = [tape.Tensor(view, requires_grad=params.trainable)
-              for view in split_buffer(params.data, shapes)]
-    if params.grad is not None:
-        for leaf, grad in zip(leaves, split_buffer(params.grad, shapes)):
-            leaf.grad = grad
+    """w0, b0, w1, b1, ... as tape leaves whose data and grad are the layer views
+    of the network's flat buffers; a network without a grad buffer gives constants."""
+    leaves = []
+    for view in params.parameters():
+        leaves.append(tape.Tensor(view.data, requires_grad=params.trainable))
+        leaves[-1].grad = view.grad
     return leaves
 
 
@@ -85,12 +83,10 @@ def sgd_step(networks: list[MlpParams], state: SgdState) -> None:
             raise ContractError("sgd_step: refusing to update a non-trainable (teacher) parameter")
         if net.grad is None or net.grad.shape != net.data.shape or velocity.shape != net.data.shape:
             raise ShapeError(f"sgd_step: buffer shape mismatch for parameter {net.data.shape}")
-        shapes = net.spec.parameter_shapes
-        for p, g, v in zip(split_buffer(net.data, shapes), split_buffer(net.grad, shapes),
-                           split_buffer(velocity, shapes)):
+        for view, v in zip(net.parameters(), split_buffer(velocity, net.spec.parameter_shapes)):
             v *= state.momentum
-            v += g + state.weight_decay * p
-            p -= state.lr * v
+            v += view.grad + state.weight_decay * view.data
+            view.data -= state.lr * v
 
 
 def ema_update(pair: ModelPair) -> None:

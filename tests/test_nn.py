@@ -100,12 +100,14 @@ class TestMlpForward:
 
 
 class TestFlatBuffer:
-    def test_layer_views_share_the_buffer(self):
+    def test_layer_views_share_the_buffer_and_grad(self):
         p = init_params(MlpSpec((3, 4, 2)), 0)
         assert [t.data.shape for t in p.parameters()] == [(3, 4), (4,), (4, 2), (2,)]
         assert p.data.shape == p.grad.shape == (3 * 4 + 4 + 4 * 2 + 2,)
         p.biases[1].data[1] = 7.0
         assert p.data[-1] == 7.0
+        p.grad[:12] = 1.0
+        assert np.all(p.weights[0].grad == 1.0) and not p.biases[0].grad.any()
 
     def test_copy_owns_its_buffer(self):
         p = init_params(MlpSpec((3, 4, 2)), 0)
@@ -130,15 +132,14 @@ def _layer_inputs(kinds, width, rng):
     return x
 
 
-# (encoder widths, encoder normalises, predictor widths or None, parameters trainable,
+# (encoder widths, encoder normalises, predictor widths or None,
 #  encoder's first hidden unit dead for every row)
 FUSED_CASES = {
-    "one-layer": ((4, 3), True, None, True, False),
-    "no-normalize": ((4, 6, 5, 3), False, None, True, False),
-    "encoder": ((4, 6, 5, 3), True, None, True, False),
-    "predictor-on-encoder": ((4, 6, 3), True, (3, 5, 3), True, False),
-    "frozen": ((4, 6, 3), True, None, False, False),
-    "dead-hidden-unit": ((4, 6, 5, 3), True, (3, 5, 3), True, True),
+    "one-layer": ((4, 3), True, None, False),
+    "no-normalize": ((4, 6, 5, 3), False, None, False),
+    "encoder": ((4, 6, 5, 3), True, None, False),
+    "predictor-on-encoder": ((4, 6, 3), True, (3, 5, 3), False),
+    "dead-hidden-unit": ((4, 6, 5, 3), True, (3, 5, 3), True),
 }
 
 
@@ -157,9 +158,9 @@ class TestFusedNode:
         slices the closed form must still write as zeros, and signed zeros. The
         input gradient is compared as a zeroed buffer collects it (-0.0 as +0.0),
         which is how the tape hands it over."""
-        widths, normalize, pred_widths, trainable, dead_unit = FUSED_CASES[case]
+        widths, normalize, pred_widths, dead_unit = FUSED_CASES[case]
         rng = np.random.default_rng(seed)
-        nets = [init_params(MlpSpec(widths, normalize), [seed, 0], trainable)]
+        nets = [init_params(MlpSpec(widths, normalize), [seed, 0])]
         if pred_widths:
             nets.append(init_params(MlpSpec(pred_widths), [seed, 1]))
         if not zero_biases:
@@ -171,7 +172,6 @@ class TestFusedNode:
             nets[0].biases[0].data[0] = -1.0
         x = _layer_inputs(kinds, widths[0], rng)
         upstream = rng.standard_normal((len(kinds), nets[-1].spec.output_dim)) * weight
-        input_grad = input_grad or not trainable
 
         def run(forward, copies):
             out, vjps = x.copy(), []
@@ -185,9 +185,9 @@ class TestFusedNode:
             grads = [None if gx is None else gx + 0.0] + [net.grad for net in copies]
             return [out] + [g for g in grads if g is not None]
 
-        fused = run(mlp_forward, [net.copy(net.trainable) for net in nets])
-        oracle = run(mlp_graph.mlp_forward, [net.copy(net.trainable) for net in nets])
-        assert len(fused) == len(oracle) == 1 + input_grad + sum(n.trainable for n in nets)
+        fused = run(mlp_forward, [net.copy(True) for net in nets])
+        oracle = run(mlp_graph.mlp_forward, [net.copy(True) for net in nets])
+        assert len(fused) == len(oracle) == 1 + input_grad + len(nets)
         for got, want in zip(fused, oracle):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -423,13 +423,11 @@ class TestModelPair:
         pred = default_predictor_spec(64)
         assert pred.layer_widths == (64, 64, 64) and not pred.final_normalize
 
-    def test_teacher_has_no_gradient_buffer_to_receive_one(self):
-        """The teacher's vjp, if one is asked for, only carries the gradient to
-        its input."""
+    def test_teacher_has_no_gradient_and_refuses_a_vjp(self):
         pair = make_pair(0.99)
         x = np.random.default_rng(3).standard_normal((4, 3))
-        before = pair.teacher_encoder.data.copy()
-        _, vjp = mlp_forward(pair.teacher_encoder, x, grad=True)
-        assert vjp(np.ones((4, 2))).shape == x.shape
         assert pair.teacher_encoder.grad is None
-        assert pair.teacher_encoder.data.tobytes() == before.tobytes()
+        assert all(p.grad is None for p in pair.teacher_encoder.parameters())
+        assert mlp_forward(pair.teacher_encoder, x).shape == (4, 2)
+        with pytest.raises(ContractError, match="non-trainable"):
+            mlp_forward(pair.teacher_encoder, x, grad=True)
