@@ -12,8 +12,8 @@ from .tensor import row_norms
 
 @dataclass(frozen=True)
 class UnitAnchors:
-    """An AnchorBank's rows, oldest first: checked finite and unit-norm when
-    they entered it.
+    """An AnchorBank's rows, oldest first: checked finite, and unit-norm or
+    zero, when they entered it.
 
     The objectives take these as they are; any other anchor array they
     check and normalise at every call.
@@ -23,11 +23,12 @@ class UnitAnchors:
 
 
 def _check_unit(where: str, rows: np.ndarray) -> None:
-    """In debug mode, a row whose norm is off unit by more than 1e-6 raises a contract error."""
-    if __debug__ and len(rows):
-        off = np.abs(row_norms(rows) - 1.0).max()
-        if off > 1e-6:
-            raise ContractError(f"{where}: row norm off unit by {off:.3g} (> 1e-6)")
+    """A row that is not all zero and whose norm is off unit by more than 1e-6
+    raises a contract error. An all-masked view embeds to a zero row, which the
+    objectives score as cosine 0."""
+    off = np.abs(row_norms(rows) - 1.0) * rows.any(axis=1)
+    if off.max(initial=0.0) > 1e-6:
+        raise ContractError(f"{where}: row norm off unit by {off.max():.3g} (> 1e-6)")
 
 
 class AnchorBank:
@@ -52,8 +53,8 @@ class AnchorBank:
 
         A batch holding NaN or Inf raises :class:`NumericDomainError` and
         leaves the bank unchanged. Rows must arrive already unit-normalised
-        (the teacher encoder ends in L2 normalization); in debug mode a row
-        whose norm is off by more than 1e-6 raises a contract error.
+        (the teacher encoder ends in L2 normalization); a row that is not all
+        zero and is off unit norm by more than 1e-6 raises a contract error.
         """
         rows = np.ascontiguousarray(batch, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
@@ -91,7 +92,7 @@ class AnchorBank:
     @staticmethod
     def from_state(storage: np.ndarray, head: int, count: int) -> "AnchorBank":
         """Rebuild a bank from :meth:`state`; head and count must fit the storage,
-        which must be finite, and its valid rows unit-norm as in :meth:`enqueue`."""
+        which must be finite, and its valid rows zero or unit-norm as in :meth:`enqueue`."""
         bank = AnchorBank(storage.shape[0], storage.shape[1])
         if not 0 <= head < bank.capacity:
             raise ContractError(f"from_state: head {head} outside [0, {bank.capacity})")

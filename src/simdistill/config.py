@@ -24,7 +24,7 @@ import numpy as np
 from .augment import AGGRESSIVE, IDENTITY, MILD, AugmentPolicy
 from .errors import ConfigError, ContractError
 from .losses import LossConfig
-from .nn import MlpSpec
+from .nn import MlpSpec, default_encoder_spec, default_predictor_spec
 
 
 @dataclass
@@ -96,6 +96,13 @@ class RunConfig:
             flip_prob=self.custom_flip_prob,
         )
 
+    def model_specs(self, input_dim: int) -> tuple[MlpSpec, MlpSpec]:
+        """The student's encoder (``encoder_widths``, else the default one for
+        ``input_dim`` features) and the predictor head on its embedding."""
+        encoder = (MlpSpec(self.encoder_widths, final_normalize=True) if self.encoder_widths
+                   else default_encoder_spec(input_dim))
+        return encoder, default_predictor_spec(encoder.output_dim, self.predictor_hidden)
+
     def validate(self) -> None:
         """Raise ConfigError for any value no run could use."""
         for f in fields(self):
@@ -105,14 +112,6 @@ class RunConfig:
             if f.type == "str" and (not isinstance(value, str) or "#" in value
                                     or len(value.splitlines()) > 1 or value != value.strip()):
                 raise ConfigError(f"{f.name}={value!r} cannot be written to resolved.cfg")
-        try:
-            LossConfig(self.objective, self.temperature)
-            for name in (self.teacher_policy, self.student_policy, "custom"):
-                self.augment_policy(name)     # custom_* fields are checked whatever is chosen
-            if self.encoder_widths:
-                MlpSpec(self.encoder_widths, final_normalize=True)
-        except ContractError as e:
-            raise ConfigError(str(e)) from e
         for name in ("epochs", "lr", "probe_epochs", "seed_init", "seed_data", "seed_augment",
                      "data_seed", "data_sep", "weight_decay", "lr_step_factor"):
             if getattr(self, name) < 0:
@@ -142,6 +141,22 @@ class RunConfig:
             raise ConfigError("data_train and data_eval must be set together")
         if self.data_classes < 2 or self.data_dim < 2:
             raise ConfigError("data_classes and data_dim must be at least 2")
+        try:
+            LossConfig(self.objective, self.temperature)
+            for name in (self.teacher_policy, self.student_policy, "custom"):
+                self.augment_policy(name)     # custom_* fields are checked whatever is chosen
+            encoder, predictor = self.model_specs(self.data_dim)
+        except ContractError as e:
+            raise ConfigError(str(e)) from e
+        # every float64 array the config implies needs a byte size numpy can index
+        corpus = self.data_classes * self.data_dim
+        for name, floats in (("the synthetic train split", corpus * self.data_per_class),
+                             ("the synthetic eval split", corpus * self.data_eval_per_class),
+                             ("the encoder", encoder.num_parameters),
+                             ("the predictor", predictor.num_parameters),
+                             ("the anchor bank", self.bank_capacity * encoder.output_dim)):
+            if 8 * floats > np.iinfo(np.intp).max:
+                raise ConfigError(f"{name} needs {floats} floats, more bytes than numpy can index")
 
     def lr_at(self, epoch: int) -> float:
         if self.lr_schedule == "cosine":

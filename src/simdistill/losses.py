@@ -85,8 +85,8 @@ def _anchor_units(anchors: np.ndarray | UnitAnchors, query_shape: tuple[int, ...
     """Unit anchor rows for a [b, d] query block: at least 2 finite rows of width d.
 
     :class:`UnitAnchors` pass through as they are, since the bank checked each
-    row finite and unit-norm when it entered; any other anchors are checked and
-    normalised here.
+    row finite, and unit-norm or zero, when it entered; any other anchors are
+    checked and normalised here.
     """
     _check_temperature(tau)
     if len(query_shape) != 2:

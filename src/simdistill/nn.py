@@ -143,8 +143,8 @@ def mlp_forward(params: MlpParams, x: np.ndarray, grad: bool = False):
     on the input (``input_grad=False`` skips it). It walks the layers in
     closed form, in the operation order of the per-op matmul, bias-add,
     rectifier and l2_normalize chain, so values and gradients are bitwise
-    that chain's; a last ``+= 0.0`` turns -0.0 into +0.0, as adding into a
-    zeroed buffer did. Without ``grad`` (teacher, evaluation) the rows are
+    that chain's: each sum starts at +0.0, so no -0.0 reaches an activation or
+    a gradient. Without ``grad`` (teacher, evaluation) the rows are
     normalised through ``unit_rows`` and no activation, mask or vjp is kept.
     A non-trainable network (the teacher) refuses ``grad``.
     """
@@ -168,9 +168,8 @@ def mlp_forward(params: MlpParams, x: np.ndarray, grad: bool = False):
         h = h @ w
         h += b.data
         if i != last:
-            # np.where(h > 0, h, 0.0) bit for bit, NaN and -0.0 included, without a copy
+            # np.where(h > 0, h, 0.0) bit for bit, NaN included, as h holds no -0.0
             np.fmax(h, 0.0, out=h)
-            h += 0.0
     if not grad:
         return T.unit_rows(h) if params.spec.final_normalize else h
     if params.spec.final_normalize:
@@ -186,7 +185,6 @@ def mlp_forward(params: MlpParams, x: np.ndarray, grad: bool = False):
             if i:
                 g = g @ weights[i].T
                 g *= inputs[i] > 0
-        params.grad += 0.0
         return g @ weights[0].T if input_grad else None
 
     return h, vjp

@@ -23,11 +23,10 @@ from .bank import AnchorBank
 from .checkpoint import Checkpoint, load_checkpoint
 from .config import RunConfig
 from .data import LabeledDataset
-from .errors import CheckpointError, ColdStartError, ConfigError
+from .errors import CheckpointError, ColdStartError, ConfigError, ContractError
 from .evaluation import embed_dataset, knn_eval
 from .losses import byol_loss_batch, distribution_entropy, isd_loss_batch, moco_loss_batch
-from .nn import (MlpSpec, ModelPair, SgdState, default_encoder_spec,
-                 default_predictor_spec, ema_update, mlp_forward, sgd_step)
+from .nn import MlpSpec, ModelPair, SgdState, ema_update, mlp_forward, sgd_step
 
 # A step reads H(p_t) off the teacher softmax and no longer calls
 # distribution_entropy; the name stays here, re-exported, because
@@ -68,12 +67,6 @@ class MetricsWriter:
 
     def close(self) -> None:
         self._file.close()
-
-
-def _encoder_spec(config: RunConfig, input_dim: int) -> MlpSpec:
-    if config.encoder_widths:
-        return MlpSpec(config.encoder_widths, final_normalize=True)
-    return default_encoder_spec(input_dim)
 
 
 def knn_accuracies(pair: ModelPair, train_ds: LabeledDataset, eval_ds: LabeledDataset,
@@ -124,23 +117,18 @@ class Trainer:
         self.teacher_policy = config.augment_policy(config.teacher_policy)
         self.student_policy = config.augment_policy(config.student_policy)
         if pair is None:
-            encoder_spec = _encoder_spec(config, input_dim)
-            predictor_spec = default_predictor_spec(encoder_spec.output_dim,
-                                                    config.predictor_hidden)
-            pair = ModelPair.create(encoder_spec, predictor_spec, config.momentum, config.seed_init)
-        else:
-            encoder_spec = pair.student_encoder.spec
+            pair = ModelPair.create(*config.model_specs(input_dim), config.momentum,
+                                    config.seed_init)
+        encoder_spec = pair.student_encoder.spec
         if encoder_spec.input_dim != input_dim:
-            raise ConfigError(
-                f"encoder input width {encoder_spec.input_dim} does not match data dim {input_dim}"
-            )
-        embed_dim = encoder_spec.output_dim
+            raise ConfigError(f"encoder input width {encoder_spec.input_dim} does not match "
+                              f"data dim {input_dim}")
         self.pair = pair
         self.networks = [pair.student_encoder, pair.student_predictor]
         self.sgd = SgdState.for_params(self.networks, lr=config.lr,
                                        momentum=config.sgd_momentum,
                                        weight_decay=config.weight_decay)
-        self.bank = AnchorBank(config.bank_capacity, embed_dim)
+        self.bank = AnchorBank(config.bank_capacity, encoder_spec.output_dim)
         self.rng_data = np.random.default_rng([config.seed_data])
         self.rng_augment = np.random.default_rng([config.seed_augment])
         self.epoch = 0
@@ -220,8 +208,8 @@ class Trainer:
             # strictly after the loss: a query never meets its own view
             self.bank.enqueue(t_emb)
 
-        if __debug__:
-            assert self.pair.teacher_encoder.grad is None, "teacher parameter received gradient"
+        if self.pair.teacher_encoder.grad is not None:
+            raise ContractError("teacher parameter received gradient")
 
         self.global_step += 1
         return StepMetrics(
@@ -321,12 +309,10 @@ def distill_trainer(config: RunConfig, teacher_checkpoint, input_dim: int) -> Tr
         teacher_checkpoint = load_checkpoint(teacher_checkpoint)
     cfg = distill_config(config)
     loaded = teacher_checkpoint.pair.teacher_encoder
-    encoder_spec = _encoder_spec(cfg, input_dim)
+    encoder_spec, predictor_spec = cfg.model_specs(input_dim)
     if loaded.spec != encoder_spec:
         raise encoder_mismatch(loaded.spec, f"the configured encoder {encoder_spec.layer_widths}")
-    fresh = ModelPair.create(encoder_spec,
-                             default_predictor_spec(encoder_spec.output_dim, cfg.predictor_hidden),
-                             momentum=cfg.momentum, seed=cfg.seed_init)
+    fresh = ModelPair.create(encoder_spec, predictor_spec, cfg.momentum, cfg.seed_init)
     pair = ModelPair(fresh.student_encoder, fresh.student_predictor,
                      loaded.copy(trainable=False), momentum=cfg.momentum)
     return Trainer(cfg, input_dim, pair=pair)

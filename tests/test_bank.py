@@ -59,6 +59,19 @@ class TestEnqueue:
         with pytest.raises(ContractError):
             bank.enqueue(np.array([[1.0, 1.0, 0.0]]))
 
+    def test_zero_row_held_any_other_non_unit_row_rejected(self):
+        """An all-masked view embeds to a zero row, which the bank holds in every
+        interpreter mode; a row of any other norm off unit still raises, the bank
+        unchanged."""
+        bank = AnchorBank(4, 3)
+        rows = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        bank.enqueue(rows)
+        assert bank.snapshot().tobytes() == rows.tobytes()
+        for bad in ([1e-300, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 1.0 + 2e-6, 0.0]):
+            with pytest.raises(ContractError, match="norm off unit"):
+                bank.enqueue(np.array([[1.0, 0.0, 0.0], bad]))
+            assert bank.count == 2 and bank.snapshot().tobytes() == rows.tobytes()
+
     def test_batch_larger_than_capacity_rejected(self):
         bank = AnchorBank(2, 3)
         with pytest.raises(ContractError):
@@ -183,6 +196,12 @@ class TestUnitSnapshot:
         kept = units.copy()
         bank.enqueue(unit_rows(2, 2, rng))
         assert np.array_equal(units, kept)
+
+    def test_zero_row_state_accepted(self):
+        storage = unit_rows(5, 3, np.random.default_rng(12))
+        storage[2] = 0.0
+        restored = AnchorBank.from_state(storage, 0, 5)
+        assert restored.snapshot().tobytes() == storage.tobytes()
 
     def test_non_unit_state_rejected(self):
         """A loaded bank's rows reach the objectives unnormalised, so from_state

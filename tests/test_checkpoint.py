@@ -92,6 +92,20 @@ class TestErrors:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("scale,loads", [(0.0, True), (2.0, False)])
+    def test_bank_row_that_is_neither_zero_nor_unit_is_rejected(self, tmp_path, scale, loads):
+        """A loaded bank may hold a zero row, as a trained one may; any other row
+        off unit norm is a checkpoint fault, with or without ``python -O``."""
+        ckpt = make_checkpoint()
+        ckpt.bank.storage[1] *= scale
+        path = str(tmp_path / "c.bin")
+        save_checkpoint(ckpt, path)
+        if loads:
+            assert load_checkpoint(path).bank.snapshot().tobytes() == ckpt.bank.snapshot().tobytes()
+        else:
+            with pytest.raises(CheckpointError, match="norm off unit"):
+                load_checkpoint(path)
+
     def test_unsupported_version(self, tmp_path):
         path = str(tmp_path / "v9.bin")
         save_checkpoint(make_checkpoint(), path)

@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -297,6 +299,24 @@ class TestExitCodes:
         code = main([command, "--out", str(out), *extra, *FAST, "--set", override])
         assert code == 3
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["data_dim", "data_classes", "data_per_class",
+                                       "data_eval_per_class", "bank_capacity", "predictor_hidden"])
+    @pytest.mark.parametrize("command,args", [
+        ("train", FAST),
+        ("ablate-temperature", ["--taus", "0.1", *FAST]),
+        ("unbalanced", ["--reps", "1", *UNBALANCED_FAST]),
+    ], ids=["train", "ablate-temperature", "unbalanced"])
+    def test_impossible_size_is_exit_3_before_any_output(self, tmp_path, capsys, command,
+                                                         args, field):
+        """A size of 2**62 implies a corpus, network or bank whose byte size numpy
+        cannot index: a config error before anything is allocated or written."""
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), *args, "--set", f"{field}={2**62}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.endswith("numpy can index\n")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("capacity,code", [("4", 0), ("0", 3)])
@@ -713,6 +733,30 @@ class TestUnbalancedCommand:
                 float(r["isd_all"]) - float(r["moco_all"]), abs=1e-12)
             assert float(r["diff_rare"]) == pytest.approx(
                 float(r["isd_rare"]) - float(r["moco_rare"]), abs=1e-12)
+
+
+class TestInterpreterModes:
+    def test_python_and_python_O_write_the_same_bytes(self, tmp_path):
+        """Every check runs in both interpreter modes. These runs draw views whose
+        every feature is masked, which embed to zero rows that the bank holds: with
+        and without ``-O`` they exit 0 and write byte-identical artifacts."""
+        commands = {
+            "train": ["train", "--set", "data_dim=2", "--set", "teacher_policy=custom",
+                      "--set", "student_policy=custom", "--set", "epochs=2"],
+            "unbalanced": ["unbalanced", "--reps", "1", "--set", "custom_mask_prob=1",
+                           "--set", "epochs=1"],
+        }
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for mode in ("debug", "optimized"):
+            flags = ["-O"] if mode == "optimized" else []
+            for name, args in commands.items():
+                done = subprocess.run(
+                    [sys.executable, *flags, "-m", "simdistill.cli", *args,
+                     "--out", str(tmp_path / mode / name)],
+                    env=env, capture_output=True, text=True, timeout=300)
+                assert done.returncode == 0, f"{mode} {name}: {done.stderr}"
+        for name in ("train/metrics.csv", "train/checkpoint.bin", "unbalanced/unbalanced.csv"):
+            assert read(tmp_path / "debug", name) == read(tmp_path / "optimized", name), name
 
 
 class TestConfigEcho:

@@ -215,6 +215,38 @@ class TestFusedNode:
         assert fused.grad.tobytes() == graph.grad.tobytes()
         assert not np.signbit(fused.grad[fused.grad == 0]).any()
 
+    def test_no_negative_zero_survives_a_dead_unit_or_a_zero_row(self):
+        """Nothing turns -0.0 into +0.0 after the rectifier or the vjp, so the sums
+        must never make one. An all-zero input row embeds to a zero row, and the
+        predictor's first hidden unit is dead on the whole batch while its positive
+        out-weights meet an all-negative upstream gradient: every entry of that
+        unit's gradient column is -0.0 after the mask. The output, the input
+        gradient and both flat gradient buffers hold no -0.0, and each is bytewise
+        the per-op graph's."""
+        rng = np.random.default_rng(18)
+        nets = [init_params(MlpSpec((4, 6, 5, 3), final_normalize=True), 19),
+                init_params(MlpSpec((3, 5, 3)), 20)]
+        predictor = nets[1]
+        predictor.weights[0].data[:, 0] = 0.0
+        predictor.biases[0].data[0] = -1.0
+        predictor.weights[1].data[0] = np.abs(predictor.weights[1].data[0]) + 0.1
+        x = rng.standard_normal((4, 4))
+        x[1] = 0.0
+        upstream = -rng.uniform(0.5, 1.5, (4, 3))
+
+        def run(forward, copies):
+            encoder, head = copies
+            h, encoder_vjp = forward(encoder, x, grad=True)
+            out, head_vjp = forward(head, h, grad=True)
+            gx = encoder_vjp(head_vjp(upstream))
+            return [out, gx, encoder.grad, head.grad]
+
+        fused = run(mlp_forward, [net.copy(True) for net in nets])
+        oracle = run(mlp_graph.mlp_forward, [net.copy(True) for net in nets])
+        for got, want in zip(fused, oracle):
+            assert not np.signbit(got[got == 0]).any()
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_input_gradient_only_on_request(self):
         p = init_params(MlpSpec((4, 6, 3), final_normalize=True), 0)
         x = np.random.default_rng(1).standard_normal((2, 4))
