@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, EmptyBankError, NumericDomainError, ShapeError
-from .tensor import row_norms
+from .tensor import off_unit
 
 
 @dataclass(frozen=True)
@@ -24,11 +24,10 @@ class UnitAnchors:
 
 def _check_unit(where: str, rows: np.ndarray) -> None:
     """A row that is not all zero and whose norm is off unit by more than 1e-6
-    raises a contract error. An all-masked view embeds to a zero row, which the
-    objectives score as cosine 0."""
-    off = np.abs(row_norms(rows) - 1.0) * rows.any(axis=1)
-    if off.max(initial=0.0) > 1e-6:
-        raise ContractError(f"{where}: row norm off unit by {off.max():.3g} (> 1e-6)")
+    raises a contract error."""
+    off = off_unit(rows)
+    if off > 1e-6:
+        raise ContractError(f"{where}: row norm off unit by {off:.3g} (> 1e-6)")
 
 
 class AnchorBank:
@@ -84,25 +83,3 @@ class AnchorBank:
     def unit_snapshot(self) -> UnitAnchors:
         """:meth:`snapshot` marked as rows the objectives need not check or normalise."""
         return UnitAnchors(self.snapshot())
-
-    def state(self) -> tuple[np.ndarray, int, int]:
-        """Raw (storage copy, head, count) for checkpointing."""
-        return self.storage.copy(), self.head, self.count
-
-    @staticmethod
-    def from_state(storage: np.ndarray, head: int, count: int) -> "AnchorBank":
-        """Rebuild a bank from :meth:`state`; head and count must fit the storage,
-        which must be finite, and its valid rows zero or unit-norm as in :meth:`enqueue`."""
-        bank = AnchorBank(storage.shape[0], storage.shape[1])
-        if not 0 <= head < bank.capacity:
-            raise ContractError(f"from_state: head {head} outside [0, {bank.capacity})")
-        if not 0 <= count <= bank.capacity:
-            raise ContractError(f"from_state: count {count} outside [0, {bank.capacity}]")
-        if not np.isfinite(storage).all():
-            raise ContractError("from_state: storage contains NaN or Inf")
-        bank.storage[...] = storage
-        bank.head = int(head)
-        bank.count = int(count)
-        if bank.count:
-            _check_unit("from_state", bank.snapshot())
-        return bank

@@ -1,8 +1,9 @@
 """The framed binary container that checkpoints and datasets share.
 
 Layout: 4-byte magic, u32 version, u64 header length, a JSON object
-header (sorted keys, no spaces, with a ``version`` field), then the
-payload: arrays written back to back as contiguous little-endian blocks.
+header (sorted keys, no spaces, with ``version`` and ``crc32`` fields),
+then the payload: arrays written back to back as contiguous
+little-endian blocks. ``crc32`` is the ``zlib.crc32`` of the payload.
 Each file kind supplies its magic, its version, its header schema and
 the blocks its header implies; everything else about the framing lives
 here, so the two kinds cannot drift apart.
@@ -14,6 +15,7 @@ import contextlib
 import json
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,14 +51,19 @@ def check_fields(obj: dict, fields: dict, error: type[Exception], where: str) ->
 
 def write_container(path: str, magic: bytes, version: int, header: dict,
                     blocks: list[np.ndarray]) -> None:
-    """Write ``header`` (plus its version) and ``blocks`` atomically to ``path``."""
-    blob = json.dumps({**header, "version": version}, sort_keys=True,
+    """Write ``header`` (plus its version and payload CRC) and ``blocks`` atomically to ``path``."""
+    payload = [np.ascontiguousarray(block, dtype=block.dtype.newbyteorder("<")).data
+               for block in blocks]
+    crc = 0
+    for data in payload:
+        crc = zlib.crc32(data, crc)
+    blob = json.dumps({**header, "version": version, "crc32": crc}, sort_keys=True,
                       separators=(",", ":")).encode()
     with atomic_write(path) as f:
         f.write(_PREFIX.pack(magic, version, len(blob)))
         f.write(blob)
-        for block in blocks:
-            f.write(np.ascontiguousarray(block, dtype=block.dtype.newbyteorder("<")).data)
+        for data in payload:
+            f.write(data)
 
 
 @dataclass
@@ -67,14 +74,20 @@ class Container:
     header: dict
     raw: bytes
     offset: int
+    error: type[Exception]
     length_error: type[Exception]
 
     def blocks(self, *blocks: tuple[str, int]) -> list[np.ndarray]:
-        """Read-only views of the payload as (dtype, count) blocks, which must fill it exactly."""
+        """Read-only views of the payload as (dtype, count) blocks, which must fill it
+        exactly and match the header's CRC."""
         sizes = [np.dtype(dtype).itemsize * count for dtype, count in blocks]
         if sum(sizes) != len(self.raw) - self.offset:
             raise self.length_error(f"{self.path}: the header implies a {sum(sizes)}-byte "
                                     f"payload, found {len(self.raw) - self.offset} bytes")
+        crc = zlib.crc32(memoryview(self.raw)[self.offset:])
+        if crc != self.header["crc32"]:
+            raise self.error(f"{self.path}: payload CRC-32 {crc} does not match the "
+                             f"header's {self.header['crc32']}")
         views, offset = [], self.offset
         for (dtype, count), size in zip(blocks, sizes):
             views.append(np.frombuffer(self.raw, dtype=dtype, count=count, offset=offset))
@@ -89,7 +102,8 @@ def read_container(path: str, magic: bytes, version: int, fields: dict,
 
     A fault in the framing or the header raises ``error``; a file too short
     for its header, or a payload of the wrong length, raises ``length_error``
-    (``error`` when omitted). An unreadable file raises ``OSError``.
+    (``error`` when omitted). :meth:`Container.blocks` checks the payload's
+    CRC and raises ``error`` on a mismatch. An unreadable file raises ``OSError``.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -108,5 +122,5 @@ def read_container(path: str, magic: bytes, version: int, fields: dict,
         raise error(f"{path}: header is not valid JSON: {e}") from e
     if not isinstance(header, dict):
         raise error(f"{path}: header is not a JSON object")
-    check_fields(header, fields, error, f"{path}: header")
-    return Container(path, header, raw, offset, length_error or error)
+    check_fields(header, {**fields, "crc32": int}, error, f"{path}: header")
+    return Container(path, header, raw, offset, error, length_error or error)

@@ -15,12 +15,12 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ContractError, NumericDomainError, ShapeError
 from .nn import MlpParams, mlp_forward
-from .tensor import row_norms, unit_rows
+from .tensor import off_unit, unit_rows
 
 
 @dataclass
 class EmbeddingTable:
-    """Unit-norm embedding rows with their labels."""
+    """Unit-norm (or all-zero) embedding rows with their labels."""
 
     embeddings: np.ndarray
     labels: np.ndarray
@@ -34,8 +34,8 @@ class EmbeddingTable:
             raise ContractError("one label per embedding row required")
         if self.labels.min() < 0:
             raise ContractError(f"labels must be non-negative, got {int(self.labels.min())}")
-        if np.abs(row_norms(self.embeddings) - 1.0).max() > 1e-10:
-            raise ContractError("embedding rows must be unit norm (off by more than 1e-10)")
+        if off_unit(self.embeddings) > 1e-10:
+            raise ContractError("embedding rows must be unit norm or zero (off by more than 1e-10)")
 
 
 def embed_dataset(encoder: MlpParams, ds: LabeledDataset) -> EmbeddingTable:

@@ -3,9 +3,10 @@
 A training step's backward is a fixed chain of three closed-form vjps on
 plain arrays: the objective's in ``losses``, then the predictor's and the
 student encoder's in ``nn``. They share the row kernels here: ``row_norms``,
-``l2_rows`` (unit rows and the map's vjp) and ``unit_rows`` (unit rows
-alone). :func:`grad_check` compares any function that returns its value
-and gradient against central differences.
+``l2_rows`` (unit rows and the map's vjp), ``unit_rows`` (unit rows
+alone) and ``off_unit`` (the unit-or-zero check of the bank and the
+embedding table). :func:`grad_check` compares any function that returns
+its value and gradient against central differences.
 """
 
 from __future__ import annotations
@@ -51,6 +52,13 @@ def l2_rows(ad: np.ndarray, eps: float = 1e-12):
 def unit_rows(ad: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """The rows of a [b, d] array divided by max(norm, eps), with no vjp."""
     return ad / np.maximum(row_norms(ad), eps)[:, None]
+
+
+def off_unit(ad: np.ndarray) -> float:
+    """The largest distance from 1 of the norm of a row of a [b, d] array
+    that is not all zero; 0 when every row is zero. An all-masked view
+    embeds to a zero row, which the objectives score as cosine 0."""
+    return float((np.abs(row_norms(ad) - 1.0) * ad.any(axis=1)).max(initial=0.0))
 
 
 def _check_finite(name: str, ad: np.ndarray) -> None:

@@ -128,16 +128,14 @@ class Trainer:
         self.sgd = SgdState.for_params(self.networks, lr=config.lr,
                                        momentum=config.sgd_momentum,
                                        weight_decay=config.weight_decay)
-        self.bank = AnchorBank(config.bank_capacity, encoder_spec.output_dim)
+        # BYOL regresses onto the teacher embedding and keeps no anchors
+        self.bank = (AnchorBank(config.bank_capacity, encoder_spec.output_dim)
+                     if config.objective in ("isd", "moco") else None)
         self.rng_data = np.random.default_rng([config.seed_data])
         self.rng_augment = np.random.default_rng([config.seed_augment])
         self.epoch = 0
         self.global_step = 0
         self._prefilled = False
-
-    @property
-    def needs_bank(self) -> bool:
-        return self.config.objective in ("isd", "moco")
 
     def _view(self, batch: np.ndarray, policy: AugmentPolicy) -> np.ndarray:
         """One view of every sample, flattened to [b, features]."""
@@ -158,7 +156,7 @@ class Trainer:
         through seeded shuffles of the data when the corpus is smaller
         than the bank.
         """
-        if self._prefilled or not self.needs_bank:
+        if self._prefilled or self.bank is None:
             self._prefilled = True
             return
         needed = -(-self.bank.capacity // self.config.batch_size)
@@ -179,7 +177,7 @@ class Trainer:
         cfg = self.config
         objective = cfg.objective
         tau = cfg.temperature
-        if self.needs_bank and self.bank.count < 2:
+        if self.bank is not None and self.bank.count < 2:
             raise ColdStartError("anchor bank not pre-filled; call prefill() before stepping")
         if len(batch) == 0:
             raise ConfigError("empty batch")
@@ -204,7 +202,7 @@ class Trainer:
         self.sgd.lr = cfg.lr_at(self.epoch)
         sgd_step(self.networks, self.sgd)
         ema_update(self.pair)
-        if self.needs_bank:
+        if self.bank is not None:
             # strictly after the loss: a query never meets its own view
             self.bank.enqueue(t_emb)
 
@@ -221,17 +219,7 @@ class Trainer:
         )
 
     def checkpoint(self) -> Checkpoint:
-        return Checkpoint(
-            pair=self.pair,
-            sgd=self.sgd,
-            bank=self.bank,
-            epoch=self.epoch,
-            step=self.global_step,
-            rng_states={
-                "data": self.rng_data.bit_generator.state,
-                "augment": self.rng_augment.bit_generator.state,
-            },
-        )
+        return Checkpoint(pair=self.pair, epoch=self.epoch, step=self.global_step)
 
     def run(self, train_ds: LabeledDataset, eval_ds: LabeledDataset | None = None,
             metrics_path: str | None = None, on_eval=None) -> Checkpoint:
@@ -289,26 +277,25 @@ def distill_config(config: RunConfig) -> RunConfig:
     return replace(config, momentum=1.0, teacher_policy="mild", student_policy="mild")
 
 
-def distill(config: RunConfig, teacher_checkpoint, train_ds: LabeledDataset,
+def distill(config: RunConfig, teacher_path: str, train_ds: LabeledDataset,
             eval_ds: LabeledDataset | None = None,
             metrics_path: str | None = None) -> Checkpoint:
     """Frozen-teacher distillation: the :func:`distill_trainer` run on ``train_ds``."""
-    return distill_trainer(config, teacher_checkpoint, train_ds.feature_dim).run(
+    return distill_trainer(config, teacher_path, train_ds.feature_dim).run(
         train_ds, eval_ds, metrics_path)
 
 
-def distill_trainer(config: RunConfig, teacher_checkpoint, input_dim: int) -> Trainer:
+def distill_trainer(config: RunConfig, teacher_path: str, input_dim: int) -> Trainer:
     """The trainer of a frozen-teacher distillation, run with :func:`distill_config`.
 
-    The student starts from scratch, and the loaded checkpoint's teacher
-    encoder is the frozen teacher: the output checkpoint's teacher weights
-    are bitwise those of the input. A teacher that is not the configured
-    encoder for ``input_dim`` features raises :class:`CheckpointError`.
+    The student starts from scratch, and the teacher encoder of the
+    checkpoint file at ``teacher_path`` is the frozen teacher: the output
+    checkpoint's teacher weights are bitwise those of the input. A teacher
+    that is not the configured encoder for ``input_dim`` features raises
+    :class:`CheckpointError`.
     """
-    if isinstance(teacher_checkpoint, str):
-        teacher_checkpoint = load_checkpoint(teacher_checkpoint)
+    loaded = load_checkpoint(teacher_path).pair.teacher_encoder
     cfg = distill_config(config)
-    loaded = teacher_checkpoint.pair.teacher_encoder
     encoder_spec, predictor_spec = cfg.model_specs(input_dim)
     if loaded.spec != encoder_spec:
         raise encoder_mismatch(loaded.spec, f"the configured encoder {encoder_spec.layer_widths}")

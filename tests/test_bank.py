@@ -88,8 +88,8 @@ class TestEnqueue:
         bank.enqueue(unit_rows(3, 2, np.random.default_rng(9)))
 
         def contents():
-            storage, head, count = bank.state()
-            return [storage.tobytes(), bank.unit_snapshot().rows.tobytes(), head, count]
+            return [bank.storage.tobytes(), bank.unit_snapshot().rows.tobytes(), bank.head,
+                    bank.count]
         before = contents()
         with pytest.raises(NumericDomainError, match="anchors contain NaN or Inf"):
             bank.enqueue(np.array([[1.0, 0.0], [0.0, bad]]))
@@ -147,25 +147,6 @@ class TestAgainstListOracle:
             if oracle.rows:
                 assert np.array_equal(bank.snapshot(), oracle.snapshot())
 
-    def test_state_round_trip(self):
-        rng = np.random.default_rng(8)
-        bank = AnchorBank(5, 3)
-        bank.enqueue(unit_rows(4, 3, rng))
-        restored = AnchorBank.from_state(*bank.state())
-        assert np.array_equal(restored.snapshot(), bank.snapshot())
-        assert restored.head == bank.head and restored.count == bank.count
-
-    def test_non_finite_state_rejected(self):
-        storage = np.zeros((5, 3))
-        storage[4, 1] = np.nan
-        with pytest.raises(ContractError, match="NaN or Inf"):
-            AnchorBank.from_state(storage, 0, 5)
-
-    @pytest.mark.parametrize("head,count", [(5, 4), (-1, 4), (0, 6), (0, -5)])
-    def test_state_out_of_range_rejected(self, head, count):
-        with pytest.raises(ContractError):
-            AnchorBank.from_state(np.zeros((5, 3)), head, count)
-
 
 class TestUnitSnapshot:
     """The rows the objectives score unchecked are the bank's rows as they entered."""
@@ -175,8 +156,8 @@ class TestUnitSnapshot:
            script=st.lists(st.integers(1, 80), min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_rows_are_the_snapshot(self, seed, capacity, d, script):
-        """After every enqueue of a script that wraps around, and after a
-        state()/from_state() round trip, bitwise the list oracle's rows."""
+        """After every enqueue of a script that wraps around, bitwise the list
+        oracle's rows."""
         rng = np.random.default_rng(seed)
         bank = AnchorBank(capacity, d)
         oracle = ListQueueOracle(capacity)
@@ -185,8 +166,6 @@ class TestUnitSnapshot:
             bank.enqueue(batch)
             oracle.enqueue(batch)
             assert bank.unit_snapshot().rows.tobytes() == oracle.snapshot().tobytes()
-        restored = AnchorBank.from_state(*bank.state())
-        assert restored.unit_snapshot().rows.tobytes() == oracle.snapshot().tobytes()
 
     def test_unit_snapshot_is_a_copy(self):
         rng = np.random.default_rng(10)
@@ -196,18 +175,3 @@ class TestUnitSnapshot:
         kept = units.copy()
         bank.enqueue(unit_rows(2, 2, rng))
         assert np.array_equal(units, kept)
-
-    def test_zero_row_state_accepted(self):
-        storage = unit_rows(5, 3, np.random.default_rng(12))
-        storage[2] = 0.0
-        restored = AnchorBank.from_state(storage, 0, 5)
-        assert restored.snapshot().tobytes() == storage.tobytes()
-
-    def test_non_unit_state_rejected(self):
-        """A loaded bank's rows reach the objectives unnormalised, so from_state
-        checks them as enqueue does; rows past ``count`` are not read."""
-        storage = unit_rows(5, 3, np.random.default_rng(11))
-        storage[4] *= 2.0
-        AnchorBank.from_state(storage, 4, 4)
-        with pytest.raises(ContractError, match="norm off unit"):
-            AnchorBank.from_state(storage, 0, 5)

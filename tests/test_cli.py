@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -59,17 +60,32 @@ def header_edit(edit):
     return lambda path: rewrite_header(path, edit)
 
 
+def set_version(path, version):
+    """Write ``version`` into a container's prefix, leaving the rest of the file as it is."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+
+
+def poke_payload(path, offset, value):
+    """Write the bytes ``value`` at ``offset`` of a container's payload (from its end when
+    negative) and update the header's CRC, so the loader's own checks meet the value."""
+    raw = path.read_bytes()
+    start = 16 + struct.unpack("<Q", raw[8:16])[0]
+    payload = bytearray(raw[start:])
+    offset %= len(payload)
+    payload[offset:offset + len(value)] = value
+    path.write_bytes(raw[:start] + payload)
+    rewrite_header(path, set_key("crc32", zlib.crc32(payload)))
+
+
 def negative_last_label(path):
     """Set a dataset container's last label, its last 8 bytes, to -1."""
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8] + struct.pack("<q", -1))
+    poke_payload(path, -8, struct.pack("<q", -1))
 
 
 def nan_first_sample(path):
     """Set the first feature of a dataset container's first sample to NaN."""
-    raw = path.read_bytes()
-    start = 16 + struct.unpack("<Q", raw[8:16])[0]
-    path.write_bytes(raw[:start] + struct.pack("<d", float("nan")) + raw[start + 8:])
+    poke_payload(path, 0, struct.pack("<d", float("nan")))
 
 
 GARBLED = {"not-json": lambda h: b"{bad}", "not-utf8": lambda h: b'"\xff"',
@@ -86,16 +102,15 @@ def change(mutate):
 
 
 # Checkpoint headers that parse but do not describe a loadable model. FAST trains a
-# 2-layer encoder and predictor, so the last record before the bank is velocity.7.
+# 2-layer encoder and predictor: records 4-7 are the predictor's, the last the teacher's.
 INCONSISTENT = {
     "encoder-empty": lambda h: h.update(encoder={}),
     "widths-not-int": lambda h: h["encoder"].update(widths=["6", "12", "4"]),
-    "sgd-no-momentum": lambda h: h["sgd"].pop("momentum"),
-    "velocity-renamed": lambda h: h["buffers"][-2].update(name="velocity.x"),
-    "velocity-missing": lambda h: h["buffers"].pop(-2),
+    "predictor-renamed": lambda h: h["buffers"][4].update(name="student_predictor.x"),
+    "predictor-missing": lambda h: h["buffers"].pop(4),
+    "teacher-renamed": lambda h: h["buffers"][-1].update(name="teacher_encoder.x"),
+    "teacher-missing": lambda h: h["buffers"].pop(-1),
     "buffer-shape": lambda h: h["buffers"][0].update(shape=[12, 6]),
-    "bank-head": lambda h: h["bank"].update(head=999),
-    "bank-count": lambda h: h["bank"].update(count=-5),
 }
 
 
@@ -430,6 +445,28 @@ class TestExitCodes:
         assert code == 4
         assert f"{culprit} contain NaN or Inf" in capsys.readouterr().err
 
+    def test_version_1_checkpoint_is_exit_5(self, tmp_path, capsys):
+        path = tmp_path / "run" / "checkpoint.bin"
+        run_train(tmp_path)
+        set_version(path, 1)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e"), *FAST])
+        assert code == 5
+        assert "unsupported version 1, expected 2" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_version_1_dataset_is_exit_4(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen-data", *gen_data_args(2, 12, 6, 6), "--out", str(data)]) == 0
+        set_version(data / "eval.bin", 1)
+        capsys.readouterr()
+        code = main(["train", "--out", str(tmp_path / "run"), *FAST,
+                     "--set", f"data_train={data}/train.bin",
+                     "--set", f"data_eval={data}/eval.bin"])
+        assert code == 4
+        assert "unsupported version 1, expected 2" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_unreadable_checkpoint_is_exit_5(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"not a checkpoint")
@@ -687,6 +724,23 @@ class TestEvalCommand:
             rows = list(csv.DictReader(f))
         assert len(rows) == 2 * (2 + len(recall_ks.split(",")) * bool(recall_ks))
         assert all(np.isfinite(float(row["value"])) for row in rows)
+
+    def test_untrained_checkpoint_scores_a_corpus_with_a_zero_sample(self, tmp_path):
+        """Under an untrained encoder's zero biases an all-zero sample embeds to a
+        zero row, which eval scores as cosine 0 against every other row."""
+        data = tmp_path / "data"
+        assert main(["gen-data", *gen_data_args(2, 30, 6, 6), "--out", str(data)]) == 0
+        train_ds = load_dataset(str(data / "train.bin"))
+        train_ds.samples[0] = 0.0
+        save_dataset(train_ds, str(data / "train.bin"))
+        files = ["--set", f"data_train={data}/train.bin", "--set", f"data_eval={data}/eval.bin"]
+        ckpt = os.path.join(run_train(tmp_path, extra=[*files, "--set", "epochs=0"]),
+                            "checkpoint.bin")
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", ckpt, "--out", str(out), *FAST, *files,
+                     "--set", "probe_epochs=5"]) == 0
+        with open(out / "eval.csv") as f:
+            assert all(np.isfinite(float(row["value"])) for row in csv.DictReader(f))
 
 
 class TestDistillCommand:

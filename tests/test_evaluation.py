@@ -315,6 +315,14 @@ class TestEmbeddingTable:
         with pytest.raises(ContractError):
             EmbeddingTable(np.array([[1.0, 1.0]]), np.array([0]))
 
+    def test_zero_row_accepted(self):
+        """An all-masked or all-zero sample embeds to a zero row while the encoder's
+        biases are zero; the table takes it as the bank does."""
+        rows = np.array([[0.6, 0.8], [0.0, 0.0]])
+        assert np.array_equal(EmbeddingTable(rows, np.array([0, 1])).embeddings, rows)
+        with pytest.raises(ContractError, match="unit norm or zero"):
+            EmbeddingTable(np.array([[0.0, 0.5]]), np.array([0]))
+
     def test_negative_label_rejected(self):
         with pytest.raises(ContractError, match="non-negative"):
             EmbeddingTable(np.eye(2), np.array([0, -1]))

@@ -218,7 +218,7 @@ class TestStepContracts:
         trainer = Trainer(small_config("byol"), ds.feature_dim)
         m = trainer.step(ds.samples[:8])
         assert np.isfinite(m.loss) and m.teacher_entropy is None
-        assert trainer.bank.count == 0
+        assert trainer.bank is None
 
     def test_identity_views_share_one_copy_of_the_batch(self):
         """Under two identity policies a BYOL step hands both networks one copy
@@ -311,7 +311,7 @@ class TestRun:
         for t, s in zip(ckpt.pair.teacher_encoder.parameters(),
                         ckpt.pair.student_encoder.parameters()):
             assert np.array_equal(t.data, s.data)
-        assert ckpt.step == 0 and ckpt.bank.count == 0
+        assert ckpt.step == 0 and ckpt.bank is None
 
     def test_identical_seeds_give_bitwise_identical_artifacts(self, tmp_path):
         ds = small_dataset()
