@@ -1,6 +1,7 @@
 """Tests for the binary checkpoint container."""
 
 import builtins
+import json
 import struct
 
 import numpy as np
@@ -119,15 +120,15 @@ class TestMalformedFiles:
     @given(data=st.data(), flip=st.booleans())
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_truncation_or_bit_flip_raises_the_kinds_error(self, tmp_path, pristine,
-                                                           kind, data, flip):
-        """Every truncation and every payload bit flip raises the file kind's error;
-        a bit flip in the prefix or the header loads or raises that same error."""
+    def test_truncation_or_framing_bit_flip_raises_the_kinds_error(self, tmp_path, pristine,
+                                                                   kind, data, flip):
+        """Every truncation raises the file kind's error; a bit flip in the prefix
+        or the header loads or raises that same error."""
         _, _, load, error = MALFORMED[kind]
         raw = pristine[kind]
         framed = 16 + header_length(raw)
         if flip:
-            bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+            bit = data.draw(st.integers(0, 8 * framed - 1), label="bit")
             bad = bytearray(raw)
             bad[bit // 8] ^= 1 << bit % 8
         else:
@@ -141,7 +142,42 @@ class TestMalformedFiles:
         except error:
             return
         assert flip, "a truncated file loaded"
-        assert bit < 8 * framed, "a payload bit flip loaded"
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_payload_bit_flip_raises_the_kinds_error(self, tmp_path, pristine, kind, data):
+        """The header's CRC-32 catches every single-bit flip in the payload."""
+        _, _, load, error = MALFORMED[kind]
+        raw = pristine[kind]
+        bit = data.draw(st.integers(8 * (16 + header_length(raw)), 8 * len(raw) - 1),
+                        label="bit")
+        bad = bytearray(raw)
+        bad[bit // 8] ^= 1 << bit % 8
+        path = tmp_path / "f.bin"
+        path.unlink(missing_ok=True)
+        path.write_bytes(bytes(bad))
+        with pytest.raises(error, match="payload CRC-32"):
+            load(str(path))
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    @pytest.mark.parametrize("crc", [None, "0"], ids=["crc-missing", "crc-str"])
+    def test_header_without_an_integer_crc_raises_the_kinds_error(self, tmp_path, pristine,
+                                                                 kind, crc):
+        _, _, load, error = MALFORMED[kind]
+        raw = pristine[kind]
+        n = header_length(raw)
+        header = json.loads(raw[16:16 + n])
+        if crc is None:
+            del header["crc32"]
+        else:
+            header["crc32"] = crc
+        blob = json.dumps(header).encode()
+        path = tmp_path / "f.bin"
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n:])
+        with pytest.raises(error, match="'crc32' is missing or has the wrong type"):
+            load(str(path))
 
 
 class FailsAfterFirstWrite:

@@ -102,15 +102,20 @@ def change(mutate):
 
 
 # Checkpoint headers that parse but do not describe a loadable model. FAST trains a
-# 2-layer encoder and predictor: records 4-7 are the predictor's, the last the teacher's.
+# 2-layer encoder and predictor: records 0-3 are the student encoder's, 4-7 the
+# predictor's, the last the teacher's. A version-1 file also listed velocity records.
 INCONSISTENT = {
     "encoder-empty": lambda h: h.update(encoder={}),
     "widths-not-int": lambda h: h["encoder"].update(widths=["6", "12", "4"]),
+    "student-renamed": lambda h: h["buffers"][0].update(name="student_encoder.x"),
+    "student-missing": lambda h: h["buffers"].pop(0),
     "predictor-renamed": lambda h: h["buffers"][4].update(name="student_predictor.x"),
     "predictor-missing": lambda h: h["buffers"].pop(4),
     "teacher-renamed": lambda h: h["buffers"][-1].update(name="teacher_encoder.x"),
     "teacher-missing": lambda h: h["buffers"].pop(-1),
     "buffer-shape": lambda h: h["buffers"][0].update(shape=[12, 6]),
+    "velocity-extra": lambda h: h["buffers"].append({"name": "velocity.student_encoder.w0",
+                                                     "shape": [6, 12]}),
 }
 
 
