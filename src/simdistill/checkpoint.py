@@ -20,7 +20,7 @@ from .errors import CheckpointError, ContractError, ShapeError
 from .nn import MlpParams, MlpSpec, ModelPair, SgdState
 
 _MAGIC = b"SDCP"
-_VERSION = 2
+_VERSION = 3
 _HEADER_FIELDS = {"encoder": dict, "predictor": dict, "momentum": (int, float), "epoch": int,
                   "step": int, "buffers": list}
 _SPEC_FIELDS = {"widths": list, "normalize": bool}

@@ -12,7 +12,7 @@ from .errors import ContractError, FormatError, LengthError
 from .tensor import unit_rows
 
 _DATASET_MAGIC = b"SDDS"
-_DATASET_VERSION = 2
+_DATASET_VERSION = 3
 _DATASET_FIELDS = {"n": int, "sample_shape": list, "split": str}
 
 

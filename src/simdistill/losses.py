@@ -138,9 +138,8 @@ def _soft_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float,
     factor. ``logits`` is consumed: it is overwritten with the
     log-probabilities, so callers pass a temporary.
     """
-    T._check_finite("soft_cross_entropy", logits)
-    scale = 1.0 / logits.shape[0]
-    logp = logits
+    logp = _finite("logits", logits)      # the same float64 array, so still consumed
+    scale = 1.0 / logp.shape[0]
     logp -= logp.max(axis=1, keepdims=True)
     e = np.exp(logp)
     sums = e.sum(axis=1, keepdims=True)

@@ -120,14 +120,14 @@ class MlpParams:
         return MlpParams(self.spec, self.data.copy(), trainable)
 
 
-def init_params(spec: MlpSpec, seed, trainable: bool = True) -> MlpParams:
+def init_params(spec: MlpSpec, seed) -> MlpParams:
     """Initialise an MLP: weights uniform in +-1/sqrt(fan_in), biases zero.
 
     Deterministic for a given seed; the seed may be an int or a sequence
     of ints (a numpy SeedSequence entropy list).
     """
     rng = np.random.default_rng(seed)
-    params = MlpParams(spec, np.zeros(spec.num_parameters), trainable)
+    params = MlpParams(spec, np.zeros(spec.num_parameters))
     for w in params.weights:
         limit = 1.0 / math.sqrt(w.data.shape[0])
         w.data[...] = rng.uniform(-limit, limit, size=w.data.shape)

@@ -15,7 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, NumericDomainError, ShapeError
+from .errors import ContractError, ShapeError
+
+_EPS = 1e-12    # the divisor floor of l2_rows and unit_rows
 
 
 def row_norms(ad: np.ndarray) -> np.ndarray:
@@ -27,31 +29,31 @@ def row_norms(ad: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(ad * ad, axis=1))
 
 
-def l2_rows(ad: np.ndarray, eps: float = 1e-12):
+def l2_rows(ad: np.ndarray):
     """The rows of a [b, d] array scaled to unit norm, and the map's vjp on arrays.
 
-    The divisor is max(norm, eps), so rows below eps pass through scaled by
-    1/eps instead of dividing by zero; there the map is exactly linear. The
+    The divisor is max(norm, 1e-12), so rows below 1e-12 pass through scaled
+    by 1e12 instead of dividing by zero; there the map is exactly linear. The
     vjp builds that branch only for a block that has such a row.
     """
     r = row_norms(ad)
-    denom = np.maximum(r, eps)[:, None]
+    denom = np.maximum(r, _EPS)[:, None]
     out = ad / denom
-    big = (r >= eps)[:, None]
+    big = (r >= _EPS)[:, None]
     every_row_big = bool(big.all())
 
     def vjp(g):
         dots = (out * g).sum(axis=1, keepdims=True)
         unit = g - out * dots
         unit /= denom
-        return unit if every_row_big else np.where(big, unit, g / eps)
+        return unit if every_row_big else np.where(big, unit, g / _EPS)
 
     return out, vjp
 
 
-def unit_rows(ad: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """The rows of a [b, d] array divided by max(norm, eps), with no vjp."""
-    return ad / np.maximum(row_norms(ad), eps)[:, None]
+def unit_rows(ad: np.ndarray) -> np.ndarray:
+    """The rows of a [b, d] array divided by max(norm, 1e-12), with no vjp."""
+    return ad / np.maximum(row_norms(ad), _EPS)[:, None]
 
 
 def off_unit(ad: np.ndarray) -> float:
@@ -59,11 +61,6 @@ def off_unit(ad: np.ndarray) -> float:
     that is not all zero; 0 when every row is zero. An all-masked view
     embeds to a zero row, which the objectives score as cosine 0."""
     return float((np.abs(row_norms(ad) - 1.0) * ad.any(axis=1)).max(initial=0.0))
-
-
-def _check_finite(name: str, ad: np.ndarray) -> None:
-    if not np.isfinite(ad).all():
-        raise NumericDomainError(f"{name}: input contains NaN or Inf")
 
 
 def grad_check(f: Callable[[np.ndarray], tuple], x, step: float = 1e-5) -> float:

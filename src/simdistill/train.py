@@ -252,6 +252,7 @@ class Trainer:
                         metrics.eval_row(epoch, self.global_step, t_acc, s_acc)
                     if on_eval:
                         on_eval(epoch, t_acc, s_acc)
+            self.epoch = cfg.epochs     # the checkpoint saves the count of epochs done
         finally:
             if metrics:
                 metrics.close()

@@ -19,7 +19,11 @@ import numpy as np
 
 from oracles.tape import Tensor, _record
 from simdistill.errors import ContractError, NumericDomainError, ShapeError
-from simdistill.tensor import _check_finite
+
+
+def _check_finite(name: str, ad: np.ndarray) -> None:
+    if not np.isfinite(ad).all():
+        raise NumericDomainError(f"{name}: input contains NaN or Inf")
 
 
 def detach(t: Tensor) -> Tensor:

@@ -6,11 +6,11 @@ import os
 import struct
 import subprocess
 import sys
-import zlib
 
 import numpy as np
 import pytest
 
+import container_file
 from simdistill import cli, config, experiments
 from simdistill.checkpoint import load_checkpoint, save_checkpoint
 from simdistill.cli import main
@@ -39,14 +39,6 @@ def read(directory, name):
         return f.read()
 
 
-def rewrite_header(path, edit):
-    """Replace the JSON header of a container file with ``edit(header)``."""
-    raw = path.read_bytes()
-    n = struct.unpack("<Q", raw[8:16])[0]
-    header = edit(raw[16:16 + n])
-    path.write_bytes(raw[:8] + struct.pack("<Q", len(header)) + header + raw[16 + n:])
-
-
 def drop_key(key):
     return lambda h: json.dumps({k: v for k, v in json.loads(h).items() if k != key}).encode()
 
@@ -57,25 +49,18 @@ def set_key(key, value):
 
 def header_edit(edit):
     """A file edit that replaces the container's header with ``edit(header)``."""
-    return lambda path: rewrite_header(path, edit)
-
-
-def set_version(path, version):
-    """Write ``version`` into a container's prefix, leaving the rest of the file as it is."""
-    raw = path.read_bytes()
-    path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+    return lambda path: container_file.rewrite(path, header=edit)
 
 
 def poke_payload(path, offset, value):
     """Write the bytes ``value`` at ``offset`` of a container's payload (from its end when
-    negative) and update the header's CRC, so the loader's own checks meet the value."""
-    raw = path.read_bytes()
-    start = 16 + struct.unpack("<Q", raw[8:16])[0]
-    payload = bytearray(raw[start:])
-    offset %= len(payload)
-    payload[offset:offset + len(value)] = value
-    path.write_bytes(raw[:start] + payload)
-    rewrite_header(path, set_key("crc32", zlib.crc32(payload)))
+    negative), so the loader's own checks meet the value."""
+    def edit(payload):
+        payload = bytearray(payload)
+        start = offset % len(payload)
+        payload[start:start + len(value)] = value
+        return bytes(payload)
+    container_file.rewrite(path, payload=edit)
 
 
 def negative_last_label(path):
@@ -391,21 +376,25 @@ class TestExitCodes:
     def test_garbled_checkpoint_header_is_exit_5(self, tmp_path, capsys, edit):
         path = tmp_path / "run" / "checkpoint.bin"
         run_train(tmp_path)
-        rewrite_header(path, edit)
+        container_file.rewrite(path, header=edit)
         capsys.readouterr()
         code = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e"), *FAST])
         assert code == 5
-        assert "checkpoint error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "checkpoint error" in err
+        assert "CRC-32" not in err      # the edit reached the check it names
 
     @pytest.mark.parametrize("mutate", INCONSISTENT.values(), ids=INCONSISTENT)
     def test_inconsistent_checkpoint_header_is_exit_5(self, tmp_path, capsys, mutate):
         path = tmp_path / "run" / "checkpoint.bin"
         run_train(tmp_path)
-        rewrite_header(path, change(mutate))
+        container_file.rewrite(path, header=change(mutate))
         capsys.readouterr()
         code = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e"), *FAST])
         assert code == 5
-        assert "checkpoint error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "checkpoint error" in err
+        assert "CRC-32" not in err      # the edit reached the check it names
 
     @pytest.mark.parametrize("edit", [*map(header_edit, [
                                           *GARBLED.values(), drop_key("n"),
@@ -431,6 +420,7 @@ class TestExitCodes:
         assert code == 4
         err = capsys.readouterr().err
         assert "data error" in err
+        assert "CRC-32" not in err      # the edit reached the check it names
         assert f"{data}/train.bin" in err
         assert not (tmp_path / "run").exists()
 
@@ -450,27 +440,43 @@ class TestExitCodes:
         assert code == 4
         assert f"{culprit} contain NaN or Inf" in capsys.readouterr().err
 
-    def test_version_1_checkpoint_is_exit_5(self, tmp_path, capsys):
+    def test_version_2_checkpoint_is_exit_5(self, tmp_path, capsys):
+        """A version-2 file kept its CRC in the header; this loader reads only version 3."""
         path = tmp_path / "run" / "checkpoint.bin"
         run_train(tmp_path)
-        set_version(path, 1)
+        container_file.rewrite(path, version=2)
         capsys.readouterr()
         code = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e"), *FAST])
         assert code == 5
-        assert "unsupported version 1, expected 2" in capsys.readouterr().err
+        assert "unsupported version 2, expected 3" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
-    def test_version_1_dataset_is_exit_4(self, tmp_path, capsys):
+    def test_version_2_dataset_is_exit_4(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(["gen-data", *gen_data_args(2, 12, 6, 6), "--out", str(data)]) == 0
-        set_version(data / "eval.bin", 1)
+        container_file.rewrite(data / "eval.bin", version=2)
         capsys.readouterr()
         code = main(["train", "--out", str(tmp_path / "run"), *FAST,
                      "--set", f"data_train={data}/train.bin",
                      "--set", f"data_eval={data}/eval.bin"])
         assert code == 4
-        assert "unsupported version 1, expected 2" in capsys.readouterr().err
+        assert "unsupported version 2, expected 3" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_header_bit_flip_in_the_momentum_is_exit_5(self, tmp_path, capsys):
+        """Flipping the low bit of the last digit of "momentum":0.97 would read 0.96;
+        the prefix's CRC covers the header, so the file is refused."""
+        path = tmp_path / "run" / "checkpoint.bin"
+        run_train(tmp_path, extra=["--set", "momentum=0.97"])
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b'"momentum":0.97') + len(b'"momentum":0.97') - 1
+        raw[at] ^= 1
+        path.write_bytes(bytes(raw))
+        assert b'"momentum":0.96' in raw
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e"), *FAST])
+        assert code == 5
+        assert "CRC-32" in capsys.readouterr().err
 
     def test_unreadable_checkpoint_is_exit_5(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -596,6 +602,15 @@ class TestTrainCommand:
         assert os.path.exists(os.path.join(out, "resolved.cfg"))
         assert os.path.exists(os.path.join(out, "metrics.csv"))
         assert os.path.exists(os.path.join(out, "checkpoint.bin"))
+
+    def test_checkpoint_epoch_counts_the_epochs_done(self, tmp_path):
+        """An untrained checkpoint saves epoch 0 and a one-epoch one epoch 1, so
+        eval.csv can tell them apart; metrics.csv keeps each step's epoch index."""
+        for epochs in (0, 1):
+            out = run_train(tmp_path, f"e{epochs}", ["--set", f"epochs={epochs}"])
+            assert load_checkpoint(os.path.join(out, "checkpoint.bin")).epoch == epochs
+        with open(os.path.join(out, "metrics.csv")) as f:
+            assert {row["epoch"] for row in csv.DictReader(f)} == {"0"}
 
     def test_resolved_config_reproduces_the_run(self, tmp_path):
         """Replaying a run's resolved.cfg, with nothing else but the command's

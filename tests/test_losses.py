@@ -10,6 +10,7 @@ import simdistill.tensor as T
 from oracles import anchor_softmax, graph_ops, loss_chain, per_sample_losses, tape
 from oracles.loss_chain import assert_close
 from oracles.tape import Tensor
+from simdistill.bank import AnchorBank
 from simdistill.errors import (ContractError, DegenerateDistributionError, NumericDomainError,
                                ShapeError)
 from simdistill.losses import (LossConfig, anchor_cross_entropy_batch, anchor_distribution_batch,
@@ -395,6 +396,24 @@ class TestBatchForms:
         for tau in [0.0, np.nan, 1e-310, np.float64(1e-310)]:
             with pytest.raises(ContractError):
                 call_anchor_form(name, tau=tau)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("name", ["anchor_cross_entropy_batch", "moco_loss_batch"])
+    def test_overflowing_logits_raise_numeric_domain_error(self, name):
+        """A bank row may be off unit by up to 1e-6. At the smallest τ whose inverse
+        is finite, a query along such a row has an infinite logit, which the cross
+        entropy refuses before its softmax turns it into NaN."""
+        tau = float(np.nextafter(1.0 / np.finfo(np.float64).max, 1.0))
+        assert np.isfinite(1.0 / tau)
+        bank = AnchorBank(4, 2)
+        bank.enqueue(np.array([[1.0 + 5e-7, 0.0], [0.0, 1.0]]))
+        query = np.array([[1.0, 0.0]])
+        with pytest.raises(NumericDomainError, match="logits contain NaN or Inf"):
+            if name == "moco_loss_batch":
+                moco_loss_batch(query, np.array([[0.0, 1.0]]), bank.unit_snapshot(), tau)
+            else:
+                anchor_cross_entropy_batch(np.array([[0.5, 0.5]]), query,
+                                           bank.unit_snapshot(), tau)
 
     def test_byol_checks_the_teacher_block(self):
         rng = np.random.default_rng(16)

@@ -348,7 +348,7 @@ class TestSgd:
         assert p.data == pytest.approx([2.0 - 0.1 * (0.01 * 2.0)] * 4)
 
     def test_teacher_network_rejected(self):
-        frozen = init_params(MlpSpec((1, 2)), 0, trainable=False)
+        frozen = init_params(MlpSpec((1, 2)), 0).copy(trainable=False)
         state = SgdState.for_params([frozen], lr=0.1)
         before = frozen.data.copy()
         with pytest.raises(ContractError):
