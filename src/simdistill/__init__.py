@@ -7,7 +7,7 @@ contrastive (one-hot target) and bootstrap (direct regression) baselines
 share the same machinery for matched comparisons.
 """
 
-from .augment import AGGRESSIVE, IDENTITY, MILD, AugmentPolicy, augment, mean_distortion
+from .augment import AGGRESSIVE, IDENTITY, MILD, NOISY, AugmentPolicy, augment, mean_distortion
 from .bank import AnchorBank
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_overrides, load_config, parse_config, serialize_config
@@ -26,7 +26,7 @@ TrainConfig = RunConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGGRESSIVE", "IDENTITY", "MILD", "AugmentPolicy", "augment", "mean_distortion",
+    "AGGRESSIVE", "IDENTITY", "MILD", "NOISY", "AugmentPolicy", "augment", "mean_distortion",
     "AnchorBank",
     "Checkpoint", "load_checkpoint", "save_checkpoint",
     "RunConfig", "apply_overrides", "load_config", "parse_config", "serialize_config",

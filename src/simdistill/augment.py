@@ -1,15 +1,17 @@
 """Stochastic view augmentation for feature vectors and small images.
 
-Two named policies order themselves by expected distortion: "mild" adds
+Named policies order themselves by expected distortion: "mild" adds
 only a little gaussian noise (plus horizontal flips on images), while
 "aggressive" adds strong noise, coordinate masking, random rescaling and,
-on images, random crops. The identity policy "none" passes samples
-through bitwise.
+on images, random crops. "noisy", the rare-class protocol's views, is
+"aggressive" with unit-variance noise and, on images, flips. The
+identity policy "none" passes samples through bitwise. ``POLICIES``
+maps each name to its policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +63,8 @@ AGGRESSIVE = AugmentPolicy(
     scale_range=(0.5, 1.5),
     crop_range=(0.6, 1.0),
 )
+NOISY = replace(AGGRESSIVE, noise_std=1.0, flip_prob=0.5)
+POLICIES = {"none": IDENTITY, "mild": MILD, "aggressive": AGGRESSIVE, "noisy": NOISY}
 
 
 def augment(samples: np.ndarray, policy: AugmentPolicy, rng: np.random.Generator) -> np.ndarray:

@@ -15,6 +15,8 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import experiments
 from .config import RunConfig, apply_overrides, load_config
 from .errors import (CheckpointError, ConfigError, ContractError, FormatError,
@@ -128,7 +130,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_OK
     try:
-        return _dispatch(args)
+        # numpy's overflow and NaN warnings would print ahead of the one error line;
+        # the typed checks report every non-finite value that matters
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return _dispatch(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -21,10 +21,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .augment import AGGRESSIVE, IDENTITY, MILD, AugmentPolicy
+from .augment import POLICIES, AugmentPolicy
 from .errors import ConfigError, ContractError
 from .losses import LossConfig
 from .nn import MlpSpec, default_encoder_spec, default_predictor_spec
+
+# the step schedule multiplies lr by LR_STEP_FACTOR at each of these fractions of the run
+LR_STEP_FRACS = (0.7, 0.9)
+LR_STEP_FACTOR = 0.2
 
 
 @dataclass
@@ -39,22 +43,10 @@ class RunConfig:
     epochs: int = 200
     lr: float = 0.01
     lr_schedule: str = "step"            # step | cosine
-    lr_step_fracs: tuple[float, ...] = (0.7, 0.9)
-    lr_step_factor: float = 0.2
-    sgd_momentum: float = 0.9
-    weight_decay: float = 1e-4
     encoder_widths: tuple[int, ...] = () # empty: [dim, 256, 128, 64]
-    predictor_hidden: int = 64
-    # augmentation (policy names; "custom" reads the custom_* fields)
+    # augmentation: none | mild | aggressive | noisy
     teacher_policy: str = "none"
     student_policy: str = "none"
-    custom_noise_std: float = 0.25
-    custom_mask_prob: float = 0.2
-    custom_scale_min: float = 0.5
-    custom_scale_max: float = 1.5
-    custom_crop_min: float = 0.6
-    custom_crop_max: float = 1.0
-    custom_flip_prob: float = 0.5
     # seeds
     seed_init: int = 0
     seed_data: int = 1
@@ -82,47 +74,37 @@ class RunConfig:
             self.objective = self.objective.objective
 
     def augment_policy(self, name: str) -> AugmentPolicy:
-        """The view policy none, mild or aggressive, or "custom" built from the custom_* fields."""
-        presets = {"none": IDENTITY, "mild": MILD, "aggressive": AGGRESSIVE}
-        if name in presets:
-            return presets[name]
-        if name != "custom":
+        """The view policy of that name: none, mild, aggressive or noisy."""
+        if name not in POLICIES:
             raise ContractError(f"unknown augmentation policy {name!r}")
-        return AugmentPolicy(
-            noise_std=self.custom_noise_std,
-            mask_prob=self.custom_mask_prob,
-            scale_range=(self.custom_scale_min, self.custom_scale_max),
-            crop_range=(self.custom_crop_min, self.custom_crop_max),
-            flip_prob=self.custom_flip_prob,
-        )
+        return POLICIES[name]
 
     def model_specs(self, input_dim: int) -> tuple[MlpSpec, MlpSpec]:
         """The student's encoder (``encoder_widths``, else the default one for
         ``input_dim`` features) and the predictor head on its embedding."""
         encoder = (MlpSpec(self.encoder_widths, final_normalize=True) if self.encoder_widths
                    else default_encoder_spec(input_dim))
-        return encoder, default_predictor_spec(encoder.output_dim, self.predictor_hidden)
+        return encoder, default_predictor_spec(encoder.output_dim)
 
     def validate(self) -> None:
         """Raise ConfigError for any value no run could use."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type.startswith(("float", "tuple[float")) and not np.all(np.isfinite(value)):
+            if f.type == "float" and not np.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
             if f.type == "str" and (not isinstance(value, str) or "#" in value
                                     or len(value.splitlines()) > 1 or value != value.strip()):
                 raise ConfigError(f"{f.name}={value!r} cannot be written to resolved.cfg")
         for name in ("epochs", "lr", "probe_epochs", "seed_init", "seed_data", "seed_augment",
-                     "data_seed", "data_sep", "weight_decay", "lr_step_factor"):
+                     "data_seed", "data_sep"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in ("batch_size", "bank_capacity", "predictor_hidden", "eval_every", "eval_k",
-                     "data_per_class", "data_eval_per_class"):
+        for name in ("batch_size", "bank_capacity", "eval_every", "eval_k", "data_per_class",
+                     "data_eval_per_class"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("momentum", "sgd_momentum"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not 0.0 <= self.momentum <= 1.0:
+            raise ConfigError(f"momentum must lie in [0, 1], got {self.momentum}")
         if self.objective != "byol":     # byol keeps no anchors
             if self.bank_capacity < 2:
                 raise ConfigError("bank_capacity must be at least 2 for isd/moco")
@@ -130,9 +112,6 @@ class RunConfig:
                 raise ConfigError("batch_size cannot exceed bank_capacity for isd/moco")
         if self.lr_schedule not in ("step", "cosine"):
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
-        if any(not 0.0 <= frac < 1.0 for frac in self.lr_step_fracs):
-            raise ConfigError(f"every lr_step_fracs entry must lie in [0, 1), "
-                              f"got {self.lr_step_fracs}")
         if self.probe_lr <= 0:
             raise ConfigError(f"probe_lr must be positive, got {self.probe_lr}")
         if any(k < 1 for k in self.recall_ks):
@@ -143,8 +122,8 @@ class RunConfig:
             raise ConfigError("data_classes and data_dim must be at least 2")
         try:
             LossConfig(self.objective, self.temperature)
-            for name in (self.teacher_policy, self.student_policy, "custom"):
-                self.augment_policy(name)     # custom_* fields are checked whatever is chosen
+            self.augment_policy(self.teacher_policy)
+            self.augment_policy(self.student_policy)
             encoder, predictor = self.model_specs(self.data_dim)
         except ContractError as e:
             raise ConfigError(str(e)) from e
@@ -164,9 +143,9 @@ class RunConfig:
                 return self.lr
             return self.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / self.epochs))
         lr = self.lr
-        for frac in self.lr_step_fracs:
+        for frac in LR_STEP_FRACS:
             if epoch >= int(frac * self.epochs):
-                lr *= self.lr_step_factor
+                lr *= LR_STEP_FACTOR
         return lr
 
 

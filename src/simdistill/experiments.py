@@ -148,9 +148,7 @@ def unbalanced_base_config() -> RunConfig:
     return RunConfig(
         objective="isd", temperature=0.07, lr=0.05, momentum=0.97, seed_init=1,
         lr_schedule="cosine", epochs=200, bank_capacity=512, batch_size=64,
-        teacher_policy="custom", student_policy="custom",
-        custom_noise_std=1.0, custom_mask_prob=0.2,
-        custom_scale_min=0.5, custom_scale_max=1.5,
+        teacher_policy="noisy", student_policy="noisy",
         data_classes=8, data_per_class=260, data_eval_per_class=50,
         data_dim=32, data_sep=2.5,
     )

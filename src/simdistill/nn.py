@@ -195,7 +195,8 @@ class SgdState:
     """SGD-with-momentum state: one velocity buffer per parameter array.
 
     The trainer's arrays are whole networks (``MlpParams.data``), so it keeps
-    one velocity buffer per network.
+    one velocity buffer per network. Every run uses the default momentum 0.9
+    and weight decay 1e-4; only the learning rate is configured.
     """
 
     lr: float
@@ -208,11 +209,8 @@ class SgdState:
             raise ContractError("SgdState: lr must be non-negative")
 
     @staticmethod
-    def for_params(params: list, lr: float, momentum: float = 0.9,
-                   weight_decay: float = 1e-4) -> "SgdState":
-        state = SgdState(lr=lr, momentum=momentum, weight_decay=weight_decay)
-        state.velocities = [np.zeros_like(p.data) for p in params]
-        return state
+    def for_params(params: list, lr: float) -> "SgdState":
+        return SgdState(lr=lr, velocities=[np.zeros_like(p.data) for p in params])
 
 
 def sgd_step(networks: list[MlpParams], state: SgdState) -> None:

@@ -125,9 +125,7 @@ class Trainer:
                               f"data dim {input_dim}")
         self.pair = pair
         self.networks = [pair.student_encoder, pair.student_predictor]
-        self.sgd = SgdState.for_params(self.networks, lr=config.lr,
-                                       momentum=config.sgd_momentum,
-                                       weight_decay=config.weight_decay)
+        self.sgd = SgdState.for_params(self.networks, lr=config.lr)
         # BYOL regresses onto the teacher embedding and keeps no anchors
         self.bank = (AnchorBank(config.bank_capacity, encoder_spec.output_dim)
                      if config.objective in ("isd", "moco") else None)

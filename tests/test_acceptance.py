@@ -291,7 +291,7 @@ class TestCriterion9TeacherStudentTracking:
         path = str(tmp_path / "metrics.csv")
         cfg = RunConfig(objective="isd", temperature=0.04, momentum=0.97,
                         bank_capacity=128, batch_size=32, epochs=30, lr=0.05,
-                        lr_schedule="step", lr_step_fracs=(0.7, 0.9),
+                        lr_schedule="step",
                         teacher_policy="aggressive", student_policy="aggressive",
                         eval_every=5)
         train(cfg, tr, ev, metrics_path=path)

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import augment_per_sample
-from simdistill.augment import AGGRESSIVE, IDENTITY, MILD, AugmentPolicy, augment, mean_distortion
+from simdistill.augment import (AGGRESSIVE, IDENTITY, MILD, NOISY, AugmentPolicy, augment,
+                                mean_distortion)
 from simdistill.config import RunConfig
 from simdistill.errors import ContractError
 from simdistill.experiments import unbalanced_base_config
@@ -109,9 +110,8 @@ SCALE_MASK = AugmentPolicy(mask_prob=0.3, scale_range=(0.5, 1.5))
 SCALE_NOISE = AugmentPolicy(noise_std=0.4, scale_range=(0.5, 1.5))
 NOISE_MASK = AugmentPolicy(noise_std=0.4, mask_prob=0.3)
 SCALE_NOISE_MASK = AugmentPolicy(noise_std=0.4, mask_prob=0.3, scale_range=(0.5, 1.5))
-UNBALANCED = unbalanced_base_config().augment_policy("custom")
 DRAW_PATTERNS = [SCALE_ONLY, MASK_ONLY, NOISE_ONLY, SCALE_MASK, SCALE_NOISE, NOISE_MASK,
-          SCALE_NOISE_MASK, UNBALANCED]
+          SCALE_NOISE_MASK, NOISY]
 
 
 class TestBlockMatchesPerSampleOracle:
@@ -122,7 +122,7 @@ class TestBlockMatchesPerSampleOracle:
     @example(seed=0, b=1, shape=(32,), policy=CROP_FLIP)
     @example(seed=0, b=1, shape=(6, 6), policy=CROP_FLIP)
     @example(seed=0, b=9, shape=(6, 6), policy=SCALE_NOISE_MASK)
-    @example(seed=0, b=9, shape=(32,), policy=UNBALANCED)
+    @example(seed=0, b=9, shape=(32,), policy=NOISY)
     def test_bytes_and_generator_state(self, seed, b, shape, policy):
         """One block call equals b per-sample calls on one stream, byte for byte,
         and leaves the generator where they leave it."""
@@ -153,13 +153,21 @@ class TestPolicyOrdering:
         assert aggressive > mild
 
     def test_policy_by_name(self):
-        cfg = RunConfig(custom_noise_std=0.9)
+        cfg = RunConfig()
         assert cfg.augment_policy("none") is IDENTITY
         assert cfg.augment_policy("mild") is MILD
         assert cfg.augment_policy("aggressive") is AGGRESSIVE
-        assert cfg.augment_policy("custom").noise_std == 0.9
-        with pytest.raises(ContractError, match="unknown augmentation policy 'blur'"):
-            cfg.augment_policy("blur")
+        assert cfg.augment_policy("noisy") is NOISY
+        for name in ("blur", "custom"):
+            with pytest.raises(ContractError, match=f"unknown augmentation policy '{name}'"):
+                cfg.augment_policy(name)
+
+    def test_noisy_is_the_rare_class_protocols_views(self):
+        """The preset holds the parameters the rare-class protocol has always drawn with."""
+        assert NOISY == AugmentPolicy(noise_std=1.0, mask_prob=0.2, scale_range=(0.5, 1.5),
+                                      crop_range=(0.6, 1.0), flip_prob=0.5)
+        base = unbalanced_base_config()
+        assert base.teacher_policy == base.student_policy == "noisy"
 
 
 class TestValidation:

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,16 @@ class TestExitCodes:
                      "--set", f"data_train={bad}", "--set", f"data_eval={bad}"])
         assert code == 4
 
+    def test_diverging_run_prints_one_error_line(self, tmp_path, capsys):
+        """Numpy's overflow and NaN warnings stay off stderr: the run that overflows
+        ends with the typed error alone, the line the exit contract allows."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--out", str(tmp_path / "x"), *FAST, "--set", "lr=1e300"])
+        assert code == 4
+        assert capsys.readouterr().err == "error: teacher embeddings contain NaN or Inf\n"
+        assert [str(w.message) for w in caught] == []
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_datasets_of_different_widths_are_exit_3(self, tmp_path, capsys, command):
         """Caught when the files are loaded, not at the first evaluation epoch."""
@@ -286,14 +297,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,override", [
         ("train", "objective=simclr"), ("train", "temperature=0"),
         ("train", "temperature=1e-320"),
-        ("train", "teacher_policy=bogus"), ("train", "custom_noise_std=-1"),
-        ("train", "custom_scale_min=0"), ("train", "predictor_hidden=0"),
+        ("train", "teacher_policy=bogus"), ("train", "student_policy=custom"),
         ("train", "lr=nan"), ("distill", "momentum=2"),
         ("eval", "eval_k=0"), ("eval", "probe_lr=0"), ("eval", "probe_epochs=-1"),
         ("eval", "recall_ks=0"), ("unbalanced", "seed_init=-1"),
         ("ablate-temperature", "eval_every=0"), ("train", "data_eval=eval.bin"),
-        ("train", "lr_step_factor=-1"), ("train", "sgd_momentum=5"),
-        ("train", "lr_step_fracs=5"), ("unbalanced", "lr_step_fracs=-1"),
+        ("train", "lr_schedule=linear"), ("unbalanced", "momentum=-1"),
         ("unbalanced", "data_seed=-1"),
     ])
     def test_bad_config_value_is_exit_3_before_any_output(self, tmp_path, capsys,
@@ -306,21 +315,27 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field", ["data_dim", "data_classes", "data_per_class",
-                                       "data_eval_per_class", "bank_capacity", "predictor_hidden"])
+    @pytest.mark.parametrize("override", [
+        f"data_dim={2**62}", f"data_classes={2**62}", f"data_per_class={2**62}",
+        f"data_eval_per_class={2**62}", f"bank_capacity={2**62}",
+        # an embedding width the encoder holds but the 64-wide predictor head does not
+        f"encoder_widths=6,1,{2**56}",
+    ], ids=["data_dim", "data_classes", "data_per_class", "data_eval_per_class",
+            "bank_capacity", "predictor"])
     @pytest.mark.parametrize("command,args", [
         ("train", FAST),
         ("ablate-temperature", ["--taus", "0.1", *FAST]),
         ("unbalanced", ["--reps", "1", *UNBALANCED_FAST]),
     ], ids=["train", "ablate-temperature", "unbalanced"])
     def test_impossible_size_is_exit_3_before_any_output(self, tmp_path, capsys, command,
-                                                         args, field):
+                                                         args, override):
         """A size of 2**62 implies a corpus, network or bank whose byte size numpy
         cannot index: a config error before anything is allocated or written."""
         out = tmp_path / "out"
-        assert main([command, "--out", str(out), *args, "--set", f"{field}={2**62}"]) == 3
+        assert main([command, "--out", str(out), *args, "--set", override]) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.endswith("numpy can index\n")
+        assert ("the predictor needs" in err) == override.startswith("encoder_widths")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -815,9 +830,9 @@ class TestInterpreterModes:
         every feature is masked, which embed to zero rows that the bank holds: with
         and without ``-O`` they exit 0 and write byte-identical artifacts."""
         commands = {
-            "train": ["train", "--set", "data_dim=2", "--set", "teacher_policy=custom",
-                      "--set", "student_policy=custom", "--set", "epochs=2"],
-            "unbalanced": ["unbalanced", "--reps", "1", "--set", "custom_mask_prob=1",
+            "train": ["train", "--set", "data_dim=2", "--set", "teacher_policy=aggressive",
+                      "--set", "student_policy=aggressive", "--set", "epochs=2"],
+            "unbalanced": ["unbalanced", "--reps", "1", "--set", "data_dim=2",
                            "--set", "epochs=1"],
         }
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -840,15 +855,26 @@ class TestConfigEcho:
         assert serialize_config(cfg) == open(os.path.join(out, "resolved.cfg")).read()
         assert isinstance(cfg, RunConfig)
 
-    @pytest.mark.parametrize("line", ["custom_rotation_range=0.0", "distill_source=teacher"])
+    @pytest.mark.parametrize("line", [
+        "custom_rotation_range=0.0", "distill_source=teacher",
+        "lr_step_fracs=0.7,0.9", "lr_step_factor=0.2", "sgd_momentum=0.9",
+        "weight_decay=0.0001", "predictor_hidden=64", "custom_noise_std=0.25",
+        "custom_mask_prob=0.2", "custom_scale_min=0.5", "custom_scale_max=1.5",
+        "custom_crop_min=0.6", "custom_crop_max=1.0", "custom_flip_prob=0.5",
+        "teacher_policy=custom",
+    ])
     def test_echo_holding_a_removed_key_is_exit_3(self, tmp_path, capsys, line):
-        """An echo written while the option existed names it as an unknown key."""
+        """An echo written while the option existed names it as an unknown key, and
+        one that chose the removed "custom" view policy names that policy."""
         old = tmp_path / "old.cfg"
         old.write_text(open(os.path.join(run_train(tmp_path), "resolved.cfg")).read() + line + "\n")
         out = tmp_path / "replay"
         capsys.readouterr()
         assert main(["train", "--config", str(old), "--out", str(out)]) == 3
-        assert f"unknown key '{line.split('=')[0]}'" in capsys.readouterr().err
+        key, _, value = line.partition("=")
+        unknown = (f"unknown augmentation policy '{value}'" if key == "teacher_policy"
+                   else f"unknown key '{key}'")
+        assert unknown in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "distill", "eval", "ablate-temperature",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simdistill.augment import MILD
+from simdistill.augment import AGGRESSIVE, MILD, NOISY
 from simdistill.config import (RunConfig, apply_overrides, load_config, parse_config,
                                serialize_config)
 from simdistill.errors import ConfigError
@@ -28,7 +28,6 @@ _BY_TYPE = {
     "float": _FLOATS,
     "str": _TEXT,
     "tuple[int, ...]": st.lists(_INTS, max_size=4).map(tuple),
-    "tuple[float, ...]": st.lists(_FLOATS, max_size=4).map(tuple),
 }
 any_config = st.builds(RunConfig, **{f.name: _BY_TYPE[f.type] for f in fields(RunConfig)})
 
@@ -40,7 +39,7 @@ class TestRoundTrip:
 
     def test_modified_config_round_trips(self):
         cfg = RunConfig(objective="byol", temperature=0.07, lr=0.0625,
-                        lr_step_fracs=(0.5,), encoder_widths=(8, 16, 4),
+                        lr_schedule="cosine", encoder_widths=(8, 16, 4),
                         momentum=1.0, data_train="path/t.bin",
                         recall_ks=(1, 3))
         assert parse_config(serialize_config(cfg)) == cfg
@@ -51,7 +50,7 @@ class TestRoundTrip:
         assert keys == {f.name for f in fields(RunConfig)}
 
     def test_empty_tuple_round_trips(self):
-        cfg = RunConfig(lr_step_fracs=(), encoder_widths=())
+        cfg = RunConfig(encoder_widths=(), recall_ks=())
         assert parse_config(serialize_config(cfg)) == cfg
 
     @settings(max_examples=200, deadline=None)
@@ -63,8 +62,8 @@ class TestRoundTrip:
         """The echo format of the defaults: one line per field, in field order."""
         text = serialize_config(RunConfig())
         assert text.startswith("objective=isd\ntemperature=0.02\nmomentum=0.99\n")
-        assert "lr_step_fracs=0.7,0.9\nlr_step_factor=0.2\n" in text
-        assert "encoder_widths=\npredictor_hidden=64\nteacher_policy=none\n" in text
+        assert "lr_schedule=step\nencoder_widths=\nteacher_policy=none\n" in text
+        assert "student_policy=none\nseed_init=0\n" in text
         assert "recall_ks=1,2,4,8\n" in text
         assert "seed_augment=2\neval_every=10\n" in text
         assert text.endswith("data_sep=6.0\ndata_seed=7\n")
@@ -178,16 +177,12 @@ class TestValidate:
 
     @pytest.mark.parametrize("override", [
         "objective=simclr", "temperature=0", "temperature=1e-320", "teacher_policy=bogus",
-        "student_policy=",
-        "custom_noise_std=-1", "custom_scale_min=0", "custom_crop_max=1.5",
-        "predictor_hidden=0", "encoder_widths=6", "lr=nan", "lr=inf", "lr=-0.1",
-        "momentum=inf", "weight_decay=inf", "weight_decay=-1", "sgd_momentum=5",
-        "sgd_momentum=-0.1", "lr_step_factor=-1",
-        "lr_step_fracs=0.5,nan", "lr_schedule=linear", "batch_size=0", "epochs=-1",
+        "student_policy=", "student_policy=custom",
+        "encoder_widths=6", "lr=nan", "lr=inf", "lr=-0.1",
+        "momentum=inf", "momentum=-0.1", "lr_schedule=linear", "batch_size=0", "epochs=-1",
         "bank_capacity=1", "eval_k=0", "eval_every=0",
         "probe_lr=0", "probe_epochs=-1", "recall_ks=1,0", "seed_augment=-1",
         "data_classes=1", "data_dim=1", "data_sep=-1", "data_per_class=0",
-        "lr_step_fracs=5", "lr_step_fracs=-1", "lr_step_fracs=0.5,1",
     ])
     def test_bad_value_rejected(self, override):
         cfg = apply_overrides(RunConfig(), [override])
@@ -206,12 +201,6 @@ class TestValidate:
     def test_string_the_echo_cannot_carry_rejected(self, values):
         with pytest.raises(ConfigError, match="cannot be written to resolved.cfg"):
             RunConfig(**values).validate()
-
-    def test_step_fractions_span_zero_up_to_one(self):
-        """A fraction f steps the rate at epoch int(f * epochs): 0 steps it from
-        the start, and anything in [0, 1) steps it within the run."""
-        RunConfig(lr_step_fracs=(0.0, 0.999)).validate()
-        RunConfig(lr_step_fracs=()).validate()
 
     def test_eval_k_may_reach_the_synthetic_corpus(self):
         """k-NN may use all 3 * 200 synthetic samples. validate() judges no
@@ -249,24 +238,23 @@ def test_every_field_is_read_outside_validate():
 class TestTrainerReadsConfig:
     def test_basic_mapping(self):
         rc = RunConfig(objective="moco", temperature=0.09, momentum=0.95, epochs=3,
-                       encoder_widths=(6, 8, 4), predictor_hidden=5)
+                       encoder_widths=(6, 8, 4))
         trainer = Trainer(rc, 6)
         assert trainer.config is rc
         assert trainer.pair.momentum == 0.95
         assert trainer.pair.student_encoder.spec.layer_widths == (6, 8, 4)
         assert trainer.pair.student_encoder.spec.final_normalize
-        assert trainer.pair.student_predictor.spec.layer_widths == (4, 5, 4)
+        assert trainer.pair.student_predictor.spec.layer_widths == (4, 64, 4)
 
     def test_named_policies(self):
         trainer = Trainer(RunConfig(teacher_policy="mild", student_policy="none"), 6)
         assert trainer.teacher_policy is MILD
         assert trainer.student_policy.is_identity
 
-    def test_custom_policy_fields(self):
-        rc = RunConfig(student_policy="custom", custom_noise_std=0.9, custom_flip_prob=0.3)
-        trainer = Trainer(rc, 6)
-        assert trainer.student_policy.noise_std == 0.9
-        assert trainer.student_policy.flip_prob == 0.3
+    def test_noisy_policy(self):
+        trainer = Trainer(RunConfig(teacher_policy="noisy", student_policy="aggressive"), 6)
+        assert trainer.teacher_policy is NOISY
+        assert trainer.student_policy is AGGRESSIVE
 
     def test_empty_widths_defer_to_data_dim(self):
         trainer = Trainer(RunConfig(encoder_widths=()), 7)

@@ -282,6 +282,13 @@ class TestFusedNode:
             assert T.grad_check(value_and_grad_in(which), point, step=1e-6) < 1e-5, which
 
 
+def sgd_state(params, lr, momentum=0.9, weight_decay=1e-4):
+    """``SgdState.for_params`` with the momentum and weight decay set."""
+    state = SgdState.for_params(params, lr=lr)
+    state.momentum, state.weight_decay = momentum, weight_decay
+    return state
+
+
 class TestWholeBufferUpdates:
     def test_sgd_and_ema_match_the_per_layer_loops(self):
         """One update per network buffer gives the bytes of one per layer view."""
@@ -291,8 +298,8 @@ class TestWholeBufferUpdates:
             rng = np.random.default_rng(4)
             for net in (pair.student_encoder, pair.student_predictor):
                 net.grad[...] = rng.standard_normal(net.grad.shape)
-            states.append(SgdState.for_params([pair.student_encoder, pair.student_predictor],
-                                              lr=0.05, weight_decay=1e-3))
+            states.append(sgd_state([pair.student_encoder, pair.student_predictor],
+                                    lr=0.05, weight_decay=1e-3))
         for _ in range(3):
             sgd_step([flat.student_encoder, flat.student_predictor], states[0])
             mlp_graph.sgd_step([layered.student_encoder, layered.student_predictor], states[1])
@@ -322,28 +329,28 @@ def _net(values, grad):
 class TestSgd:
     def test_zero_grad_leaves_params_unchanged(self):
         p = _net([1.0, -2.0, 0.5, 3.0], np.zeros(4))
-        state = SgdState.for_params([p], lr=0.1, weight_decay=0.0)
+        state = sgd_state([p], lr=0.1, weight_decay=0.0)
         sgd_step([p], state)
         assert np.array_equal(p.data, [1.0, -2.0, 0.5, 3.0])
 
     def test_first_step_closed_form(self):
         g = np.array([0.5, -0.25, 1.0, 0.0])
         p = _net([1.0, 2.0, 3.0, 4.0], g)
-        state = SgdState.for_params([p], lr=0.1, weight_decay=0.0)
+        state = sgd_state([p], lr=0.1, weight_decay=0.0)
         sgd_step([p], state)
         assert np.allclose(p.data, [1.0, 2.0, 3.0, 4.0] - 0.1 * g, atol=1e-15)
 
     def test_two_steps_unrolled_by_hand(self):
         """Constant gradient g for two steps gives theta - lr*g*(1 + 1.9)."""
         p = _net([3.0] * 4, [2.0] * 4)
-        state = SgdState.for_params([p], lr=0.1, weight_decay=0.0)
+        state = sgd_state([p], lr=0.1, weight_decay=0.0)
         sgd_step([p], state)
         sgd_step([p], state)
         assert p.data == pytest.approx([3.0 - 0.1 * 2.0 * (1.0 + 1.9)] * 4, abs=1e-15)
 
     def test_weight_decay_enters_velocity(self):
         p = _net([2.0] * 4, np.zeros(4))
-        state = SgdState.for_params([p], lr=0.1, momentum=0.9, weight_decay=0.01)
+        state = sgd_state([p], lr=0.1, momentum=0.9, weight_decay=0.01)
         sgd_step([p], state)
         assert p.data == pytest.approx([2.0 - 0.1 * (0.01 * 2.0)] * 4)
 

@@ -30,6 +30,8 @@ import pkgutil
 from pathlib import Path
 
 import simdistill
+from simdistill.config import RunConfig, apply_overrides
+from simdistill.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,6 +46,19 @@ ALLOWED = {
     "nn.ModelPair.student_parameters":
         "bench/workloads.py builds eval-roundtrip's SgdState from it, and only a "
         "benchmark change may edit bench/",
+}
+
+
+# RunConfig fields that no scanned caller sets, each with its reason.
+_BENCH_READS = ("read by bench/workloads.py eval_reference, and only a benchmark "
+                "change may edit bench/")
+UNSET_FIELDS = {
+    "eval_k": _BENCH_READS,
+    "probe_epochs": _BENCH_READS,
+    "probe_lr": _BENCH_READS,
+    "recall_ks": _BENCH_READS,
+    "data_train": "a file path: each run names its own corpus",
+    "data_eval": "a file path: each run names its own corpus",
 }
 
 
@@ -150,6 +165,63 @@ def tape_names_in(path: Path) -> set[str]:
             continue
         found |= TAPE_NAMES.intersection(names)
     return found
+
+
+def _literal_equal(node: ast.AST, value) -> bool:
+    try:
+        return ast.literal_eval(node) == value
+    except ValueError:
+        return False
+
+
+def fields_set_in(nodes) -> set[str]:
+    """The ``RunConfig`` fields that ``nodes`` set to a value other than a literal
+    equal to the default: as a keyword of ``RunConfig(...)``, ``replace(...)`` or
+    ``TrainConfig(...)``, or as a ``"field=value"`` string such as a ``--set``
+    argument. A string whose value does not parse, like a message's ``"eval_k="``,
+    sets nothing."""
+    defaults = RunConfig()
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    found = set()
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if callee in ("RunConfig", "replace", "TrainConfig"):
+                found |= {kw.arg for kw in node.keywords if kw.arg in names
+                          and not _literal_equal(kw.value, getattr(defaults, kw.arg))}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            key, equals, _ = node.value.partition("=")
+            if key in names and equals:
+                try:
+                    value = getattr(apply_overrides(defaults, [node.value]), key)
+                except ConfigError:
+                    continue
+                if value != getattr(defaults, key):
+                    found.add(key)
+    return found
+
+
+class TestEveryOptionIsUsed:
+    def test_the_scan_sees_each_kind_of_setting(self):
+        source = ("RunConfig(lr=0.01, epochs=3)\nreplace(cfg, seed_data=n + 1)\n"
+                  "sd.TrainConfig(objective='isd', momentum=(0.5))\n"
+                  "['--set', 'batch_size=8', 'data_dim=32', 'eval_k=', 'x=1']\n")
+        assert fields_set_in(ast.walk(ast.parse(source))) == {
+            "epochs", "seed_data", "momentum", "batch_size"}
+
+    def test_every_config_field_is_set_by_a_caller(self):
+        """A field that no caller outside the tests sets is a constant, not an option."""
+        unset = {f.name for f in dataclasses.fields(RunConfig)} - fields_set_in(scanned_nodes())
+        assert sorted(unset - set(UNSET_FIELDS)) == []
+
+    def test_unset_allow_list_is_current(self):
+        """Each entry names a field that still exists and is still unset, and gives a reason."""
+        names = {f.name for f in dataclasses.fields(RunConfig)}
+        found = fields_set_in(scanned_nodes())
+        for name, reason in UNSET_FIELDS.items():
+            assert reason.strip(), name
+            assert name in names, f"{name} is no longer a field"
+            assert name not in found, f"{name} now has a caller that sets it"
 
 
 class TestNoGraph:

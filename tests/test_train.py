@@ -37,7 +37,6 @@ def small_config(objective="isd", **kw):
         epochs=2,
         lr=0.05,
         encoder_widths=SMALL_ENCODER.layer_widths,
-        predictor_hidden=8,
         teacher_policy="aggressive",
         student_policy="aggressive",
         eval_every=1,
@@ -90,11 +89,12 @@ class TestHandTracedStep:
         predictor = MlpParams(MlpSpec((2, 2)), np.array([1.0, 0.1, -0.1, 1.0, 0.0, 0.0]))
         teacher = MlpParams(enc_spec, np.array([0.4, 0.1, 0.0, 0.0]), trainable=False)
         pair = ModelPair(student_enc, predictor, teacher, momentum=0.9)
+        # the cosine schedule's lr_at(0) is lr exactly
         cfg = RunConfig(objective="isd", temperature=0.5, momentum=0.9,
                         bank_capacity=2, batch_size=1, epochs=1, lr=0.1,
-                        lr_step_fracs=(), sgd_momentum=0.9, weight_decay=0.0,
-                        teacher_policy="none", student_policy="none")
+                        lr_schedule="cosine", teacher_policy="none", student_policy="none")
         trainer = Trainer(cfg, input_dim=1, pair=pair)
+        trainer.sgd.weight_decay = 0.0
         trainer.bank.enqueue(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
         metrics = trainer.step(np.array([[0.5]]))
@@ -304,7 +304,7 @@ class TestRun:
         cfg = small_config(epochs=0)
         ckpt = train(cfg, ds)
         fresh = ModelPair.create(SMALL_ENCODER,
-                                 default_predictor_spec(4, cfg.predictor_hidden),
+                                 default_predictor_spec(4),
                                  cfg.momentum, cfg.seed_init)
         for got, want in zip(ckpt.pair.student_parameters(), fresh.student_parameters()):
             assert np.array_equal(got.data, want.data)
@@ -473,7 +473,7 @@ class TestDistill:
         cfg = small_config(epochs=0, momentum=1.0)
         out = distill(cfg, path, ds)
         fresh = ModelPair.create(SMALL_ENCODER,
-                                 default_predictor_spec(4, cfg.predictor_hidden),
+                                 default_predictor_spec(4),
                                  1.0, cfg.seed_init)
         for got, want in zip(out.pair.student_parameters(), fresh.student_parameters()):
             assert np.array_equal(got.data, want.data)
@@ -544,11 +544,13 @@ class TestMocoReductionEndToEnd:
 
         cfg = RunConfig(objective="moco", temperature=tau, momentum=m_ema,
                         bank_capacity=8, batch_size=4, epochs=1, lr=lr,
-                        lr_step_fracs=(), sgd_momentum=mom, weight_decay=wd,
-                        encoder_widths=(d_in, hidden, embed),
-                        predictor_hidden=p_hidden, teacher_policy="mild",
-                        student_policy="mild", seed_augment=seed_aug)
-        trainer = Trainer(cfg, d_in)
+                        lr_schedule="cosine", encoder_widths=(d_in, hidden, embed),
+                        teacher_policy="mild", student_policy="mild", seed_augment=seed_aug)
+        encoder_spec, _ = cfg.model_specs(d_in)
+        pair = ModelPair.create(encoder_spec, default_predictor_spec(embed, hidden=p_hidden),
+                                m_ema, cfg.seed_init)
+        trainer = Trainer(cfg, d_in, pair=pair)
+        trainer.sgd.momentum, trainer.sgd.weight_decay = mom, wd
         policy = trainer.teacher_policy
         assert trainer.student_policy == policy and policy.noise_std > 0
         seed_rows = rng.standard_normal((8, embed))
@@ -666,14 +668,13 @@ class TestFusedPathMatchesOracle:
             "--set", "data_eval_per_class=8", "--set", "data_dim=8", "--set", "data_sep=3.0",
             "--set", "teacher_policy=aggressive", "--set", "student_policy=aggressive"]
     # the rare-class protocol's views (noise, mask and scale) on a bank that wraps
-    CUSTOM_VIEWS = ["--set", "bank_capacity=128", "--set", "batch_size=32",
-                    "--set", "data_per_class=40", "--set", "teacher_policy=custom",
-                    "--set", "student_policy=custom", "--set", "custom_noise_std=1.0",
-                    "--set", "temperature=0.07"]
+    NOISY_VIEWS = ["--set", "bank_capacity=128", "--set", "batch_size=32",
+                   "--set", "data_per_class=40", "--set", "teacher_policy=noisy",
+                   "--set", "student_policy=noisy", "--set", "temperature=0.07"]
 
     @pytest.mark.parametrize("objective, views", [
-        ("isd", []), ("moco", []), ("byol", []), ("isd", CUSTOM_VIEWS), ("moco", CUSTOM_VIEWS),
-    ], ids=["isd", "moco", "byol", "isd-custom-views", "moco-custom-views"])
+        ("isd", []), ("moco", []), ("byol", []), ("isd", NOISY_VIEWS), ("moco", NOISY_VIEWS),
+    ], ids=["isd", "moco", "byol", "isd-noisy-views", "moco-noisy-views"])
     def test_artifacts_are_byte_identical(self, tmp_path, monkeypatch, objective, views):
         from oracles import augment_per_sample, mlp_graph
         from simdistill.cli import main
