@@ -42,10 +42,12 @@ def atomic_write(path: str):
         raise
 
 
-def check_fields(obj: dict, fields: dict, error: type[Exception], where: str) -> None:
-    """Raise ``error`` unless each key of ``fields`` maps to a value of its type."""
+def _check_fields(obj: dict, fields: dict, error: type[Exception], where: str) -> None:
+    """Raise ``error`` unless each key of ``fields`` maps to a value of its type;
+    a JSON true or false is of no field's type, although a Python bool is an int."""
     for key, kind in fields.items():
-        if not isinstance(obj.get(key), kind):
+        value = obj.get(key)
+        if isinstance(value, bool) or not isinstance(value, kind):
             raise error(f"{where} field {key!r} is missing or has the wrong type")
 
 
@@ -122,5 +124,5 @@ def read_container(path: str, magic: bytes, version: int, fields: dict,
         raise error(f"{path}: header is not valid JSON: {e}") from e
     if not isinstance(header, dict):
         raise error(f"{path}: header is not a JSON object")
-    check_fields(header, fields, error, f"{path}: header")
+    _check_fields(header, fields, error, f"{path}: header")
     return Container(path, header, raw, offset, crc, error, length_error or error)

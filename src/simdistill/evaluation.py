@@ -15,7 +15,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ContractError, NumericDomainError, ShapeError
 from .nn import MlpParams, mlp_forward
-from .tensor import off_unit, unit_rows
+from .tensor import off_unit
 
 
 @dataclass
@@ -39,13 +39,11 @@ class EmbeddingTable:
 
 
 def embed_dataset(encoder: MlpParams, ds: LabeledDataset) -> EmbeddingTable:
-    """Encode a dataset, 512 rows at a time, keeping no activations or vjp."""
+    """Encode a dataset, 512 rows at a time, keeping no activations or vjp; the
+    encoder must end in L2 normalisation, as the table checks its rows."""
     x = ds.as_matrix()
     chunks = [mlp_forward(encoder, x[start:start + 512]) for start in range(0, len(x), 512)]
-    features = np.concatenate(chunks, axis=0)
-    if not encoder.spec.final_normalize:
-        features = unit_rows(features)
-    return EmbeddingTable(features, ds.labels)
+    return EmbeddingTable(np.concatenate(chunks, axis=0), ds.labels)
 
 
 # Bytes of similarities that knn_eval selects neighbours from per pass.

@@ -22,8 +22,7 @@ from .data import (LabeledDataset, gen_gaussian_mixture, load_dataset, make_unba
                    save_dataset)
 from .errors import ConfigError, ContractError
 from .evaluation import embed_dataset, knn_eval, linear_probe, recall_at_k, single_member_class
-from .train import (Trainer, distill_config, distill_trainer, encoder_mismatch, knn_accuracies,
-                    train)
+from .train import Trainer, distill_trainer, encoder_mismatch, knn_accuracies, train
 
 TEMPERATURE_GRID = (0.003, 0.007, 0.01, 0.02, 0.04, 0.06)
 
@@ -230,14 +229,16 @@ def write_synthetic_datasets(cfg: RunConfig, out_dir: str) -> tuple[LabeledDatas
 
 def run_training(cfg: RunConfig, out_dir: str, teacher_path: str | None = None) -> Checkpoint:
     """Train per the config, or with ``teacher_path`` distill that stored checkpoint
-    into a fresh student (resolved.cfg then holds what :func:`distill_config`
-    forces); writes resolved.cfg, metrics.csv and checkpoint.bin."""
-    if teacher_path is not None:
-        cfg = distill_config(cfg)
+    into a fresh student; writes resolved.cfg, metrics.csv and checkpoint.bin.
+
+    The config is checked, then its corpus, then the teacher checkpoint.
+    resolved.cfg holds the trainer's config, so a distillation echoes what
+    :func:`distill_config` forces.
+    """
     train_ds, eval_ds = build_datasets(cfg)
     trainer = (Trainer(cfg, train_ds.feature_dim) if teacher_path is None
                else distill_trainer(cfg, teacher_path, train_ds.feature_dim))
-    write_resolved_config(cfg, out_dir)
+    write_resolved_config(trainer.config, out_dir)
     ckpt = trainer.run(train_ds, eval_ds, metrics_path=os.path.join(out_dir, "metrics.csv"))
     save_checkpoint(ckpt, os.path.join(out_dir, "checkpoint.bin"))
     return ckpt

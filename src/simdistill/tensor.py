@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericDomainError, ShapeError
 
 _EPS = 1e-12    # the divisor floor of l2_rows and unit_rows
 
@@ -29,14 +29,25 @@ def row_norms(ad: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(ad * ad, axis=1))
 
 
+def _finite_norms(ad: np.ndarray) -> np.ndarray:
+    """:func:`row_norms`, refusing a norm that is infinite: a row holding Inf, or
+    a finite one whose squares overflow, would otherwise scale to a zero row."""
+    r = row_norms(ad)
+    if np.isinf(r).any():
+        raise NumericDomainError("a row's L2 norm overflows float64: its entries are "
+                                 "Inf or too large to square")
+    return r
+
+
 def l2_rows(ad: np.ndarray):
     """The rows of a [b, d] array scaled to unit norm, and the map's vjp on arrays.
 
     The divisor is max(norm, 1e-12), so rows below 1e-12 pass through scaled
     by 1e12 instead of dividing by zero; there the map is exactly linear. The
-    vjp builds that branch only for a block that has such a row.
+    vjp builds that branch only for a block that has such a row. An infinite
+    norm raises NumericDomainError.
     """
-    r = row_norms(ad)
+    r = _finite_norms(ad)
     denom = np.maximum(r, _EPS)[:, None]
     out = ad / denom
     big = (r >= _EPS)[:, None]
@@ -52,8 +63,9 @@ def l2_rows(ad: np.ndarray):
 
 
 def unit_rows(ad: np.ndarray) -> np.ndarray:
-    """The rows of a [b, d] array divided by max(norm, 1e-12), with no vjp."""
-    return ad / np.maximum(row_norms(ad), _EPS)[:, None]
+    """The rows of a [b, d] array divided by max(norm, 1e-12), with no vjp; an
+    infinite norm raises NumericDomainError."""
+    return ad / np.maximum(_finite_norms(ad), _EPS)[:, None]
 
 
 def off_unit(ad: np.ndarray) -> float:

@@ -49,6 +49,12 @@ class TestEnqueue:
         bank.enqueue(r[3:])
         assert np.array_equal(bank.snapshot(), r[2:])
 
+    @pytest.mark.parametrize("capacity,dim", [(0, 3), (4, 0), (-1, 3)])
+    def test_capacity_or_dim_below_one_rejected(self, capacity, dim):
+        with pytest.raises(ContractError, match="capacity and dim must be positive, got "
+                                                f"{capacity}, {dim}"):
+            AnchorBank(capacity, dim)
+
     def test_dimension_mismatch(self):
         bank = AnchorBank(4, 3)
         with pytest.raises(ShapeError):

@@ -13,7 +13,7 @@ import simdistill.container
 from simdistill.bank import AnchorBank
 from simdistill.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from simdistill.data import gen_gaussian_mixture, load_dataset, save_dataset
-from simdistill.errors import CheckpointError, FormatError
+from simdistill.errors import CheckpointError, ContractError, FormatError
 from simdistill.nn import MlpSpec, ModelPair, SgdState, default_predictor_spec
 
 
@@ -87,8 +87,22 @@ class TestErrors:
         path = tmp_path / "v9.bin"
         save_checkpoint(make_checkpoint(), str(path))
         container_file.rewrite(path, version=9)
-        with pytest.raises(CheckpointError, match="unsupported version 9, expected 3"):
+        with pytest.raises(CheckpointError, match="unsupported version 9, expected 4"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("encoder,predictor", [
+        (MlpSpec((3, 5, 2)), default_predictor_spec(2, hidden=4)),
+        (MlpSpec((3, 5, 2), final_normalize=True), MlpSpec((2, 4, 2), final_normalize=True)),
+    ], ids=["encoder-unnormalised", "predictor-normalised"])
+    def test_save_refuses_a_pair_the_loader_would_not_rebuild(self, tmp_path, encoder,
+                                                              predictor):
+        """The header keeps widths alone: a loaded encoder ends in L2 normalisation
+        and a loaded predictor does not, so no other pair is written."""
+        path = tmp_path / "c.bin"
+        ckpt = Checkpoint(pair=ModelPair.create(encoder, predictor, 0.97, 0))
+        with pytest.raises(ContractError, match="encoder must end in L2 normalisation"):
+            save_checkpoint(ckpt, str(path))
+        assert not path.exists()
 
     def test_header_bit_flip_in_the_momentum_raises(self, tmp_path):
         """The low bit of the last digit of "momentum":0.97 turns it into 0.96, a
@@ -128,9 +142,9 @@ class TestMalformedFiles:
         """The container adds nothing to a kind's header: its version and CRC
         live in the prefix."""
         _, version, header, _ = container_file.split(pristine[kind])
-        assert version == 3
+        assert version == {"checkpoint": 4, "dataset": 3}[kind]
         assert sorted(json.loads(header)) == {
-            "checkpoint": ["buffers", "encoder", "epoch", "momentum", "predictor", "step"],
+            "checkpoint": ["encoder", "epoch", "momentum", "predictor", "step"],
             "dataset": ["n", "sample_shape", "split"]}[kind]
 
     @pytest.mark.parametrize("kind", MALFORMED)

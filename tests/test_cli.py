@@ -87,22 +87,45 @@ def change(mutate):
     return edit
 
 
-# Checkpoint headers that parse but do not describe a loadable model. FAST trains a
-# 2-layer encoder and predictor: records 0-3 are the student encoder's, 4-7 the
-# predictor's, the last the teacher's. A version-1 file also listed velocity records.
+# Checkpoint headers that parse but do not describe a loadable model, each with a
+# fragment of its error. FAST trains the encoder [6, 12, 4] and the predictor
+# [4, 64, 4]; a [144, 4] predictor has as many parameters (580), so its payload
+# length passes and the model pair refuses it.
 INCONSISTENT = {
-    "encoder-empty": lambda h: h.update(encoder={}),
-    "widths-not-int": lambda h: h["encoder"].update(widths=["6", "12", "4"]),
-    "student-renamed": lambda h: h["buffers"][0].update(name="student_encoder.x"),
-    "student-missing": lambda h: h["buffers"].pop(0),
-    "predictor-renamed": lambda h: h["buffers"][4].update(name="student_predictor.x"),
-    "predictor-missing": lambda h: h["buffers"].pop(4),
-    "teacher-renamed": lambda h: h["buffers"][-1].update(name="teacher_encoder.x"),
-    "teacher-missing": lambda h: h["buffers"].pop(-1),
-    "buffer-shape": lambda h: h["buffers"][0].update(shape=[12, 6]),
-    "velocity-extra": lambda h: h["buffers"].append({"name": "velocity.student_encoder.w0",
-                                                     "shape": [6, 12]}),
+    "encoder-empty": (lambda h: h.update(encoder=[]), "need at least input and output"),
+    "widths-not-int": (lambda h: h.update(encoder=["6", "12", "4"]), "integer widths"),
+    "width-true": (lambda h: h.update(encoder=[6, True, 4]), "integer widths"),
+    "epoch-true": (lambda h: h.update(epoch=True), "'epoch' is missing or has the wrong"),
+    "epoch-negative": (lambda h: h.update(epoch=-5), "'epoch' must be non-negative"),
+    "step-negative": (lambda h: h.update(step=-1), "'step' must be non-negative"),
+    "momentum-true": (lambda h: h.update(momentum=True), "'momentum' is missing or has"),
+    "momentum-2": (lambda h: h.update(momentum=2), "momentum must lie in [0, 1], got 2"),
+    "predictor-misfit": (lambda h: h.update(predictor=[144, 4]),
+                         "predictor input must match encoder embedding dim"),
 }
+
+
+# The one stderr line of a run whose embedding rows overflow float64.
+OVERFLOW = ("error: a row's L2 norm overflows float64: its entries are Inf or too large "
+            "to square\n")
+
+
+# Each of the five checkpoint header values is replaced by each of these in turn.
+HEADER_VALUES = [True, None, -1, 0, 1.5, "x", [], 2**62]
+
+
+def loadable(key, value):
+    """Whether ``value`` is one a checkpoint's ``key`` can hold: epoch and step
+    hold non-negative integers, momentum a number in [0, 1], and no value of
+    HEADER_VALUES lists a network's widths."""
+    if key in ("epoch", "step"):
+        return type(value) is int and value >= 0
+    return key == "momentum" and type(value) in (int, float) and 0 <= value <= 1
+
+
+def eval_rows(directory):
+    with open(os.path.join(directory, "eval.csv"), newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def gen_data_args(classes, per_class, eval_per_class, dim):
@@ -195,7 +218,23 @@ class TestExitCodes:
             warnings.simplefilter("always")
             code = main(["train", "--out", str(tmp_path / "x"), *FAST, "--set", "lr=1e300"])
         assert code == 4
-        assert capsys.readouterr().err == "error: teacher embeddings contain NaN or Inf\n"
+        assert capsys.readouterr().err == OVERFLOW
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_corpus_whose_row_norms_overflow_is_exit_4(self, tmp_path, capsys, command):
+        """Samples near 1e300 embed to rows whose squares overflow; scaled to unit
+        norm they would be zero rows, which score the loss of a collapsed
+        encoder (ln K) and a constant table, so the run stops instead."""
+        ckpt = (["--checkpoint", os.path.join(run_train(tmp_path), "checkpoint.bin")]
+                if command == "eval" else [])
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, *ckpt, "--out", str(tmp_path / "x"), *FAST,
+                         "--set", "data_sep=1e300"])
+        assert code == 4
+        assert capsys.readouterr().err == OVERFLOW
         assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -385,9 +424,9 @@ class TestExitCodes:
         assert "config error: data_seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("edit", [*GARBLED.values(), drop_key("buffers"),
-                                      set_key("buffers", "x"), set_key("epoch", "0")],
-                             ids=[*GARBLED, "no-buffers", "buffers-str", "epoch-str"])
+    @pytest.mark.parametrize("edit", [*GARBLED.values(), drop_key("step"),
+                                      set_key("epoch", "0")],
+                             ids=[*GARBLED, "no-step", "epoch-str"])
     def test_garbled_checkpoint_header_is_exit_5(self, tmp_path, capsys, edit):
         path = tmp_path / "run" / "checkpoint.bin"
         run_train(tmp_path)
@@ -399,8 +438,8 @@ class TestExitCodes:
         assert "checkpoint error" in err
         assert "CRC-32" not in err      # the edit reached the check it names
 
-    @pytest.mark.parametrize("mutate", INCONSISTENT.values(), ids=INCONSISTENT)
-    def test_inconsistent_checkpoint_header_is_exit_5(self, tmp_path, capsys, mutate):
+    @pytest.mark.parametrize("mutate,message", INCONSISTENT.values(), ids=INCONSISTENT)
+    def test_inconsistent_checkpoint_header_is_exit_5(self, tmp_path, capsys, mutate, message):
         path = tmp_path / "run" / "checkpoint.bin"
         run_train(tmp_path)
         container_file.rewrite(path, header=change(mutate))
@@ -408,8 +447,40 @@ class TestExitCodes:
         code = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e"), *FAST])
         assert code == 5
         err = capsys.readouterr().err
-        assert "checkpoint error" in err
-        assert "CRC-32" not in err      # the edit reached the check it names
+        assert err.startswith("checkpoint error") and len(err.splitlines()) == 1, err
+        assert message in err       # the edit reached the check it names
+        assert not (tmp_path / "e").exists()
+
+    @pytest.fixture(scope="class")
+    def scored_checkpoint(self, tmp_path_factory):
+        """The bytes of a FAST checkpoint, and the eval.csv rows of the unedited file."""
+        tmp = tmp_path_factory.mktemp("scored")
+        out = run_train(tmp)
+        assert main(["eval", "--checkpoint", os.path.join(out, "checkpoint.bin"),
+                     "--out", str(tmp / "e"), *FAST]) == 0
+        return read(out, "checkpoint.bin"), eval_rows(tmp / "e")
+
+    @pytest.mark.parametrize("value", HEADER_VALUES, ids=repr)
+    @pytest.mark.parametrize("key", ["encoder", "epoch", "momentum", "predictor", "step"])
+    def test_every_checkpoint_header_value_keeps_the_exit_contract(
+            self, tmp_path, capsys, scored_checkpoint, key, value):
+        """A value the field can hold scores as the unedited file does, with the
+        value in eval.csv's epoch column when it is the epoch; any other value
+        exits 5 with one stderr line."""
+        raw, rows = scored_checkpoint
+        path = tmp_path / "checkpoint.bin"
+        path.write_bytes(raw)
+        container_file.rewrite(path, header=set_key(key, value))
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e"), *FAST])
+        err = capsys.readouterr().err
+        if not loadable(key, value):
+            assert code == 5, err
+            assert err.startswith("checkpoint error") and len(err.splitlines()) == 1, err
+            return
+        assert (code, err) == (0, "")
+        assert eval_rows(tmp_path / "e") == [{**row, "epoch": str(value)} if key == "epoch"
+                                             else row for row in rows]
 
     @pytest.mark.parametrize("edit", [*map(header_edit, [
                                           *GARBLED.values(), drop_key("n"),
@@ -455,15 +526,16 @@ class TestExitCodes:
         assert code == 4
         assert f"{culprit} contain NaN or Inf" in capsys.readouterr().err
 
-    def test_version_2_checkpoint_is_exit_5(self, tmp_path, capsys):
-        """A version-2 file kept its CRC in the header; this loader reads only version 3."""
+    def test_version_3_checkpoint_is_exit_5(self, tmp_path, capsys):
+        """A version-3 header held a buffer table and normalize flags; this loader
+        reads only version 4."""
         path = tmp_path / "run" / "checkpoint.bin"
         run_train(tmp_path)
-        container_file.rewrite(path, version=2)
+        container_file.rewrite(path, version=3)
         capsys.readouterr()
         code = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e"), *FAST])
         assert code == 5
-        assert "unsupported version 2, expected 3" in capsys.readouterr().err
+        assert "unsupported version 3, expected 4" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
     def test_version_2_dataset_is_exit_4(self, tmp_path, capsys):

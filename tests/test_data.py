@@ -54,6 +54,20 @@ class TestGaussianMixture:
             gen_gaussian_mixture(3, 10, 4, -1.0, seed=0)
 
 
+class TestLabeledDataset:
+    @pytest.mark.parametrize("samples,labels,message", [
+        (np.zeros(4), np.zeros(4, dtype=int), r"samples must be \[N, d\] or \[N, h, w\], "
+                                              r"got shape \(4,\)"),
+        (np.zeros((2, 2, 2, 2)), np.zeros(2, dtype=int), r"got shape \(2, 2, 2, 2\)"),
+        (np.zeros((3, 2)), np.zeros(2, dtype=int), "labels must be one integer per sample"),
+        (np.zeros((2, 2)), np.zeros((2, 1), dtype=int), "labels must be one integer per sample"),
+        (np.zeros((2, 2)), np.array([0, -1]), "labels must be non-negative"),
+    ], ids=["samples-1d", "samples-4d", "label-count", "labels-2d", "label-negative"])
+    def test_malformed_dataset_rejected(self, samples, labels, message):
+        with pytest.raises(ContractError, match=message):
+            LabeledDataset(samples, labels)
+
+
 class TestMakeUnbalanced:
     def _dataset(self, counts, d=4, seed=0):
         rng = np.random.default_rng(seed)

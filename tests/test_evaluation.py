@@ -68,6 +68,16 @@ class TestKnnEval:
         with pytest.raises(ContractError):
             knn_eval(table, table, 6)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        table = random_table(5, 4, 2, seed=3)
+        with pytest.raises(ContractError, match="knn_eval: k must be at least 1"):
+            knn_eval(table, table, k)
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="knn_eval: embedding dims disagree"):
+            knn_eval(random_table(5, 4, 2, seed=3), random_table(5, 3, 2, seed=4), 1)
+
     def test_rescaling_invariance(self):
         """Common positive rescaling of all embeddings cannot change the result."""
         rng = np.random.default_rng(4)
@@ -302,6 +312,12 @@ class TestRecallAtK:
         ks = [1, 2, int(rng.integers(1, n + 1)), n - 2, n - 1, n + extra]
         assert recall_at_k(table, ks) == recall_sort.recall_at_k(table, ks)
 
+    @pytest.mark.parametrize("ks", [[0], [1, -2]])
+    def test_k_below_one_rejected(self, ks):
+        table = unit_table(np.eye(4), np.array([0, 0, 1, 1]))
+        with pytest.raises(ContractError, match="recall_at_k: every k must be at least 1"):
+            recall_at_k(table, ks)
+
     def test_singleton_class_named_in_error(self):
         table = unit_table(
             np.random.default_rng(16).standard_normal((5, 3)),
@@ -327,6 +343,17 @@ class TestEmbeddingTable:
         with pytest.raises(ContractError, match="non-negative"):
             EmbeddingTable(np.eye(2), np.array([0, -1]))
 
+    @pytest.mark.parametrize("rows,labels,message", [
+        (np.zeros((0, 2)), [], r"non-empty \[N, d\] matrix, got \(0, 2\)"),
+        (np.ones(2), [0, 0], r"non-empty \[N, d\] matrix, got \(2,\)"),
+        (np.eye(2)[None], [0], r"non-empty \[N, d\] matrix, got \(1, 2, 2\)"),
+        (np.eye(2), [0], "one label per embedding row required"),
+        (np.eye(2), [0, 1, 1], "one label per embedding row required"),
+    ], ids=["empty", "1d", "3d", "too-few-labels", "too-many-labels"])
+    def test_malformed_table_rejected(self, rows, labels, message):
+        with pytest.raises(ContractError, match=message):
+            EmbeddingTable(rows, np.array(labels, dtype=int))
+
     def test_from_features_normalises(self):
         t = unit_table(np.array([[3.0, 4.0]]), np.array([0]))
         assert np.allclose(t.embeddings, [[0.6, 0.8]])
@@ -336,6 +363,13 @@ class TestEmbeddingTable:
         enc = init_params(MlpSpec((4, 16, 3), final_normalize=True), 18)
         table = embed_dataset(enc, ds)
         assert np.abs(np.linalg.norm(table.embeddings, axis=1) - 1.0).max() < 1e-10
+
+    def test_embed_dataset_refuses_an_encoder_that_does_not_normalise(self):
+        """Every configured or loaded encoder ends in L2 normalisation, so the
+        table's unit check, not a rescaling, meets any other network."""
+        ds = gen_gaussian_mixture(2, 10, 4, 2.0, seed=17)
+        with pytest.raises(ContractError, match="unit norm or zero"):
+            embed_dataset(init_params(MlpSpec((4, 16, 3)), 18), ds)
 
     def test_embed_dataset_flattens_images(self):
         from simdistill.data import LabeledDataset

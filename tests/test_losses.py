@@ -379,7 +379,8 @@ class TestBatchForms:
     @pytest.mark.parametrize("name", ["anchor_distribution_batch", "anchor_cross_entropy_batch",
                                       "isd_loss_batch", "moco_loss_batch"])
     def test_anchor_forms_raise_typed_errors(self, name):
-        """Too few anchors, a wrong anchor width, a teacher-side block unlike the
+        """Too few anchors, a wrong anchor width, anchors that are not a matrix, a
+        teacher-side block unlike the
         student's and a non-finite block or anchor each raise their own error, and
         a temperature whose inverse overflows raises no numpy warning first."""
         call_anchor_form(name)
@@ -387,6 +388,10 @@ class TestBatchForms:
             call_anchor_form(name, anchor_shape=(1, 3))
         with pytest.raises(ShapeError):
             call_anchor_form(name, anchor_shape=(4, 5))
+        for anchor_shape in [(12,), (4, 3, 1)]:
+            with pytest.raises(ShapeError, match=r"anchors must be a \[n, d\] matrix, got "
+                                                 rf"shape \({anchor_shape[0]},"):
+                call_anchor_form(name, anchor_shape=anchor_shape)
         for block_shape in [(3,), (3, 2)]:
             with pytest.raises(ShapeError):
                 call_anchor_form(name, block_shape=block_shape)

@@ -88,6 +88,14 @@ class TestMlpForward:
         with pytest.raises(ShapeError):
             mlp_forward(p, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("shape", [(4,), (1, 2, 4)])
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_input_that_is_not_a_matrix_rejected(self, shape, grad):
+        p = init_params(MlpSpec((4, 3)), 0)
+        with pytest.raises(ShapeError, match=r"need a \[batch, features\] input, got "
+                                             rf"\({shape[0]},"):
+            mlp_forward(p, np.zeros(shape), grad=grad)
+
     def test_without_grad_the_output_is_one_array(self):
         """A teacher or evaluation pass returns the output alone, the same bytes
         as the output of a pass with a gradient."""
@@ -119,6 +127,13 @@ class TestFlatBuffer:
     def test_wrong_buffer_size_rejected(self):
         with pytest.raises(ShapeError):
             MlpParams(MlpSpec((3, 4, 2)), np.zeros(5))
+
+    def test_strided_buffer_rejected(self):
+        """The layer views must share the buffer, so a strided one is refused
+        rather than copied."""
+        spec = MlpSpec((3, 4, 2))
+        with pytest.raises(ShapeError, match="the parameter buffer must be contiguous"):
+            MlpParams(spec, np.zeros(2 * spec.num_parameters)[::2])
 
 
 def _layer_inputs(kinds, width, rng):
@@ -354,6 +369,11 @@ class TestSgd:
         sgd_step([p], state)
         assert p.data == pytest.approx([2.0 - 0.1 * (0.01 * 2.0)] * 4)
 
+    @pytest.mark.parametrize("lr", [-1e-9, -0.05])
+    def test_negative_lr_rejected(self, lr):
+        with pytest.raises(ContractError, match="SgdState: lr must be non-negative"):
+            SgdState(lr=lr)
+
     def test_teacher_network_rejected(self):
         frozen = init_params(MlpSpec((1, 2)), 0).copy(trainable=False)
         state = SgdState.for_params([frozen], lr=0.1)
@@ -455,6 +475,19 @@ class TestModelPair:
         pred = init_params(default_predictor_spec(2, hidden=3), 1)
         with pytest.raises(ContractError):
             ModelPair(enc, pred, enc.copy(trainable=True), 0.9)
+
+    def test_teacher_must_share_the_student_encoder_spec(self):
+        enc = init_params(MlpSpec((3, 4, 2), final_normalize=True), 0)
+        other = init_params(MlpSpec((3, 5, 2), final_normalize=True), 0).copy(trainable=False)
+        pred = init_params(default_predictor_spec(2, hidden=3), 1)
+        with pytest.raises(ContractError, match="teacher and student encoder shapes differ"):
+            ModelPair(enc, pred, other, 0.9)
+
+    def test_predictor_must_read_the_embedding(self):
+        enc = init_params(MlpSpec((3, 4, 2), final_normalize=True), 0)
+        pred = init_params(default_predictor_spec(3, hidden=3), 1)
+        with pytest.raises(ShapeError, match="predictor input must match encoder embedding dim"):
+            ModelPair(enc, pred, enc.copy(trainable=False), 0.9)
 
     def test_default_specs(self):
         enc = default_encoder_spec(17)

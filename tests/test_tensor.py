@@ -150,7 +150,22 @@ class TestRowKernels:
         x[2] = 0.0
         x[4, 3] = -0.0
         assert T.row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
-        assert T.unit_rows(x).tobytes() == graph_ops.l2_normalize(Tensor(x)).data.tobytes()
+        if scale >= 1e160:      # the squares overflow: no unit row to compare
+            with pytest.raises(NumericDomainError, match="L2 norm overflows"):
+                T.unit_rows(x)
+        else:
+            assert T.unit_rows(x).tobytes() == graph_ops.l2_normalize(Tensor(x)).data.tobytes()
+
+    @pytest.mark.parametrize("entry", [1e200, -1e160, np.inf])
+    @pytest.mark.parametrize("normalise", [T.unit_rows, lambda a: T.l2_rows(a)[0]],
+                             ids=["unit_rows", "l2_rows"])
+    def test_an_infinite_row_norm_raises(self, normalise, entry):
+        """A row holding Inf, or a finite one whose squares overflow, would scale
+        to a zero row; both normalisers refuse it."""
+        x = rand((3, 4), 5)
+        x[1, 2] = entry
+        with pytest.raises(NumericDomainError, match="a row's L2 norm overflows float64"):
+            normalise(x)
 
     def test_row_norms_of_non_finite_rows_equal_numpy_norm(self):
         x = rand((4, 3), 9)

@@ -152,6 +152,21 @@ class TestStepContracts:
         with pytest.raises(ColdStartError, match="pre-fill"):
             trainer.step(ds.samples[:4])
 
+    @pytest.mark.parametrize("objective", ["isd", "moco", "byol"])
+    def test_empty_batch_rejected(self, objective):
+        ds = small_dataset()
+        trainer = Trainer(small_config(objective), ds.feature_dim)
+        trainer.prefill(ds)
+        with pytest.raises(ConfigError, match="empty batch"):
+            trainer.step(ds.samples[:0])
+
+    def test_encoder_that_cannot_read_the_data_rejected(self):
+        """A pair handed to the trainer is checked against the data width too."""
+        pair = ModelPair.create(MlpSpec((5, 16, 4), final_normalize=True),
+                                default_predictor_spec(4), 0.97, 0)
+        with pytest.raises(ConfigError, match="encoder input width 5 does not match data dim 6"):
+            Trainer(small_config(), 6, pair=pair)
+
     @pytest.mark.parametrize("objective", ["isd", "moco"])
     def test_enqueue_happens_strictly_after_the_loss(self, monkeypatch, objective):
         """The bank's unit rows a step scores never contain that step's views: the
