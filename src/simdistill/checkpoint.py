@@ -76,10 +76,6 @@ def load_checkpoint(path: str) -> Checkpoint:
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
     header = container.header
-    for key in ("encoder", "predictor"):
-        if not all(type(w) is int for w in header[key]):
-            raise CheckpointError(f"{path}: header field {key!r} must list integer widths, "
-                                  f"got {header[key]}")
     for key in ("epoch", "step"):
         if header[key] < 0:
             raise CheckpointError(f"{path}: header field {key!r} must be non-negative, "

@@ -46,10 +46,16 @@ def embed_dataset(encoder: MlpParams, ds: LabeledDataset) -> EmbeddingTable:
     return EmbeddingTable(np.concatenate(chunks, axis=0), ds.labels)
 
 
-# Bytes of similarities that knn_eval selects neighbours from per pass.
-# np.partition copies its block, and a copy this small stays under the
-# 1 MiB mmap threshold that train._keep_step_buffers_on_heap sets.
-_SELECT_BUDGET = 256 << 10
+# Bytes of the similarity block that knn_eval multiplies and selects per
+# pass; the selection copies it once more (np.partition), so a call's traced
+# peak is about twice this. At the unbalanced protocol's shape (400 test
+# rows, 2080 train rows, one BLAS thread) 256 KiB blocks made a call about
+# 20% slower than one whole product, and 1 MiB blocks took the peak past
+# 2 MB. A block this size stays on the heap in a
+# process that built a Trainer (train._keep_step_buffers_on_heap sets a
+# 1 MiB mmap threshold); the eval command builds none, so there glibc's
+# adaptive threshold decides.
+_BLOCK_BUDGET = 768 << 10
 
 
 def knn_eval(train: EmbeddingTable, test: EmbeddingTable, k: int = 5) -> float:
@@ -59,11 +65,20 @@ def knn_eval(train: EmbeddingTable, test: EmbeddingTable, k: int = 5) -> float:
     Equal similarities rank by train-row index (stable sort), so results
     are deterministic.
 
-    The [n_test, n_train] similarities come from one product, and the
-    neighbours are then picked a block of test rows at a time. Each row's
-    pick and vote read only that row, so the blocks change no prediction;
-    they only keep the temporaries of a pass within ``_SELECT_BUDGET``
-    instead of the size of the whole similarity block.
+    Similarities are multiplied, picked and voted a block of test rows at a
+    time, so no [n_test, n_train] block is held, only one within
+    ``_BLOCK_BUDGET``. Each row's pick and vote read only that row. A block
+    holds at least two rows, and a one-row remainder joins the block before
+    it: numpy sends a one-row product to gemv, which rounds unlike gemm.
+    Whether a row block of a gemm rounds like the whole product depends on
+    the BLAS and the shape. On OpenBLAS 0.3.31 it did at the protocol's 2080
+    train rows, but not at most train-row counts that are not a multiple of
+    8, nor for a 2- or 3-row block against 400 train rows. There a
+    similarity may differ from the one-product form in its last bit, which
+    changes a prediction only where that bit decides a neighbour or a vote.
+    When ``test`` and ``train`` hold one array, numpy computes the whole
+    ``A @ A.T`` with syrk, which a row block need not match either; no
+    caller scores a table against itself.
     """
     if k < 1:
         raise ContractError("knn_eval: k must be at least 1")
@@ -71,17 +86,18 @@ def knn_eval(train: EmbeddingTable, test: EmbeddingTable, k: int = 5) -> float:
         raise ContractError(f"knn_eval: k={k} exceeds train size {len(train.labels)}")
     if train.embeddings.shape[1] != test.embeddings.shape[1]:
         raise ShapeError("knn_eval: embedding dims disagree")
-    # One product, not one per block: BLAS rounds a row block of a product
-    # differently from the whole, and the accuracy must not depend on the budget.
-    sims = test.embeddings @ train.embeddings.T
     classes, codes = np.unique(train.labels, return_inverse=True)
-    rows_per_block = max(1, _SELECT_BUDGET // (sims.itemsize * sims.shape[1]))
+    n_test = len(test.labels)
+    rows_per_block = max(2, _BLOCK_BUDGET // (train.embeddings.itemsize * len(train.labels)))
+    starts = list(range(0, n_test, rows_per_block))
+    if len(starts) > 1 and n_test - starts[-1] == 1:
+        starts.pop()
     correct = 0
-    for start in range(0, len(sims), rows_per_block):
-        block = slice(start, start + rows_per_block)
-        pred = _knn_predict(sims[block], k, train.labels, classes, codes)
-        correct += int(np.count_nonzero(pred == test.labels[block]))
-    return correct / len(test.labels)
+    for start, stop in zip(starts, starts[1:] + [n_test]):
+        sims = test.embeddings[start:stop] @ train.embeddings.T
+        pred = _knn_predict(sims, k, train.labels, classes, codes)
+        correct += int(np.count_nonzero(pred == test.labels[start:stop]))
+    return correct / n_test
 
 
 def _knn_predict(sims: np.ndarray, k: int, labels: np.ndarray, classes: np.ndarray,
@@ -184,6 +200,11 @@ def recall_at_k(table: EmbeddingTable, ks: list[int]) -> list[float]:
     the count of rows above m plus the count of rows equal to m before it;
     no sort is needed. Self ranks last, so a rank is at most n - 2, and any
     k >= n - 1 recalls every row.
+
+    The [n, n] similarities stay one product: numpy computes ``E @ E.T``
+    with syrk, which row blocks of a gemm did not reproduce bitwise (at
+    [37, 5] with 15- and 16-row blocks, and at [400, 64] and [400, 128]
+    with 2-row blocks, on OpenBLAS 0.3.31), so blocks could change a rank.
     """
     labels = table.labels
     single = single_member_class(labels)

@@ -22,6 +22,7 @@ from .data import (LabeledDataset, gen_gaussian_mixture, load_dataset, make_unba
                    save_dataset)
 from .errors import ConfigError, ContractError
 from .evaluation import embed_dataset, knn_eval, linear_probe, recall_at_k, single_member_class
+from .nn import MlpParams
 from .train import Trainer, distill_trainer, encoder_mismatch, knn_accuracies, train
 
 TEMPERATURE_GRID = (0.003, 0.007, 0.01, 0.02, 0.04, 0.06)
@@ -375,6 +376,12 @@ def _train_and_score(task) -> tuple[float, float]:
     """Train one objective of one repetition; k-NN on all and on rare-class queries."""
     cfg, unbalanced, balanced, eval_ds, rare_eval = task
     student = train(cfg, unbalanced).pair.student_encoder
-    neighbours = embed_dataset(student, balanced)
-    return (knn_eval(neighbours, embed_dataset(student, eval_ds), cfg.eval_k),
-            knn_eval(neighbours, embed_dataset(student, rare_eval), cfg.eval_k))
+    return _knn_scores(student, balanced, eval_ds, rare_eval, cfg.eval_k)
+
+
+def _knn_scores(encoder: MlpParams, balanced: LabeledDataset, eval_ds: LabeledDataset,
+                rare_eval: LabeledDataset, k: int) -> tuple[float, float]:
+    """k-NN accuracy of all and of rare-class queries against the balanced corpus."""
+    neighbours = embed_dataset(encoder, balanced)
+    return (knn_eval(neighbours, embed_dataset(encoder, eval_ds), k),
+            knn_eval(neighbours, embed_dataset(encoder, rare_eval), k))

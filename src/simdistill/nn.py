@@ -34,6 +34,9 @@ class MlpSpec:
     final_normalize: bool = False
 
     def __post_init__(self):
+        if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool)
+                   for w in self.layer_widths):
+            raise ContractError(f"MlpSpec: need integer widths, got {list(self.layer_widths)}")
         widths = tuple(int(w) for w in self.layer_widths)
         object.__setattr__(self, "layer_widths", widths)
         if len(widths) < 2:

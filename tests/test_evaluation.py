@@ -101,9 +101,9 @@ class TestKnnEval:
                                          block_rows, spare_bytes):
         """Quantised embeddings repeat rows and similarities, and the labels have gaps:
         the same accuracy as the per-row loop and the one-shot selection it replaced,
-        for k = 1, k = n and any k. The selection budget is cut to a few rows (at
-        least one, even below a row's bytes), so the test rows span several blocks,
-        the last one often short."""
+        for k = 1, k = n and any k. The block budget is cut to a few rows (at
+        least two, even below two rows' bytes), so the test rows span several
+        blocks, the last one often short."""
         rng = np.random.default_rng(seed)
         features = np.round(rng.uniform(-levels, levels, size=(n_train + n_test, dim)))
         features[~features.any(axis=1), 0] = 1.0
@@ -112,15 +112,15 @@ class TestKnnEval:
         test = unit_table(features[n_train:], labels[n_train:])
         k = {"1": 1, "n": n_train, "any": int(rng.integers(1, n_train + 1))}[k_pick]
         budget = block_rows * 8 * n_train + spare_bytes % (8 * n_train)
-        with mock.patch.object(evaluation, "_SELECT_BUDGET", budget):
+        with mock.patch.object(evaluation, "_BLOCK_BUDGET", budget):
             blocked = knn_eval(train, test, k)
         assert blocked == knn_loop.knn_eval(train, test, k)
         assert blocked == knn_oneshot.knn_eval(train, test, k)
 
-    def test_selection_memory_stays_near_the_similarity_block(self):
+    def test_memory_stays_within_a_few_blocks(self):
         """At the unbalanced protocol's shape (400 eval rows against 2080 train rows
-        of 64 dims) the traced peak is the [400, 2080] similarity block plus a few
-        selection budgets; the one-shot selection's partition copied the whole block."""
+        of 64 dims) the traced peak is one similarity block and its partition copy,
+        far below the [400, 2080] block the one-shot product held."""
         train = random_table(2080, 64, 10, seed=8)
         test = random_table(400, 64, 10, seed=9)
         sims_bytes = 400 * 2080 * 8
@@ -130,8 +130,45 @@ class TestKnnEval:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sims_bytes < peak <= sims_bytes + 4 * evaluation._SELECT_BUDGET
+        assert peak <= 3 * evaluation._BLOCK_BUDGET < sims_bytes / 2
         assert accuracy == knn_oneshot.knn_eval(train, test, 5)
+
+    @pytest.mark.parametrize("n_test, n_train, dim", [(400, 2080, 64), (13, 9, 3)])
+    def test_row_blocks_of_the_product_round_as_the_whole(self, n_test, n_train, dim):
+        """The assumption the blocks rest on, at the protocol's shape and a tiny one:
+        every block of 2-16 rows of ``a @ b.T`` equals those rows of the whole
+        product bitwise. A BLAS that fails this changes k-NN accuracies."""
+        rng = np.random.default_rng(10)
+        a, b = rng.standard_normal((n_test, dim)), rng.standard_normal((n_train, dim))
+        whole = a @ b.T
+        for rows in range(2, 17):
+            for start in range(n_test - rows + 1):
+                assert np.array_equal(a[start:start + rows] @ b.T, whole[start:start + rows]), (
+                    f"BLAS rounds rows {start}:{start + rows} of a [{n_test}, {dim}] x "
+                    f"[{dim}, {n_train}] product unlike the whole product; knn_eval's "
+                    f"row blocks would change its accuracies")
+
+    @pytest.mark.parametrize("rows, blocks", [(2, 5), (3, 4), (5, 2)])
+    def test_one_row_remainder_joins_the_block_before_it(self, rows, blocks):
+        """Tie-heavy tables whose test rows leave one over after whole blocks: that
+        row is voted with the block before it, no block holds one row, and the
+        accuracy is the one-shot selection's."""
+        rng = np.random.default_rng(rows)
+        n_train, n_test = 20, rows * blocks + 1
+        features = np.round(rng.uniform(-2, 2, size=(n_train + n_test, 2)))
+        features[~features.any(axis=1), 0] = 1.0
+        labels = rng.choice([0, 3, 4, 9], size=n_train + n_test)
+        train = unit_table(features[:n_train], labels[:n_train])
+        test = unit_table(features[n_train:], labels[n_train:])
+        sizes = []
+        predict = evaluation._knn_predict
+        spy = lambda sims, *rest: sizes.append(len(sims)) or predict(sims, *rest)
+        with mock.patch.object(evaluation, "_BLOCK_BUDGET", rows * 8 * n_train), \
+                mock.patch.object(evaluation, "_knn_predict", spy):
+            for k in (1, 4, n_train):
+                sizes.clear()
+                assert knn_eval(train, test, k) == knn_oneshot.knn_eval(train, test, k)
+                assert sizes == [rows] * (blocks - 1) + [rows + 1]
 
 
 class TestLinearProbe:

@@ -13,19 +13,22 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from simdistill import experiments
+from simdistill import evaluation, experiments
 from simdistill.checkpoint import load_checkpoint
 from simdistill.cli import main
 from simdistill.config import RunConfig, apply_overrides, load_config
+from simdistill.data import LabeledDataset
 from simdistill.errors import (ConfigError, ContractError, FormatError, LengthError,
                                NumericDomainError, SimDistillError)
 from simdistill.experiments import (evaluate_checkpoint, fan_out, run_training,
                                     temperature_sweep, unbalanced_protocol,
                                     write_synthetic_datasets)
+from simdistill.nn import init_params
 
 # One-epoch runs on a 4-class corpus, as config overrides.
 TINY = ["epochs=1", "bank_capacity=16", "batch_size=8", "encoder_widths=6,12,4",
@@ -347,3 +350,28 @@ class TestUnbalancedCommandErrors:
         assert "error: moco diverged" in capsys.readouterr().err
         assert not (tmp_path / "u" / "unbalanced.csv").exists()
         assert multiprocessing.active_children() == []
+
+
+class TestProtocolScoringMemory:
+    def test_knn_scores_hold_the_tables_and_a_few_blocks(self):
+        """The scoring half of an unbalanced repetition, at its shape (2080 balanced
+        rows, 400 eval rows, 300 rare-class rows, 64 dims) with a random encoder:
+        the traced peak is the three tables, two k-NN blocks and one 512-row chunk
+        of encoder activations. The one [400, 2080] similarity product (6.66 MB)
+        took it to 8.2 MB."""
+        cfg = experiments.unbalanced_base_config()
+        balanced, eval_ds = experiments.build_datasets(cfg)
+        rare = eval_ds.labels >= experiments.UNBALANCED_LARGE_CLASSES
+        rare_eval = LabeledDataset(eval_ds.samples[rare], eval_ds.labels[rare], split="eval")
+        encoder_spec = cfg.model_specs(balanced.feature_dim)[0]
+        encoder = init_params(encoder_spec, 1)
+        tables = 8 * encoder_spec.output_dim * (len(balanced) + len(eval_ds) + len(rare_eval))
+        activations = 8 * 512 * sum(encoder_spec.layer_widths[1:])
+        tracemalloc.start()
+        try:
+            experiments._knn_scores(encoder, balanced, eval_ds, rare_eval, cfg.eval_k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(balanced), len(eval_ds), len(rare_eval)) == (2080, 400, 300)
+        assert peak <= tables + 2 * evaluation._BLOCK_BUDGET + activations

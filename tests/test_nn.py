@@ -44,6 +44,19 @@ class TestInitParams:
         with pytest.raises(ContractError):
             MlpSpec((4, 8, 1))
 
+    @pytest.mark.parametrize("widths", [("6", 12, 4), (6, 12.9, 4), (6.0, 12, 4), (True, 4),
+                                        (6, np.bool_(True), 4), (6, None, 4), (6, [12], 4)],
+                             ids=["str", "float", "whole-float", "bool", "numpy-bool", "none",
+                                  "list"])
+    def test_width_that_is_not_an_integer_rejected(self, widths):
+        with pytest.raises(ContractError, match="integer widths"):
+            MlpSpec(widths)
+
+    def test_numpy_integer_widths_stored_as_int(self):
+        spec = MlpSpec((np.int64(6), np.int32(12), 4))
+        assert spec.layer_widths == (6, 12, 4)
+        assert all(type(w) is int for w in spec.layer_widths)
+
 
 class TestMlpForward:
     def test_zero_weights_give_zero_output(self):
